@@ -103,7 +103,8 @@ def binary_decompose(
 
     Tries sizes r = 1, 2, ...; at each size draws kernel combinations until
     one has r distinct projective roots, then accepts if the weight solve
-    reproduces the coefficients.  A nonzero form always terminates by r = d.
+    reproduces both the moments and the coefficients to relative residual
+    `tol`.  Raises DecompositionError when no size up to d does.
     """
     bf = BinaryForm.from_poly(p) if isinstance(p, HomogeneousPoly) else p
     d = bf.degree
@@ -150,5 +151,6 @@ def binary_decompose(
                 coeff_err = float(
                     np.linalg.norm(rebuilt - bf.coeffs) / np.linalg.norm(bf.coeffs)
                 )
-                return Decomposition(d, list(zip(w, pts)), coeff_err)
+                if coeff_err <= tol:
+                    return Decomposition(d, list(zip(w, pts)), coeff_err)
     raise DecompositionError("no distinct-root kernel combination found up to r = d")

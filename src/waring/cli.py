@@ -21,6 +21,7 @@ from .core import (
     PolyParseError,
     decomposition_from_json,
     decomposition_to_json,
+    finite_coeff,
     format_poly,
     monomials,
     parse_poly,
@@ -63,7 +64,7 @@ def _poly_from_tensor(obj: dict) -> HomogeneousPoly:
         )
     coeffs = {}
     for exp, v in zip(exps, flat):
-        c = complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
+        c = finite_coeff(complex(v[0], v[1]) if isinstance(v, (list, tuple)) else v)
         if c != 0:
             coeffs[exp] = c
     return HomogeneousPoly(nvars, degree, coeffs)
@@ -174,7 +175,7 @@ def main(argv=None) -> int:
         elif args.command == "sylvester":
             if f.nvars != 2:
                 raise ValueError("sylvester needs a binary form")
-            dec = binary_decompose(f, rng_seed=args.seed).normalized()
+            dec = binary_decompose(f, rng_seed=args.seed, tol=args.tol).normalized()
             report = decomposition_to_json(dec)
             report["seed"] = args.seed
             _emit(report, fmt, [

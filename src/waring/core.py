@@ -12,6 +12,7 @@ dividing each coefficient by its multinomial weight.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -30,6 +31,14 @@ class PolyParseError(ValueError):
 
 class DecompositionError(RuntimeError):
     """No acceptable decomposition was found within the configured budget."""
+
+
+def finite_coeff(c) -> complex:
+    """`c` as a complex number; ValueError unless both parts are finite."""
+    c = complex(c)
+    if not cmath.isfinite(c):
+        raise ValueError("coefficients must be finite")
+    return c
 
 
 def multinomial(d: int, alpha: Exponent) -> int:
@@ -573,6 +582,8 @@ def parse_poly(text: str, nvars: int | None = None) -> HomogeneousPoly:
             )
         exp = tuple(e.get(i, 0) for i in range(n))
         coeffs[exp] = coeffs.get(exp, 0) + c
+        if not cmath.isfinite(coeffs[exp]):
+            raise PolyParseError("coefficients must be finite", pos)
     if degree == 0:
         raise PolyParseError("constant polynomial", 0)
     return HomogeneousPoly(n, degree, coeffs)
@@ -597,7 +608,7 @@ def poly_from_json(obj: dict) -> HomogeneousPoly:
         for t in terms:
             exp = tuple(int(e) for e in t["exp"])
             re, im = t["c"]
-            coeffs[exp] = coeffs.get(exp, 0) + complex(re, im)
+            coeffs[exp] = coeffs.get(exp, 0) + finite_coeff(complex(re, im))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad polynomial JSON: {exc}")
     return HomogeneousPoly(n, d, coeffs)
@@ -624,8 +635,8 @@ def decomposition_from_json(obj: dict) -> Decomposition:
         degree = int(obj["degree"])
         terms = []
         for t in obj["terms"]:
-            w = complex(*t["weight"])
-            k = np.array([complex(re, im) for re, im in t["form"]])
+            w = finite_coeff(complex(*t["weight"]))
+            k = np.array([finite_coeff(complex(re, im)) for re, im in t["form"]])
             terms.append((w, k))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad decomposition JSON: {exc}")

@@ -282,7 +282,7 @@ def decompose(
         return replace(rep, decomposition=dec, residual=res)
 
     if f.nvars == 2:
-        dec = binary_decompose(f, rng_seed=opts.seed).normalized()
+        dec = binary_decompose(f, rng_seed=opts.seed, tol=opts.tol).normalized()
         return DecomposeReport(dec.rank, dec, [], 0, 0, dec.residual, opts.seed)
     return _rank_loop(f, opts)
 

@@ -6,7 +6,8 @@ multiplication operators to commute.  Two formulations coexist on purpose:
 * explicit polynomial systems in the unknowns (`commutation_system`,
   `wfactor_system`), exact and inspectable, solved by `solve_extension`;
 * a numeric residual (`CommutatorResidual` / `extend_dual`) that inverts the
-  principal block on the fly, used by the decomposition driver where the
+  principal block on the fly and builds its Jacobian from one rank-1 term per
+  cell an unknown occupies, used by the decomposition driver where the
   symbolic route would be too large.
 
 Both reduce to the same damped Gauss-Newton iteration from several starts.
@@ -567,54 +568,72 @@ def _assignment(unknowns, x) -> dict[Exponent, complex]:
 class CommutatorResidual:
     """Commutator equations evaluated numerically, inverting D_0 on the fly.
 
-    Compared to the adjugate form this keeps the equation count at
-    s(s-1)/2 per variable pair regardless of how many unknowns sit inside
-    D_0, and it cannot converge to a det(D_0) = 0 artifact because the
-    residual blows up there.
+    With A = D_i, B = D_j (i < j) and N = D_0^{-1}, the equations are the
+    strict upper triangle of the antisymmetric C = A N B - B N A.  Compared
+    to the adjugate form this keeps the equation count at s(s-1)/2 per pair
+    regardless of how many unknowns sit inside D_0, and it cannot converge to
+    a det(D_0) = 0 artifact because the residual blows up there.
+
+    A column of the Jacobian is a sum of rank-1 terms, one per cell (r, c)
+    its unknown occupies; a unit there changes C by
+        of A:    e_r (x) NB[c,:] - BN[:,r] (x) e_c
+        of B:    AN[:,r] (x) e_c - e_r (x) NA[c,:]
+        of D_0:  BN[:,r] (x) NA[c,:] - AN[:,r] (x) NB[c,:]   (dN = -N dD_0 N)
     """
 
     def __init__(self, L: DualForm, basis: MonomialBasis):
-        self.nvars = L.nvars
-        self.basis = basis
         mats = [build_hankel(L, basis.exponents, basis.exponents)]
         mats += [shifted_matrix(L, basis, v) for v in range(L.nvars)]
         self.unknowns = _collect_unknowns(mats)
         index = {u.exp: i for i, u in enumerate(self.unknowns)}
         s = len(basis)
-        self.size = s
-        self.const = []
-        self.occurrences = []  # per matrix: list of (row, col, unknown index)
-        for m in mats:
-            c = np.zeros((s, s), dtype=complex)
-            occ = []
+        self.const = np.zeros((len(mats), s, s), dtype=complex)
+        cells = []  # (matrix, row, col, unknown index) of every unknown cell
+        for m, mat in enumerate(mats):
             for a in range(s):
                 for b in range(s):
-                    v = m.entries[a, b]
+                    v = mat.entries[a, b]
                     if isinstance(v, Unknown):
-                        occ.append((a, b, index[v.exp]))
+                        cells.append((m, a, b, index[v.exp]))
                     else:
-                        c[a, b] = v
-            self.const.append(c)
-            self.occurrences.append(occ)
+                        self.const[m, a, b] = v
+        self.cells = np.array(cells, dtype=np.intp).reshape(-1, 4).T
         self.pairs = [
             (i, j) for i in range(1, L.nvars + 1) for j in range(i + 1, L.nvars + 1)
         ]
         self.upper = np.triu_indices(s, k=1)
         # one reference magnitude so residuals read as relative numbers
-        ref = max(np.max(np.abs(c)) for c in self.const)
-        self.scale = (1.0 + ref) ** 2
+        self.scale = (1.0 + np.max(np.abs(self.const))) ** 2
         self._sing_floor = 1e-12
+        # the Jacobian's rank-1 terms u[:,r] (x) v[c,:] on the upper triangle, as
+        # (target, left, right) indices into N D_v, D_v N, -D_v N, 0, 1, -1
+        n, p, q = L.nvars, *self.upper
+        idx = np.arange(3 * n * s * s).reshape(3, n, s, s)
+        zero, one, minus = idx.size + np.arange(3)
+        eye = np.where(np.eye(s, dtype=bool), one, zero)
+        neg_eye = np.where(eye == one, minus, zero)
+        mat, r, c, k = self.cells
+        parts = [np.zeros((3, 0), dtype=np.intp)]
+        for t, (i, j) in enumerate(self.pairs):
+            (na, an, neg_an), (nb, bn, neg_bn) = idx[:, i - 1], idx[:, j - 1]
+            target = (t * len(p) + np.arange(len(p))) * len(self.unknowns)
+            # dA N B + A N dB + A dN B - dB N A - B N dA - B dN A
+            for m, u, v in ((i, eye, nb), (j, an, eye), (0, neg_an, nb),
+                            (j, neg_eye, na), (i, neg_bn, eye), (0, bn, na)):
+                on = mat == m
+                part = np.reshape(np.broadcast_arrays(
+                    target + k[on, None], u[p, r[on, None]], v[c[on, None], q]),
+                    (3, -1))
+                parts.append(part[:, (part[1] != zero) & (part[2] != zero)])
+        self._terms = np.concatenate(parts, axis=1)
 
     def nequations(self) -> int:
         return len(self.pairs) * len(self.upper[0])
 
-    def matrices(self, x: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for c, occ in zip(self.const, self.occurrences):
-            m = c.copy()
-            for a, b, k in occ:
-                m[a, b] = x[k]
-            out.append(m)
+    def matrices(self, x: np.ndarray) -> np.ndarray:
+        """D_0, D_1, ..., D_n stacked, with the unknowns set to x."""
+        out = self.const.copy()
+        out[tuple(self.cells[:3])] = x[self.cells[3]]
         return out
 
     def _inverse(self, d0: np.ndarray):
@@ -639,32 +658,13 @@ class CommutatorResidual:
         n_mat = self._inverse(mats[0])
         if n_mat is None:
             return np.full((self.nequations(), len(self.unknowns)), np.nan + 0j)
-        nu = len(self.unknowns)
-        s = self.size
-        d_mats = [np.zeros((s, s, nu), dtype=complex) for _ in mats]
-        for d, occ in zip(d_mats, self.occurrences):
-            for a, b, k in occ:
-                d[a, b, k] = 1.0
-        cols = np.empty((self.nequations(), nu), dtype=complex)
-        # dN = -N dD0 N
-        nd0 = np.einsum("ab,bck,cd->adk", n_mat, d_mats[0], n_mat)
-        row0 = 0
-        for i, j in self.pairs:
-            a, b = mats[i], mats[j]
-            na, nb = n_mat @ a, n_mat @ b
-            an, bn = a @ n_mat, b @ n_mat
-            term = (
-                np.einsum("abk,bc->ack", d_mats[i], nb)
-                + np.einsum("ab,bck->ack", an, d_mats[j])
-                - np.einsum("ab,bck,cd->adk", a, nd0, b)
-                - np.einsum("abk,bc->ack", d_mats[j], na)
-                - np.einsum("ab,bck->ack", bn, d_mats[i])
-                + np.einsum("ab,bck,cd->adk", b, nd0, a)
-            )
-            block = term[self.upper[0], self.upper[1], :]
-            cols[row0 : row0 + block.shape[0]] = block
-            row0 += block.shape[0]
-        return cols / self.scale
+        shifts = mats[1:]
+        an = (shifts @ n_mat).ravel()
+        factor = np.concatenate([(n_mat @ shifts).ravel(), an, -an, [0.0, 1.0, -1.0]])
+        target, left, right = self._terms
+        out = np.zeros(self.nequations() * len(self.unknowns), dtype=complex)
+        np.add.at(out, target, factor[left] * factor[right])
+        return out.reshape(self.nequations(), -1) / self.scale
 
     def d0_healthy(self, x: np.ndarray, tol: float = 1e-10) -> bool:
         s = np.linalg.svd(self.matrices(x)[0], compute_uv=False)

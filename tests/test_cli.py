@@ -1,11 +1,13 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
 from waring.cli import main, parse_input
+from waring.core import poly_to_json
 
-from conftest import FIXTURES
+from conftest import FIXTURES, planted_poly
 
 QUINTIC = str(FIXTURES / "ternary_quintic_rank4.txt")
 
@@ -164,3 +166,43 @@ def test_bad_tol_rejected(capsys):
 def test_missing_file_is_treated_as_inline_and_fails(capsys):
     code, _, _ = run(capsys, "rank", "/no/such/file.txt")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x0^3 + x1^3 + 1e999*x2^3",
+        '{"nvars": 2, "degree": 2, "terms": [{"exp": [2, 0], "c": [NaN, 0]}]}',
+        '{"nvars": 2, "degree": 2, "terms": [{"exp": [2, 0], "c": [1, Infinity]}]}',
+        '{"nvars": 2, "degree": 1, "tensor": [1, -Infinity]}',
+    ],
+)
+def test_non_finite_coefficients_fail_fast(capsys, source):
+    code, out, err = run(capsys, "decompose", source, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert "coefficients must be finite" in err
+
+
+def test_verify_rejects_non_finite_decomposition(capsys, tmp_path):
+    dec = json.loads((FIXTURES / "quartic_rank6_decomposition.json").read_text())
+    dec["terms"][0]["weight"] = [float("nan"), 0.0]
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(dec))
+    code, _, err = run(
+        capsys, "verify", str(FIXTURES / "ternary_quartic_rank6.txt"),
+        "--decomposition", str(path),
+    )
+    assert code == 1
+    assert "coefficients must be finite" in err
+
+
+def test_sylvester_honours_tol(capsys):
+    # affine degree-20 binary form of rank 10 where a rank-7 candidate fits
+    # the moments but misses the coefficients by 1e-6
+    f, _ = planted_poly(2, 20, 10, np.random.default_rng(1420))
+    code, out, _ = run(capsys, "sylvester", json.dumps(poly_to_json(f)),
+                       "--format", "json", "--tol", "1e-7")
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out)["residual"] <= 1e-7

@@ -254,3 +254,28 @@ def test_decomposition_normalized():
     f = expand_power_sum(dec.terms, 2, 2)
     g = expand_power_sum(norm.terms, 2, 2)
     assert (f - g).coeff_norm() < 1e-12 * f.coeff_norm()
+
+
+@pytest.mark.parametrize(
+    "text", ["x0^3 + x1^3 + 1e999*x2^3", "(1,1e999)*x0^2 + x1^2",
+             "1e308*x0^2 + 1e308*x0^2 + x1^2"]
+)
+def test_parse_rejects_non_finite_coefficients(text):
+    with pytest.raises(PolyParseError, match="coefficients must be finite"):
+        parse_poly(text)
+
+
+@pytest.mark.parametrize("bad", [[float("nan"), 0.0], [1.0, float("inf")]])
+def test_poly_json_rejects_non_finite_coefficients(bad):
+    obj = {"nvars": 2, "degree": 2,
+           "terms": [{"exp": [2, 0], "c": [1.0, 0.0]}, {"exp": [0, 2], "c": bad}]}
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        poly_from_json(obj)
+
+
+def test_decomposition_json_rejects_non_finite_entries():
+    good = {"weight": [1.0, 0.0], "form": [[1.0, 0.0], [2.0, 0.0]]}
+    for bad in ({**good, "weight": [float("inf"), 0.0]},
+                {**good, "form": [[1.0, 0.0], [0.0, float("nan")]]}):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            decomposition_from_json({"degree": 3, "terms": [good, bad]})

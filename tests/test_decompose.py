@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,35 @@ def test_binary_delegation():
     assert rep.rank == 2
     assert rep.basis == []
     assert rep.residual < 1e-10
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+def test_binary_path_honours_tol(tol):
+    # affine degree-20 binary form of rank 10 with a wide spread of term
+    # sizes: a rank-7 candidate fits the moments to 1e-8 but misses the
+    # coefficients by 1e-6
+    f, _ = planted_poly(2, 20, 10, np.random.default_rng(1420))
+    try:
+        rep = decompose(f, tol=tol)
+    except DecompositionError:
+        return
+    assert rep.residual <= tol
+    assert verify(f, rep.decomposition).residual <= 1.01 * tol
+
+
+@pytest.mark.parametrize("name", ["quartic", "maximal_cubic"])
+def test_jobs_do_not_change_the_report(name, request):
+    # the worker threads share one CommutatorResidual
+    f = request.getfixturevalue(name)
+    one, two = decompose(f, jobs=1), decompose(f, jobs=2)
+    for fld in dataclasses.fields(one):
+        if fld.name != "decomposition":
+            assert getattr(one, fld.name) == getattr(two, fld.name), fld.name
+    assert one.decomposition.residual == two.decomposition.residual
+    for (w1, k1), (w2, k2) in zip(one.decomposition.terms,
+                                  two.decomposition.terms):
+        assert w1 == w2
+        assert np.array_equal(k1, k2)
 
 
 def test_degenerate_input_uses_fewer_variables():

@@ -12,10 +12,13 @@ from waring.extension import (
 from waring.extension import _gauss_newton
 from waring.hankel import (
     MonomialBasis,
+    Unknown,
     build_hankel,
     full_rank_principal_minor,
     shifted_matrix,
 )
+
+from conftest import planted_poly
 
 QUARTIC_BASIS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 CUBIC_BASIS5 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
@@ -189,6 +192,87 @@ def test_commutator_jacobian_matches_finite_differences(quartic):
         e[k] = h
         fd = (res.residual(x + e) - res.residual(x - e)) / (2 * h)
         assert np.allclose(j[:, k], fd, rtol=1e-4, atol=1e-4 * np.abs(fd).max())
+
+
+def _dense_jacobian(L, basis, unknowns, x):
+    """The commutator Jacobian through dense 0/1 occurrence tensors and
+    einsums, kept as an independent reference for the rank-1 kernel."""
+    index = {u.exp: i for i, u in enumerate(unknowns)}
+    s, nu = len(basis), len(unknowns)
+    mats, d_mats, known = [], [], 0.0
+    quasi = [build_hankel(L, basis.exponents, basis.exponents)]
+    quasi += [shifted_matrix(L, basis, v) for v in range(L.nvars)]
+    for q in quasi:
+        m = np.zeros((s, s), dtype=complex)
+        d = np.zeros((s, s, nu))
+        for (a, b), v in np.ndenumerate(q.entries):
+            if isinstance(v, Unknown):
+                m[a, b] = x[index[v.exp]]
+                d[a, b, index[v.exp]] = 1.0
+            else:
+                m[a, b] = v
+                known = max(known, abs(v))
+        mats.append(m)
+        d_mats.append(d)
+    n_mat = np.linalg.inv(mats[0])
+    nd0 = np.einsum("ab,bck,cd->adk", n_mat, d_mats[0], n_mat)
+    upper = np.triu_indices(s, k=1)
+    blocks = []
+    for i in range(1, L.nvars + 1):
+        for j in range(i + 1, L.nvars + 1):
+            a, b = mats[i], mats[j]
+            term = (
+                np.einsum("abk,bc->ack", d_mats[i], n_mat @ b)
+                + np.einsum("ab,bck->ack", a @ n_mat, d_mats[j])
+                - np.einsum("ab,bck,cd->adk", a, nd0, b)
+                - np.einsum("abk,bc->ack", d_mats[j], n_mat @ a)
+                - np.einsum("ab,bck->ack", b @ n_mat, d_mats[i])
+                + np.einsum("ab,bck,cd->adk", b, nd0, a)
+            )
+            blocks.append(term[upper])
+    return np.concatenate(blocks) / (1.0 + known) ** 2
+
+
+def _planted_4_4_10(degree3: bool):
+    """A planted (4, 4, 10) form, its dual, a basis and a point near the
+    true moments.  The flat basis (all monomials of degree <= 2) puts the
+    unknowns in the shifted matrices only; swapping its last monomial for
+    a cubic one puts unknowns inside D_0 as well."""
+    f, terms = planted_poly(4, 4, 10, np.random.default_rng(5))
+    L = to_dual(f)
+    basis = full_rank_principal_minor(L, size=10)
+    if degree3:
+        basis = MonomialBasis(3, basis.exponents[:-1] + [(3, 0, 0)])
+    res = CommutatorResidual(L, basis)
+    rng = np.random.default_rng(6)
+    true = np.array([
+        sum(w * np.prod(z[1:] ** np.array(u.exp)) for w, z in terms)
+        for u in res.unknowns
+    ])
+    x = true * (1 + 0.1 * rng.standard_normal(len(true)))
+    return L, basis, res, x
+
+
+@pytest.mark.parametrize("degree3", [False, True])
+def test_commutator_jacobian_larger_shape_finite_differences(degree3):
+    L, basis, res, x = _planted_4_4_10(degree3)
+    assert len(res.pairs) == 3
+    assert build_hankel(L, basis.exponents, basis.exponents).fully_known != degree3
+    j = res.jacobian(x)
+    for k in range(len(x)):
+        h = 1e-6 * max(1.0, abs(x[k]))
+        e = np.zeros(len(x), dtype=complex)
+        e[k] = h
+        fd = (res.residual(x + e) - res.residual(x - e)) / (2 * h)
+        assert np.allclose(j[:, k], fd, rtol=1e-5, atol=1e-6 * np.abs(j).max())
+
+
+@pytest.mark.parametrize("degree3", [False, True])
+def test_commutator_jacobian_matches_dense_reference(degree3):
+    L, basis, res, x = _planted_4_4_10(degree3)
+    ref = _dense_jacobian(L, basis, res.unknowns, x)
+    np.testing.assert_allclose(res.jacobian(x), ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(ref).max())
 
 
 def test_wfactor_trivial():
