@@ -122,9 +122,12 @@ def binary_decompose(
         if null.shape[1] == 0:
             continue
         for attempt in range(kernel_retries):
-            if attempt == 0 and null.shape[1] == 1:
-                b = null[:, 0]
-            elif attempt > 0 and null.shape[1] == 1:
+            if attempt == 0:
+                # the smallest right singular vector: the cut above can read a
+                # slice of an ill-conditioned form as rank-deficient too early,
+                # and then it is the best single kernel candidate
+                b = null[:, -1]
+            elif null.shape[1] == 1:
                 break  # one-dimensional kernel cannot produce new candidates
             else:
                 mu = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(

@@ -4,7 +4,8 @@ Input polynomials come from a file, stdin (`-`), or an inline string, in
 either the text grammar or the JSON schemas.  Reports go to stdout as text or
 as JSON with sorted keys, so a fixed seed gives a byte-identical report.
 
-Exit codes: 0 success, 1 bad input, 2 decomposition failure.
+Exit codes: 0 success, 1 bad input, 2 decomposition failure, 141 stdout
+closed early (128 + SIGPIPE, as a shell reports a killed writer).
 """
 
 from __future__ import annotations
@@ -114,6 +115,21 @@ def _term_lines(dec) -> list[str]:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (`| head`): nothing left to report to, and the
+        # flush at interpreter exit must not hit the dead pipe again
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 141
+    return code
+
+
+def _main(argv) -> int:
     ap = argparse.ArgumentParser(
         prog="waring",
         description="decompose homogeneous polynomials into sums of powers of linear forms",
@@ -199,6 +215,8 @@ def main(argv=None) -> int:
                     f"input: {format_poly(f)}",
                 ],
             )
+    except BrokenPipeError:
+        raise
     except (PolyParseError, ValueError, OSError, json.JSONDecodeError) as exc:
         if fmt == "json":
             print(json.dumps({"error": {"code": "invalid-input", "message": str(exc)}},

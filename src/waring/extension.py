@@ -11,6 +11,21 @@ multiplication operators to commute.  Two formulations coexist on purpose:
   symbolic route would be too large.
 
 Both reduce to the same damped Gauss-Newton iteration from several starts.
+A run ends at the first of these exits:
+
+* the max-abs residual is at most `tol` (success);
+* the least-squares step is not finite;
+* two line searches in a row find no sufficient decrease in 25 halvings;
+* the accepted step is below 1e-14 relative to the iterate;
+* a plateau: the residual has not fallen tenfold over the last 30 iterations;
+* `max_iter` iterations.
+
+The plateau exit is what ends failed attempts early.  Near a regular root
+Gauss-Newton converges quadratically, so a run that gets there gains far more
+than tenfold within 30 iterations and is never cut short.  Runs that creep,
+towards a singular root (the degenerate commuting extensions found below the
+true rank) or far from any root, are stopped after 30 iterations instead of
+running to `max_iter`.
 """
 
 from __future__ import annotations
@@ -373,13 +388,24 @@ def wfactor_system(L: DualForm, basis: MonomialBasis) -> PolySystem:
 
 
 def _gauss_newton(fun, jac, x0, tol, max_iter):
-    """Damped least-squares iteration; returns (x, max-abs residual)."""
+    """Damped least-squares iteration; returns (x, max-abs residual).
+
+    Each iteration takes the least-squares step and backtracks (up to 25
+    halvings) until the max-abs residual decreases sufficiently.  The run ends
+    at the first of: residual <= tol; a non-finite step; two failed line
+    searches in a row; a step below 1e-14 of the iterate; no tenfold residual
+    decrease over the last 30 iterations (a plateau); max_iter iterations.
+    The plateau exit is safe for regular roots, which are reached with
+    quadratic convergence, and stops the linear or slower creep towards
+    singular roots and the drift where no root exists.
+    """
     x = np.asarray(x0, dtype=complex)
     f = fun(x)
     fn = np.max(np.abs(f)) if f.size else 0.0
     if not np.isfinite(fn):
         return x, np.inf
     stalls = 0
+    history = [fn]
     for _ in range(max_iter):
         if fn <= tol:
             break
@@ -405,6 +431,9 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
         else:
             stalls = 0
         if np.max(np.abs(step)) * t <= 1e-14 * (1 + np.max(np.abs(x))):
+            break
+        history.append(fn)
+        if len(history) > 30 and fn > 0.1 * history[-31]:
             break
     return x, fn
 

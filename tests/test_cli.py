@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -206,3 +209,34 @@ def test_sylvester_honours_tol(capsys):
     assert code in (0, 2)
     if code == 0:
         assert json.loads(out)["residual"] <= 1e-7
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, as in `waring ... | head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_is_not_an_input_error(capsys, monkeypatch, fmt):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["decompose", QUINTIC, "--format", fmt])
+    assert code == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "waring.cli", "decompose", QUINTIC, "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # before the interpreter has even imported numpy
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""

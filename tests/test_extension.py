@@ -301,3 +301,48 @@ def test_wfactor_agrees_with_commutation(quartic):
     res = sys_c.residual(x)
     gscale = max(e.max_coeff() for e in sys_c.equations)
     assert np.max(np.abs(res)) < 1e-6 * gscale
+
+
+def _counted_gauss_newton(fun, jac, x0):
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return jac(x)
+
+    x, r = _gauss_newton(fun, counted, np.array(x0, dtype=complex), 1e-10, 200)
+    return x, r, len(calls)
+
+
+def test_gauss_newton_stops_on_a_plateau_without_a_root():
+    # x + 1 = 0 forces x = -1, where x^2 + x - 1 = -1: no root, and the
+    # max-abs residual creeps down towards 1 while x shrinks towards 0; the
+    # other exits let this run take 83 iterations
+    _, r, calls = _counted_gauss_newton(
+        lambda v: np.array([v[0] + 1, v[0] ** 2 + v[0] - 1]),
+        lambda v: np.array([[1], [2 * v[0] + 1]]),
+        [1.0],
+    )
+    assert r > 1
+    assert 30 <= calls <= 32
+
+
+@pytest.mark.parametrize(
+    "fun, jac, x0, want, want_calls",
+    [
+        # halving from 1e12 for ~40 steps, then quadratic: 44 iterations,
+        # each cutting the residual at least fourfold
+        (lambda v: np.array([v[0] ** 2 - 2]), lambda v: np.array([[2 * v[0]]]),
+         [1e12], [np.sqrt(2)], 44),
+        (lambda v: np.array([v[0] ** 2 + v[1] ** 2 - 2, v[0] * v[1] - 1, v[0] - v[1]]),
+         lambda v: np.array([[2 * v[0], 2 * v[1]], [v[1], v[0]], [1, -1]]),
+         [1e9, 3e9], [1.0, 1.0], 35),
+    ],
+)
+def test_gauss_newton_regular_root_is_not_cut_short(fun, jac, x0, want, want_calls):
+    # a run longer than the plateau window still ends at the root, after the
+    # same number of Jacobian calls as without the plateau exit
+    x, r, calls = _counted_gauss_newton(fun, jac, x0)
+    assert r <= 1e-10
+    assert calls == want_calls
+    np.testing.assert_allclose(x, want, rtol=1e-12)
