@@ -6,21 +6,9 @@ from .core import (
     DecompositionError,
     DualForm,
     HomogeneousPoly,
-    LinearChange,
     PolyParseError,
     apolar,
-    change_coordinates,
-    decomposition_from_json,
-    decomposition_to_json,
-    dehomogenize,
-    essential_vars,
-    expand_power_sum,
-    format_poly,
-    multinomial,
     parse_poly,
-    poly_from_json,
-    poly_to_json,
-    pullback_points,
     to_dual,
 )
 from .decompose import (
@@ -30,30 +18,27 @@ from .decompose import (
     VerifyReport,
     classify_ternary_cubic,
     decompose,
-    rank,
     verify,
 )
-from .extension import ExtensionSolution, commutation_system, extend_dual, solve_extension, wfactor_system
+from .extension import CommutatorResidual, ExtensionSolution, extend_dual
 from .hankel import (
     MonomialBasis,
     QuasiHankelMatrix,
     build_hankel,
     full_rank_principal_minor,
     kernel_generators,
-    known_rank_bound,
-    shifted_matrix,
 )
 from .spectral import (
     ExtractionError,
     PointSet,
     extract_points,
-    generalized_eigen,
     pencil_support,
     solve_weights,
 )
 
 __all__ = [
     "BinaryForm",
+    "CommutatorResidual",
     "Decomposition",
     "DecompositionError",
     "DecomposeOptions",
@@ -62,7 +47,6 @@ __all__ = [
     "ExtensionSolution",
     "ExtractionError",
     "HomogeneousPoly",
-    "LinearChange",
     "MonomialBasis",
     "OrbitClass",
     "PointSet",
@@ -72,36 +56,18 @@ __all__ = [
     "apolar",
     "binary_decompose",
     "build_hankel",
-    "change_coordinates",
     "classify_ternary_cubic",
-    "commutation_system",
     "decompose",
-    "decomposition_from_json",
-    "decomposition_to_json",
-    "dehomogenize",
-    "essential_vars",
-    "expand_power_sum",
     "extend_dual",
     "extract_points",
-    "format_poly",
     "full_rank_principal_minor",
-    "generalized_eigen",
     "hankel_slice",
     "kernel_generators",
-    "known_rank_bound",
-    "multinomial",
     "parse_poly",
     "pencil_support",
-    "poly_from_json",
-    "poly_to_json",
-    "pullback_points",
-    "rank",
-    "shifted_matrix",
-    "solve_extension",
     "solve_weights",
     "to_dual",
     "verify",
-    "wfactor_system",
 ]
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Decomposition, DecompositionError, HomogeneousPoly
+from .core import Decomposition, DecompositionError, HomogeneousPoly, pairwise_sines
 
 
 @dataclass
@@ -83,16 +83,6 @@ def _projective_roots(b: np.ndarray, zero_tol: float = 1e-10):
     return [p / np.linalg.norm(p) for p in pts]
 
 
-def _chordal_distinct(points, tol: float = 1e-8) -> bool:
-    # points are unit vectors, so the cross term is the chordal distance
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            a, b = points[i], points[j]
-            if abs(a[0] * b[1] - a[1] * b[0]) <= tol:
-                return False
-    return True
-
-
 def binary_decompose(
     p: BinaryForm | HomogeneousPoly,
     rng_seed: int = 0,
@@ -135,7 +125,7 @@ def binary_decompose(
                 )
                 b = null @ (mu / np.linalg.norm(mu))
             pts = _projective_roots(b)
-            if pts is None or len(pts) != r or not _chordal_distinct(pts):
+            if pts is None or len(pts) != r or np.any(pairwise_sines(pts) <= 1e-8):
                 continue
             # c_i = sum_j w_j alpha_j^i beta_j^(d-i)
             a = np.empty((d + 1, r), dtype=complex)

@@ -316,17 +316,6 @@ def apolar(f: HomogeneousPoly, g: HomogeneousPoly) -> complex:
     return total
 
 
-def dehomogenize(f: HomogeneousPoly, var: int = 0) -> dict[Exponent, complex]:
-    """Set x_var = 1: returns a map from exponents over the remaining variables."""
-    if not (0 <= var < f.nvars):
-        raise ValueError("bad variable index")
-    out: dict[Exponent, complex] = {}
-    for exp, c in f.coeffs.items():
-        reduced = exp[:var] + exp[var + 1 :]
-        out[reduced] = out.get(reduced, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
-
-
 def _poly_mul(p: dict, q: dict) -> dict:
     out: dict[Exponent, complex] = {}
     for e1, c1 in p.items():
@@ -374,6 +363,20 @@ def change_coordinates(f: HomogeneousPoly, change: LinearChange) -> HomogeneousP
 def pullback_points(points, change: LinearChange):
     """Map recovered vectors m to k = A^(-T) m, undoing change_coordinates."""
     return [change.inverse_transpose @ np.asarray(m, dtype=complex) for m in points]
+
+
+def pairwise_sines(forms) -> np.ndarray:
+    """Sine of the angle between the lines of each pair of forms, i < j.
+
+    For unit forms u, v it is ||v - <u,v> u||.  Unlike sqrt(1 - |<u,v>|^2),
+    which loses everything below sqrt(machine epsilon) ~ 1e-8, this stays
+    accurate down to about machine epsilon.
+    """
+    u = np.array(forms, dtype=complex)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    i, j = np.triu_indices(len(u), k=1)
+    inner = np.sum(u[i].conj() * u[j], axis=1)
+    return np.linalg.norm(u[j] - inner[:, None] * u[i], axis=1)
 
 
 def essential_vars(f: HomogeneousPoly, tol: float = 1e-8):

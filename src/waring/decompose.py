@@ -28,6 +28,7 @@ from .core import (
     essential_vars,
     expand_power_sum,
     monomials_upto,
+    pairwise_sines,
     pullback_points,
     to_dual,
 )
@@ -111,19 +112,10 @@ def _relative_err(f: HomogeneousPoly, terms) -> float:
 def _support_ok(g: HomogeneousPoly, terms, opts: DecomposeOptions) -> bool:
     """Reject numerically degenerate supports (both tests are unitary
     invariants, so checking in the working frame is enough)."""
-    units = []
-    for w, k in terms:
-        k = np.asarray(k, dtype=complex)
-        nk = np.linalg.norm(k)
-        if abs(w) * nk**g.degree > opts.mass_ratio_cap * g.coeff_norm():
-            return False
-        units.append(k / nk)
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            inner = min(abs(np.vdot(units[i], units[j])), 1.0)
-            if math.sqrt(1.0 - inner**2) < opts.min_separation:
-                return False
-    return True
+    cap = opts.mass_ratio_cap * g.coeff_norm()
+    if any(abs(w) * np.linalg.norm(k) ** g.degree > cap for w, k in terms):
+        return False
+    return not np.any(pairwise_sines([k for _, k in terms]) < opts.min_separation)
 
 
 def _restrict(g: HomogeneousPoly, count: int) -> HomogeneousPoly:
@@ -304,16 +296,7 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
     max_err = max(
         (abs(c) for c in diff.coeffs.values()), default=0.0
     ) / biggest
-    units = []
-    for _, k in dec.terms:
-        k = np.asarray(k, dtype=complex)
-        units.append(k / np.linalg.norm(k))
-    collisions = 0
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            inner = abs(np.vdot(units[i], units[j]))
-            if math.sqrt(max(0.0, 1.0 - min(inner, 1.0) ** 2)) <= 1e-8:
-                collisions += 1
+    collisions = int(np.sum(pairwise_sines([k for _, k in dec.terms]) <= 1e-8))
     return VerifyReport(float(residual), float(max_err), collisions)
 
 

@@ -135,13 +135,6 @@ class QuasiHankelMatrix:
                     out[i, j] = v
         return out
 
-    def format_grid(self) -> str:
-        """Small debugging dump; unknowns print as h[alpha]."""
-        cells = [[repr(v) if isinstance(v, Unknown) else f"{v:.6g}" for v in row]
-                 for row in self.entries]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join(" ".join(c.rjust(width) for c in row) for row in cells)
-
     def __repr__(self):
         r, c = self.shape
         return f"QuasiHankelMatrix({r}x{c}, unknowns={len(self.unknowns())})"

@@ -166,6 +166,23 @@ def test_verify_exact_and_perturbed():
     assert vr2.collisions == 1
 
 
+@pytest.mark.parametrize("sine, want", [(3e-9, 1), (2e-8, 0)])
+def test_verify_resolves_its_collision_threshold(sine, want):
+    # two forms at a known projective angle on either side of verify's 1e-8
+    # threshold, in random complex directions and at unequal scale and phase:
+    # sqrt(1 - |<u,v>|^2) is only good to ~1e-8 here and misjudges some pairs
+    rng = np.random.default_rng(11)
+    f = parse_poly("x0^3 + x1^3 + x2^3")
+    for _ in range(50):
+        u, v = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        u /= np.linalg.norm(u)
+        v -= np.vdot(u, v) * u
+        v /= np.linalg.norm(v)
+        k = (np.sqrt(1 - sine**2) * u + sine * v) * 2 * np.exp(1j * rng.uniform(0, 6))
+        dec = Decomposition(3, [(1.0, u), (1.0, k)])
+        assert verify(f, dec).collisions == want
+
+
 def test_verify_rejects_shape_mismatch():
     f = parse_poly("x0^3 + x1^3")
     dec = Decomposition(2, [(1.0, np.array([1.0, 0.0]))])

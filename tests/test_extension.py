@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from waring.core import DualForm, to_dual
-from waring.extension import (
-    CommutatorResidual,
-    commutation_system,
-    extend_dual,
-    solve_extension,
-    wfactor_system,
-)
+from waring.core import to_dual
+from waring.extension import CommutatorResidual, extend_dual
 from waring.extension import _gauss_newton
 from waring.hankel import (
     MonomialBasis,
@@ -28,72 +22,60 @@ CUBIC_BASIS5 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
 QUARTIC_FILL = [1.0, 2.0, 3.0, 1.5060, 4.960, 0.056]
 
 
-def _quartic_system(quartic):
-    L = to_dual(quartic)
-    return L, commutation_system(L, MonomialBasis(2, QUARTIC_BASIS))
+def _quartic_residual(quartic):
+    return CommutatorResidual(to_dual(quartic), MonomialBasis(2, QUARTIC_BASIS))
 
 
 def test_quartic_system_counts(quartic):
-    _, sys = _quartic_system(quartic)
-    assert sys.nequations == 14
-    assert sys.nunknowns == 6
-    assert sys.max_degree() == 2
-    assert [u.exp for u in sys.unknowns] == [
+    res = _quartic_residual(quartic)
+    # one pair of operators, the strict upper triangle of a 6x6 commutator
+    assert res.nequations() == 15
+    assert [u.exp for u in res.unknowns] == [
         (5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)
     ]
 
 
 def test_quartic_known_filling_is_a_solution(quartic):
-    _, sys = _quartic_system(quartic)
+    res = _quartic_residual(quartic)
     x = np.array(QUARTIC_FILL, dtype=complex)
-    res = sys.residual(x)
-    gscale = max(e.max_coeff() for e in sys.equations)
-    assert np.max(np.abs(res)) < 1e-3 * gscale
+    # the frozen values carry four digits, so the scaled residual is ~1e-6
+    assert np.max(np.abs(res.residual(x))) < 1e-5
 
 
-def _pinned_solve(sys, pins, n, tol=1e-12, max_iter=300):
-    """Gauss-Newton on the scaled system with some unknowns held fixed."""
-    idx = {u.exp: i for i, u in enumerate(sys.unknowns)}
+def _pinned_solve(res, pins, tol=1e-12, max_iter=300):
+    """Gauss-Newton on the commutator residual with some unknowns held fixed."""
+    idx = {u.exp: i for i, u in enumerate(res.unknowns)}
     pi = [idx[e] for e in pins]
-    others = [i for i in range(n) if i not in pi]
-    base = np.zeros(n, dtype=complex)
+    others = [i for i in range(len(res.unknowns)) if i not in pi]
+    base = np.zeros(len(res.unknowns), dtype=complex)
     for e, v in pins.items():
         base[idx[e]] = v
-    scales = np.array([e.max_coeff() for e in sys.equations])
 
     def fun(y):
         z = base.copy()
         z[others] = y
-        return sys.residual(z) / scales
+        return res.residual(z)
 
     def jac(y):
         z = base.copy()
         z[others] = y
-        return (sys.jacobian(z) / scales[:, None])[:, others]
+        return res.jacobian(z)[:, others]
 
     y, r = _gauss_newton(fun, jac, np.zeros(len(others), dtype=complex), tol, max_iter)
     z = base.copy()
     z[others] = y
-    return {u.exp: z[i] for i, u in enumerate(sys.unknowns)}, r
+    return {u.exp: z[i] for i, u in enumerate(res.unknowns)}, r
 
 
 def test_quartic_pinned_solve_recovers_filling(quartic):
     # pin the first three moments at the frozen values; the solver must land
     # on the remaining three
-    _, sys = _quartic_system(quartic)
-    got, r = _pinned_solve(sys, {(5, 0): 1.0, (4, 1): 2.0, (3, 2): 3.0}, 6)
+    res = _quartic_residual(quartic)
+    got, r = _pinned_solve(res, {(5, 0): 1.0, (4, 1): 2.0, (3, 2): 3.0})
     assert r < 1e-9
     assert got[(2, 3)] == pytest.approx(1.5060, abs=2e-3)
     assert got[(1, 4)] == pytest.approx(4.960, abs=2e-3)
     assert got[(0, 5)] == pytest.approx(0.056, abs=2e-3)
-
-
-def test_quartic_solve_extension(quartic):
-    _, sys = _quartic_system(quartic)
-    sol = solve_extension(sys, seed=0)
-    assert sol.residual < 1e-9
-    assert sol.free_count == 3
-    assert set(sol.assignment) == {(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)}
 
 
 def test_quartic_extend_dual(quartic):
@@ -117,53 +99,58 @@ def test_quartic_extend_dual(quartic):
     assert np.linalg.norm(comm) < 1e-8 * scale**2
 
 
+def test_quartic_extension_free_count(quartic):
+    # six unknowns, three of them free on the solution set
+    sol = extend_dual(to_dual(quartic), MonomialBasis(2, QUARTIC_BASIS), seed=0)
+    assert sol.residual < 1e-9
+    assert sol.free_count == 3
+    assert set(sol.assignment) == {(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)}
+
+
 def test_cubic_system_counts(maximal_cubic):
     L = to_dual(maximal_cubic)
-    sys = commutation_system(L, MonomialBasis(2, CUBIC_BASIS5))
-    assert sys.nequations == 8
-    assert sys.nunknowns == 8
-    assert {u.exp for u in sys.unknowns} == {
+    b = MonomialBasis(2, CUBIC_BASIS5)
+    res = CommutatorResidual(L, b)
+    assert res.nequations() == 10
+    assert {u.exp for u in res.unknowns} == {
         (4, 0), (3, 1), (2, 2), (1, 3), (5, 0), (4, 1), (3, 2), (2, 3)
     }
-    # the adjugate route raises the polynomial degree well past quadratic
-    assert sys.max_degree() == 5
+    # some unknowns sit inside D_0, so the equations are rational in them
+    assert not build_hankel(L, b.exponents, b.exponents).fully_known
 
 
 def test_cubic_pinned_solve_frozen_values(maximal_cubic):
     # pin five moments; the equations force the remaining three to one point,
     # frozen here from a solved instance
-    L = to_dual(maximal_cubic)
-    sys = commutation_system(L, MonomialBasis(2, CUBIC_BASIS5))
+    res = CommutatorResidual(to_dual(maximal_cubic), MonomialBasis(2, CUBIC_BASIS5))
     pins = {(1, 3): 3.0, (3, 1): 1.0, (2, 2): 2.0, (4, 1): 4.0, (4, 0): 5.0}
-    got, r = _pinned_solve(sys, pins, 8)
+    got, r = _pinned_solve(res, pins)
     assert r < 1e-10
     assert got[(5, 0)] == pytest.approx(-67.88235, abs=1e-4)
     assert got[(3, 2)] == pytest.approx(3.23529, abs=1e-4)
     assert got[(2, 3)] == pytest.approx(6.11765, abs=1e-4)
 
 
-def test_cubic_solve_extension_free_count(maximal_cubic):
-    # adjugate form admits det = 0 artifacts; the accept hook filters them
+def test_cubic_extend_dual(maximal_cubic):
     L = to_dual(maximal_cubic)
     b = MonomialBasis(2, CUBIC_BASIS5)
-    sys = commutation_system(L, b)
-
-    def d0_ok(assignment):
-        m = build_hankel(L, b.exponents, b.exponents).value_matrix(assignment)
-        s = np.linalg.svd(m, compute_uv=False)
-        return s[-1] > 1e-10 * s[0]
-
-    sol = solve_extension(sys, seed=0, accept=d0_ok)
-    assert sol.residual < 1e-8
-    assert d0_ok(sol.assignment)
+    sol = extend_dual(L, b, seed=0)
+    assert sol is not None
+    assert sol.residual < 1e-9
     assert sol.free_count == 5
 
 
-def test_cubic_extend_dual(maximal_cubic):
+def test_cubic_extension_free_count(maximal_cubic):
+    # D_0 holds unknowns; the solution must be no det(D_0) = 0 artifact
     L = to_dual(maximal_cubic)
-    sol = extend_dual(L, MonomialBasis(2, CUBIC_BASIS5), seed=0)
-    assert sol is not None
-    assert sol.residual < 1e-9
+    b = MonomialBasis(2, CUBIC_BASIS5)
+    sol = extend_dual(L, b, seed=0)
+    assert sol.residual < 1e-8
+    s = np.linalg.svd(
+        build_hankel(L, b.exponents, b.exponents).value_matrix(sol.assignment),
+        compute_uv=False,
+    )
+    assert s[-1] > 1e-10 * s[0]
     assert sol.free_count == 5
 
 
@@ -171,9 +158,9 @@ def test_quintic_system_is_empty(quintic):
     # rank-4 basis of a quintic: every needed moment is already known
     L = to_dual(quintic)
     b = full_rank_principal_minor(L, size=4)
-    sys = commutation_system(L, b)
-    assert sys.nunknowns == 0
-    assert sys.nequations == 0
+    res = CommutatorResidual(L, b)
+    assert res.unknowns == []
+    assert np.max(np.abs(res.residual(np.zeros(0, dtype=complex)))) < 1e-10
     sol = extend_dual(L, b)
     assert sol is not None
     assert sol.assignment == {}
@@ -275,32 +262,35 @@ def test_commutator_jacobian_matches_dense_reference(degree3):
                                atol=1e-12 * np.abs(ref).max())
 
 
-def test_wfactor_trivial():
-    # one point, one basis monomial: both w and the missing moment are forced
-    L = DualForm.from_support([2.0], [(0.5,)], 1, 1)
-    sys = wfactor_system(L, MonomialBasis(1, [(0,)]))
-    assert (sys.nequations, sys.nunknowns) == (2, 2)
-    sol = solve_extension(sys, seed=1)
-    assert sol.residual < 1e-10
-    assert sol.auxiliary[(0, 0)] == pytest.approx(0.5, abs=1e-8)
-    assert sol.assignment[(2,)] == pytest.approx(0.5, abs=1e-8)
+def _border_spread(L, basis, assignment):
+    """Largest disagreement among the entries of W^T D_0 W that share an
+    exponent, relative to its largest entry, where W = D_0^{-1} H^{B,dB}."""
+    ext = L.with_extension(assignment)
+    rows, border = basis.exponents, basis.border()
+    d0 = build_hankel(ext, rows, rows).value_matrix({})
+    w = np.linalg.solve(d0, build_hankel(ext, rows, border).value_matrix({}))
+    h = w.T @ d0 @ w
+    first, spread = {}, 0.0
+    for i, a in enumerate(border):
+        for j, c in enumerate(border):
+            e = tuple(p + q for p, q in zip(a, c))
+            spread = max(spread, abs(h[i, j] - first.setdefault(e, h[i, j])))
+    return spread / np.max(np.abs(h))
 
 
-def test_wfactor_agrees_with_commutation(quartic):
-    # independent flatness route: moments found through the W-factorization
-    # must satisfy the commutation equations as well
-    L = to_dual(quartic)
-    b = MonomialBasis(2, QUARTIC_BASIS)
-    sys_w = wfactor_system(L, b)
-    assert (sys_w.nequations, sys_w.nunknowns) == (34, 37)
-    sol = solve_extension(sys_w, seed=0)
-    assert sol.residual < 1e-8
-    moments = {e: v for e, v in sol.assignment.items()}
-    sys_c = commutation_system(L, b)
-    x = np.array([moments[u.exp] for u in sys_c.unknowns], dtype=complex)
-    res = sys_c.residual(x)
-    gscale = max(e.max_coeff() for e in sys_c.equations)
-    assert np.max(np.abs(res)) < 1e-6 * gscale
+@pytest.mark.parametrize(
+    "form, basis",
+    [("quartic", QUARTIC_BASIS), ("maximal_cubic", CUBIC_BASIS5)],
+    ids=["quartic", "maximal_cubic"],
+)
+def test_flat_extension_factors_through_the_basis(request, form, basis):
+    # flatness: H^{B,dB} = D_0 W for W = D_0^{-1} H^{B,dB}, and the border block
+    # W^T D_0 W it implies is a Hankel matrix again, one value per exponent
+    L = to_dual(request.getfixturevalue(form))
+    b = MonomialBasis(2, basis)
+    sol = extend_dual(L, b, seed=0)
+    assert sol is not None
+    assert _border_spread(L, b, sol.assignment) < 1e-9
 
 
 def _counted_gauss_newton(fun, jac, x0):
