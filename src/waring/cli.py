@@ -142,7 +142,6 @@ def _main(argv) -> int:
         p.add_argument("--tol", type=float, default=1e-7)
         p.add_argument("--max-rank", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--format", choices=["text", "json"], default="text")
 
     add_common(sub.add_parser("decompose", help="minimal power-sum decomposition"))
@@ -168,9 +167,7 @@ def _main(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    opts = DecomposeOptions(
-        tol=args.tol, max_rank=args.max_rank, seed=args.seed, jobs=args.jobs
-    )
+    opts = DecomposeOptions(tol=args.tol, max_rank=args.max_rank, seed=args.seed)
     try:
         if args.command == "decompose":
             rep = decompose(f, opts)

@@ -317,35 +317,35 @@ def apolar(f: HomogeneousPoly, g: HomogeneousPoly) -> complex:
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict[Exponent, complex] = {}
+    """Product of two polynomials keyed by exponent codes (`change_coordinates`)."""
+    out: dict[int, complex] = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = e1 + e2
             out[e] = out.get(e, 0) + c1 * c2
     return out
 
 
 def change_coordinates(f: HomogeneousPoly, change: LinearChange) -> HomogeneousPoly:
-    """Substitute x_i <- sum_j A[i,j] x_j and expand."""
+    """Substitute x_i <- sum_j A[i,j] x_j and expand.
+
+    The expansion keys each exponent e by the integer code sum_i e_i (d+1)^i,
+    so multiplying monomials adds their codes: at total degree <= d no digit
+    carries.  Codes become exponent tuples only for the result.
+    """
     a = change.matrix
     if a.shape[0] != f.nvars:
         raise ValueError("change of coordinates has wrong size")
-    n = f.nvars
-    one = (0,) * n
+    n, base = f.nvars, f.degree + 1
     # linear forms for each original variable, then powers on demand
-    lin = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            if a[i, j] != 0:
-                e = [0] * n
-                e[j] = 1
-                row[tuple(e)] = complex(a[i, j])
-        lin.append(row)
-    powers: list[list[dict]] = [[{one: 1.0}] for _ in range(n)]
-    out: dict[Exponent, complex] = {}
+    lin = [
+        {base**j: complex(a[i, j]) for j in range(n) if a[i, j] != 0}
+        for i in range(n)
+    ]
+    powers: list[list[dict]] = [[{0: 1.0}] for _ in range(n)]
+    out: dict[int, complex] = {}
     for exp, c in f.coeffs.items():
-        term = {one: complex(c)}
+        term = {0: complex(c)}
         for i, e in enumerate(exp):
             while len(powers[i]) <= e:
                 powers[i].append(_poly_mul(powers[i][-1], lin[i]))
@@ -355,8 +355,16 @@ def change_coordinates(f: HomogeneousPoly, change: LinearChange) -> HomogeneousP
             out[mono] = out.get(mono, 0) + v
     biggest = max((abs(v) for v in out.values()), default=0.0)
     cutoff = 1e-14 * biggest
+
+    def exponent(code: int) -> Exponent:
+        digits = []
+        for _ in range(n):
+            code, e = divmod(code, base)
+            digits.append(e)
+        return tuple(digits)
+
     return HomogeneousPoly(
-        f.nvars, f.degree, {e: v for e, v in out.items() if abs(v) > cutoff}
+        n, f.degree, {exponent(e): v for e, v in out.items() if abs(v) > cutoff}
     )
 
 

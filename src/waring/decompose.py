@@ -52,7 +52,6 @@ class DecomposeOptions:
     spectral_retries: int = 8
     coord_changes: int = 3
     bases_per_rank: int = 3
-    jobs: int = 1
     # support-quality gate: genuine simple-point decompositions keep their
     # forms apart and their term masses comparable to the polynomial itself;
     # a borderline form approximated from below shows near-coincident points
@@ -175,9 +174,7 @@ def _basis_candidates(L: DualForm, r: int, limit: int) -> list[MonomialBasis]:
 
 def _attempt(g: HomogeneousPoly, L: DualForm, basis: MonomialBasis, opts, rng):
     """One basis: extension, eigenstructure, weights, in-frame verification."""
-    ext = extend_dual(
-        L, basis, seed=opts.seed, restarts=opts.restarts, jobs=opts.jobs
-    )
+    ext = extend_dual(L, basis, seed=opts.seed, restarts=opts.restarts)
     if ext is None:
         return None
     assign = ext.assignment

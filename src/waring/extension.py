@@ -3,10 +3,12 @@
 Moments beyond the truncation degree are pinned down by forcing the candidate
 multiplication operators M_i = D_i D_0^{-1} to commute, where D_0 = H^{B,B}
 and D_i is its x_i-shifted matrix on the basis B.  `CommutatorResidual`
-evaluates those equations numerically, inverting D_0 at every point, and
-builds its Jacobian from one rank-1 term per cell an unknown occupies;
-`extend_dual` solves them with a damped Gauss-Newton iteration from several
-starts.  A run ends at the first of these exits:
+evaluates those equations numerically with one inverse of D_0 per point,
+which the residual and the Jacobian at that point share; an SVD is taken
+only when D_0 may lie near the singularity floor.  The Jacobian is built from
+one rank-1 term per cell an unknown occupies.  `extend_dual` solves the
+equations with a damped Gauss-Newton iteration from several starts, one
+after the other.  A run ends at the first of these exits:
 
 * the max-abs residual is at most `tol` (success);
 * the least-squares step is not finite;
@@ -25,7 +27,7 @@ running to `max_iter`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +77,8 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     """
     x = np.asarray(x0, dtype=complex)
     f = fun(x)
-    fn = np.max(np.abs(f)) if f.size else 0.0
-    if not np.isfinite(fn):
+    fn = float(abs(f).max()) if f.size else 0.0
+    if not math.isfinite(fn):
         return x, np.inf
     stalls = 0
     history = [fn]
@@ -85,15 +87,15 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
             break
         j = jac(x)
         step, *_ = np.linalg.lstsq(j, -f, rcond=None)
-        if not np.all(np.isfinite(step)):
+        if not np.isfinite(step).all():
             break
         t = 1.0
         improved = False
         for _ in range(25):
             xn = x + t * step
             f2 = fun(xn)
-            f2n = np.max(np.abs(f2)) if f2.size else 0.0
-            if np.isfinite(f2n) and (f2n < fn * (1 - 1e-4 * t) or f2n <= tol):
+            f2n = float(abs(f2).max()) if f2.size else 0.0
+            if math.isfinite(f2n) and (f2n < fn * (1 - 1e-4 * t) or f2n <= tol):
                 x, f, fn = xn, f2, f2n
                 improved = True
                 break
@@ -104,7 +106,7 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
                 break
         else:
             stalls = 0
-        if np.max(np.abs(step)) * t <= 1e-14 * (1 + np.max(np.abs(x))):
+        if abs(step).max() * t <= 1e-14 * (1 + abs(x).max()):
             break
         history.append(fn)
         if len(history) > 30 and fn > 0.1 * history[-31]:
@@ -112,32 +114,19 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     return x, fn
 
 
-def _run_starts(starts, solve_one, jobs):
-    """Evaluate starts in order, possibly in parallel waves; first success wins.
+def _run_starts(starts, solve_one):
+    """Evaluate starts in order; the first success wins.
 
-    Returns (index, result) of the winning start, or the best failure.  The
-    outcome does not depend on `jobs`: a wave is only consulted after every
-    earlier start has failed.
+    Returns the (x, residual, ok) of the winning start, or the best failure.
     """
     best = None
-    if jobs <= 1:
-        for i, s in enumerate(starts):
-            res = solve_one(s)
-            if res[2]:
-                return i, res
-            if best is None or res[1] < best[1][1]:
-                best = (i, res)
-        return best[0], best[1]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for base in range(0, len(starts), jobs):
-            wave = starts[base : base + jobs]
-            results = list(pool.map(solve_one, wave))
-            for off, res in enumerate(results):
-                if res[2]:
-                    return base + off, res
-                if best is None or res[1] < best[1][1]:
-                    best = (base + off, res)
-    return best[0], best[1]
+    for s in starts:
+        res = solve_one(s)
+        if res[2]:
+            return res
+        if best is None or res[1] < best[1]:
+            best = res
+    return best
 
 
 def _free_columns(j: np.ndarray, tol: float = 1e-8):
@@ -152,7 +141,7 @@ def _free_columns(j: np.ndarray, tol: float = 1e-8):
     return sorted(piv[:rank]), sorted(piv[rank:])
 
 
-def _solve_core(fun, jac, nunknowns, seed, restarts, tol, max_iter, jobs, accept):
+def _solve_core(fun, jac, nunknowns, seed, restarts, tol, max_iter, accept):
     """Restarts, then pinning of free coordinates at a positive-dimensional
     solution; `accept` can veto a candidate x that reaches `tol`.
 
@@ -176,9 +165,9 @@ def _solve_core(fun, jac, nunknowns, seed, restarts, tol, max_iter, jobs, accept
     # certainly infeasible (wrong size guess) and the remaining starts are a
     # waste of time
     probe = min(8, len(starts))
-    _, (x, r, ok) = _run_starts(starts[:probe], solve_one, jobs)
+    x, r, ok = _run_starts(starts[:probe], solve_one)
     if not ok and probe < len(starts) and r <= max(1e-4, 100 * tol):
-        _, (x2, r2, ok2) = _run_starts(starts[probe:], solve_one, jobs)
+        x2, r2, ok2 = _run_starts(starts[probe:], solve_one)
         if ok2 or r2 < r:
             x, r, ok = x2, r2, ok2
     if not ok:
@@ -219,13 +208,20 @@ def _solve_core(fun, jac, nunknowns, seed, restarts, tol, max_iter, jobs, accept
 
 
 class CommutatorResidual:
-    """Commutator equations evaluated numerically, inverting D_0 on the fly.
+    """Commutator equations evaluated numerically, inverting D_0 once per point.
 
     With A = D_i, B = D_j (i < j) and N = D_0^{-1}, the equations are the
     strict upper triangle of the antisymmetric C = A N B - B N A.  Inverting
     D_0 numerically keeps the equation count at s(s-1)/2 per pair however
     many unknowns sit inside D_0, and no run can converge to a point with
     det(D_0) = 0, because the residual blows up there.
+
+    The matrices, N and the products D_v N at the last point evaluated are
+    kept, so the Jacobian that Gauss-Newton asks for at the point whose
+    residual it has just accepted costs no second inverse.  N comes straight
+    from `np.linalg.inv`; an SVD is taken only when the Frobenius norms of D_0
+    and N cannot rule out the singularity floor.  The residual forms every
+    product D_i N D_j in one stacked matmul and gathers A N B and B N A from it.
 
     A column of the Jacobian is a sum of rank-1 terms, one per cell (r, c)
     its unknown occupies; a unit there changes C by
@@ -258,9 +254,16 @@ class CommutatorResidual:
         # one reference magnitude so residuals read as relative numbers
         self.scale = (1.0 + np.max(np.abs(self.const))) ** 2
         self._sing_floor = 1e-12
+        # positions of (A N B)[p, q] and (B N A)[p, q] in the flattened stack of
+        # products D_i N D_j, i, j = 1..n
+        n, p, q = L.nvars, *self.upper
+        i, j = np.array(self.pairs, dtype=np.intp).reshape(-1, 2).T - 1
+        self._anb = ((i * n + j)[:, None] * s * s + p * s + q).ravel()
+        self._bna = ((j * n + i)[:, None] * s * s + p * s + q).ravel()
+        self._key = None  # bytes of the last point, and its (D, N, D_v N)
+        self._factors = None
         # the Jacobian's rank-1 terms u[:,r] (x) v[c,:] on the upper triangle, as
         # (target, left, right) indices into N D_v, D_v N, -D_v N, 0, 1, -1
-        n, p, q = L.nvars, *self.upper
         idx = np.arange(3 * n * s * s).reshape(3, n, s, s)
         zero, one, minus = idx.size + np.arange(3)
         eye = np.where(np.eye(s, dtype=bool), one, zero)
@@ -290,30 +293,45 @@ class CommutatorResidual:
         return out
 
     def _inverse(self, d0: np.ndarray):
+        """D_0^{-1}, or None when s_min <= 1e-12 max(s_max, 1)."""
+        try:
+            n_mat = np.linalg.inv(d0)
+            # s_max <= |D_0|_F and s_min >= 1/|N|_F, so a product of the norms
+            # below 1e10 keeps s_min a hundredfold above the floor even after
+            # the inverse's rounding
+            if np.vdot(n_mat, n_mat).real * max(np.vdot(d0, d0).real, 1.0) < 1e20:
+                return n_mat
+        except np.linalg.LinAlgError:
+            pass
         s = np.linalg.svd(d0, compute_uv=False)
         if s[-1] <= self._sing_floor * max(s[0], 1.0):
             return None
         return np.linalg.inv(d0)
 
+    def _point(self, x: np.ndarray):
+        """(D_0..D_n, N, D_v N for v = 1..n) at x; N is None if D_0 is singular."""
+        x = np.asarray(x, dtype=complex)
+        key = x.tobytes()
+        if key != self._key:
+            mats = self.matrices(x)
+            n_mat = self._inverse(mats[0])
+            shifts_n = None if n_mat is None else mats[1:] @ n_mat
+            self._key, self._factors = key, (mats, n_mat, shifts_n)
+        return self._factors
+
     def residual(self, x: np.ndarray) -> np.ndarray:
-        mats = self.matrices(x)
-        n_mat = self._inverse(mats[0])
+        mats, n_mat, shifts_n = self._point(x)
         if n_mat is None:
             return np.full(self.nequations(), np.nan + 0j)
-        out = []
-        for i, j in self.pairs:
-            c = mats[i] @ n_mat @ mats[j] - mats[j] @ n_mat @ mats[i]
-            out.append(c[self.upper])
-        return np.concatenate(out) / self.scale
+        products = (shifts_n[:, None] @ mats[None, 1:]).ravel()
+        return (products[self._anb] - products[self._bna]) / self.scale
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        mats = self.matrices(x)
-        n_mat = self._inverse(mats[0])
+        mats, n_mat, shifts_n = self._point(x)
         if n_mat is None:
             return np.full((self.nequations(), len(self.unknowns)), np.nan + 0j)
-        shifts = mats[1:]
-        an = (shifts @ n_mat).ravel()
-        factor = np.concatenate([(n_mat @ shifts).ravel(), an, -an, [0.0, 1.0, -1.0]])
+        an = shifts_n.ravel()
+        factor = np.concatenate([(n_mat @ mats[1:]).ravel(), an, -an, [0.0, 1.0, -1.0]])
         target, left, right = self._terms
         out = np.zeros(self.nequations() * len(self.unknowns), dtype=complex)
         np.add.at(out, target, factor[left] * factor[right])
@@ -331,7 +349,6 @@ def extend_dual(
     restarts: int = 32,
     tol: float = 1e-10,
     max_iter: int = 200,
-    jobs: int = 1,
 ) -> ExtensionSolution | None:
     """Find unknown moments making the operators on `basis` commute.
 
@@ -361,7 +378,6 @@ def extend_dual(
         restarts,
         tol,
         max_iter,
-        jobs,
         accept=res.d0_healthy,
     )
     if not ok:

@@ -195,6 +195,71 @@ def test_change_coordinates_pullback_points():
         assert np.allclose(k_orig, k_back)
 
 
+def _tuple_key_change_coordinates(f, change):
+    """`change_coordinates` expanding over exponent tuples, kept as the
+    reference for the integer-keyed expansion."""
+
+    def mul(p, q):
+        out = {}
+        for e1, c1 in p.items():
+            for e2, c2 in q.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    a, n = change.matrix, f.nvars
+    one = (0,) * n
+    lin = []
+    for i in range(n):
+        row = {}
+        for j in range(n):
+            if a[i, j] != 0:
+                e = [0] * n
+                e[j] = 1
+                row[tuple(e)] = complex(a[i, j])
+        lin.append(row)
+    powers = [[{one: 1.0}] for _ in range(n)]
+    out = {}
+    for exp, c in f.coeffs.items():
+        term = {one: complex(c)}
+        for i, e in enumerate(exp):
+            while len(powers[i]) <= e:
+                powers[i].append(mul(powers[i][-1], lin[i]))
+            if e:
+                term = mul(term, powers[i][e])
+        for mono, v in term.items():
+            out[mono] = out.get(mono, 0) + v
+    cutoff = 1e-14 * max((abs(v) for v in out.values()), default=0.0)
+    return HomogeneousPoly(n, f.degree, {e: v for e, v in out.items() if abs(v) > cutoff})
+
+
+def test_change_coordinates_matches_tuple_keys_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for case in range(200):
+        n, d = int(rng.integers(2, 6)), int(rng.integers(2, 8))
+        monos = monomials(n, d)
+        # dense coefficients where the expansion stays small, sparse otherwise
+        if case % 2 == 0 and len(monos) <= 40:
+            picked = monos
+        else:
+            picked = [monos[i] for i in rng.choice(len(monos), min(len(monos), 6),
+                                                    replace=False)]
+        f = HomogeneousPoly(n, d, {
+            e: complex(rng.standard_normal(), rng.standard_normal()) for e in picked
+        })
+        kind = case % 3
+        if kind == 0:
+            a = LinearChange.identity(n)
+        elif kind == 1:
+            a = LinearChange.random_unitary(n, rng)
+        else:
+            m = np.eye(n) + rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+            a = LinearChange(m)
+        got = change_coordinates(f, a)
+        want = _tuple_key_change_coordinates(f, a)
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
 def test_linear_change_rejects_singular():
     with pytest.raises(ValueError):
         LinearChange(np.array([[1.0, 2.0], [2.0, 4.0]]))

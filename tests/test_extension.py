@@ -336,3 +336,110 @@ def test_gauss_newton_regular_root_is_not_cut_short(fun, jac, x0, want, want_cal
     assert r <= 1e-10
     assert calls == want_calls
     np.testing.assert_allclose(x, want, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the kernel against the per-call formulation: one SVD and one
+# inverse per evaluation, a loop over the pairs of products
+
+
+def _reference_inverse(d0):
+    s = np.linalg.svd(d0, compute_uv=False)
+    if s[-1] <= 1e-12 * max(s[0], 1.0):
+        return None
+    return np.linalg.inv(d0)
+
+
+def _reference_residual(res, x):
+    mats = res.matrices(x)
+    n_mat = _reference_inverse(mats[0])
+    if n_mat is None:
+        return np.full(res.nequations(), np.nan + 0j)
+    out = []
+    for i, j in res.pairs:
+        c = mats[i] @ n_mat @ mats[j] - mats[j] @ n_mat @ mats[i]
+        out.append(c[res.upper])
+    return np.concatenate(out) / res.scale
+
+
+def _reference_jacobian(res, x):
+    mats = res.matrices(x)
+    n_mat = _reference_inverse(mats[0])
+    if n_mat is None:
+        return np.full((res.nequations(), len(res.unknowns)), np.nan + 0j)
+    shifts = mats[1:]
+    an = (shifts @ n_mat).ravel()
+    factor = np.concatenate([(n_mat @ shifts).ravel(), an, -an, [0.0, 1.0, -1.0]])
+    target, left, right = res._terms
+    out = np.zeros(res.nequations() * len(res.unknowns), dtype=complex)
+    np.add.at(out, target, factor[left] * factor[right])
+    return out.reshape(res.nequations(), -1) / res.scale
+
+
+def _kernel_case(name, request):
+    """A CommutatorResidual and the typical magnitude of its moments."""
+    if name == "maximal_cubic_s4":
+        L = to_dual(request.getfixturevalue("maximal_cubic"))
+        res = CommutatorResidual(L, MonomialBasis(2, CUBIC_BASIS5[:4]))
+    elif name == "quartic":
+        res = _quartic_residual(request.getfixturevalue("quartic"))
+    elif name.startswith("planted_4_4_10"):
+        _, _, res, _ = _planted_4_4_10(name.endswith("degree3"))
+    else:
+        f, _ = planted_poly(5, 4, 12, np.random.default_rng(0))
+        L = to_dual(f)
+        res = CommutatorResidual(L, full_rank_principal_minor(L, size=12))
+        assert len(res.pairs) == 6
+    return res, np.abs(res.const).max()
+
+
+@pytest.mark.parametrize("name", ["maximal_cubic_s4", "quartic", "planted_4_4_10",
+                                  "planted_4_4_10_degree3", "planted_5_4_12"])
+def test_kernel_is_bit_identical_to_the_per_call_formulation(name, request):
+    res, scale = _kernel_case(name, request)
+    rng = np.random.default_rng(20)
+    nu = len(res.unknowns)
+    for _ in range(20):
+        x = scale * (rng.standard_normal(nu) + 1j * rng.standard_normal(nu))
+        assert np.array_equal(res.residual(x), _reference_residual(res, x))
+        # the Jacobian at the point whose residual was just taken reuses its
+        # inverse and products
+        assert np.array_equal(res.jacobian(x), _reference_jacobian(res, x))
+
+
+def test_zero_start_with_singular_d0_gives_nan(maximal_cubic):
+    res = CommutatorResidual(to_dual(maximal_cubic), MonomialBasis(2, CUBIC_BASIS5[:4]))
+    x = np.zeros(len(res.unknowns), dtype=complex)
+    assert res._inverse(res.matrices(x)[0]) is None
+    assert np.isnan(res.residual(x)).all()
+    assert np.isnan(res.jacobian(x)).all()
+    assert res.jacobian(x).shape == (res.nequations(), len(res.unknowns))
+
+
+@pytest.mark.parametrize("s_max", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("ratio", [1e-13, 0.999e-12, 1.001e-12, 1e-11, 1e-9])
+def test_inverse_matches_the_svd_rule_near_the_floor(quartic, ratio, s_max):
+    res = _quartic_residual(quartic)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        sv = s_max * np.geomspace(1.0, ratio, 6)
+        d0 = (u * sv) @ v.conj().T
+        got, want = res._inverse(d0), _reference_inverse(d0)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got, want)
+
+
+def test_kernel_reuses_no_stale_point(quartic):
+    res = _quartic_residual(quartic)
+    rng = np.random.default_rng(8)
+    x1, x2 = (rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2))
+    res.residual(x1)
+    assert np.array_equal(res.jacobian(x2), _reference_jacobian(res, x2))
+    x = x1.copy()
+    res.residual(x)
+    x[2] += 0.5
+    assert np.array_equal(res.jacobian(x), _reference_jacobian(res, x))
+    assert np.array_equal(res.residual(x), _reference_residual(res, x))
