@@ -23,7 +23,6 @@ from .decompose import (
 from .extension import CommutatorResidual, ExtensionSolution, extend_dual
 from .hankel import (
     MonomialBasis,
-    QuasiHankelMatrix,
     build_hankel,
     full_rank_principal_minor,
     kernel_generators,
@@ -51,7 +50,6 @@ __all__ = [
     "OrbitClass",
     "PointSet",
     "PolyParseError",
-    "QuasiHankelMatrix",
     "VerifyReport",
     "apolar",
     "binary_decompose",

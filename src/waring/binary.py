@@ -88,13 +88,15 @@ def binary_decompose(
     rng_seed: int = 0,
     tol: float = 1e-8,
     kernel_retries: int = 16,
+    max_rank: int | None = None,
 ) -> Decomposition:
     """Minimal power-sum decomposition of a nonzero binary form.
 
     Tries sizes r = 1, 2, ...; at each size draws kernel combinations until
     one has r distinct projective roots, then accepts if the weight solve
     reproduces both the moments and the coefficients to relative residual
-    `tol`.  Raises DecompositionError when no size up to d does.
+    `tol`.  Raises DecompositionError when no size up to d, or up to
+    `max_rank` when that is smaller, does.
     """
     bf = BinaryForm.from_poly(p) if isinstance(p, HomogeneousPoly) else p
     d = bf.degree
@@ -103,8 +105,9 @@ def binary_decompose(
     if scale == 0:
         raise ValueError("zero form has no decomposition")
     rng = np.random.default_rng(rng_seed)
+    cap = d if max_rank is None else min(d, max_rank)
 
-    for r in range(1, d + 1):
+    for r in range(1, cap + 1):
         h = hankel_slice(bf, r) / scale
         _, s, vh = np.linalg.svd(h)
         rank = int(np.sum(s > 1e-8 * s[0])) if s.size and s[0] > 0 else 0
@@ -146,4 +149,4 @@ def binary_decompose(
                 )
                 if coeff_err <= tol:
                     return Decomposition(d, list(zip(w, pts)), coeff_err)
-    raise DecompositionError("no distinct-root kernel combination found up to r = d")
+    raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")

@@ -4,14 +4,15 @@ Input polynomials come from a file, stdin (`-`), or an inline string, in
 either the text grammar or the JSON schemas.  Reports go to stdout as text or
 as JSON with sorted keys, so a fixed seed gives a byte-identical report.
 
-Exit codes: 0 success, 1 bad input, 2 decomposition failure, 141 stdout
-closed early (128 + SIGPIPE, as a shell reports a killed writer).
+Exit codes: 0 success, 1 bad input or bad flags, 2 decomposition failure,
+141 stdout closed early (128 + SIGPIPE, as a shell reports a killed writer).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -114,6 +115,13 @@ def _term_lines(dec) -> list[str]:
     return out
 
 
+def _error(fmt: str, code: str, exc: Exception, status: int) -> int:
+    if fmt == "json":
+        print(json.dumps({"error": {"code": code, "message": str(exc)}}, sort_keys=True))
+    print(f"error: {exc}", file=sys.stderr)
+    return status
+
+
 def main(argv=None) -> int:
     try:
         code = _main(argv)
@@ -152,20 +160,22 @@ def _main(argv) -> int:
     add_common(pv)
     pv.add_argument("--decomposition", required=True, help="decomposition JSON file")
 
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error, which it has
+        # already printed; 2 is reserved for a failed decomposition here
+        return 1 if exc.code else 0
     fmt = args.format
-    if args.tol <= 0:
-        print("error: --tol must be positive", file=sys.stderr)
-        return 1
 
     try:
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValueError("--tol must be finite and positive")
+        if args.max_rank is not None and args.max_rank < 1:
+            raise ValueError("--max-rank must be at least 1")
         f = parse_input(_read_source(args.input))
     except (PolyParseError, ValueError) as exc:
-        if fmt == "json":
-            print(json.dumps({"error": {"code": "invalid-input", "message": str(exc)}},
-                             sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(fmt, "invalid-input", exc, 1)
 
     opts = DecomposeOptions(tol=args.tol, max_rank=args.max_rank, seed=args.seed)
     try:
@@ -188,7 +198,9 @@ def _main(argv) -> int:
         elif args.command == "sylvester":
             if f.nvars != 2:
                 raise ValueError("sylvester needs a binary form")
-            dec = binary_decompose(f, rng_seed=args.seed, tol=args.tol).normalized()
+            dec = binary_decompose(
+                f, rng_seed=args.seed, tol=args.tol, max_rank=args.max_rank
+            ).normalized()
             report = decomposition_to_json(dec)
             report["seed"] = args.seed
             _emit(report, fmt, [
@@ -215,18 +227,9 @@ def _main(argv) -> int:
     except BrokenPipeError:
         raise
     except (PolyParseError, ValueError, OSError, json.JSONDecodeError) as exc:
-        if fmt == "json":
-            print(json.dumps({"error": {"code": "invalid-input", "message": str(exc)}},
-                             sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _error(fmt, "invalid-input", exc, 1)
     except DecompositionError as exc:
-        if fmt == "json":
-            print(json.dumps(
-                {"error": {"code": "decomposition-failed", "message": str(exc)}},
-                sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(fmt, "decomposition-failed", exc, 2)
     return 0
 
 

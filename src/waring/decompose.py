@@ -179,9 +179,6 @@ def _attempt(g: HomogeneousPoly, L: DualForm, basis: MonomialBasis, opts, rng):
         return None
     assign = ext.assignment
     d0 = build_hankel(L, basis.exponents, basis.exponents).value_matrix(assign)
-    s = np.linalg.svd(d0, compute_uv=False)
-    if s[0] == 0 or s[-1] <= 1e-10 * s[0]:
-        return None
     shifts = [
         shifted_matrix(L, basis, i).value_matrix(assign) for i in range(L.nvars)
     ]
@@ -254,6 +251,8 @@ def decompose(
     if f.degree < 1:
         raise ValueError("degree must be at least 1")
     if f.nvars == 1:
+        if opts.max_rank is not None and opts.max_rank < 1:
+            raise DecompositionError(f"rank 1 exceeds max_rank {opts.max_rank}")
         c = f.coeff((f.degree,))
         dec = Decomposition(f.degree, [(c, np.ones(1, dtype=complex))], 0.0)
         return DecomposeReport(1, dec, [], 0, 0, 0.0, opts.seed)
@@ -271,7 +270,9 @@ def decompose(
         return replace(rep, decomposition=dec, residual=res)
 
     if f.nvars == 2:
-        dec = binary_decompose(f, rng_seed=opts.seed, tol=opts.tol).normalized()
+        dec = binary_decompose(
+            f, rng_seed=opts.seed, tol=opts.tol, max_rank=opts.max_rank
+        ).normalized()
         return DecomposeReport(dec.rank, dec, [], 0, 0, dec.residual, opts.seed)
     return _rank_loop(f, opts)
 

@@ -34,12 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import DualForm, Exponent, grlex_key
-from .hankel import (
-    MonomialBasis,
-    Unknown,
-    build_hankel,
-    shifted_matrix,
-)
+from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
 
 @dataclass
@@ -49,14 +44,6 @@ class ExtensionSolution:
     assignment: dict[Exponent, complex]
     residual: float
     free_count: int = 0
-
-
-def _collect_unknowns(mats) -> list[Unknown]:
-    seen = {}
-    for m in mats:
-        for u in m.unknowns():
-            seen[u.exp] = u
-    return [seen[e] for e in sorted(seen, key=grlex_key)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +220,18 @@ class CommutatorResidual:
     def __init__(self, L: DualForm, basis: MonomialBasis):
         mats = [build_hankel(L, basis.exponents, basis.exponents)]
         mats += [shifted_matrix(L, basis, v) for v in range(L.nvars)]
-        self.unknowns = _collect_unknowns(mats)
-        index = {u.exp: i for i, u in enumerate(self.unknowns)}
+        self.unknowns = sorted({e for m in mats for e in m.unknowns}, key=grlex_key)
+        index = {e: i for i, e in enumerate(self.unknowns)}
         s = len(basis)
-        self.const = np.zeros((len(mats), s, s), dtype=complex)
-        cells = []  # (matrix, row, col, unknown index) of every unknown cell
-        for m, mat in enumerate(mats):
-            for a in range(s):
-                for b in range(s):
-                    v = mat.entries[a, b]
-                    if isinstance(v, Unknown):
-                        cells.append((m, a, b, index[v.exp]))
-                    else:
-                        self.const[m, a, b] = v
-        self.cells = np.array(cells, dtype=np.intp).reshape(-1, 4).T
+        self.const = np.stack([m.values for m in mats])
+        # each matrix's slots renumbered into self.unknowns; -1 stays -1
+        slot = np.stack([
+            np.array([index[e] for e in m.unknowns] + [-1], dtype=np.intp)[m.slot]
+            for m in mats
+        ])
+        # (matrix, row, col, unknown index) of every unknown cell, in C order
+        cells = np.nonzero(slot >= 0)
+        self.cells = np.array([*cells, slot[cells]], dtype=np.intp)
         self.pairs = [
             (i, j) for i in range(1, L.nvars + 1) for j in range(i + 1, L.nvars + 1)
         ]
@@ -338,6 +323,7 @@ class CommutatorResidual:
         return out.reshape(self.nequations(), -1) / self.scale
 
     def d0_healthy(self, x: np.ndarray, tol: float = 1e-10) -> bool:
+        """s_min(D_0) > tol * s_max(D_0): the pencil step can invert D_0."""
         s = np.linalg.svd(self.matrices(x)[0], compute_uv=False)
         return bool(s[-1] > tol * s[0])
 
@@ -354,15 +340,17 @@ def extend_dual(
 
     Returns None when no acceptable solution is found (usually meaning the
     basis size is below the true support size, or above it with the unknowns
-    overdetermined into inconsistency).
+    overdetermined into inconsistency).  Every solution returned, also one
+    with no unknowns, has a D_0 that passes `d0_healthy`.
     """
     res = CommutatorResidual(L, basis)
     if not res.unknowns:
-        if res.nequations() == 0:
-            return ExtensionSolution({}, 0.0, 0)
-        r = res.residual(np.zeros(0, dtype=complex))
-        rmax = float(np.max(np.abs(r))) if r.size else 0.0
-        if not np.isfinite(rmax) or rmax > tol:
+        x, rmax = np.zeros(0, dtype=complex), 0.0
+        if res.nequations():
+            rmax = float(np.max(np.abs(res.residual(x))))
+            if not np.isfinite(rmax) or rmax > tol:
+                return None
+        if not res.d0_healthy(x):
             return None
         return ExtensionSolution({}, rmax, 0)
     if res.nequations() == 0:
@@ -382,5 +370,5 @@ def extend_dual(
     )
     if not ok:
         return None
-    assignment = {u.exp: complex(v) for u, v in zip(res.unknowns, x)}
+    assignment = {e: complex(v) for e, v in zip(res.unknowns, x)}
     return ExtensionSolution(assignment, float(r), free)

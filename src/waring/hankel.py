@@ -2,28 +2,18 @@
 
 For a moment table L and monomial sets B, B' the matrix H^{B,B'} has entry
 (alpha, beta) = L(x^(alpha+beta)).  Entries whose total degree exceeds the
-truncation are Unknown placeholders named by their exponent; an extension
-step assigns them values later.
+truncation are unknown moments; a matrix keeps them as an integer slot map
+into its list of unknown exponents, and an extension step assigns them
+values later.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .core import DualForm, Exponent, grlex_key, monomials_upto
-
-
-@dataclass(frozen=True)
-class Unknown:
-    """A moment beyond the truncation degree, identified by its exponent."""
-
-    exp: Exponent
-
-    def __repr__(self):
-        return "h[" + ",".join(str(e) for e in self.exp) + "]"
 
 
 class MonomialBasis:
@@ -91,67 +81,65 @@ class MonomialBasis:
 
 
 class QuasiHankelMatrix:
-    """H^{rows,cols} with entries complex | Unknown."""
+    """H^{rows,cols} as numbers plus an integer map of its unknown cells.
 
-    __slots__ = ("rows", "cols", "entries")
+    `values` holds the known moments and 0 at every unknown cell; `unknowns`
+    lists the distinct unknown exponents in graded-lex order; `slot` is -1 at
+    a known cell and otherwise the cell's index into `unknowns`.
+    """
 
-    def __init__(self, rows, cols, entries):
+    __slots__ = ("rows", "cols", "values", "unknowns", "slot")
+
+    def __init__(self, rows, cols, values, unknowns, slot):
         self.rows = list(rows)
         self.cols = list(cols)
-        self.entries = entries  # object ndarray, shape (len(rows), len(cols))
+        self.values = values
+        self.unknowns = unknowns
+        self.slot = slot
 
     @property
     def shape(self):
         return (len(self.rows), len(self.cols))
 
-    def unknowns(self) -> list[Unknown]:
-        """Distinct unknown entries, graded-lex by exponent."""
-        seen = {}
-        for v in self.entries.flat:
-            if isinstance(v, Unknown):
-                seen[v.exp] = v
-        return [seen[e] for e in sorted(seen, key=grlex_key)]
-
-    @property
-    def fully_known(self) -> bool:
-        return not any(isinstance(v, Unknown) for v in self.entries.flat)
-
-    def known_matrix(self) -> np.ndarray:
-        if not self.fully_known:
-            raise ValueError(f"matrix still contains unknowns: {self.unknowns()}")
-        return self.entries.astype(complex)
-
-    def value_matrix(self, assignment: dict[Exponent, complex]) -> np.ndarray:
-        """Numeric matrix with unknowns filled from `assignment`."""
-        out = np.empty(self.entries.shape, dtype=complex)
-        for i in range(out.shape[0]):
-            for j in range(out.shape[1]):
-                v = self.entries[i, j]
-                if isinstance(v, Unknown):
-                    if v.exp not in assignment:
-                        raise KeyError(f"no value for {v!r}")
-                    out[i, j] = assignment[v.exp]
-                else:
-                    out[i, j] = v
+    def value_matrix(
+        self, assignment: dict[Exponent, complex] | None = None
+    ) -> np.ndarray:
+        """Numeric matrix with the unknowns filled from `assignment`."""
+        out = self.values.copy()
+        if self.unknowns:
+            given = assignment or {}
+            # a moment missing from the assignment raises KeyError here
+            fill = np.array([given[e] for e in self.unknowns], dtype=complex)
+            cells = self.slot >= 0
+            out[cells] = fill[self.slot[cells]]
         return out
 
     def __repr__(self):
         r, c = self.shape
-        return f"QuasiHankelMatrix({r}x{c}, unknowns={len(self.unknowns())})"
+        return f"QuasiHankelMatrix({r}x{c}, unknowns={len(self.unknowns)})"
 
 
 def build_hankel(L: DualForm, rows, cols, shift: Exponent | None = None) -> QuasiHankelMatrix:
-    """H with entry (a, b) = L(x^(a+b+shift)); Unknown past the truncation."""
+    """H with entry (a, b) = L(x^(a+b+shift)); a slot past the truncation."""
     rows = [tuple(r) for r in rows]
     cols = [tuple(c) for c in cols]
-    s = tuple(shift) if shift is not None else (0,) * L.nvars
-    ent = np.empty((len(rows), len(cols)), dtype=object)
-    for i, a in enumerate(rows):
-        for j, b in enumerate(cols):
-            e = tuple(x + y + z for x, y, z in zip(a, b, s))
-            v = L.entry(e)
-            ent[i, j] = Unknown(e) if v is None else complex(v)
-    return QuasiHankelMatrix(rows, cols, ent)
+    n = L.nvars
+    s = np.zeros(n, dtype=np.intp) if shift is None else np.array(shift, dtype=np.intp)
+    exps = (
+        np.array(rows, dtype=np.intp).reshape(-1, 1, n)
+        + np.array(cols, dtype=np.intp).reshape(1, -1, n)
+        + s
+    )
+    cells = [tuple(e) for e in exps.reshape(-1, n).tolist()]
+    moments = {e: L.entry(e) for e in dict.fromkeys(cells)}
+    unknowns = sorted((e for e, v in moments.items() if v is None), key=grlex_key)
+    index = {e: k for k, e in enumerate(unknowns)}
+    shape = (len(rows), len(cols))
+    values = np.array(
+        [0j if moments[e] is None else moments[e] for e in cells], dtype=complex
+    ).reshape(shape)
+    slot = np.array([index.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
+    return QuasiHankelMatrix(rows, cols, values, unknowns, slot)
 
 
 def shifted_matrix(L: DualForm, basis: MonomialBasis, var: int) -> QuasiHankelMatrix:
@@ -160,14 +148,6 @@ def shifted_matrix(L: DualForm, basis: MonomialBasis, var: int) -> QuasiHankelMa
         raise ValueError("bad variable index")
     e = tuple(1 if i == var else 0 for i in range(L.nvars))
     return build_hankel(L, basis.exponents, basis.exponents, shift=e)
-
-
-@dataclass
-class MultiplicationMatrix:
-    """Transpose action of multiplication by x_var on the chosen basis."""
-
-    var: int
-    matrix: np.ndarray
 
 
 def known_rank_bound(L: DualForm, tol: float = 1e-8) -> int:
@@ -182,7 +162,7 @@ def known_rank_bound(L: DualForm, tol: float = 1e-8) -> int:
     for k in range(L.degree + 1):
         rows = monomials_upto(L.nvars, k)
         cols = monomials_upto(L.nvars, L.degree - k)
-        h = build_hankel(L, rows, cols).known_matrix()
+        h = build_hankel(L, rows, cols).value_matrix()
         s = np.linalg.svd(h, compute_uv=False)
         if s.size and s[0] > 0:
             best = max(best, int(np.sum(s > tol * s[0])))
@@ -207,7 +187,7 @@ def full_rank_principal_minor(
     nonsingular of the requested size contains the constant monomial.
     """
     pool = [m for m in monomials_upto(L.nvars, L.degree) if 2 * sum(m) <= L.degree]
-    full = build_hankel(L, pool, pool).known_matrix()
+    full = build_hankel(L, pool, pool).value_matrix()
     s = np.linalg.svd(full, compute_uv=False)
     rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
     if rank == 0:
@@ -263,13 +243,13 @@ def kernel_generators(L: DualForm, basis: MonomialBasis) -> list[dict[Exponent, 
     polynomial is annihilated by L up to the truncation.  Results are maps
     exponent -> coefficient including the monomial m itself with coefficient 1.
     """
-    h = build_hankel(L, basis.exponents, basis.exponents).known_matrix()
+    h = build_hankel(L, basis.exponents, basis.exponents).value_matrix()
     out = []
     for m in basis.border():
         col = build_hankel(L, basis.exponents, [m])
-        if not col.fully_known:
+        if col.unknowns:
             continue  # relation involves unextended moments; caller handles
-        mu = np.linalg.solve(h, col.known_matrix()[:, 0])
+        mu = np.linalg.solve(h, col.value_matrix()[:, 0])
         g: dict[Exponent, complex] = {m: 1.0 + 0j}
         for b, c in zip(basis.exponents, mu):
             if c != 0:

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import DualForm, HomogeneousPoly, monomials_upto, to_dual
-from .hankel import MonomialBasis, MultiplicationMatrix
+from .hankel import MonomialBasis
 
 
 class ExtractionError(RuntimeError):
@@ -79,16 +79,17 @@ def _distinct(points, tol: float = 1e-6) -> bool:
 def extract_points(
     eigenvectors: np.ndarray,
     basis: MonomialBasis,
-    mult: list[MultiplicationMatrix] | None = None,
+    mult: list[np.ndarray] | None = None,
     tol: float = 1e-6,
 ) -> PointSet:
     """Recover one point per eigenvector from its monomial coordinates.
 
     When every variable appears in the basis the coordinates are read
     directly; otherwise the missing ones come from Rayleigh quotients of the
-    multiplication matrices.  Every basis coordinate is then checked against
-    the monomial evaluated at the recovered point; a mismatch means the
-    eigenvectors are not evaluation vectors at all and raises ExtractionError.
+    multiplication matrices `mult[i]` = D_i D_0^{-1}, one per variable.
+    Every basis coordinate is then checked against the monomial evaluated at
+    the recovered point; a mismatch means the eigenvectors are not evaluation
+    vectors at all and raises ExtractionError.
     Point collisions only clear the `simple` flag.
     """
     n = basis.nvars
@@ -109,8 +110,7 @@ def extract_points(
             if pos is not None:
                 zeta[i] = u[pos]
             else:
-                m = next(m.matrix for m in mult if m.var == i)
-                zeta[i] = (np.conj(u) @ (m @ u)) / (np.conj(u) @ u)
+                zeta[i] = (np.conj(u) @ (mult[i] @ u)) / (np.conj(u) @ u)
         for exp, pos in basis.index.items():
             pred = 1.0 + 0j
             for zi, e in zip(zeta, exp):
@@ -165,7 +165,7 @@ def pencil_support(
     """
     n = len(shifts)
     inv0 = np.linalg.inv(d0)
-    mult = [MultiplicationMatrix(i, shifts[i] @ inv0) for i in range(n)]
+    mult = [s @ inv0 for s in shifts]
     for attempt in range(retries):
         if attempt == 0:
             dt = shifts[0]

@@ -1,10 +1,21 @@
+import functools
 import json
 import pathlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from waring.core import HomogeneousPoly, expand_power_sum, parse_poly, poly_from_json
+from waring.core import (
+    HomogeneousPoly,
+    expand_power_sum,
+    grlex_key,
+    parse_poly,
+    poly_from_json,
+    to_dual,
+)
+from waring.decompose import _basis_candidates
+from waring.hankel import MonomialBasis, full_rank_principal_minor
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -51,3 +62,97 @@ def quartic():
 @pytest.fixture(scope="session")
 def maximal_cubic():
     return load_text_poly("cubic_maximal.txt")
+
+
+def planted_4_4_10(degree3: bool):
+    """A planted (4, 4, 10) form's dual, a basis and the planted terms.
+
+    The flat basis (all monomials of degree <= 2) puts the unknowns in the
+    shifted matrices only; swapping its last monomial for a cubic one puts
+    unknowns inside D_0 as well."""
+    f, terms = planted_poly(4, 4, 10, np.random.default_rng(5))
+    L = to_dual(f)
+    basis = full_rank_principal_minor(L, size=10)
+    if degree3:
+        basis = MonomialBasis(3, basis.exponents[:-1] + [(3, 0, 0)])
+    return L, basis, terms
+
+
+# ---------------------------------------------------------------------------
+# the object-dtype Hankel layer that the numeric slot map replaced, kept as an
+# independent reference: one Python object per cell, unknowns as placeholders
+
+
+@dataclass(frozen=True)
+class ObjectUnknown:
+    exp: tuple
+
+
+def object_hankel(L, rows, cols, shift=None) -> np.ndarray:
+    """Object array of H^{rows,cols}: complex, or ObjectUnknown past the truncation."""
+    s = tuple(shift) if shift is not None else (0,) * L.nvars
+    ent = np.empty((len(rows), len(cols)), dtype=object)
+    for i, a in enumerate(rows):
+        for j, b in enumerate(cols):
+            e = tuple(x + y + z for x, y, z in zip(a, b, s))
+            v = L.entry(e)
+            ent[i, j] = ObjectUnknown(e) if v is None else complex(v)
+    return ent
+
+
+def object_unknowns(ent) -> list[tuple]:
+    return sorted({v.exp for v in ent.flat if isinstance(v, ObjectUnknown)}, key=grlex_key)
+
+
+def object_value_matrix(ent, assignment) -> np.ndarray:
+    out = np.empty(ent.shape, dtype=complex)
+    for (i, j), v in np.ndenumerate(ent):
+        if isinstance(v, ObjectUnknown):
+            if v.exp not in assignment:
+                raise KeyError(v.exp)
+            out[i, j] = assignment[v.exp]
+        else:
+            out[i, j] = v
+    return out
+
+
+EXACTNESS_FIXTURES = [
+    "ternary_quintic_rank4.txt",
+    "ternary_quartic_rank6.txt",
+    "cubic_maximal.txt",
+    "cubic_cube.json",
+    "cubic_two_cubes.json",
+    "cubic_square_line.json",
+    "cubic_fermat.json",
+    "cubic_generic_rank4.json",
+]
+EXACTNESS_CASES = EXACTNESS_FIXTURES + [
+    "planted_4_4_10", "planted_4_4_10_degree3", "planted_5_4_12", "quartic_with_extension"
+]
+
+
+@functools.cache
+def exactness_case(name: str):
+    """A dual form and the bases to compare the two Hankel layers on.
+
+    For a fixture these are the bases the rank loop tries at every size in
+    the identity frame; the planted forms use their principal-minor basis;
+    the extended quartic fills its quintic moments, so its bases meet known,
+    extended and unknown moments at once."""
+    if name in EXACTNESS_FIXTURES:
+        load = load_json_poly if name.endswith(".json") else load_text_poly
+        L = to_dual(load(name))
+        return L, [b for r in range(1, 8) for b in _basis_candidates(L, r, 3)]
+    if name.startswith("planted_4_4_10"):
+        L, basis, _ = planted_4_4_10(name.endswith("degree3"))
+        return L, [basis]
+    if name == "planted_5_4_12":
+        f, _ = planted_poly(5, 4, 12, np.random.default_rng(0))
+        L = to_dual(f)
+        return L, [full_rank_principal_minor(L, size=12)]
+    quintics = [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
+    fill = [1.0, 2.0, 3.0, 1.5060, 4.960, 0.056]
+    L = to_dual(load_text_poly("ternary_quartic_rank6.txt"))
+    L = L.with_extension(dict(zip(quintics, fill)))
+    flat = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
+    return L, [flat, MonomialBasis(2, flat.exponents + [(3, 0), (2, 1)])]

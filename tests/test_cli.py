@@ -166,6 +166,43 @@ def test_bad_tol_rejected(capsys):
     assert "tol" in err
 
 
+@pytest.mark.parametrize("flag", [["--bogus"], ["--tol", "abc"], ["--max-rank", "x"]])
+def test_usage_errors_exit_1(capsys, flag):
+    code, _, err = run(capsys, "rank", "x0^2 + x1^2", *flag)
+    assert code == 1
+    assert "usage:" in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
+     ("--max-rank", "-3"), ("--max-rank", "0")],
+)
+def test_bad_flag_values_are_invalid_input(capsys, flag, value):
+    code, out, err = run(capsys, "rank", "x0^3 + x1^3", flag, value, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert flag in err
+
+
+@pytest.mark.parametrize("command", ["rank", "decompose", "sylvester"])
+def test_max_rank_caps_the_binary_path(capsys, command):
+    code, out, _ = run(capsys, command, "x0^3 + x1^3", "--max-rank", "1",
+                       "--format", "json")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "decomposition-failed"
+    code, out, _ = run(capsys, command, "x0^3 + x1^3", "--max-rank", "2",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rank"] == 2
+
+
 def test_missing_file_is_treated_as_inline_and_fails(capsys):
     code, _, _ = run(capsys, "rank", "/no/such/file.txt")
     assert code == 1

@@ -79,6 +79,19 @@ def test_max_rank_cap(maximal_cubic):
         decompose(maximal_cubic, max_rank=4)
 
 
+@pytest.mark.parametrize(
+    "text, nvars, rank_found",
+    [("x0^3 + x1^3", None, 2),            # binary path
+     ("x0^3 + x1^3 + 0*x2^3", 3, 2),      # variable reduction to binary
+     ("7*x0^3", 1, 1)],                   # one variable
+)
+def test_max_rank_cap_on_every_path(text, nvars, rank_found):
+    f = parse_poly(text, nvars=nvars) if nvars else parse_poly(text)
+    with pytest.raises(DecompositionError):
+        decompose(f, max_rank=rank_found - 1)
+    assert decompose(f, max_rank=rank_found).rank == rank_found
+
+
 def test_binary_delegation():
     f = parse_poly("x0^4 + x1^4")
     rep = decompose(f)

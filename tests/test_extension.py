@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 
-from waring.core import to_dual
+from waring.core import grlex_key, to_dual
 from waring.extension import CommutatorResidual, extend_dual
 from waring.extension import _gauss_newton
 from waring.hankel import (
     MonomialBasis,
-    Unknown,
     build_hankel,
     full_rank_principal_minor,
     shifted_matrix,
 )
 
-from conftest import planted_poly
+from conftest import (
+    EXACTNESS_CASES,
+    ObjectUnknown,
+    exactness_case,
+    object_hankel,
+    planted_4_4_10,
+)
 
 QUARTIC_BASIS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
 CUBIC_BASIS5 = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
@@ -30,9 +35,7 @@ def test_quartic_system_counts(quartic):
     res = _quartic_residual(quartic)
     # one pair of operators, the strict upper triangle of a 6x6 commutator
     assert res.nequations() == 15
-    assert [u.exp for u in res.unknowns] == [
-        (5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)
-    ]
+    assert res.unknowns == [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
 
 
 def test_quartic_known_filling_is_a_solution(quartic):
@@ -44,7 +47,7 @@ def test_quartic_known_filling_is_a_solution(quartic):
 
 def _pinned_solve(res, pins, tol=1e-12, max_iter=300):
     """Gauss-Newton on the commutator residual with some unknowns held fixed."""
-    idx = {u.exp: i for i, u in enumerate(res.unknowns)}
+    idx = {e: i for i, e in enumerate(res.unknowns)}
     pi = [idx[e] for e in pins]
     others = [i for i in range(len(res.unknowns)) if i not in pi]
     base = np.zeros(len(res.unknowns), dtype=complex)
@@ -64,7 +67,7 @@ def _pinned_solve(res, pins, tol=1e-12, max_iter=300):
     y, r = _gauss_newton(fun, jac, np.zeros(len(others), dtype=complex), tol, max_iter)
     z = base.copy()
     z[others] = y
-    return {u.exp: z[i] for i, u in enumerate(res.unknowns)}, r
+    return dict(zip(res.unknowns, z)), r
 
 
 def test_quartic_pinned_solve_recovers_filling(quartic):
@@ -112,11 +115,11 @@ def test_cubic_system_counts(maximal_cubic):
     b = MonomialBasis(2, CUBIC_BASIS5)
     res = CommutatorResidual(L, b)
     assert res.nequations() == 10
-    assert {u.exp for u in res.unknowns} == {
+    assert set(res.unknowns) == {
         (4, 0), (3, 1), (2, 2), (1, 3), (5, 0), (4, 1), (3, 2), (2, 3)
     }
     # some unknowns sit inside D_0, so the equations are rational in them
-    assert not build_hankel(L, b.exponents, b.exponents).fully_known
+    assert build_hankel(L, b.exponents, b.exponents).unknowns
 
 
 def test_cubic_pinned_solve_frozen_values(maximal_cubic):
@@ -167,6 +170,17 @@ def test_quintic_system_is_empty(quintic):
     assert sol.residual < 1e-10
 
 
+def test_no_unknowns_path_rejects_a_singular_d0(maximal_cubic):
+    # the form has no x0^3 term, so L(1) = 0 and the 1x1 D_0 of the basis {1}
+    # is singular; there are no unknowns and no equations to catch it
+    L = to_dual(maximal_cubic)
+    b = MonomialBasis(2, [(0, 0)])
+    res = CommutatorResidual(L, b)
+    assert res.unknowns == [] and res.nequations() == 0
+    assert not res.d0_healthy(np.zeros(0, dtype=complex))
+    assert extend_dual(L, b) is None
+
+
 def test_commutator_jacobian_matches_finite_differences(quartic):
     L = to_dual(quartic)
     res = CommutatorResidual(L, MonomialBasis(2, QUARTIC_BASIS))
@@ -184,7 +198,7 @@ def test_commutator_jacobian_matches_finite_differences(quartic):
 def _dense_jacobian(L, basis, unknowns, x):
     """The commutator Jacobian through dense 0/1 occurrence tensors and
     einsums, kept as an independent reference for the rank-1 kernel."""
-    index = {u.exp: i for i, u in enumerate(unknowns)}
+    index = {e: i for i, e in enumerate(unknowns)}
     s, nu = len(basis), len(unknowns)
     mats, d_mats, known = [], [], 0.0
     quasi = [build_hankel(L, basis.exponents, basis.exponents)]
@@ -192,13 +206,13 @@ def _dense_jacobian(L, basis, unknowns, x):
     for q in quasi:
         m = np.zeros((s, s), dtype=complex)
         d = np.zeros((s, s, nu))
-        for (a, b), v in np.ndenumerate(q.entries):
-            if isinstance(v, Unknown):
-                m[a, b] = x[index[v.exp]]
-                d[a, b, index[v.exp]] = 1.0
+        for (a, b), k in np.ndenumerate(q.slot):
+            if k >= 0:
+                m[a, b] = x[index[q.unknowns[k]]]
+                d[a, b, index[q.unknowns[k]]] = 1.0
             else:
-                m[a, b] = v
-                known = max(known, abs(v))
+                m[a, b] = q.values[a, b]
+                known = max(known, abs(q.values[a, b]))
         mats.append(m)
         d_mats.append(d)
     n_mat = np.linalg.inv(mats[0])
@@ -221,20 +235,13 @@ def _dense_jacobian(L, basis, unknowns, x):
 
 
 def _planted_4_4_10(degree3: bool):
-    """A planted (4, 4, 10) form, its dual, a basis and a point near the
-    true moments.  The flat basis (all monomials of degree <= 2) puts the
-    unknowns in the shifted matrices only; swapping its last monomial for
-    a cubic one puts unknowns inside D_0 as well."""
-    f, terms = planted_poly(4, 4, 10, np.random.default_rng(5))
-    L = to_dual(f)
-    basis = full_rank_principal_minor(L, size=10)
-    if degree3:
-        basis = MonomialBasis(3, basis.exponents[:-1] + [(3, 0, 0)])
+    """`planted_4_4_10` with its residual and a point near the true moments."""
+    L, basis, terms = planted_4_4_10(degree3)
     res = CommutatorResidual(L, basis)
     rng = np.random.default_rng(6)
     true = np.array([
-        sum(w * np.prod(z[1:] ** np.array(u.exp)) for w, z in terms)
-        for u in res.unknowns
+        sum(w * np.prod(z[1:] ** np.array(e)) for w, z in terms)
+        for e in res.unknowns
     ])
     x = true * (1 + 0.1 * rng.standard_normal(len(true)))
     return L, basis, res, x
@@ -244,7 +251,7 @@ def _planted_4_4_10(degree3: bool):
 def test_commutator_jacobian_larger_shape_finite_differences(degree3):
     L, basis, res, x = _planted_4_4_10(degree3)
     assert len(res.pairs) == 3
-    assert build_hankel(L, basis.exponents, basis.exponents).fully_known != degree3
+    assert bool(build_hankel(L, basis.exponents, basis.exponents).unknowns) == degree3
     j = res.jacobian(x)
     for k in range(len(x)):
         h = 1e-6 * max(1.0, abs(x[k]))
@@ -386,9 +393,8 @@ def _kernel_case(name, request):
     elif name.startswith("planted_4_4_10"):
         _, _, res, _ = _planted_4_4_10(name.endswith("degree3"))
     else:
-        f, _ = planted_poly(5, 4, 12, np.random.default_rng(0))
-        L = to_dual(f)
-        res = CommutatorResidual(L, full_rank_principal_minor(L, size=12))
+        L, (basis,) = exactness_case("planted_5_4_12")
+        res = CommutatorResidual(L, basis)
         assert len(res.pairs) == 6
     return res, np.abs(res.const).max()
 
@@ -443,3 +449,73 @@ def test_kernel_reuses_no_stale_point(quartic):
     x[2] += 0.5
     assert np.array_equal(res.jacobian(x), _reference_jacobian(res, x))
     assert np.array_equal(res.residual(x), _reference_residual(res, x))
+
+
+# ---------------------------------------------------------------------------
+# exactness of the slot-map set-up against the object-dtype cell walk
+
+
+class _ObjectCellResidual(CommutatorResidual):
+    """The set-up as it was over object cells: an isinstance walk gathers the
+    unknown cells in (matrix, row, col) order, then the same rank-1 terms."""
+
+    def __init__(self, L, basis):
+        mats = [object_hankel(L, basis.exponents, basis.exponents)]
+        mats += [
+            object_hankel(L, basis.exponents, basis.exponents,
+                          tuple(int(i == v) for i in range(L.nvars)))
+            for v in range(L.nvars)
+        ]
+        self.unknowns = sorted(
+            {c.exp for m in mats for c in m.flat if isinstance(c, ObjectUnknown)},
+            key=grlex_key,
+        )
+        index = {e: i for i, e in enumerate(self.unknowns)}
+        s = len(basis)
+        self.const = np.zeros((len(mats), s, s), dtype=complex)
+        cells = []
+        for m, mat in enumerate(mats):
+            for a in range(s):
+                for b in range(s):
+                    v = mat[a, b]
+                    if isinstance(v, ObjectUnknown):
+                        cells.append((m, a, b, index[v.exp]))
+                    else:
+                        self.const[m, a, b] = v
+        self.cells = np.array(cells, dtype=np.intp).reshape(-1, 4).T
+        self.pairs = [
+            (i, j) for i in range(1, L.nvars + 1) for j in range(i + 1, L.nvars + 1)
+        ]
+        self.upper = np.triu_indices(s, k=1)
+        self.scale = (1.0 + np.max(np.abs(self.const))) ** 2
+        n, p, q = L.nvars, *self.upper
+        idx = np.arange(3 * n * s * s).reshape(3, n, s, s)
+        zero, one, minus = idx.size + np.arange(3)
+        eye = np.where(np.eye(s, dtype=bool), one, zero)
+        neg_eye = np.where(eye == one, minus, zero)
+        mat, r, c, k = self.cells
+        parts = [np.zeros((3, 0), dtype=np.intp)]
+        for t, (i, j) in enumerate(self.pairs):
+            (na, an, neg_an), (nb, bn, neg_bn) = idx[:, i - 1], idx[:, j - 1]
+            target = (t * len(p) + np.arange(len(p))) * len(self.unknowns)
+            for m, u, v in ((i, eye, nb), (j, an, eye), (0, neg_an, nb),
+                            (j, neg_eye, na), (i, neg_bn, eye), (0, bn, na)):
+                on = mat == m
+                part = np.reshape(np.broadcast_arrays(
+                    target + k[on, None], u[p, r[on, None]], v[c[on, None], q]),
+                    (3, -1))
+                parts.append(part[:, (part[1] != zero) & (part[2] != zero)])
+        self._terms = np.concatenate(parts, axis=1)
+
+
+@pytest.mark.parametrize("name", EXACTNESS_CASES)
+def test_setup_is_bit_identical_to_the_object_cell_walk(name):
+    L, bases = exactness_case(name)
+    for basis in bases:
+        res, ref = CommutatorResidual(L, basis), _ObjectCellResidual(L, basis)
+        assert res.unknowns == ref.unknowns
+        assert np.array_equal(res.const, ref.const)
+        assert res.cells.dtype == ref.cells.dtype
+        assert np.array_equal(res.cells, ref.cells)
+        assert res.scale == ref.scale
+        assert np.array_equal(res._terms, ref._terms)

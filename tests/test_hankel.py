@@ -11,7 +11,14 @@ from waring.hankel import (
     shifted_matrix,
 )
 
-from conftest import planted_poly
+from conftest import (
+    EXACTNESS_CASES,
+    exactness_case,
+    object_hankel,
+    object_unknowns,
+    object_value_matrix,
+    planted_poly,
+)
 
 # H^{B,B} and its y1-shift for the quintic fixture on B = {1, y1, y2, y1^2}
 D0 = np.array(
@@ -63,17 +70,17 @@ def test_quintic_hankel_blocks(quintic):
     L = to_dual(quintic)
     b = MonomialBasis(2, BASIS4)
     h0 = build_hankel(L, b.exponents, b.exponents)
-    assert h0.fully_known
-    assert np.allclose(h0.known_matrix(), D0)
+    assert h0.unknowns == []
+    assert np.allclose(h0.value_matrix(), D0)
     h1 = shifted_matrix(L, b, 0)
-    assert np.allclose(h1.known_matrix(), D1)
+    assert np.allclose(h1.value_matrix(), D1)
 
 
 def test_unknowns_past_truncation(quintic):
     L = to_dual(quintic)
     pool = monomials_upto(2, 3)
     h = build_hankel(L, pool, pool)
-    missing = {u.exp for u in h.unknowns()}
+    missing = set(h.unknowns)
     assert missing == {(6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5), (0, 6)}
     filled = h.value_matrix({e: 0.0 for e in missing})
     assert filled.shape == (10, 10)
@@ -152,3 +159,54 @@ def test_kernel_generators_annihilate():
                 )
                 gs = max(abs(c) for c in g.values())
                 assert abs(gv) < 1e-6 * gs * max(1.0, np.max(np.abs(z)) ** d)
+
+
+# ---------------------------------------------------------------------------
+# exactness of the numeric slot map against the object-dtype cells
+
+
+def _matrix_pairs(L, basis):
+    """(numeric, object reference) for every matrix shape the package builds."""
+    rows = basis.exponents
+    yield build_hankel(L, rows, rows), object_hankel(L, rows, rows)
+    for v in range(L.nvars):
+        shift = tuple(int(i == v) for i in range(L.nvars))
+        yield shifted_matrix(L, basis, v), object_hankel(L, rows, rows, shift)
+    border = basis.border()
+    yield build_hankel(L, rows, border), object_hankel(L, rows, border)
+    yield build_hankel(L, rows, []), object_hankel(L, rows, [])
+
+
+@pytest.mark.parametrize("name", EXACTNESS_CASES)
+def test_slot_map_is_exact_against_object_cells(name):
+    L, bases = exactness_case(name)
+    rng = np.random.default_rng(11)
+    for basis in bases:
+        for h, ref in _matrix_pairs(L, basis):
+            assert h.shape == ref.shape
+            assert h.unknowns == object_unknowns(ref)
+            assert h.slot.dtype == np.intp
+            assert np.all(h.values[h.slot >= 0] == 0)
+            for _ in range(3):
+                z = rng.standard_normal(len(h.unknowns)) + 1j * rng.standard_normal(
+                    len(h.unknowns)
+                )
+                assignment = dict(zip(h.unknowns, z.tolist()))
+                assert np.array_equal(
+                    h.value_matrix(assignment), object_value_matrix(ref, assignment)
+                )
+            if not h.unknowns:
+                assert np.array_equal(h.value_matrix(), object_value_matrix(ref, {}))
+
+
+def test_value_matrix_needs_every_unknown(quintic):
+    L = to_dual(quintic)
+    pool = monomials_upto(2, 3)
+    h = build_hankel(L, pool, pool)
+    partial = {e: 1.0 for e in h.unknowns[1:]}
+    with pytest.raises(KeyError):
+        h.value_matrix(partial)
+    with pytest.raises(KeyError):
+        object_value_matrix(object_hankel(L, pool, pool), partial)
+    with pytest.raises(KeyError):
+        h.value_matrix()

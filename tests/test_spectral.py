@@ -4,7 +4,6 @@ import pytest
 from waring.core import Decomposition, DualForm, expand_power_sum, to_dual
 from waring.hankel import (
     MonomialBasis,
-    MultiplicationMatrix,
     build_hankel,
     full_rank_principal_minor,
     shifted_matrix,
@@ -24,9 +23,9 @@ from conftest import QUINTIC_SUPPORT
 def _quintic_setup(quintic):
     L = to_dual(quintic)
     b = full_rank_principal_minor(L)
-    d0 = build_hankel(L, b.exponents, b.exponents).known_matrix()
-    d1 = shifted_matrix(L, b, 0).known_matrix()
-    d2 = shifted_matrix(L, b, 1).known_matrix()
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
+    d1 = shifted_matrix(L, b, 0).value_matrix()
+    d2 = shifted_matrix(L, b, 1).value_matrix()
     return L, b, d0, d1, d2
 
 
@@ -54,10 +53,7 @@ def test_eigenvectors_are_evaluation_vectors(quintic):
 def test_extract_points_and_weights(quintic):
     L, b, d0, d1, d2 = _quintic_setup(quintic)
     _, u = generalized_eigen(d1, d0)
-    mult = [
-        MultiplicationMatrix(0, d1 @ np.linalg.inv(d0)),
-        MultiplicationMatrix(1, d2 @ np.linalg.inv(d0)),
-    ]
+    mult = [d1 @ np.linalg.inv(d0), d2 @ np.linalg.inv(d0)]
     ps = extract_points(u, b, mult)
     assert ps.simple
     assert len(ps) == 4
@@ -90,9 +86,9 @@ def test_rayleigh_fallback_recovers_missing_coordinate():
     wts = [1.0, 2.0, -0.5]
     L = DualForm.from_support(wts, pts, 2, 6)
     b = MonomialBasis(2, [(0, 0), (1, 0), (2, 0)])
-    d0 = build_hankel(L, b.exponents, b.exponents).known_matrix()
-    d1 = shifted_matrix(L, b, 0).known_matrix()
-    d2 = shifted_matrix(L, b, 1).known_matrix()
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
+    d1 = shifted_matrix(L, b, 0).value_matrix()
+    d2 = shifted_matrix(L, b, 1).value_matrix()
     ps = pencil_support(d0, [d1, d2], b, np.random.default_rng(1))
     assert ps is not None
     rec = sorted((round(p[0].real, 6), round(p[1].real, 6)) for p in ps.points)
@@ -118,10 +114,10 @@ def test_eigenvalues_simple_flags_collision():
 def test_single_point_support():
     L = DualForm.from_support([1.0], [(5.0,)], 1, 3)
     b = MonomialBasis(1, [(0,)])
-    d0 = build_hankel(L, b.exponents, b.exponents).known_matrix()
-    d1 = shifted_matrix(L, b, 0).known_matrix()
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
+    d1 = shifted_matrix(L, b, 0).value_matrix()
     _, u = generalized_eigen(d1, d0)
-    ps = extract_points(u, b, [MultiplicationMatrix(0, d1 @ np.linalg.inv(d0))])
+    ps = extract_points(u, b, [d1 @ np.linalg.inv(d0)])
     assert ps.points[0][0] == pytest.approx(5.0, abs=1e-10)
     wt, res = solve_weights(ps, L)
     assert wt[0] == pytest.approx(1.0, abs=1e-10)
@@ -133,9 +129,9 @@ def test_pencil_support_rejects_nilpotent_operators(maximal_cubic):
     # combination has eigenvalue 0 three times, so no attempt can succeed
     L = to_dual(maximal_cubic)
     b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1)])
-    d0 = build_hankel(L, b.exponents, b.exponents).known_matrix()
-    d1 = shifted_matrix(L, b, 0).known_matrix()
-    d2 = shifted_matrix(L, b, 1).known_matrix()
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
+    d1 = shifted_matrix(L, b, 0).value_matrix()
+    d2 = shifted_matrix(L, b, 1).value_matrix()
     m1 = d1 @ np.linalg.inv(d0)
     m2 = d2 @ np.linalg.inv(d0)
     assert np.linalg.norm(m1 @ m2 - m2 @ m1) < 1e-12
