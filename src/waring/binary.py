@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Decomposition, DecompositionError, HomogeneousPoly, pairwise_sines
+from .core import (
+    Decomposition,
+    DecompositionError,
+    HomogeneousPoly,
+    monomial_values,
+    pairwise_sines,
+)
+
+KERNEL_RETRIES = 16  # kernel combinations tried per size
 
 
 @dataclass
@@ -87,7 +95,6 @@ def binary_decompose(
     p: BinaryForm | HomogeneousPoly,
     rng_seed: int = 0,
     tol: float = 1e-8,
-    kernel_retries: int = 16,
     max_rank: int | None = None,
 ) -> Decomposition:
     """Minimal power-sum decomposition of a nonzero binary form.
@@ -114,7 +121,7 @@ def binary_decompose(
         null = vh[rank:].conj().T
         if null.shape[1] == 0:
             continue
-        for attempt in range(kernel_retries):
+        for attempt in range(KERNEL_RETRIES):
             if attempt == 0:
                 # the smallest right singular vector: the cut above can read a
                 # slice of an ill-conditioned form as rank-deficient too early,
@@ -131,19 +138,11 @@ def binary_decompose(
             if pts is None or len(pts) != r or np.any(pairwise_sines(pts) <= 1e-8):
                 continue
             # c_i = sum_j w_j alpha_j^i beta_j^(d-i)
-            a = np.empty((d + 1, r), dtype=complex)
-            for i in range(d + 1):
-                for j, (al, be) in enumerate(pts):
-                    a[i, j] = al**i * be ** (d - i)
+            a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
             w, *_ = np.linalg.lstsq(a, c, rcond=None)
             res = np.linalg.norm(a @ w - c) / np.linalg.norm(c)
             if res < tol:
-                rebuilt = np.array(
-                    [
-                        math.comb(d, i) * (a[i] @ w)
-                        for i in range(d + 1)
-                    ]
-                )
+                rebuilt = np.array([math.comb(d, i) * (a[i] @ w) for i in range(d + 1)])
                 coeff_err = float(
                     np.linalg.norm(rebuilt - bf.coeffs) / np.linalg.norm(bf.coeffs)
                 )

@@ -65,10 +65,13 @@ def _poly_from_tensor(obj: dict) -> HomogeneousPoly:
             f"tensor array has {len(flat)} entries, expected {len(exps)}"
         )
     coeffs = {}
-    for exp, v in zip(exps, flat):
-        c = finite_coeff(complex(v[0], v[1]) if isinstance(v, (list, tuple)) else v)
-        if c != 0:
-            coeffs[exp] = c
+    for i, (exp, v) in enumerate(zip(exps, flat)):
+        parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+            raise ValueError(
+                f"tensor entry {i} is {json.dumps(v)}, not a real number or an [re, im] pair"
+            )
+        coeffs[exp] = finite_coeff(complex(*parts))
     return HomogeneousPoly(nvars, degree, coeffs)
 
 
@@ -174,7 +177,8 @@ def _main(argv) -> int:
         if args.max_rank is not None and args.max_rank < 1:
             raise ValueError("--max-rank must be at least 1")
         f = parse_input(_read_source(args.input))
-    except (PolyParseError, ValueError) as exc:
+    except (PolyParseError, ValueError, OverflowError) as exc:
+        # OverflowError: a JSON integer too large for a float
         return _error(fmt, "invalid-input", exc, 1)
 
     opts = DecomposeOptions(tol=args.tol, max_rank=args.max_rank, seed=args.seed)
@@ -226,7 +230,7 @@ def _main(argv) -> int:
             )
     except BrokenPipeError:
         raise
-    except (PolyParseError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (PolyParseError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         return _error(fmt, "invalid-input", exc, 1)
     except DecompositionError as exc:
         return _error(fmt, "decomposition-failed", exc, 2)

@@ -79,6 +79,19 @@ def monomials_upto(nvars: int, degree: int) -> list[Exponent]:
     return out
 
 
+def monomial_values(points, exps) -> np.ndarray:
+    """The (m, k) array of z^alpha for the m rows z of `points` and the k rows
+    alpha of `exps` (0^0 = 1): one broadcast power, then a product along the
+    variable axis."""
+    z = np.asarray(points, dtype=complex)
+    e = np.asarray(exps, dtype=int)
+    if z.ndim != 2 or e.ndim != 2 or z.shape[1] != e.shape[1]:
+        raise ValueError(
+            f"need (m, n) points and (k, n) exponents, got shapes {z.shape} and {e.shape}"
+        )
+    return np.prod(z[:, None, :] ** e[None, :, :], axis=2)
+
+
 class HomogeneousPoly:
     """Degree-d form in `nvars` variables, stored as exponent -> coefficient."""
 
@@ -115,18 +128,13 @@ class HomogeneousPoly:
         for exp in sorted(self.coeffs, key=grlex_key):
             yield exp, self.coeffs[exp]
 
-    def evaluate(self, point) -> complex:
-        pt = [complex(p) for p in point]
-        if len(pt) != self.nvars:
-            raise ValueError("point has wrong length")
-        total = 0j
-        for exp, c in self.coeffs.items():
-            v = c
-            for p, e in zip(pt, exp):
-                if e:
-                    v *= p**e
-            total += v
-        return total
+    def evaluate(self, points):
+        """f at one point, or an array of f at each row of a 2-D array."""
+        pts = np.asarray(points, dtype=complex)
+        exps = np.array(list(self.coeffs), dtype=int).reshape(-1, self.nvars)  # f may be 0
+        coeffs = np.array(list(self.coeffs.values()), dtype=complex)
+        vals = monomial_values(np.atleast_2d(pts), exps) @ coeffs
+        return complex(vals[0]) if pts.ndim == 1 else vals
 
     def scale(self, s: complex) -> "HomogeneousPoly":
         return HomogeneousPoly(
@@ -268,17 +276,9 @@ class DualForm:
         c_alpha = sum_j w_j * zeta_j^alpha.
         """
         upto = degree if upto is None else upto
-        moments = {}
-        for alpha in monomials_upto(nvars, upto):
-            total = 0j
-            for w, z in zip(weights, points):
-                v = complex(w)
-                for zi, e in zip(z, alpha):
-                    if e:
-                        v *= complex(zi) ** e
-                total += v
-            moments[alpha] = total
-        return cls(nvars, degree, moments)
+        exps = monomials_upto(nvars, upto)
+        values = np.asarray(weights) @ monomial_values(points, exps)
+        return cls(nvars, degree, dict(zip(exps, values.tolist())))
 
     def __repr__(self):
         return f"DualForm(nvars={self.nvars}, degree={self.degree}, extended={len(self.extended)})"
@@ -424,19 +424,11 @@ def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
     """Expand sum_i w_i (k_i . x)^d by the multinomial theorem."""
     if isinstance(terms, Decomposition):
         terms = terms.terms
-    coeffs: dict[Exponent, complex] = {}
-    for alpha in monomials(nvars, degree):
-        m = multinomial(degree, alpha)
-        total = 0j
-        for w, k in terms:
-            v = complex(w) * m
-            for ki, e in zip(k, alpha):
-                if e:
-                    v *= complex(ki) ** e
-            total += v
-        if total != 0:
-            coeffs[alpha] = total
-    return HomogeneousPoly(nvars, degree, coeffs)
+    exps = monomials(nvars, degree)
+    weights = np.array([w for w, _ in terms], dtype=complex)
+    mult = np.array([multinomial(degree, alpha) for alpha in exps], dtype=float)
+    values = mult * (weights @ monomial_values([k for _, k in terms], exps))
+    return HomogeneousPoly(nvars, degree, dict(zip(exps, values.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +641,7 @@ def decomposition_from_json(obj: dict) -> Decomposition:
             w = finite_coeff(complex(*t["weight"]))
             k = np.array([finite_coeff(complex(re, im)) for re, im in t["form"]])
             terms.append((w, k))
+        residual = float(obj.get("residual", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad decomposition JSON: {exc}")
-    return Decomposition(degree, terms, float(obj.get("residual", 0.0)))
+    return Decomposition(degree, terms, residual)

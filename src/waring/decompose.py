@@ -43,21 +43,21 @@ from .hankel import (
 from .spectral import pencil_support, solve_weights
 
 
+COORD_CHANGES = 3  # coordinate frames tried per rank: identity, then random unitary
+BASES_PER_RANK = 3  # bases tried per frame and rank
+# support-quality gate: genuine simple-point decompositions keep their
+# forms apart and their term masses comparable to the polynomial itself;
+# a borderline form approximated from below shows near-coincident points
+# with huge cancelling weights instead
+MIN_SEPARATION = 1e-4
+MASS_RATIO_CAP = 1e4
+
+
 @dataclass
 class DecomposeOptions:
     tol: float = 1e-7
     max_rank: int | None = None
     seed: int = 0
-    restarts: int = 32
-    spectral_retries: int = 8
-    coord_changes: int = 3
-    bases_per_rank: int = 3
-    # support-quality gate: genuine simple-point decompositions keep their
-    # forms apart and their term masses comparable to the polynomial itself;
-    # a borderline form approximated from below shows near-coincident points
-    # with huge cancelling weights instead
-    min_separation: float = 1e-4
-    mass_ratio_cap: float = 1e4
 
 
 @dataclass
@@ -108,13 +108,13 @@ def _relative_err(f: HomogeneousPoly, terms) -> float:
     return (rebuilt - f).coeff_norm() / f.coeff_norm()
 
 
-def _support_ok(g: HomogeneousPoly, terms, opts: DecomposeOptions) -> bool:
+def _support_ok(g: HomogeneousPoly, terms) -> bool:
     """Reject numerically degenerate supports (both tests are unitary
     invariants, so checking in the working frame is enough)."""
-    cap = opts.mass_ratio_cap * g.coeff_norm()
+    cap = MASS_RATIO_CAP * g.coeff_norm()
     if any(abs(w) * np.linalg.norm(k) ** g.degree > cap for w, k in terms):
         return False
-    return not np.any(pairwise_sines([k for _, k in terms]) < opts.min_separation)
+    return not np.any(pairwise_sines([k for _, k in terms]) < MIN_SEPARATION)
 
 
 def _restrict(g: HomogeneousPoly, count: int) -> HomogeneousPoly:
@@ -174,7 +174,7 @@ def _basis_candidates(L: DualForm, r: int, limit: int) -> list[MonomialBasis]:
 
 def _attempt(g: HomogeneousPoly, L: DualForm, basis: MonomialBasis, opts, rng):
     """One basis: extension, eigenstructure, weights, in-frame verification."""
-    ext = extend_dual(L, basis, seed=opts.seed, restarts=opts.restarts)
+    ext = extend_dual(L, basis, seed=opts.seed)
     if ext is None:
         return None
     assign = ext.assignment
@@ -182,7 +182,7 @@ def _attempt(g: HomogeneousPoly, L: DualForm, basis: MonomialBasis, opts, rng):
     shifts = [
         shifted_matrix(L, basis, i).value_matrix(assign) for i in range(L.nvars)
     ]
-    ps = pencil_support(d0, shifts, basis, rng, retries=opts.spectral_retries)
+    ps = pencil_support(d0, shifts, basis, rng)
     if ps is None:
         return None
     w, moment_res = solve_weights(ps, L)
@@ -191,7 +191,7 @@ def _attempt(g: HomogeneousPoly, L: DualForm, basis: MonomialBasis, opts, rng):
     terms = [
         (w[j], np.concatenate([[1.0 + 0j], z])) for j, z in enumerate(ps.points)
     ]
-    if not _support_ok(g, terms, opts):
+    if not _support_ok(g, terms):
         return None
     if _relative_err(g, terms) > opts.tol:
         return None
@@ -218,9 +218,9 @@ def _rank_loop(f: HomogeneousPoly, opts: DecomposeOptions) -> DecomposeReport:
     start = max(1, known_rank_bound(frame(0)[2]))
     retries = 0
     for r in range(start, cap + 1):
-        for ci in range(opts.coord_changes):
+        for ci in range(COORD_CHANGES):
             a, g, L = frame(ci)
-            for basis in _basis_candidates(L, r, opts.bases_per_rank):
+            for basis in _basis_candidates(L, r, BASES_PER_RANK):
                 got = _attempt(g, L, basis, opts, rng)
                 if got is None:
                     retries += 1
@@ -285,8 +285,13 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
     """Residuals of a claimed decomposition, plus proportional-form collisions."""
     if not dec.terms:
         raise ValueError("empty decomposition")
-    if dec.nvars != f.nvars or dec.degree != f.degree:
+    if dec.degree != f.degree:
         raise ValueError("decomposition does not match the polynomial's shape")
+    for i, (_, k) in enumerate(dec.terms, start=1):
+        if len(k) != f.nvars:
+            raise ValueError(f"form of term {i} has {len(k)} entries, expected {f.nvars}")
+        if not np.any(k):
+            raise ValueError(f"form of term {i} is zero")
     rebuilt = expand_power_sum(dec.terms, f.nvars, f.degree)
     diff = rebuilt - f
     residual = diff.coeff_norm() / f.coeff_norm()
@@ -302,7 +307,7 @@ def _restriction_has_double_root(f: HomogeneousPoly, p, q) -> bool:
     # fit the cubic t -> f(p + t q) through four nodes, then test its
     # discriminant on max-normalized coefficients
     nodes = np.array([0.0, 1.0, -1.0, 2.0])
-    vals = np.array([f.evaluate(p + t * q) for t in nodes])
+    vals = f.evaluate(p + nodes[:, None] * q)
     b = np.linalg.solve(np.vander(nodes, 4, increasing=True), vals)
     b = b / np.max(np.abs(b))
     b0, b1, b2, b3 = b

@@ -36,6 +36,8 @@ import scipy.linalg
 from .core import DualForm, Exponent, grlex_key
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
+RESTARTS = 32  # Gauss-Newton starts per extension solve: zero, then random
+
 
 @dataclass
 class ExtensionSolution:
@@ -332,7 +334,6 @@ def extend_dual(
     L: DualForm,
     basis: MonomialBasis,
     seed: int = 0,
-    restarts: int = 32,
     tol: float = 1e-10,
     max_iter: int = 200,
 ) -> ExtensionSolution | None:
@@ -363,7 +364,7 @@ def extend_dual(
         res.jacobian,
         len(res.unknowns),
         seed,
-        restarts,
+        RESTARTS,
         tol,
         max_iter,
         accept=res.d0_healthy,

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import DualForm, HomogeneousPoly, monomials_upto, to_dual
+from .core import DualForm, HomogeneousPoly, monomial_values, monomials_upto, to_dual
 from .hankel import MonomialBasis
+
+PENCIL_RETRIES = 8  # pencils per support extraction: x_1, then random combinations
 
 
 class ExtractionError(RuntimeError):
@@ -93,34 +95,31 @@ def extract_points(
     Point collisions only clear the `simple` flag.
     """
     n = basis.nvars
-    var_pos = []
-    for i in range(n):
-        e = tuple(1 if k == i else 0 for k in range(n))
-        var_pos.append(basis.index.get(e))
+    var_pos = [basis.index.get(tuple(int(k == i) for k in range(n))) for i in range(n)]
     if any(p is None for p in var_pos) and mult is None:
         raise ValueError("basis misses a variable and no multiplication matrices given")
 
     points = []
-    for k in range(eigenvectors.shape[1]):
-        u = eigenvectors[:, k]
+    for u in eigenvectors.T:
         if abs(u[0] - 1) > tol:
-            raise ExtractionError("eigenvector has no usable constant coordinate")
+            break  # raised below, after the coordinates of the points before it
         zeta = np.empty(n, dtype=complex)
         for i, pos in enumerate(var_pos):
             if pos is not None:
                 zeta[i] = u[pos]
             else:
                 zeta[i] = (np.conj(u) @ (mult[i] @ u)) / (np.conj(u) @ u)
-        for exp, pos in basis.index.items():
-            pred = 1.0 + 0j
-            for zi, e in zip(zeta, exp):
-                if e:
-                    pred *= zi**e
-            if abs(u[pos] - pred) > tol * max(1.0, abs(pred)):
-                raise ExtractionError(
-                    f"coordinate of {exp} is {u[pos]:.6g}, expected {pred:.6g}"
-                )
         points.append(zeta)
+    # row j of `got` and `pred` is eigenvector j, column p basis monomial p
+    pred = monomial_values(np.reshape(points, (-1, n)), basis.exponents)
+    got = eigenvectors[:, : len(points)].T
+    bad = np.argwhere(np.abs(got - pred) > tol * np.maximum(1.0, np.abs(pred)))
+    if len(bad):
+        j, p = bad[0]
+        exp, seen, want = basis.exponents[p], got[j, p], pred[j, p]
+        raise ExtractionError(f"coordinate of {exp} is {seen:.6g}, expected {want:.6g}")
+    if len(points) < eigenvectors.shape[1]:
+        raise ExtractionError("eigenvector has no usable constant coordinate")
     return PointSet(points, _distinct(points))
 
 
@@ -133,16 +132,8 @@ def solve_weights(points: PointSet, target: DualForm | HomogeneousPoly):
     """
     L = target if isinstance(target, DualForm) else to_dual(target)
     rows = monomials_upto(L.nvars, L.degree)
-    a = np.empty((len(rows), len(points)), dtype=complex)
-    rhs = np.empty(len(rows), dtype=complex)
-    for r, alpha in enumerate(rows):
-        rhs[r] = L.moment(alpha)
-        for j, zeta in enumerate(points.points):
-            v = 1.0 + 0j
-            for zi, e in zip(zeta, alpha):
-                if e:
-                    v *= zi**e
-            a[r, j] = v
+    a = monomial_values(points.points, rows).T
+    rhs = np.array([L.moment(alpha) for alpha in rows], dtype=complex)
     w, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     denom = max(float(np.linalg.norm(rhs)), 1e-300)
     residual = float(np.linalg.norm(a @ w - rhs)) / denom
@@ -154,7 +145,6 @@ def pencil_support(
     shifts: list[np.ndarray],
     basis: MonomialBasis,
     rng: np.random.Generator,
-    retries: int = 8,
 ) -> PointSet | None:
     """Support extraction with random pencil combinations until simple.
 
@@ -166,7 +156,7 @@ def pencil_support(
     n = len(shifts)
     inv0 = np.linalg.inv(d0)
     mult = [s @ inv0 for s in shifts]
-    for attempt in range(retries):
+    for attempt in range(PENCIL_RETRIES):
         if attempt == 0:
             dt = shifts[0]
         else:

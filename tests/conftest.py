@@ -10,6 +10,8 @@ from waring.core import (
     HomogeneousPoly,
     expand_power_sum,
     grlex_key,
+    monomials,
+    multinomial,
     parse_poly,
     poly_from_json,
     to_dual,
@@ -156,3 +158,38 @@ def exactness_case(name: str):
     L = L.with_extension(dict(zip(quintics, fill)))
     flat = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
     return L, [flat, MonomialBasis(2, flat.exponents + [(3, 0), (2, 1)])]
+
+
+# ---------------------------------------------------------------------------
+# the per-entry z^alpha loops that `monomial_values` replaced, kept as an
+# independent reference
+
+
+def loop_monomial_values(points, exps) -> np.ndarray:
+    """z^alpha one entry at a time: 1, times zi**e for every nonzero e."""
+    out = np.empty((len(points), len(exps)), dtype=complex)
+    for j, z in enumerate(points):
+        for i, alpha in enumerate(exps):
+            v = 1.0 + 0j
+            for zi, e in zip(z, alpha):
+                if e:
+                    v *= zi**e
+            out[j, i] = v
+    return out
+
+
+def loop_expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
+    """sum_i w_i (k_i . x)^d term by term, monomial by monomial."""
+    coeffs = {}
+    for alpha in monomials(nvars, degree):
+        m = multinomial(degree, alpha)
+        total = 0j
+        for w, k in terms:
+            v = complex(w) * m
+            for ki, e in zip(k, alpha):
+                if e:
+                    v *= complex(ki) ** e
+            total += v
+        if total != 0:
+            coeffs[alpha] = total
+    return HomogeneousPoly(nvars, degree, coeffs)

@@ -224,6 +224,23 @@ def test_non_finite_coefficients_fail_fast(capsys, source):
     assert "coefficients must be finite" in err
 
 
+BIG = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        f'{{"nvars": 2, "degree": 2, "tensor": [1, 0, {BIG}]}}',
+        f'{{"nvars": 2, "degree": 2, "terms": [{{"exp": [2, 0], "c": [{BIG}, 0]}}]}}',
+    ],
+    ids=["tensor", "terms"],
+)
+def test_oversized_json_integers_are_invalid_input(capsys, source):
+    code, out, err = run(capsys, "decompose", source, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+
+
 def test_verify_rejects_non_finite_decomposition(capsys, tmp_path):
     dec = json.loads((FIXTURES / "quartic_rank6_decomposition.json").read_text())
     dec["terms"][0]["weight"] = [float("nan"), 0.0]
@@ -277,3 +294,50 @@ def test_closed_stdout_pipe_exits_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 141
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "entry", [[1], None, {}, [1, 2, 3]], ids=["short_pair", "null", "object", "triple"]
+)
+def test_malformed_tensor_entries_are_invalid_input(capsys, entry):
+    blob = json.dumps({"nvars": 2, "degree": 2, "tensor": [1, entry, 1]})
+    code, out, err = run(capsys, "rank", blob, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert f"tensor entry 1 is {json.dumps(entry)}" in err
+
+
+def _short_form(dec):
+    dec["terms"][1]["form"] = dec["terms"][1]["form"][:2]
+
+
+def _zero_form(dec):
+    dec["terms"][0]["form"] = [[0.0, 0.0]] * 3
+
+
+def _huge_weight(dec):
+    dec["terms"][0]["weight"] = [10**400, 0]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda dec: dec.update(residual=None), "bad decomposition JSON"),
+        (_short_form, "form of term 2 has 2 entries, expected 3"),
+        (_zero_form, "form of term 1 is zero"),
+        (_huge_weight, "int too large to convert to float"),
+    ],
+    ids=["null_residual", "short_form", "zero_form", "huge_weight"],
+)
+def test_verify_rejects_malformed_decompositions(capsys, tmp_path, damage, message):
+    dec = json.loads((FIXTURES / "quartic_rank6_decomposition.json").read_text())
+    damage(dec)
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(dec))
+    code, out, err = run(
+        capsys, "verify", str(FIXTURES / "ternary_quartic_rank6.txt"),
+        "--decomposition", str(path), "--format", "json",
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert message in err

@@ -15,6 +15,7 @@ from waring.core import (
     essential_vars,
     expand_power_sum,
     format_poly,
+    monomial_values,
     monomials,
     monomials_upto,
     multinomial,
@@ -26,7 +27,12 @@ from waring.core import (
     to_dual,
 )
 
-from conftest import QUINTIC_SUPPORT, planted_poly
+from conftest import (
+    QUINTIC_SUPPORT,
+    loop_expand_power_sum,
+    loop_monomial_values,
+    planted_poly,
+)
 
 
 def test_multinomial_values():
@@ -344,3 +350,74 @@ def test_decomposition_json_rejects_non_finite_entries():
                 {**good, "form": [[1.0, 0.0], [0.0, float("nan")]]}):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             decomposition_from_json({"degree": 3, "terms": [good, bad]})
+
+
+def _random_exponents(rng, nvars: int, count: int) -> np.ndarray:
+    """`count` exponents in `nvars` variables, each of degree <= 20."""
+    degree = rng.integers(0, 21, size=count)
+    return np.array([rng.multinomial(d, [1 / (nvars + 1)] * (nvars + 1))[:nvars] for d in degree])
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_monomial_values_match_the_per_entry_loop(nvars):
+    rng = np.random.default_rng(nvars)
+    pts = rng.standard_normal((7, nvars)) + 1j * rng.standard_normal((7, nvars))
+    pts[0] = 0  # 0^0 = 1, 0^e = 0
+    pts[1, 0] = 0
+    exps = _random_exponents(rng, nvars, 40)
+    exps[0] = 0
+    exps[1, 0] = 0
+    got = monomial_values(pts, exps)
+    assert got.shape == (7, 40)
+    assert np.array_equal(got, loop_monomial_values(pts, exps))
+    assert np.all(got[:, 0] == 1)
+    assert np.all(got[0, np.any(exps, axis=1)] == 0)
+
+
+def test_monomial_values_binary_layout():
+    # the binary weight solve: c_i = sum_j w_j alpha_j^i beta_j^(d-i)
+    rng = np.random.default_rng(0)
+    for d in range(1, 21):
+        pts = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[0] = (1, 0)  # the root at infinity
+        got = monomial_values(pts, [(i, d - i) for i in range(d + 1)])
+        ref = np.array([[al**i * be ** (d - i) for i in range(d + 1)] for al, be in pts])
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "points, exps",
+    [
+        (np.ones((2, 3)), np.ones((4, 2), dtype=int)),
+        (np.ones(3), np.ones((4, 3), dtype=int)),
+        (np.ones((2, 3)), np.ones(3, dtype=int)),
+    ],
+)
+def test_monomial_values_rejects_mismatched_shapes(points, exps):
+    with pytest.raises(ValueError, match="exponents"):
+        monomial_values(points, exps)
+
+
+@pytest.mark.parametrize("nvars, degree, rank", [(2, 7, 3), (3, 4, 5), (4, 3, 4), (5, 4, 6)])
+def test_expand_power_sum_matches_the_term_loop(nvars, degree, rank):
+    _, terms = planted_poly(nvars, degree, rank, np.random.default_rng(degree))
+    got = expand_power_sum(terms, nvars, degree)
+    ref = loop_expand_power_sum(terms, nvars, degree)
+    exps = monomials(nvars, degree)
+    a = np.array([got.coeff(e) for e in exps])
+    b = np.array([ref.coeff(e) for e in exps])
+    np.testing.assert_allclose(a, b, rtol=1e-14)
+
+
+def test_evaluate_at_many_points():
+    f, _ = planted_poly(3, 4, 3, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    many = f.evaluate(x)
+    assert many.shape == (5,)
+    for xi, v in zip(x, many):
+        assert isinstance(f.evaluate(xi), complex)
+        assert v == pytest.approx(f.evaluate(xi), rel=1e-14)
+    with pytest.raises(ValueError):
+        f.evaluate(x[0, :2])

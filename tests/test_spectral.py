@@ -137,3 +137,19 @@ def test_pencil_support_rejects_nilpotent_operators(maximal_cubic):
     assert np.linalg.norm(m1 @ m2 - m2 @ m1) < 1e-12
     ps = pencil_support(d0, [d1, d2], b, np.random.default_rng(3))
     assert ps is None
+
+
+def test_extract_points_reports_the_first_failing_coordinate():
+    # column 0 is the evaluation vector (1, a, b, a^2, ab) at (a, b) = (2, 3);
+    # column 1 fails at ab, column 2 at a^2, column 3 has no usable constant
+    # coordinate: the first failure in column order is the one reported
+    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])
+    u = np.array(
+        [[1, 1, 1, 0.5], [2, 1, 1, 1], [3, 1, 2, 1], [4, 1, 9, 1], [6, 7, 2, 1]],
+        dtype=complex,
+    )
+    want = r"^coordinate of \(1, 1\) is 7\+0j, expected 1\+0j$"
+    with pytest.raises(ExtractionError, match=want):
+        extract_points(u, b)
+    with pytest.raises(ExtractionError, match="no usable constant coordinate"):
+        extract_points(u[:, [0, 3, 1, 2]], b)
