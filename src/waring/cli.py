@@ -25,6 +25,7 @@ from .core import (
     decomposition_to_json,
     finite_coeff,
     format_poly,
+    json_value,
     monomials,
     parse_poly,
     poly_from_json,
@@ -54,9 +55,9 @@ def parse_input(text: str) -> HomogeneousPoly:
 def _poly_from_tensor(obj: dict) -> HomogeneousPoly:
     """Flat multi-index coefficient array, graded-lex exponent order."""
     try:
-        nvars = int(obj["nvars"])
-        degree = int(obj["degree"])
-        flat = list(obj["tensor"])
+        nvars = json_value(obj["nvars"], int, "nvars")
+        degree = json_value(obj["degree"], int, "degree")
+        flat = json_value(obj["tensor"], list, "tensor")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad tensor JSON: {exc}")
     exps = monomials(nvars, degree)
@@ -66,12 +67,9 @@ def _poly_from_tensor(obj: dict) -> HomogeneousPoly:
         )
     coeffs = {}
     for i, (exp, v) in enumerate(zip(exps, flat)):
-        parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
-            raise ValueError(
-                f"tensor entry {i} is {json.dumps(v)}, not a real number or an [re, im] pair"
-            )
-        coeffs[exp] = finite_coeff(complex(*parts))
+        # a real number or an [re, im] pair
+        kind = complex if isinstance(v, list) else float
+        coeffs[exp] = finite_coeff(json_value(v, kind, "tensor entry {}", i))
     return HomogeneousPoly(nvars, degree, coeffs)
 
 

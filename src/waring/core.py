@@ -13,6 +13,7 @@ dividing each coefficient by its multinomial weight.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -107,6 +108,8 @@ class HomogeneousPoly:
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has wrong length for nvars={nvars}")
+            if min(exp) < 0:
+                raise ValueError(f"negative exponent in {exp}")
             if sum(exp) != degree:
                 raise ValueError(f"exponent {exp} does not have total degree {degree}")
             c = complex(c)
@@ -602,16 +605,45 @@ def poly_to_json(f: HomogeneousPoly) -> dict:
     }
 
 
+_JSON_KINDS = {
+    int: "an integer", float: "a number", list: "a list",
+    complex: "an [re, im] pair of numbers",
+}
+_JSON_NUMBERS = (int, float)  # exact types: a JSON true or false is a bool
+
+
+def json_value(value, kind: type, what: str, *args):
+    """`value`, read from JSON as a field of type `kind`.
+
+    `int` takes a JSON integer, `float` a JSON number, `complex` an [re, im]
+    pair of JSON numbers, both parts finite, and `list` a JSON array.  A
+    boolean, a string, a float where an integer belongs or anything else
+    raises ValueError naming the field, `what.format(*args)` (formatted only
+    then); nothing is truncated or coerced.
+    """
+    if kind is complex:
+        if (type(value) is list and len(value) == 2
+                and type(value[0]) in _JSON_NUMBERS and type(value[1]) in _JSON_NUMBERS):
+            return finite_coeff(complex(*value))
+    elif type(value) is kind:
+        return value
+    elif kind is float and type(value) is int:
+        return float(value)
+    raise ValueError(f"{what.format(*args)} is {json.dumps(value)}, not {_JSON_KINDS[kind]}")
+
+
 def poly_from_json(obj: dict) -> HomogeneousPoly:
     try:
-        n = int(obj["nvars"])
-        d = int(obj["degree"])
-        terms = obj["terms"]
+        n = json_value(obj["nvars"], int, "nvars")
+        d = json_value(obj["degree"], int, "degree")
         coeffs: dict[Exponent, complex] = {}
-        for t in terms:
-            exp = tuple(int(e) for e in t["exp"])
-            re, im = t["c"]
-            coeffs[exp] = coeffs.get(exp, 0) + finite_coeff(complex(re, im))
+        for i, t in enumerate(json_value(obj["terms"], list, "terms"), start=1):
+            exp = tuple(
+                json_value(e, int, "exponent entry of term {}", i)
+                for e in json_value(t["exp"], list, "exponent of term {}", i)
+            )
+            c = json_value(t["c"], complex, "coefficient of term {}", i)
+            coeffs[exp] = coeffs.get(exp, 0) + c
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad polynomial JSON: {exc}")
     return HomogeneousPoly(n, d, coeffs)
@@ -635,13 +667,16 @@ def decomposition_to_json(dec: Decomposition) -> dict:
 
 def decomposition_from_json(obj: dict) -> Decomposition:
     try:
-        degree = int(obj["degree"])
+        degree = json_value(obj["degree"], int, "degree")
         terms = []
-        for t in obj["terms"]:
-            w = finite_coeff(complex(*t["weight"]))
-            k = np.array([finite_coeff(complex(re, im)) for re, im in t["form"]])
+        for i, t in enumerate(json_value(obj["terms"], list, "terms"), start=1):
+            w = json_value(t["weight"], complex, "weight of term {}", i)
+            k = np.array([
+                json_value(v, complex, "form entry of term {}", i)
+                for v in json_value(t["form"], list, "form of term {}", i)
+            ])
             terms.append((w, k))
-        residual = float(obj.get("residual", 0.0))
+        residual = json_value(obj.get("residual", 0.0), float, "residual")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad decomposition JSON: {exc}")
     return Decomposition(degree, terms, residual)

@@ -1,10 +1,12 @@
 """Rank-loop driver: reduce variables, extend the dual, solve, verify.
 
-The search tries ranks from the catalecticant lower bound upward.  At each
-rank it works through a few coordinate frames (identity first, then random
-unitary changes) and a few connected monomial bases per frame; a candidate is
-accepted only when the re-expanded power sum matches the input coefficients
-to the requested tolerance, in the original coordinates.
+The search tries ranks from a lower bound upward: the catalecticant bound,
+raised after the first failed attempt to the Koszul flattening bound when that
+is higher.  At each rank it works through a few coordinate frames (identity
+first, then random unitary changes) and a few connected monomial bases per
+frame; a candidate is accepted only when the re-expanded power sum matches
+the input coefficients to the requested tolerance, in the original
+coordinates.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .hankel import (
     build_hankel,
     full_rank_principal_minor,
     known_rank_bound,
+    koszul_rank_bound,
     shifted_matrix,
 )
 from .spectral import pencil_support, solve_weights
@@ -71,6 +74,11 @@ class DecomposeReport:
     retries: int
     residual: float
     seed: int
+    # the rank is at least `lower_bound`, shown by `lower_bound_source`:
+    # "catalecticant" or "koszul(delta,p)"; None off the rank loop (binary
+    # forms, one variable)
+    lower_bound: int | None = None
+    lower_bound_source: str | None = None
 
 
 class OrbitClass(enum.Enum):
@@ -215,27 +223,46 @@ def _rank_loop(f: HomogeneousPoly, opts: DecomposeOptions) -> DecomposeReport:
             frames.append((a, g, to_dual(g)))
         return frames[i]
 
-    start = max(1, known_rank_bound(frame(0)[2]))
-    retries = 0
-    for r in range(start, cap + 1):
+    def candidates(r: int):
         for ci in range(COORD_CHANGES):
             a, g, L = frame(ci)
             for basis in _basis_candidates(L, r, BASES_PER_RANK):
-                got = _attempt(g, L, basis, opts, rng)
-                if got is None:
-                    retries += 1
-                    continue
+                yield a, g, L, basis
+
+    lower = max(1, known_rank_bound(frame(0)[2]))
+    source = "catalecticant"
+    retries = 0
+    r = lower
+    while r <= cap:
+        after = r + 1
+        for a, g, L, basis in candidates(r):
+            got = _attempt(g, L, basis, opts, rng)
+            if got is not None:
                 terms, free = got
                 pulled = pullback_points([k for _, k in terms], a)
                 final = list(zip([w for w, _ in terms], pulled))
                 res = _relative_err(f, final)
-                if res > opts.tol:
-                    retries += 1
-                    continue
-                dec = Decomposition(d, final, res).normalized()
-                return DecomposeReport(
-                    r, dec, list(basis.exponents), free, retries, res, opts.seed
-                )
+                if res <= opts.tol:
+                    dec = Decomposition(d, final, res).normalized()
+                    return DecomposeReport(
+                        r, dec, list(basis.exponents), free, retries, res, opts.seed,
+                        lower, source,
+                    )
+            retries += 1
+            if retries == 1:
+                # the flattenings may rule out more ranks; only inputs that
+                # need a second attempt pay for them
+                bound, shape = koszul_rank_bound(frame(0)[2])
+                if bound > lower:
+                    lower, source = bound, "koszul({},{})".format(*shape)
+                if lower > r:
+                    after = lower
+                    break
+        r = after
+    if lower > cap:
+        raise DecompositionError(
+            f"the rank is at least {lower} by the {source} bound, above the cap {cap}"
+        )
     raise DecompositionError(
         f"no decomposition of rank <= {cap} found at tolerance {opts.tol}"
     )

@@ -12,7 +12,8 @@ after the other.  A run ends at the first of these exits:
 
 * the max-abs residual is at most `tol` (success);
 * the least-squares step is not finite;
-* two line searches in a row find no sufficient decrease in 25 halvings;
+* a line search finds no sufficient decrease in 25 halvings (x and the
+  residual are then unchanged, so every later iteration would repeat it);
 * the accepted step is below 1e-14 relative to the iterate;
 * a plateau: the residual has not fallen tenfold over the last 30 iterations;
 * `max_iter` iterations.
@@ -27,6 +28,7 @@ running to `max_iter`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,9 +59,10 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
 
     Each iteration takes the least-squares step and backtracks (up to 25
     halvings) until the max-abs residual decreases sufficiently.  The run ends
-    at the first of: residual <= tol; a non-finite step; two failed line
-    searches in a row; a step below 1e-14 of the iterate; no tenfold residual
-    decrease over the last 30 iterations (a plateau); max_iter iterations.
+    at the first of: residual <= tol; a non-finite step; a failed line search
+    (the next iteration would take the same step from the same point and fail
+    alike); a step below 1e-14 of the iterate; no tenfold residual decrease
+    over the last 30 iterations (a plateau); max_iter iterations.
     The plateau exit is safe for regular roots, which are reached with
     quadratic convergence, and stops the linear or slower creep towards
     singular roots and the drift where no root exists.
@@ -69,7 +72,6 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     fn = float(abs(f).max()) if f.size else 0.0
     if not math.isfinite(fn):
         return x, np.inf
-    stalls = 0
     history = [fn]
     for _ in range(max_iter):
         if fn <= tol:
@@ -79,22 +81,16 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
         if not np.isfinite(step).all():
             break
         t = 1.0
-        improved = False
         for _ in range(25):
             xn = x + t * step
             f2 = fun(xn)
             f2n = float(abs(f2).max()) if f2.size else 0.0
             if math.isfinite(f2n) and (f2n < fn * (1 - 1e-4 * t) or f2n <= tol):
                 x, f, fn = xn, f2, f2n
-                improved = True
                 break
             t /= 2
-        if not improved:
-            stalls += 1
-            if stalls >= 2:
-                break
         else:
-            stalls = 0
+            break
         if abs(step).max() * t <= 1e-14 * (1 + abs(x).max()):
             break
         history.append(fn)
@@ -249,8 +245,16 @@ class CommutatorResidual:
         self._bna = ((j * n + i)[:, None] * s * s + p * s + q).ravel()
         self._key = None  # bytes of the last point, and its (D, N, D_v N)
         self._factors = None
-        # the Jacobian's rank-1 terms u[:,r] (x) v[c,:] on the upper triangle, as
-        # (target, left, right) indices into N D_v, D_v N, -D_v N, 0, 1, -1
+
+    @functools.cached_property
+    def _terms(self) -> np.ndarray:
+        """The Jacobian's rank-1 terms u[:,r] (x) v[c,:] on the upper triangle, as
+        (target, left, right) indices into N D_v, D_v N, -D_v N, 0, 1, -1.
+
+        Built on the first `jacobian` call: a basis whose moments are all known
+        never needs it."""
+        n, s = len(self.const) - 1, self.const.shape[1]
+        p, q = self.upper
         idx = np.arange(3 * n * s * s).reshape(3, n, s, s)
         zero, one, minus = idx.size + np.arange(3)
         eye = np.where(np.eye(s, dtype=bool), one, zero)
@@ -268,7 +272,7 @@ class CommutatorResidual:
                     target + k[on, None], u[p, r[on, None]], v[c[on, None], q]),
                     (3, -1))
                 parts.append(part[:, (part[1] != zero) & (part[2] != zero)])
-        self._terms = np.concatenate(parts, axis=1)
+        return np.concatenate(parts, axis=1)
 
     def nequations(self) -> int:
         return len(self.pairs) * len(self.upper[0])

@@ -9,11 +9,18 @@ values later.
 
 from __future__ import annotations
 
+import functools
+import math
 from itertools import combinations
 
 import numpy as np
 
-from .core import DualForm, Exponent, grlex_key, monomials_upto
+from .core import DualForm, Exponent, grlex_key, monomials, monomials_upto
+
+KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
+# the last singular value counted must exceed the first one below the cut by
+# this factor, or the flattening is not used
+KOSZUL_GAP = 1e4
 
 
 class MonomialBasis:
@@ -167,6 +174,113 @@ def known_rank_bound(L: DualForm, tol: float = 1e-8) -> int:
         if s.size and s[0] > 0:
             best = max(best, int(np.sum(s > tol * s[0])))
     return best
+
+
+@functools.cache
+def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
+    """Shape and nonzero entries of the Koszul flattening K_{delta,p}.
+
+    With V of dimension N = nvars + 1 (the homogeneous variables of an affine
+    dual form in `nvars` variables), K_{delta,p}: S^delta V* (x) Lambda^p V ->
+    S^(d-delta-1) V (x) Lambda^(p+1) V.  Column (alpha, I) meets row
+    (beta, I u {j}) in sign * L(x^(alpha+beta+e_j)), the sign that of moving
+    e_j into place in e_j ^ e_I.  Returns (shape, rows, cols, moments, signs),
+    where moment k is the k-th exponent of `monomials_upto(nvars, degree)`
+    and a homogeneous exponent maps to its affine part (variable 0 dropped).
+    """
+    big = nvars + 1
+    moment = {e: k for k, e in enumerate(monomials_upto(nvars, degree))}
+    alphas = monomials(big, delta)
+    betas = monomials(big, degree - delta - 1)
+    subsets = list(combinations(range(big), p))
+    supersets = {J: k for k, J in enumerate(combinations(range(big), p + 1))}
+    entries = []
+    for col, (a, I) in enumerate((a, I) for a in alphas for I in subsets):
+        for j in range(big):
+            if j in I:
+                continue
+            J = supersets[tuple(sorted(I + (j,)))]
+            sign = -1.0 if sum(i < j for i in I) % 2 else 1.0
+            for bi, b in enumerate(betas):
+                e = tuple(x + y + (k == j) for k, (x, y) in enumerate(zip(a, b)))
+                entries.append((bi * len(supersets) + J, col, moment[e[1:]], sign))
+    table = np.array(entries)
+    rows, cols, moms = table[:, :3].T.astype(np.intp)
+    signs = table[:, 3]
+    for a in (rows, cols, moms, signs):
+        a.flags.writeable = False  # cached: every caller shares these arrays
+    shape = (len(betas) * len(supersets), len(alphas) * len(subsets))
+    return shape, rows, cols, moms, signs
+
+
+def _moment_vector(L: DualForm) -> np.ndarray:
+    """The known moments of L in the order of `monomials_upto`."""
+    exps = monomials_upto(L.nvars, L.degree)
+    return np.array([L.moments.get(e, 0j) for e in exps], dtype=complex)
+
+
+def koszul_flattening(L: DualForm, delta: int, p: int, moments=None) -> np.ndarray:
+    """The matrix of K_{delta,p} (see `_koszul_layout`) filled from L's moments,
+    or from `moments`, L's `_moment_vector` when the caller already has it."""
+    shape, rows, cols, moms, signs = _koszul_layout(L.nvars, L.degree, delta, p)
+    if moments is None:
+        moments = _moment_vector(L)
+    out = np.zeros(shape, dtype=complex)
+    out[rows, cols] = signs * moments[moms]
+    return out
+
+
+def koszul_shapes(nvars: int, degree: int) -> list[tuple[int, int]]:
+    """Every (delta, p), 1 <= p <= max(1, N-2), whose K_{delta,p} has at most
+    KOSZUL_MAX_ENTRIES entries (N = nvars + 1)."""
+    big = nvars + 1
+    out = []
+    for delta in range(degree):
+        for p in range(1, max(1, big - 2) + 1):
+            rows = math.comb(big + degree - delta - 2, big - 1) * math.comb(big, p + 1)
+            cols = math.comb(big + delta - 1, big - 1) * math.comb(big, p)
+            if rows * cols <= KOSZUL_MAX_ENTRIES:
+                out.append((delta, p))
+    return out
+
+
+def koszul_rank_bound(
+    L: DualForm, tol: float = 1e-8
+) -> tuple[int, tuple[int, int] | None]:
+    """Largest rank lower bound from the Koszul flattenings of L, and its (delta, p).
+
+    A power l^d gives K_{delta,p} of rank C(N-1, p) (N = L.nvars + 1), and
+    K is linear in the form, so a form of rank r has rank K <= r C(N-1, p):
+    ceil(rank K / C(N-1, p)) bounds the rank from below, like the
+    catalecticant, but often past it (Landsberg-Ottaviani 2013;
+    Oeding-Ottaviani 2013).  Every shape of `koszul_shapes` is tried.
+    Singular values count above `tol` of the largest, the catalecticant's
+    cut; a flattening without a clear gap at the cut (`gapped_rank`) is
+    skipped, so a borderline numerical rank cannot raise the bound.  Returns
+    (0, None) when no flattening qualifies.
+    """
+    moments = _moment_vector(L)
+    best, where = 0, None
+    for delta, p in koszul_shapes(L.nvars, L.degree):
+        s = np.linalg.svd(koszul_flattening(L, delta, p, moments), compute_uv=False)
+        count = gapped_rank(s, tol)
+        if count is None:
+            continue
+        bound = -(-count // math.comb(L.nvars, p))
+        if bound > best:
+            best, where = bound, (delta, p)
+    return best, where
+
+
+def gapped_rank(s: np.ndarray, tol: float = 1e-8) -> int | None:
+    """The number of singular values `s` (descending) above `tol` of the
+    largest, or None unless the last of them is KOSZUL_GAP times the next one
+    (or the cut itself, when every value counts); 0 for a zero matrix."""
+    if not s.size or s[0] == 0:
+        return 0
+    count = int(np.sum(s > tol * s[0]))
+    below = s[count] if count < s.size else tol * s[0]
+    return count if s[count - 1] >= KOSZUL_GAP * below else None
 
 
 def _nonsingular(m: np.ndarray, tol: float) -> bool:

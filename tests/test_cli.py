@@ -341,3 +341,71 @@ def test_verify_rejects_malformed_decompositions(capsys, tmp_path, damage, messa
     assert code == 1
     assert json.loads(out)["error"]["code"] == "invalid-input"
     assert message in err
+
+
+# JSON values that used to be truncated or coerced: a float exponent or nvars
+# was cut to an integer, a string exponent read digit by digit, booleans read
+# as numbers, a one-element weight as a real one
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ('{"nvars": 3, "degree": 3, "terms": [{"exp": [1.7, 1, 1], "c": [1, 0]}]}',
+         "exponent entry of term 1 is 1.7, not an integer"),
+        ('{"nvars": 3, "degree": 3, "terms": [{"exp": "111", "c": [1, 0]}]}',
+         'exponent of term 1 is "111", not a list'),
+        ('{"nvars": 3, "degree": 3, "terms": [{"exp": [1, 1, true], "c": [1, 0]}]}',
+         "exponent entry of term 1 is true, not an integer"),
+        ('{"nvars": 3.9, "degree": 3, "terms": [{"exp": [1, 1, 1], "c": [1, 0]}]}',
+         "nvars is 3.9, not an integer"),
+        ('{"nvars": 3, "degree": 3, "terms": [{"exp": [1, 1, 1], "c": [true, false]}]}',
+         "coefficient of term 1 is [true, false], not an [re, im] pair"),
+        ('{"nvars": 3, "degree": 3, "terms": [{"exp": [4, -1, 0], "c": [1, 0]}]}',
+         "negative exponent in (4, -1, 0)"),
+        ('{"nvars": 2.9, "degree": 2, "tensor": [1, 0, 1]}', "nvars is 2.9, not an integer"),
+        ('{"nvars": 2, "degree": 2.5, "tensor": [1, 0, 1]}', "degree is 2.5, not an integer"),
+    ],
+    ids=["exp_float", "exp_string", "exp_bool", "nvars_float", "c_bool", "exp_negative",
+         "tensor_nvars_float", "tensor_degree_float"],
+)
+def test_json_polynomials_are_read_exactly(capsys, source, message):
+    code, out, err = run(capsys, "decompose", source, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert message in err
+
+
+def _set(path, value):
+    """Damage that sets dec[path[0]][path[1]]... to `value`."""
+    def damage(dec):
+        target = dec
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (_set(["terms", 0, "weight"], [0.517]), "weight of term 1 is [0.517]"),
+        (_set(["terms", 0, "weight"], [True, False]), "weight of term 1 is [true, false]"),
+        (_set(["terms", 1, "form", 0], [True, False]), "form entry of term 2 is [true, false]"),
+        (_set(["degree"], 4.7), "degree is 4.7, not an integer"),
+        (_set(["residual"], "0.1"), 'residual is "0.1", not a number'),
+        (_set(["residual"], True), "residual is true, not a number"),
+    ],
+    ids=["short_weight", "bool_weight", "bool_form_entry", "float_degree", "string_residual",
+         "bool_residual"],
+)
+def test_json_decompositions_are_read_exactly(capsys, tmp_path, damage, message):
+    dec = json.loads((FIXTURES / "quartic_rank6_decomposition.json").read_text())
+    damage(dec)
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps(dec))
+    code, out, err = run(
+        capsys, "verify", str(FIXTURES / "ternary_quartic_rank6.txt"),
+        "--decomposition", str(path), "--format", "json",
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert message in err

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,8 @@ def test_binary_path_honours_tol(tol):
         ("ternary_quartic_rank6.txt", 6, 0, 3,
          [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
         ("cubic_maximal.txt", 5, 12, 5, [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]]),
-        ("cubic_generic_rank4.json", 4, 4, 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
+        # one failed rank-3 attempt, then the Koszul bound skips to rank 4
+        ("cubic_generic_rank4.json", 4, 2, 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
         ("cubic_fermat.json", 3, 1, 0, [[0, 0], [1, 0], [0, 1]]),
         ("cubic_two_cubes.json", 2, 0, 0, []),
         ("cubic_square_line.json", 3, 0, 0, []),
@@ -138,6 +141,51 @@ def test_fixture_search_path_is_pinned(fixture, rank_, retries, free_count, basi
     rep = decompose(load(fixture), seed=0)
     assert (rep.rank, rep.retries, rep.free_count) == (rank_, retries, free_count)
     assert [list(e) for e in rep.basis] == basis
+
+
+def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
+    # a planted (4, 5, 11): catalecticant bound 10, Koszul bound 11, so one
+    # rank-10 attempt fails and the search moves straight to rank 11
+    module = sys.modules["waring.decompose"]
+    sizes = []
+
+    def counted(g, L, basis, opts, rng):
+        sizes.append(len(basis))
+        return attempt(g, L, basis, opts, rng)
+
+    attempt = module._attempt
+    monkeypatch.setattr(module, "_attempt", counted)
+    f, _ = planted_poly(4, 5, 11, np.random.default_rng(3))
+    rep = decompose(f)
+    assert rep.rank == 11
+    assert sizes.count(10) == 1
+    assert (rep.lower_bound, rep.lower_bound_source) == (11, "koszul(2,1)")
+
+
+def test_a_bound_above_max_rank_fails_at_once(quintic):
+    cubic = load_json_poly("cubic_generic_rank4.json")
+    with pytest.raises(DecompositionError, match=r"at least 4 by the koszul\(1,1\) bound"):
+        decompose(cubic, max_rank=3)
+    with pytest.raises(DecompositionError, match="at least 4 by the catalecticant bound"):
+        decompose(quintic, max_rank=3)
+
+
+@pytest.mark.parametrize(
+    "text, nvars, bound, source",
+    [
+        ("x0^3 + x1^3 + x2^3", None, 3, "catalecticant"),  # first attempt succeeds
+        ("150*x0^2*x2 + x1^2*x2 + x2^3 - 12*x0^3", None, 4, "koszul(1,1)"),
+        ("x0^3 + x1^3 + x2^3 + 0*x3^3", 4, 3, "catalecticant"),  # reduced to 3 variables
+        ("x0^4 + x1^4", None, None, None),  # binary path
+        ("x0^3 + x1^3 + 0*x2^3", 3, None, None),  # reduced to a binary form
+        ("7*x0^3", 1, None, None),  # one variable
+    ],
+)
+def test_report_carries_the_lower_bound(text, nvars, bound, source):
+    rep = decompose(parse_poly(text, nvars=nvars))
+    assert (rep.lower_bound, rep.lower_bound_source) == (bound, source)
+    if bound is not None:
+        assert rep.rank >= bound
 
 
 def test_degenerate_input_uses_fewer_variables():

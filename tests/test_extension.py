@@ -324,6 +324,23 @@ def test_gauss_newton_stops_on_a_plateau_without_a_root():
     assert 30 <= calls <= 32
 
 
+def test_gauss_newton_ends_at_the_first_failed_line_search():
+    # a Jacobian of the wrong sign makes every step point uphill: |(1+t) x|
+    # never falls below |x|, so the first search fails after 25 halvings.  x
+    # and the residual are then unchanged, and a second iteration would
+    # repeat the same search (it used to, before a second failure ended it)
+    fun_calls = []
+
+    def fun(v):
+        fun_calls.append(1)
+        return v.copy()
+
+    x, r, calls = _counted_gauss_newton(fun, lambda v: -np.eye(1), [0.5])
+    assert (x[0], r) == (0.5, 0.5)
+    assert calls == 1
+    assert len(fun_calls) == 1 + 25
+
+
 @pytest.mark.parametrize(
     "fun, jac, x0, want, want_calls",
     [
@@ -518,4 +535,6 @@ def test_setup_is_bit_identical_to_the_object_cell_walk(name):
         assert res.cells.dtype == ref.cells.dtype
         assert np.array_equal(res.cells, ref.cells)
         assert res.scale == ref.scale
+        # the Jacobian index is built on first use, not by the set-up
+        assert "_terms" not in vars(res)
         assert np.array_equal(res._terms, ref._terms)

@@ -1,13 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 
-from waring.core import monomials_upto, to_dual
+from waring.core import (
+    DualForm,
+    LinearChange,
+    change_coordinates,
+    monomials_upto,
+    parse_poly,
+    power_of_linear_form,
+    to_dual,
+)
 from waring.hankel import (
+    KOSZUL_MAX_ENTRIES,
     MonomialBasis,
     build_hankel,
     full_rank_principal_minor,
+    gapped_rank,
     kernel_generators,
     known_rank_bound,
+    koszul_flattening,
+    koszul_rank_bound,
+    koszul_shapes,
     shifted_matrix,
 )
 
@@ -210,3 +225,164 @@ def test_value_matrix_needs_every_unknown(quintic):
         object_value_matrix(object_hankel(L, pool, pool), partial)
     with pytest.raises(KeyError):
         h.value_matrix()
+
+
+# ---------------------------------------------------------------------------
+# Koszul flattening bound
+
+
+def _numerical_rank(m, tol=1e-8):
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > tol * s[0]))
+
+
+@pytest.mark.parametrize("nvars", [3, 4, 5])
+def test_koszul_flattening_of_a_power_has_rank_binom(nvars):
+    # l^d gives K_{delta,p} = (l^beta) (x) (l^alpha) (x) (l ^ .), of rank
+    # C(N-1, p); a wrong sign or index in the layout raises the rank
+    rng = np.random.default_rng(nvars)
+    tried = 0
+    for d in range(2, 7):
+        k = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
+        L = to_dual(power_of_linear_form(k, d))
+        for delta, p in koszul_shapes(L.nvars, d):
+            assert _numerical_rank(koszul_flattening(L, delta, p)) == math.comb(nvars - 1, p)
+            tried += 1
+    assert tried >= 8
+
+
+@pytest.mark.parametrize(
+    "values, want",
+    [
+        ([1.0, 0.5, 1e-3, 1e-17, 1e-18], 3),  # a clear gap at the cut
+        ([1.0, 0.5, 3e-8, 5e-9, 1e-17], None),  # 3e-8 is only 6x above 5e-9
+        ([1.0, 0.5, 1e-3, 2e-7, 1e-12], 4),  # 2e-7 counts: 2e5 times 1e-12
+        ([1.0, 1e-3], 2),  # full rank, 1e-3 well above the cut
+        ([1.0, 1e-5], None),  # full rank, but 1e-5 < 1e4 * 1e-8
+        ([0.0, 0.0], 0),
+    ],
+)
+def test_gapped_rank_needs_a_gap_at_the_cut(values, want):
+    assert gapped_rank(np.array(values)) == want
+
+
+def test_koszul_shapes_respect_the_cap():
+    for nv, d in [(2, 5), (3, 3), (3, 5), (4, 3), (4, 4), (5, 6)]:
+        shapes = koszul_shapes(nv, d)
+        assert all(1 <= p <= max(1, nv - 1) for _, p in shapes)
+        for delta, p in shapes:
+            assert koszul_flattening(DualForm(nv, d, {}), delta, p).size <= KOSZUL_MAX_ENTRIES
+    assert koszul_shapes(5, 6) == []  # N = 6, d = 6: every flattening is too big
+
+
+# (nvars, degree, rank) -> (catalecticant bound, Koszul bound, p); the true
+# rank is one above the catalecticant bound on each
+KOSZUL_TABLE = [
+    ((3, 3, 4), 3, 4, 1),
+    ((3, 5, 7), 6, 7, 1),
+    ((4, 3, 5), 4, 5, 1),
+    ((3, 7, 11), 10, 11, 1),
+    ((4, 5, 11), 10, 11, 1),
+    ((5, 3, 6), 5, 6, 1),
+    ((5, 3, 7), 5, 7, 2),
+]
+
+
+@pytest.mark.parametrize("shape, cat, bound, p", KOSZUL_TABLE, ids=str)
+def test_koszul_bound_reaches_the_planted_rank(shape, cat, bound, p):
+    n, d, r = shape
+    for seed in range(3):
+        f, _ = planted_poly(n, d, r, np.random.default_rng([seed, *shape]))
+        L = to_dual(f)
+        got, where = koszul_rank_bound(L)
+        assert (known_rank_bound(L), got, where[1]) == (cat, bound, p)
+
+
+@pytest.mark.parametrize(
+    "text, bound",
+    [
+        ("x0*x1*x2", 4),
+        ("x0*x1*x2*x3", 7),
+        ("150*x0^2*x2 + x1^2*x2 + x2^3 - 12*x0^3", 4),  # generic cubic, rank 4
+        (None, 3),  # the maximal cubic, rank 5: flattenings see border rank 3
+        ("(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2", 4),
+        ("(0,1)*x0^4 + x1^4 + x2^4 - 100000000*x0*x1*x2^2", 4),
+    ],
+)
+def test_koszul_bound_on_structured_forms(text, bound, maximal_cubic):
+    f = maximal_cubic if text is None else parse_poly(text)
+    assert koszul_rank_bound(to_dual(f))[0] == bound
+
+
+# monomials x^a with a_0 = min a_i have rank prod_{i>=1}(a_i + 1)
+# (Carlini-Catalisano-Geramita 2012); the two quartics have rank <= 6
+KNOWN_RANKS = [
+    ("x0*x1*x2", 4),
+    ("x0^2*x1*x2", 6),
+    ("x0*x1*x2^2", 6),
+    ("x0^2*x1^2*x2", 9),
+    ("x0^2*x1^2*x2^2", 9),
+    ("x0*x1*x2*x3", 8),
+    ("x0^3*x1^3*x2^3", 16),
+    ("x0^2*x1^2*x2^2*x3^2", 27),
+    ("(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2", 6),
+    ("(0,1)*x0^4 + x1^4 + x2^4 - 100000000*x0*x1*x2^2", 6),
+]
+# shapes of the planted sweep: (nvars, degree, rank), 15 forms each
+SWEEP_SHAPES = [
+    (3, 3, 2), (3, 3, 4), (3, 4, 3), (3, 4, 5), (3, 4, 6), (3, 5, 5), (3, 5, 7),
+    (3, 6, 9), (3, 7, 11), (3, 8, 14), (4, 3, 3), (4, 3, 5), (4, 4, 7), (4, 4, 9),
+    (4, 5, 11), (4, 5, 12), (5, 3, 5), (5, 3, 7), (5, 4, 10), (5, 4, 12),
+]
+
+
+def test_koszul_bound_never_exceeds_a_known_rank():
+    for text, r in KNOWN_RANKS:
+        assert koszul_rank_bound(to_dual(parse_poly(text)))[0] <= r, text
+    count = 0
+    for i, (n, d, r) in enumerate(SWEEP_SHAPES):
+        for seed in range(15):
+            f, _ = planted_poly(n, d, r, np.random.default_rng([77, i, seed]))
+            assert koszul_rank_bound(to_dual(f))[0] <= r, (n, d, r, seed)
+            count += 1
+    assert count >= 300
+
+
+def _random_change(n, rng, max_cond=1e3):
+    """A random complex Gaussian change of coordinates, condition number <= max_cond."""
+    while True:
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if np.linalg.cond(a) <= max_cond:
+            return LinearChange(a)
+
+
+def _forms_with_known_bounds(rng, maximal_cubic):
+    forms = [maximal_cubic, parse_poly("x0*x1*x2"), parse_poly("x0*x1*x2*x3")]
+    return forms + [planted_poly(*shape, rng)[0] for shape, *_ in KOSZUL_TABLE]
+
+
+def test_koszul_bound_is_invariant_under_changes_of_coordinates(maximal_cubic):
+    rng = np.random.default_rng(31)
+    for f in _forms_with_known_bounds(rng, maximal_cubic):
+        want = koszul_rank_bound(to_dual(f))[0]
+        for _ in range(4):
+            g = change_coordinates(f, _random_change(f.nvars, rng))
+            assert koszul_rank_bound(to_dual(g))[0] == want
+
+
+def test_koszul_bound_never_rises_in_ill_conditioned_coordinates(maximal_cubic):
+    # singular values 1 ... 1e3 spread the terms' sizes by up to 1e3^d, which
+    # pushes genuine singular values under the cut or into the gap test: the
+    # bound may fall (the start rank is lower, the search longer), never rise
+    rng = np.random.default_rng(32)
+
+    def unitary(n):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return np.linalg.qr(g)[0]
+
+    for f in _forms_with_known_bounds(rng, maximal_cubic):
+        n, want = f.nvars, koszul_rank_bound(to_dual(f))[0]
+        for _ in range(3):
+            a = unitary(n) @ np.diag(np.geomspace(1.0, 1e3, n)) @ unitary(n)
+            g = change_coordinates(f, LinearChange(a))
+            assert koszul_rank_bound(to_dual(g))[0] <= want
