@@ -252,7 +252,7 @@ def _rank_loop(f: HomogeneousPoly, opts: DecomposeOptions) -> DecomposeReport:
             if retries == 1:
                 # the flattenings may rule out more ranks; only inputs that
                 # need a second attempt pay for them
-                bound, shape = koszul_rank_bound(frame(0)[2])
+                bound, shape = koszul_rank_bound(frame(0)[2], opts.tol)
                 if bound > lower:
                     lower, source = bound, "koszul({},{})".format(*shape)
                 if lower > r:

@@ -15,12 +15,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import DualForm, Exponent, grlex_key, monomials, monomials_upto
+from .core import DualForm, Exponent, grlex_key, monomials, monomials_upto, multinomial
 
 KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
-# the last singular value counted must exceed the first one below the cut by
-# this factor, or the flattening is not used
-KOSZUL_GAP = 1e4
+# a Koszul flattening's singular values count above this fraction of the
+# largest (the catalecticant's cut) and above the noise that `tol` allows
+KOSZUL_CUT = 1e-8
 
 
 class MonomialBasis:
@@ -184,9 +184,11 @@ def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
     dual form in `nvars` variables), K_{delta,p}: S^delta V* (x) Lambda^p V ->
     S^(d-delta-1) V (x) Lambda^(p+1) V.  Column (alpha, I) meets row
     (beta, I u {j}) in sign * L(x^(alpha+beta+e_j)), the sign that of moving
-    e_j into place in e_j ^ e_I.  Returns (shape, rows, cols, moments, signs),
-    where moment k is the k-th exponent of `monomials_upto(nvars, degree)`
-    and a homogeneous exponent maps to its affine part (variable 0 dropped).
+    e_j into place in e_j ^ e_I.  Returns (shape, rows, cols, moments, signs,
+    gain), where moment k is the k-th exponent of `monomials_upto(nvars,
+    degree)`, a homogeneous exponent maps to its affine part (variable 0
+    dropped), and gain bounds ||K(e)||_2 / ||e|| over forms e, ||e|| the
+    coefficient norm.
     """
     big = nvars + 1
     moment = {e: k for k, e in enumerate(monomials_upto(nvars, degree))}
@@ -210,7 +212,21 @@ def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
     for a in (rows, cols, moms, signs):
         a.flags.writeable = False  # cached: every caller shares these arrays
     shape = (len(betas) * len(supersets), len(alphas) * len(subsets))
-    return shape, rows, cols, moms, signs
+    # moment k of a form is its coefficient over mults[k] and fills counts[k]
+    # entries, so ||K(e)||_2 <= ||K(e)||_F <= gain * ||e||
+    counts = np.bincount(moms, minlength=len(moment))
+    gain = float(np.sqrt(np.max(counts / _multinomials(nvars, degree) ** 2)))
+    return shape, rows, cols, moms, signs, gain
+
+
+@functools.cache
+def _multinomials(nvars: int, degree: int) -> np.ndarray:
+    """multinomial(degree, (degree - |e|, *e)) for e in `monomials_upto(nvars,
+    degree)`: a form's coefficient over its moment (see `core.to_dual`)."""
+    exps = monomials_upto(nvars, degree)
+    out = np.array([multinomial(degree, (degree - sum(e), *e)) for e in exps], dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _moment_vector(L: DualForm) -> np.ndarray:
@@ -219,12 +235,12 @@ def _moment_vector(L: DualForm) -> np.ndarray:
     return np.array([L.moments.get(e, 0j) for e in exps], dtype=complex)
 
 
-def koszul_flattening(L: DualForm, delta: int, p: int, moments=None) -> np.ndarray:
-    """The matrix of K_{delta,p} (see `_koszul_layout`) filled from L's moments,
-    or from `moments`, L's `_moment_vector` when the caller already has it."""
-    shape, rows, cols, moms, signs = _koszul_layout(L.nvars, L.degree, delta, p)
-    if moments is None:
-        moments = _moment_vector(L)
+def koszul_flattening(
+    L: DualForm, delta: int, p: int, moments: np.ndarray
+) -> np.ndarray:
+    """The matrix of K_{delta,p} (see `_koszul_layout`) filled from `moments`,
+    L's `_moment_vector`, which a caller trying many shapes builds once."""
+    shape, rows, cols, moms, signs, _ = _koszul_layout(L.nvars, L.degree, delta, p)
     out = np.zeros(shape, dtype=complex)
     out[rows, cols] = signs * moments[moms]
     return out
@@ -232,11 +248,17 @@ def koszul_flattening(L: DualForm, delta: int, p: int, moments=None) -> np.ndarr
 
 def koszul_shapes(nvars: int, degree: int) -> list[tuple[int, int]]:
     """Every (delta, p), 1 <= p <= max(1, N-2), whose K_{delta,p} has at most
-    KOSZUL_MAX_ENTRIES entries (N = nvars + 1)."""
+    KOSZUL_MAX_ENTRIES entries (N = nvars + 1), one of each transposed pair.
+
+    K_{d-1-delta, N-1-p} is K_{delta,p} transposed up to signs, so of the same
+    rank; only the pair's first shape in (delta, p) order is kept.
+    """
     big = nvars + 1
     out = []
     for delta in range(degree):
         for p in range(1, max(1, big - 2) + 1):
+            if (degree - 1 - delta, big - 1 - p) < (delta, p):
+                continue
             rows = math.comb(big + degree - delta - 2, big - 1) * math.comb(big, p + 1)
             cols = math.comb(big + delta - 1, big - 1) * math.comb(big, p)
             if rows * cols <= KOSZUL_MAX_ENTRIES:
@@ -244,9 +266,7 @@ def koszul_shapes(nvars: int, degree: int) -> list[tuple[int, int]]:
     return out
 
 
-def koszul_rank_bound(
-    L: DualForm, tol: float = 1e-8
-) -> tuple[int, tuple[int, int] | None]:
+def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | None]:
     """Largest rank lower bound from the Koszul flattenings of L, and its (delta, p).
 
     A power l^d gives K_{delta,p} of rank C(N-1, p) (N = L.nvars + 1), and
@@ -254,33 +274,25 @@ def koszul_rank_bound(
     ceil(rank K / C(N-1, p)) bounds the rank from below, like the
     catalecticant, but often past it (Landsberg-Ottaviani 2013;
     Oeding-Ottaviani 2013).  Every shape of `koszul_shapes` is tried.
-    Singular values count above `tol` of the largest, the catalecticant's
-    cut; a flattening without a clear gap at the cut (`gapped_rank`) is
-    skipped, so a borderline numerical rank cannot raise the bound.  Returns
-    (0, None) when no flattening qualifies.
+
+    Singular values count above KOSZUL_CUT of the largest and above the
+    noise that `tol` allows, so the bound holds for every form g within
+    relative coefficient distance `tol` of L's form f: K(f - g) has spectral
+    norm at most gain * tol * ||f|| (see `_koszul_layout`), and by Weyl's
+    inequality K(g) has at least as many singular values as K(f) has above
+    that.  Returns (0, None) when every flattening is zero.
     """
     moments = _moment_vector(L)
+    noise = tol * float(np.linalg.norm(moments * _multinomials(L.nvars, L.degree)))
     best, where = 0, None
     for delta, p in koszul_shapes(L.nvars, L.degree):
+        gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]
         s = np.linalg.svd(koszul_flattening(L, delta, p, moments), compute_uv=False)
-        count = gapped_rank(s, tol)
-        if count is None:
-            continue
+        count = int(np.sum(s > max(KOSZUL_CUT * s[0], gain * noise)))
         bound = -(-count // math.comb(L.nvars, p))
         if bound > best:
             best, where = bound, (delta, p)
     return best, where
-
-
-def gapped_rank(s: np.ndarray, tol: float = 1e-8) -> int | None:
-    """The number of singular values `s` (descending) above `tol` of the
-    largest, or None unless the last of them is KOSZUL_GAP times the next one
-    (or the cut itself, when every value counts); 0 for a zero matrix."""
-    if not s.size or s[0] == 0:
-        return 0
-    count = int(np.sum(s > tol * s[0]))
-    below = s[count] if count < s.size else tol * s[0]
-    return count if s[count - 1] >= KOSZUL_GAP * below else None
 
 
 def _nonsingular(m: np.ndarray, tol: float) -> bool:

@@ -11,6 +11,7 @@ from waring.core import (
     change_coordinates,
     expand_power_sum,
     parse_poly,
+    to_dual,
 )
 from waring.decompose import (
     OrbitClass,
@@ -19,6 +20,7 @@ from waring.decompose import (
     rank,
     verify,
 )
+from waring.hankel import koszul_rank_bound
 
 from conftest import QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_poly
 
@@ -160,6 +162,30 @@ def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
     assert rep.rank == 11
     assert sizes.count(10) == 1
     assert (rep.lower_bound, rep.lower_bound_source) == (11, "koszul(2,1)")
+
+
+def test_koszul_bound_leaves_room_for_the_noise_tol_allows(monkeypatch):
+    # a planted (4, 5, 11) plus noise of 3e-8 of its norm: the planted terms
+    # fit within tol 1e-7, so the search must try rank 11.  Counted at a
+    # fixed cut, without the noise that tol allows, the noise reads as rank 12
+    rng = np.random.default_rng([0, 4, 5, 11])
+    f, _ = planted_poly(4, 5, 11, rng)
+    noise = rng.standard_normal(len(f.coeffs)) + 1j * rng.standard_normal(len(f.coeffs))
+    noise *= 3e-8 * f.coeff_norm() / np.linalg.norm(noise)
+    g = HomogeneousPoly(4, 5, {e: v + z for (e, v), z in zip(f.coeffs.items(), noise)})
+    assert koszul_rank_bound(to_dual(g), 1e-12)[0] == 12
+    assert koszul_rank_bound(to_dual(g), 1e-7)[0] == 11
+
+    module = sys.modules["waring.decompose"]
+    sizes = []
+
+    def failed(g, L, basis, opts, rng):
+        sizes.append(len(basis))
+
+    monkeypatch.setattr(module, "_attempt", failed)
+    with pytest.raises(DecompositionError, match="no decomposition of rank <= 11"):
+        decompose(g, max_rank=11)
+    assert sizes.count(10) == 1 and 11 in sizes
 
 
 def test_a_bound_above_max_rank_fails_at_once(quintic):
