@@ -13,6 +13,7 @@ dividing each coefficient by its multinomial weight.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -64,20 +65,27 @@ def grlex_key(alpha: Exponent):
 
 def monomials(nvars: int, degree: int) -> list[Exponent]:
     """All exponents of total degree `degree`, in graded-lex order."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for a in range(degree, -1, -1):
-        for tail in monomials(nvars - 1, degree - a):
-            out.append((a,) + tail)
-    return out
+    return list(_monomials(nvars, degree))
 
 
 def monomials_upto(nvars: int, degree: int) -> list[Exponent]:
-    out = []
-    for k in range(degree + 1):
-        out.extend(monomials(nvars, k))
-    return out
+    return list(_monomials_upto(nvars, degree))
+
+
+# cached as tuples, which no caller can change; the functions above hand out
+# fresh lists
+@functools.cache
+def _monomials(nvars: int, degree: int) -> tuple[Exponent, ...]:
+    if nvars == 0:
+        return ((),) if degree == 0 else ()
+    return tuple(
+        (a,) + t for a in range(degree, -1, -1) for t in _monomials(nvars - 1, degree - a)
+    )
+
+
+@functools.cache
+def _monomials_upto(nvars: int, degree: int) -> tuple[Exponent, ...]:
+    return tuple(e for k in range(degree + 1) for e in _monomials(nvars, k))
 
 
 def monomial_values(points, exps) -> np.ndarray:

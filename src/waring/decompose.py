@@ -229,7 +229,7 @@ def _rank_loop(f: HomogeneousPoly, opts: DecomposeOptions) -> DecomposeReport:
             for basis in _basis_candidates(L, r, BASES_PER_RANK):
                 yield a, g, L, basis
 
-    lower = max(1, known_rank_bound(frame(0)[2]))
+    lower = max(1, known_rank_bound(frame(0)[2], opts.tol))
     source = "catalecticant"
     retries = 0
     r = lower

@@ -8,7 +8,9 @@ which the residual and the Jacobian at that point share; an SVD is taken
 only when D_0 may lie near the singularity floor.  The Jacobian is built from
 one rank-1 term per cell an unknown occupies.  `extend_dual` solves the
 equations with a damped Gauss-Newton iteration from several starts, one
-after the other.  A run ends at the first of these exits:
+after the other, and keeps the first point that reaches `tol` with a healthy
+D_0, also on a positive-dimensional solution set.  A run ends at the first
+of these exits:
 
 * the max-abs residual is at most `tol` (success);
 * the least-squares step is not finite;
@@ -114,30 +116,24 @@ def _run_starts(starts, solve_one):
     return best
 
 
-def _free_columns(j: np.ndarray, tol: float = 1e-8):
-    """Split columns of J into (pivot, free) using QR with column pivoting."""
-    if j.size == 0:
-        return [], list(range(j.shape[1]))
-    _, r, piv = scipy.linalg.qr(j, pivoting=True, mode="economic")
-    diag = np.abs(np.diagonal(r))
-    if diag.size == 0 or diag[0] == 0:
-        return [], list(piv)
-    rank = int(np.sum(diag > tol * diag[0]))
-    return sorted(piv[:rank]), sorted(piv[rank:])
+def _free_columns(j: np.ndarray, tol: float = 1e-8) -> int:
+    """The number of columns of a nonempty J that QR with column pivoting
+    leaves free."""
+    diag = np.abs(np.diagonal(scipy.linalg.qr(j, pivoting=True, mode="r")[0]))
+    return j.shape[1] - int(np.sum(diag > tol * diag[0]))
 
 
 def _solve_core(fun, jac, nunknowns, seed, restarts, tol, max_iter, accept):
-    """Restarts, then pinning of free coordinates at a positive-dimensional
-    solution; `accept` can veto a candidate x that reaches `tol`.
+    """Gauss-Newton from the zero start, then random ones, until a run reaches
+    `tol` at a point `accept` allows; that point is returned as it is.
 
-    Returns (x, residual, free_count, converged).
+    Returns (x, residual, free_count, converged).  free_count is the number of
+    unknowns the Jacobian leaves free at x: the dimension of the solution set
+    there.  Any point of a positive-dimensional set whose pencil is simple
+    gives a decomposition, so no second, more generic point is sought.
     """
-    rng = np.random.default_rng(seed)
-    starts = [np.zeros(nunknowns, dtype=complex)]
-    for _ in range(max(0, restarts - 1)):
-        starts.append(
-            rng.uniform(-1, 1, nunknowns) + 1j * rng.uniform(-1, 1, nunknowns)
-        )
+    u = np.random.default_rng(seed).uniform(-1, 1, (max(0, restarts - 1), 2, nunknowns))
+    starts = [np.zeros(nunknowns, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]
 
     def solve_one(x0):
         x, r = _gauss_newton(fun, jac, x0, tol, max_iter)
@@ -157,35 +153,7 @@ def _solve_core(fun, jac, nunknowns, seed, restarts, tol, max_iter, accept):
             x, r, ok = x2, r2, ok2
     if not ok:
         return x, r, 0, False
-
-    _, free = _free_columns(jac(x))
-    if not free:
-        return x, r, 0, True
-
-    # the solution set has positive dimension: pin the free coordinates at
-    # random values and re-polish, keeping the solution generic
-    pinned = [c for c in range(nunknowns) if c not in free]
-    for _ in range(4):
-        xf = x.copy()
-        xf[free] = rng.uniform(-1, 1, len(free)) + 1j * rng.uniform(-1, 1, len(free))
-
-        def fun_fixed(y):
-            z = xf.copy()
-            z[pinned] = y
-            return fun(z)
-
-        def jac_fixed(y):
-            z = xf.copy()
-            z[pinned] = y
-            return jac(z)[:, pinned]
-
-        y, ry = _gauss_newton(fun_fixed, jac_fixed, x[pinned], tol, max_iter)
-        if ry <= tol:
-            xs = xf.copy()
-            xs[pinned] = y
-            if accept(xs):
-                return xs, ry, len(free), True
-    return x, r, len(free), True
+    return x, r, _free_columns(jac(x)), True
 
 
 # ---------------------------------------------------------------------------

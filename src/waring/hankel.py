@@ -12,15 +12,16 @@ from __future__ import annotations
 import functools
 import math
 from itertools import combinations
+from operator import add
 
 import numpy as np
 
 from .core import DualForm, Exponent, grlex_key, monomials, monomials_upto, multinomial
 
 KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
-# a Koszul flattening's singular values count above this fraction of the
-# largest (the catalecticant's cut) and above the noise that `tol` allows
-KOSZUL_CUT = 1e-8
+# a rank bound counts the singular values of a catalecticant or Koszul
+# flattening above this fraction of the largest and above the noise `tol` allows
+RANK_CUT = 1e-8
 
 
 class MonomialBasis:
@@ -157,23 +158,46 @@ def shifted_matrix(L: DualForm, basis: MonomialBasis, var: int) -> QuasiHankelMa
     return build_hankel(L, basis.exponents, basis.exponents, shift=e)
 
 
-def known_rank_bound(L: DualForm, tol: float = 1e-8) -> int:
+def known_rank_bound(L: DualForm, tol: float) -> int:
     """Largest numerical rank among the fully known catalecticant blocks.
 
     For every split k + (d-k) = d, the matrix H^{B_k, B_(d-k)} over complete
     monomial bases is fully known; its rank is a lower bound on the support
     size of any extension of L, and it is invariant under changes of
-    coordinates.
+    coordinates.  Singular values count as in `koszul_rank_bound`, so the bound
+    holds for every form within relative coefficient distance `tol` of L's.
     """
+    moments = _moment_vector(L)
+    noise = tol * float(np.linalg.norm(moments * _multinomials(L.nvars, L.degree)))
     best = 0
-    for k in range(L.degree + 1):
-        rows = monomials_upto(L.nvars, k)
-        cols = monomials_upto(L.nvars, L.degree - k)
-        h = build_hankel(L, rows, cols).value_matrix()
-        s = np.linalg.svd(h, compute_uv=False)
-        if s.size and s[0] > 0:
-            best = max(best, int(np.sum(s > tol * s[0])))
+    for k in range(L.degree // 2 + 1):  # block d-k is block k transposed
+        index, gain = _catalecticant_layout(L.nvars, L.degree, k)
+        best = max(best, _numerical_rank(moments[index], gain * noise))
     return best
+
+
+@functools.cache
+def _catalecticant_layout(nvars: int, degree: int, k: int):
+    """(index, gain) of H^{B_k, B_(degree-k)}: entry (a, b) is moment index[a, b]
+    of `monomials_upto(nvars, degree)`; gain is as in `_koszul_layout`."""
+    moment = {e: i for i, e in enumerate(monomials_upto(nvars, degree))}
+    cols = monomials_upto(nvars, degree - k)
+    index = np.array([[moment[tuple(map(add, a, b))] for b in cols]
+                      for a in monomials_upto(nvars, k)], dtype=np.intp)
+    index.flags.writeable = False  # cached: every caller shares it
+    return index, _gain(np.bincount(index.ravel(), minlength=len(moment)), nvars, degree)
+
+
+def _gain(counts: np.ndarray, nvars: int, degree: int) -> float:
+    """Moment k of a form is its coefficient over mults[k]; filling counts[k]
+    entries of a matrix M, it gives ||M(e)||_2 <= ||M(e)||_F <= gain * ||e||."""
+    return float(np.sqrt(np.max(counts / _multinomials(nvars, degree) ** 2)))
+
+
+def _numerical_rank(m: np.ndarray, floor: float) -> int:
+    """Singular values of m above RANK_CUT of the largest and above `floor`."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return int(np.sum(s > max(RANK_CUT * s[0], floor)))
 
 
 @functools.cache
@@ -212,10 +236,7 @@ def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
     for a in (rows, cols, moms, signs):
         a.flags.writeable = False  # cached: every caller shares these arrays
     shape = (len(betas) * len(supersets), len(alphas) * len(subsets))
-    # moment k of a form is its coefficient over mults[k] and fills counts[k]
-    # entries, so ||K(e)||_2 <= ||K(e)||_F <= gain * ||e||
-    counts = np.bincount(moms, minlength=len(moment))
-    gain = float(np.sqrt(np.max(counts / _multinomials(nvars, degree) ** 2)))
+    gain = _gain(np.bincount(moms, minlength=len(moment)), nvars, degree)
     return shape, rows, cols, moms, signs, gain
 
 
@@ -275,7 +296,7 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     catalecticant, but often past it (Landsberg-Ottaviani 2013;
     Oeding-Ottaviani 2013).  Every shape of `koszul_shapes` is tried.
 
-    Singular values count above KOSZUL_CUT of the largest and above the
+    Singular values count above RANK_CUT of the largest and above the
     noise that `tol` allows, so the bound holds for every form g within
     relative coefficient distance `tol` of L's form f: K(f - g) has spectral
     norm at most gain * tol * ||f|| (see `_koszul_layout`), and by Weyl's
@@ -287,8 +308,7 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     best, where = 0, None
     for delta, p in koszul_shapes(L.nvars, L.degree):
         gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]
-        s = np.linalg.svd(koszul_flattening(L, delta, p, moments), compute_uv=False)
-        count = int(np.sum(s > max(KOSZUL_CUT * s[0], gain * noise)))
+        count = _numerical_rank(koszul_flattening(L, delta, p, moments), gain * noise)
         bound = -(-count // math.comb(L.nvars, p))
         if bound > best:
             best, where = bound, (delta, p)

@@ -199,7 +199,7 @@ def test_criterion_6b_hankel_rank_of_point_moments():
                 pts.append(z)
         wts = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         L = DualForm.from_support(wts, pts, nv, d)
-        assert known_rank_bound(L) == r
+        assert known_rank_bound(L, 1e-7) == r
     _ok("criterion 6b: moment sequences of r random points have Hankel rank r")
 
 

@@ -20,7 +20,7 @@ from waring.decompose import (
     rank,
     verify,
 )
-from waring.hankel import koszul_rank_bound
+from waring.hankel import known_rank_bound, koszul_rank_bound
 
 from conftest import QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_poly
 
@@ -164,15 +164,21 @@ def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
     assert (rep.lower_bound, rep.lower_bound_source) == (11, "koszul(2,1)")
 
 
+def _with_noise(f, size, rng):
+    """f plus complex Gaussian noise of `size` times its coefficient norm."""
+    noise = rng.standard_normal(len(f.coeffs)) + 1j * rng.standard_normal(len(f.coeffs))
+    noise *= size * f.coeff_norm() / np.linalg.norm(noise)
+    return HomogeneousPoly(
+        f.nvars, f.degree, {e: v + z for (e, v), z in zip(f.coeffs.items(), noise)})
+
+
 def test_koszul_bound_leaves_room_for_the_noise_tol_allows(monkeypatch):
     # a planted (4, 5, 11) plus noise of 3e-8 of its norm: the planted terms
     # fit within tol 1e-7, so the search must try rank 11.  Counted at a
     # fixed cut, without the noise that tol allows, the noise reads as rank 12
     rng = np.random.default_rng([0, 4, 5, 11])
     f, _ = planted_poly(4, 5, 11, rng)
-    noise = rng.standard_normal(len(f.coeffs)) + 1j * rng.standard_normal(len(f.coeffs))
-    noise *= 3e-8 * f.coeff_norm() / np.linalg.norm(noise)
-    g = HomogeneousPoly(4, 5, {e: v + z for (e, v), z in zip(f.coeffs.items(), noise)})
+    g = _with_noise(f, 3e-8, rng)
     assert koszul_rank_bound(to_dual(g), 1e-12)[0] == 12
     assert koszul_rank_bound(to_dual(g), 1e-7)[0] == 11
 
@@ -186,6 +192,39 @@ def test_koszul_bound_leaves_room_for_the_noise_tol_allows(monkeypatch):
     with pytest.raises(DecompositionError, match="no decomposition of rank <= 11"):
         decompose(g, max_rank=11)
     assert sizes.count(10) == 1 and 11 in sizes
+
+
+@pytest.mark.parametrize("draw", [0, 1, 5])
+def test_catalecticant_bound_leaves_room_for_the_noise_tol_allows(monkeypatch, draw):
+    # a planted (4, 4, 8) plus noise of 3e-8 of its norm: the planted terms
+    # fit within tol 1e-7, so the search must try rank 8.  Counted at a fixed
+    # cut, without the noise that tol allows, these draws read 9
+    rng = np.random.default_rng([draw, 4, 4, 8])
+    f, _ = planted_poly(4, 4, 8, rng)
+    g = _with_noise(f, 3e-8, rng)
+    assert known_rank_bound(to_dual(g), 1e-12) == 9
+    assert known_rank_bound(to_dual(g), 1e-7) == 8
+
+    module = sys.modules["waring.decompose"]
+    sizes = []
+
+    def failed(g, L, basis, opts, rng):
+        sizes.append(len(basis))
+
+    monkeypatch.setattr(module, "_attempt", failed)
+    with pytest.raises(DecompositionError, match="no decomposition of rank <= 8"):
+        decompose(g, max_rank=8)
+    assert 8 in sizes
+
+
+def test_ill_conditioned_quartic_reaches_rank_six():
+    # rank <= 6, with terms spread over 1e6: the first basis's extension has
+    # 3 free moments, and the point the solver reaches there is an answer
+    f = parse_poly("(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2")
+    rep = decompose(f)
+    assert rep.rank == 6
+    assert rep.residual <= 1e-7
+    assert verify(f, rep.decomposition).residual <= 1.01e-7
 
 
 def test_a_bound_above_max_rank_fails_at_once(quintic):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,23 @@ def test_quartic_extension_free_count(quartic):
     assert sol.residual < 1e-9
     assert sol.free_count == 3
     assert set(sol.assignment) == {(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)}
+
+
+def test_quartic_extension_keeps_the_first_solution(quartic, monkeypatch):
+    # the zero start reaches tol on a solution set of dimension 3, and that
+    # point is the answer: one Gauss-Newton run in all
+    module = sys.modules["waring.extension"]
+    runs = []
+
+    def counted(*args):
+        runs.append(args)
+        return gauss_newton(*args)
+
+    gauss_newton = module._gauss_newton
+    monkeypatch.setattr(module, "_gauss_newton", counted)
+    sol = extend_dual(to_dual(quartic), MonomialBasis(2, QUARTIC_BASIS), seed=0)
+    assert sol.free_count == 3
+    assert len(runs) == 1
 
 
 def test_cubic_system_counts(maximal_cubic):

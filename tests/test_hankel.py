@@ -104,11 +104,11 @@ def test_unknowns_past_truncation(quintic):
 
 
 def test_known_rank_bound_quintic(quintic):
-    assert known_rank_bound(to_dual(quintic)) == 4
+    assert known_rank_bound(to_dual(quintic), TOL) == 4
 
 
 def test_known_rank_bound_quartic(quartic):
-    assert known_rank_bound(to_dual(quartic)) == 6
+    assert known_rank_bound(to_dual(quartic), TOL) == 6
 
 
 def test_known_rank_bound_detects_planted_rank():
@@ -118,7 +118,7 @@ def test_known_rank_bound_detects_planted_rank():
         d = int(rng.integers(3, 6))
         r = int(rng.integers(1, min(4, d) + 1))
         f, _ = planted_poly(nv, d, r, rng)
-        assert known_rank_bound(to_dual(f)) == r
+        assert known_rank_bound(to_dual(f), TOL) == r
 
 
 def test_principal_minor_quintic(quintic):
@@ -335,7 +335,7 @@ def test_koszul_bound_reaches_the_planted_rank(shape, cat, bound, p):
         f, _ = planted_poly(n, d, r, np.random.default_rng([seed, *shape]))
         L = to_dual(f)
         got, where = koszul_rank_bound(L, TOL)
-        assert (known_rank_bound(L), got, where[1]) == (cat, bound, p)
+        assert (known_rank_bound(L, TOL), got, where[1]) == (cat, bound, p)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +404,7 @@ def _forms_with_known_bounds(rng, maximal_cubic):
 def test_koszul_bound_is_invariant_under_changes_of_coordinates(maximal_cubic):
     # the flattening ranks are; the noise a tol allows is measured in the
     # coefficient norm, which is not, so the exact count (a negligible tol,
-    # the KOSZUL_CUT alone) is compared here, and at tol 1e-7 the bound may
+    # the RANK_CUT alone) is compared here, and at tol 1e-7 the bound may
     # only fall, as in ill-conditioned coordinates below
     rng = np.random.default_rng(31)
     for f in _forms_with_known_bounds(rng, maximal_cubic):
