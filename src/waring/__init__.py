@@ -12,7 +12,6 @@ from .core import (
     to_dual,
 )
 from .decompose import (
-    DecomposeOptions,
     DecomposeReport,
     OrbitClass,
     VerifyReport,
@@ -29,7 +28,6 @@ from .hankel import (
 )
 from .spectral import (
     ExtractionError,
-    PointSet,
     extract_points,
     pencil_support,
     solve_weights,
@@ -40,7 +38,6 @@ __all__ = [
     "CommutatorResidual",
     "Decomposition",
     "DecompositionError",
-    "DecomposeOptions",
     "DecomposeReport",
     "DualForm",
     "ExtensionSolution",
@@ -48,7 +45,6 @@ __all__ = [
     "HomogeneousPoly",
     "MonomialBasis",
     "OrbitClass",
-    "PointSet",
     "PolyParseError",
     "VerifyReport",
     "apolar",

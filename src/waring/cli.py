@@ -30,7 +30,7 @@ from .core import (
     parse_poly,
     poly_from_json,
 )
-from .decompose import DecomposeOptions, classify_ternary_cubic, decompose, verify
+from .decompose import classify_ternary_cubic, decompose, verify
 
 
 def _pair(z) -> list[float]:
@@ -175,14 +175,14 @@ def _main(argv) -> int:
         if args.max_rank is not None and args.max_rank < 1:
             raise ValueError("--max-rank must be at least 1")
         f = parse_input(_read_source(args.input))
-    except (PolyParseError, ValueError, OverflowError) as exc:
-        # OverflowError: a JSON integer too large for a float
+    except (PolyParseError, ValueError, OverflowError, OSError) as exc:
+        # OverflowError: a JSON integer too large for a float; OSError: an
+        # input path that exists but cannot be read (a directory, no permission)
         return _error(fmt, "invalid-input", exc, 1)
 
-    opts = DecomposeOptions(tol=args.tol, max_rank=args.max_rank, seed=args.seed)
     try:
         if args.command == "decompose":
-            rep = decompose(f, opts)
+            rep = decompose(f, tol=args.tol, max_rank=args.max_rank, seed=args.seed)
             report = _decomposition_report(rep)
             _emit(report, fmt, [
                 f"rank {rep.rank}  residual {rep.residual:.3g}  "
@@ -190,7 +190,7 @@ def _main(argv) -> int:
                 *_term_lines(rep.decomposition),
             ])
         elif args.command == "rank":
-            rep = decompose(f, opts)
+            rep = decompose(f, tol=args.tol, max_rank=args.max_rank, seed=args.seed)
             _emit({"rank": rep.rank, "residual": rep.residual, "seed": rep.seed},
                   fmt, [str(rep.rank)])
         elif args.command == "classify":

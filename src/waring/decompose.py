@@ -4,9 +4,12 @@ The search tries ranks from a lower bound upward: the catalecticant bound,
 raised after the first failed attempt to the Koszul flattening bound when that
 is higher.  At each rank it works through a few coordinate frames (identity
 first, then random unitary changes) and a few connected monomial bases per
-frame; a candidate is accepted only when the re-expanded power sum matches
-the input coefficients to the requested tolerance, in the original
-coordinates.
+frame.  An attempt is one pass: each basis is extended, its pencil read, its
+weights fitted and its support gated once, and the terms, pulled back to the
+input's coordinates, are accepted only when their re-expanded power sum
+matches the input coefficients to the requested tolerance.  The search never
+goes above a proven maximum rank: MAX_RANK for the shapes it lists, the
+dimension C(n+d-1, d) of the space of forms otherwise.
 """
 
 from __future__ import annotations
@@ -54,13 +57,9 @@ BASES_PER_RANK = 3  # bases tried per frame and rank
 # with huge cancelling weights instead
 MIN_SEPARATION = 1e-4
 MASS_RATIO_CAP = 1e4
-
-
-@dataclass
-class DecomposeOptions:
-    tol: float = 1e-7
-    max_rank: int | None = None
-    seed: int = 0
+# (nvars, degree): (name, proven maximum rank); ternary cubics by their orbit
+# classification, ternary quartics by Kleppe (1999)
+MAX_RANK = {(3, 3): ("ternary cubics", 5), (3, 4): ("ternary quartics", 7)}
 
 
 @dataclass
@@ -101,14 +100,6 @@ class VerifyReport:
     residual: float
     max_coeff_err: float
     collisions: int
-
-
-def _options(opts, overrides) -> DecomposeOptions:
-    if opts is None:
-        opts = DecomposeOptions()
-    if overrides:
-        opts = replace(opts, **overrides)
-    return opts
 
 
 def _relative_err(f: HomogeneousPoly, terms) -> float:
@@ -180,9 +171,13 @@ def _basis_candidates(L: DualForm, r: int, limit: int) -> list[MonomialBasis]:
     return out
 
 
-def _attempt(g: HomogeneousPoly, L: DualForm, basis: MonomialBasis, opts, rng):
-    """One basis: extension, eigenstructure, weights, in-frame verification."""
-    ext = extend_dual(L, basis, seed=opts.seed)
+def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: int, rng):
+    """One basis in one frame: extension, eigenstructure, weights, support
+    gate, then the terms pulled back and verified in the input's coordinates.
+
+    Returns (terms, residual, free_count), or None."""
+    a, g, L = frame
+    ext = extend_dual(L, basis, seed=seed)
     if ext is None:
         return None
     assign = ext.assignment
@@ -190,26 +185,27 @@ def _attempt(g: HomogeneousPoly, L: DualForm, basis: MonomialBasis, opts, rng):
     shifts = [
         shifted_matrix(L, basis, i).value_matrix(assign) for i in range(L.nvars)
     ]
-    ps = pencil_support(d0, shifts, basis, rng)
-    if ps is None:
+    points = pencil_support(d0, shifts, basis, rng)
+    if points is None:
         return None
-    w, moment_res = solve_weights(ps, L)
+    w, moment_res = solve_weights(points, L)
     if not np.isfinite(moment_res) or moment_res > 1e-2:
         return None
-    terms = [
-        (w[j], np.concatenate([[1.0 + 0j], z])) for j, z in enumerate(ps.points)
-    ]
-    if not _support_ok(g, terms):
+    forms = np.hstack([np.ones((len(points), 1), dtype=complex), points])
+    if not _support_ok(g, list(zip(w, forms))):
         return None
-    if _relative_err(g, terms) > opts.tol:
+    terms = list(zip(w, pullback_points(forms, a)))
+    res = _relative_err(f, terms)
+    if res > tol:
         return None
-    return terms, ext.free_count
+    return terms, res, ext.free_count
 
 
-def _rank_loop(f: HomogeneousPoly, opts: DecomposeOptions) -> DecomposeReport:
+def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) -> DecomposeReport:
     n, d = f.nvars, f.degree
-    rng = np.random.default_rng(opts.seed)
-    cap = opts.max_rank if opts.max_rank is not None else math.comb(n + d - 1, d)
+    rng = np.random.default_rng(seed)
+    family, top = MAX_RANK.get((n, d), (None, math.comb(n + d - 1, d)))
+    cap = top if max_rank is None else min(max_rank, top)
     frames: list[tuple[LinearChange, HomogeneousPoly, DualForm]] = []
 
     def frame(i: int):
@@ -225,34 +221,30 @@ def _rank_loop(f: HomogeneousPoly, opts: DecomposeOptions) -> DecomposeReport:
 
     def candidates(r: int):
         for ci in range(COORD_CHANGES):
-            a, g, L = frame(ci)
-            for basis in _basis_candidates(L, r, BASES_PER_RANK):
-                yield a, g, L, basis
+            fr = frame(ci)
+            for basis in _basis_candidates(fr[2], r, BASES_PER_RANK):
+                yield fr, basis
 
-    lower = max(1, known_rank_bound(frame(0)[2], opts.tol))
+    lower = max(1, known_rank_bound(frame(0)[2], tol))
     source = "catalecticant"
     retries = 0
     r = lower
     while r <= cap:
         after = r + 1
-        for a, g, L, basis in candidates(r):
-            got = _attempt(g, L, basis, opts, rng)
+        for fr, basis in candidates(r):
+            got = _attempt(f, fr, basis, tol, seed, rng)
             if got is not None:
-                terms, free = got
-                pulled = pullback_points([k for _, k in terms], a)
-                final = list(zip([w for w, _ in terms], pulled))
-                res = _relative_err(f, final)
-                if res <= opts.tol:
-                    dec = Decomposition(d, final, res).normalized()
-                    return DecomposeReport(
-                        r, dec, list(basis.exponents), free, retries, res, opts.seed,
-                        lower, source,
-                    )
+                terms, res, free = got
+                dec = Decomposition(d, terms, res).normalized()
+                return DecomposeReport(
+                    r, dec, list(basis.exponents), free, retries, res, seed,
+                    lower, source,
+                )
             retries += 1
             if retries == 1:
                 # the flattenings may rule out more ranks; only inputs that
                 # need a second attempt pay for them
-                bound, shape = koszul_rank_bound(frame(0)[2], opts.tol)
+                bound, shape = koszul_rank_bound(frame(0)[2], tol)
                 if bound > lower:
                     lower, source = bound, "koszul({},{})".format(*shape)
                 if lower > r:
@@ -263,31 +255,31 @@ def _rank_loop(f: HomogeneousPoly, opts: DecomposeOptions) -> DecomposeReport:
         raise DecompositionError(
             f"the rank is at least {lower} by the {source} bound, above the cap {cap}"
         )
+    why = f" (the maximum for {family})" if family is not None and cap == top else ""
     raise DecompositionError(
-        f"no decomposition of rank <= {cap} found at tolerance {opts.tol}"
+        f"no decomposition of rank <= {cap}{why} found at tolerance {tol}"
     )
 
 
 def decompose(
-    f: HomogeneousPoly, opts: DecomposeOptions | None = None, **overrides
+    f: HomogeneousPoly, *, tol: float = 1e-7, max_rank: int | None = None, seed: int = 0
 ) -> DecomposeReport:
     """Minimal power-sum decomposition of a nonzero homogeneous polynomial."""
-    opts = _options(opts, overrides)
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
     if f.degree < 1:
         raise ValueError("degree must be at least 1")
     if f.nvars == 1:
-        if opts.max_rank is not None and opts.max_rank < 1:
-            raise DecompositionError(f"rank 1 exceeds max_rank {opts.max_rank}")
+        if max_rank is not None and max_rank < 1:
+            raise DecompositionError(f"rank 1 exceeds max_rank {max_rank}")
         c = f.coeff((f.degree,))
         dec = Decomposition(f.degree, [(c, np.ones(1, dtype=complex))], 0.0)
-        return DecomposeReport(1, dec, [], 0, 0, 0.0, opts.seed)
+        return DecomposeReport(1, dec, [], 0, 0, 0.0, seed)
 
     count, reducer = essential_vars(f)
     if count < f.nvars:
         g = _restrict(change_coordinates(f, reducer), count)
-        rep = decompose(g, opts)
+        rep = decompose(g, tol=tol, max_rank=max_rank, seed=seed)
         pad = np.zeros(f.nvars - count, dtype=complex)
         small = rep.decomposition
         lifted = [np.concatenate([k, pad]) for _, k in small.terms]
@@ -298,14 +290,16 @@ def decompose(
 
     if f.nvars == 2:
         dec = binary_decompose(
-            f, rng_seed=opts.seed, tol=opts.tol, max_rank=opts.max_rank
+            f, rng_seed=seed, tol=tol, max_rank=max_rank
         ).normalized()
-        return DecomposeReport(dec.rank, dec, [], 0, 0, dec.residual, opts.seed)
-    return _rank_loop(f, opts)
+        return DecomposeReport(dec.rank, dec, [], 0, 0, dec.residual, seed)
+    return _rank_loop(f, tol, max_rank, seed)
 
 
-def rank(f: HomogeneousPoly, opts: DecomposeOptions | None = None, **overrides) -> int:
-    return decompose(f, opts, **overrides).rank
+def rank(
+    f: HomogeneousPoly, *, tol: float = 1e-7, max_rank: int | None = None, seed: int = 0
+) -> int:
+    return decompose(f, tol=tol, max_rank=max_rank, seed=seed).rank
 
 
 def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
@@ -366,14 +360,7 @@ def classify_ternary_cubic(
     if f.nvars != 3 or f.degree != 3:
         raise ValueError("classification needs a ternary cubic")
     r = decompose(f, seed=seed, tol=tol).rank
-    if r == 1:
-        return OrbitClass.CUBE
-    if r == 2:
-        return OrbitClass.SUM_TWO_CUBES
     if r == 3:
         return OrbitClass.FERMAT if _square_free(f, seed) else OrbitClass.SQUARE_TIMES_LINE
-    if r == 4:
-        return OrbitClass.GENERIC
-    if r == 5:
-        return OrbitClass.MAXIMAL
-    raise DecompositionError(f"ternary cubic classified with impossible rank {r}")
+    # the search never goes above 5, the maximum for ternary cubics
+    return next(c for c in OrbitClass if c.rank == r)

@@ -7,25 +7,27 @@ evaluates those equations numerically with one inverse of D_0 per point,
 which the residual and the Jacobian at that point share; an SVD is taken
 only when D_0 may lie near the singularity floor.  The Jacobian is built from
 one rank-1 term per cell an unknown occupies.  `extend_dual` solves the
-equations with a damped Gauss-Newton iteration from several starts, one
-after the other, and keeps the first point that reaches `tol` with a healthy
-D_0, also on a positive-dimensional solution set.  A run ends at the first
-of these exits:
+equations with a damped Gauss-Newton iteration, one start after the other:
+the zero start, then random ones, up to RESTARTS in all.  It gives up after
+the first PROBES starts when none of them came within 1e-4: the system is
+then almost certainly infeasible (a basis below the true rank).  It keeps
+the first point that reaches TOL with a healthy D_0, also on a
+positive-dimensional solution set.  A run ends at the first of these exits:
 
-* the max-abs residual is at most `tol` (success);
+* the max-abs residual is at most TOL (success);
 * the least-squares step is not finite;
 * a line search finds no sufficient decrease in 25 halvings (x and the
   residual are then unchanged, so every later iteration would repeat it);
 * the accepted step is below 1e-14 relative to the iterate;
 * a plateau: the residual has not fallen tenfold over the last 30 iterations;
-* `max_iter` iterations.
+* MAX_ITER iterations.
 
 The plateau exit is what ends failed attempts early.  Near a regular root
 Gauss-Newton converges quadratically, so a run that gets there gains far more
 than tenfold within 30 iterations and is never cut short.  Runs that creep,
 towards a singular root (the degenerate commuting extensions found below the
 true rank) or far from any root, are stopped after 30 iterations instead of
-running to `max_iter`.
+running to MAX_ITER.
 """
 
 from __future__ import annotations
@@ -41,6 +43,9 @@ from .core import DualForm, Exponent, grlex_key
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
 RESTARTS = 32  # Gauss-Newton starts per extension solve: zero, then random
+PROBES = 8  # starts tried before a solve whose best residual is above 1e-4 stops
+TOL = 1e-10  # max-abs (scaled) commutator residual a solution must reach
+MAX_ITER = 200  # Gauss-Newton iterations per start
 
 
 @dataclass
@@ -101,59 +106,11 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     return x, fn
 
 
-def _run_starts(starts, solve_one):
-    """Evaluate starts in order; the first success wins.
-
-    Returns the (x, residual, ok) of the winning start, or the best failure.
-    """
-    best = None
-    for s in starts:
-        res = solve_one(s)
-        if res[2]:
-            return res
-        if best is None or res[1] < best[1]:
-            best = res
-    return best
-
-
 def _free_columns(j: np.ndarray, tol: float = 1e-8) -> int:
     """The number of columns of a nonempty J that QR with column pivoting
     leaves free."""
     diag = np.abs(np.diagonal(scipy.linalg.qr(j, pivoting=True, mode="r")[0]))
     return j.shape[1] - int(np.sum(diag > tol * diag[0]))
-
-
-def _solve_core(fun, jac, nunknowns, seed, restarts, tol, max_iter, accept):
-    """Gauss-Newton from the zero start, then random ones, until a run reaches
-    `tol` at a point `accept` allows; that point is returned as it is.
-
-    Returns (x, residual, free_count, converged).  free_count is the number of
-    unknowns the Jacobian leaves free at x: the dimension of the solution set
-    there.  Any point of a positive-dimensional set whose pencil is simple
-    gives a decomposition, so no second, more generic point is sought.
-    """
-    u = np.random.default_rng(seed).uniform(-1, 1, (max(0, restarts - 1), 2, nunknowns))
-    starts = [np.zeros(nunknowns, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]
-
-    def solve_one(x0):
-        x, r = _gauss_newton(fun, jac, x0, tol, max_iter)
-        if not np.isfinite(r):
-            r = np.inf
-        ok = r <= tol and accept(x)
-        return x, r, ok
-
-    # probe a few starts first: if nothing comes close the system is almost
-    # certainly infeasible (wrong size guess) and the remaining starts are a
-    # waste of time
-    probe = min(8, len(starts))
-    x, r, ok = _run_starts(starts[:probe], solve_one)
-    if not ok and probe < len(starts) and r <= max(1e-4, 100 * tol):
-        x2, r2, ok2 = _run_starts(starts[probe:], solve_one)
-        if ok2 or r2 < r:
-            x, r, ok = x2, r2, ok2
-    if not ok:
-        return x, r, 0, False
-    return x, r, _free_columns(jac(x)), True
 
 
 # ---------------------------------------------------------------------------
@@ -302,26 +259,24 @@ class CommutatorResidual:
         return bool(s[-1] > tol * s[0])
 
 
-def extend_dual(
-    L: DualForm,
-    basis: MonomialBasis,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> ExtensionSolution | None:
+def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSolution | None:
     """Find unknown moments making the operators on `basis` commute.
 
     Returns None when no acceptable solution is found (usually meaning the
     basis size is below the true support size, or above it with the unknowns
     overdetermined into inconsistency).  Every solution returned, also one
-    with no unknowns, has a D_0 that passes `d0_healthy`.
+    with no unknowns, has a D_0 that passes `d0_healthy`.  Its free_count is
+    the number of unknowns the Jacobian leaves free there: the dimension of
+    the solution set.  Any point of a positive-dimensional set whose pencil
+    is simple gives a decomposition, so no second, more generic point is
+    sought.
     """
     res = CommutatorResidual(L, basis)
     if not res.unknowns:
         x, rmax = np.zeros(0, dtype=complex), 0.0
         if res.nequations():
             rmax = float(np.max(np.abs(res.residual(x))))
-            if not np.isfinite(rmax) or rmax > tol:
+            if not np.isfinite(rmax) or rmax > TOL:
                 return None
         if not res.d0_healthy(x):
             return None
@@ -331,17 +286,16 @@ def extend_dual(
         # should have taken the binary route instead
         return None
 
-    x, r, free, ok = _solve_core(
-        res.residual,
-        res.jacobian,
-        len(res.unknowns),
-        seed,
-        RESTARTS,
-        tol,
-        max_iter,
-        accept=res.d0_healthy,
-    )
-    if not ok:
-        return None
-    assignment = {e: complex(v) for e, v in zip(res.unknowns, x)}
-    return ExtensionSolution(assignment, float(r), free)
+    m = len(res.unknowns)
+    u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, m))
+    starts = [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]
+    best = np.inf
+    for k, x0 in enumerate(starts):
+        if k == PROBES and best > 1e-4:
+            return None
+        x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
+        if r <= TOL and res.d0_healthy(x):
+            assignment = {e: complex(v) for e, v in zip(res.unknowns, x)}
+            return ExtensionSolution(assignment, float(r), _free_columns(res.jacobian(x)))
+        best = min(best, r)
+    return None

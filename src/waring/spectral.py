@@ -4,11 +4,15 @@ Once the extension step has produced numeric matrices D_0 (nonsingular) and
 D_i for each variable, the evaluation points of the underlying functional are
 read off generalized eigenvectors of a pencil (D_t, D_0), and the weights
 come from one over-determined linear solve against the known moments.
+
+`pencil_support` retries only what a new pencil can change: eigenvalues that
+are not finite or not simple, and eigenvectors that are not evaluation
+vectors.  Once a pencil is simple its eigenvectors are those of every
+multiplication operator, so the points do not depend on which pencil gave
+them; whether they are far enough apart is decided once, by the caller.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,15 +30,6 @@ class ExtractionError(RuntimeError):
     functional that is not a plain combination of evaluations); callers
     usually retry with a different pencil, basis or size.
     """
-
-
-@dataclass
-class PointSet:
-    points: list[np.ndarray]
-    simple: bool
-
-    def __len__(self):
-        return len(self.points)
 
 
 def generalized_eigen(d1: np.ndarray, d0: np.ndarray):
@@ -69,22 +64,14 @@ def eigenvalues_simple(w: np.ndarray, tol: float = 1e-8) -> bool:
     return True
 
 
-def _distinct(points, tol: float = 1e-6) -> bool:
-    scale = max(1.0, max((float(np.max(np.abs(p))) for p in points), default=0.0))
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if np.max(np.abs(points[i] - points[j])) <= tol * scale:
-                return False
-    return True
-
-
 def extract_points(
     eigenvectors: np.ndarray,
     basis: MonomialBasis,
     mult: list[np.ndarray] | None = None,
     tol: float = 1e-6,
-) -> PointSet:
-    """Recover one point per eigenvector from its monomial coordinates.
+) -> np.ndarray:
+    """Recover one point per eigenvector from its monomial coordinates: an
+    (r, n) array, row j from eigenvector j.
 
     When every variable appears in the basis the coordinates are read
     directly; otherwise the missing ones come from Rayleigh quotients of the
@@ -92,14 +79,13 @@ def extract_points(
     Every basis coordinate is then checked against the monomial evaluated at
     the recovered point; a mismatch means the eigenvectors are not evaluation
     vectors at all and raises ExtractionError.
-    Point collisions only clear the `simple` flag.
     """
     n = basis.nvars
     var_pos = [basis.index.get(tuple(int(k == i) for k in range(n))) for i in range(n)]
     if any(p is None for p in var_pos) and mult is None:
         raise ValueError("basis misses a variable and no multiplication matrices given")
 
-    points = []
+    rows = []
     for u in eigenvectors.T:
         if abs(u[0] - 1) > tol:
             break  # raised below, after the coordinates of the points before it
@@ -109,9 +95,10 @@ def extract_points(
                 zeta[i] = u[pos]
             else:
                 zeta[i] = (np.conj(u) @ (mult[i] @ u)) / (np.conj(u) @ u)
-        points.append(zeta)
+        rows.append(zeta)
+    points = np.reshape(rows, (-1, n))
     # row j of `got` and `pred` is eigenvector j, column p basis monomial p
-    pred = monomial_values(np.reshape(points, (-1, n)), basis.exponents)
+    pred = monomial_values(points, basis.exponents)
     got = eigenvectors[:, : len(points)].T
     bad = np.argwhere(np.abs(got - pred) > tol * np.maximum(1.0, np.abs(pred)))
     if len(bad):
@@ -120,11 +107,12 @@ def extract_points(
         raise ExtractionError(f"coordinate of {exp} is {seen:.6g}, expected {want:.6g}")
     if len(points) < eigenvectors.shape[1]:
         raise ExtractionError("eigenvector has no usable constant coordinate")
-    return PointSet(points, _distinct(points))
+    return points
 
 
-def solve_weights(points: PointSet, target: DualForm | HomogeneousPoly):
-    """Least-squares weights making sum_j w_j eval_{zeta_j} match the moments.
+def solve_weights(points: np.ndarray, target: DualForm | HomogeneousPoly):
+    """Least-squares weights making sum_j w_j eval_{zeta_j} match the moments,
+    one per row of the (r, n) array `points`.
 
     The system runs over every known moment (all degrees up to the
     truncation), so a wrong support shows up as a large residual rather than
@@ -132,7 +120,7 @@ def solve_weights(points: PointSet, target: DualForm | HomogeneousPoly):
     """
     L = target if isinstance(target, DualForm) else to_dual(target)
     rows = monomials_upto(L.nvars, L.degree)
-    a = monomial_values(points.points, rows).T
+    a = monomial_values(points, rows).T
     rhs = np.array([L.moment(alpha) for alpha in rows], dtype=complex)
     w, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     denom = max(float(np.linalg.norm(rhs)), 1e-300)
@@ -145,13 +133,13 @@ def pencil_support(
     shifts: list[np.ndarray],
     basis: MonomialBasis,
     rng: np.random.Generator,
-) -> PointSet | None:
-    """Support extraction with random pencil combinations until simple.
+) -> np.ndarray | None:
+    """Support points, (r, n), from the first pencil with simple eigenvalues
+    and evaluation-vector eigenvectors.
 
     The first attempt uses the plain x_1 pencil (D_1, D_0); subsequent ones
     draw t on the complex unit sphere and use (sum_i t_i D_i, D_0).  Returns
-    None when no attempt yields simple eigenvalues, distinct points and
-    consistent eigenvectors.
+    None when none of PENCIL_RETRIES pencils passes.
     """
     n = len(shifts)
     inv0 = np.linalg.inv(d0)
@@ -167,9 +155,7 @@ def pencil_support(
         if not np.all(np.isfinite(w)) or not eigenvalues_simple(w):
             continue
         try:
-            ps = extract_points(u, basis, mult)
+            return extract_points(u, basis, mult)
         except ExtractionError:
             continue
-        if ps.simple:
-            return ps
     return None

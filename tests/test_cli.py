@@ -208,6 +208,18 @@ def test_missing_file_is_treated_as_inline_and_fails(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_unreadable_input_path_is_invalid_input(capsys, tmp_path, fmt):
+    # the path exists, so it is read as a file, and reading a directory fails
+    code, out, err = run(capsys, "decompose", str(tmp_path), "--format", fmt)
+    assert code == 1
+    assert err.startswith("error: ")
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "invalid-input"
+    else:
+        assert out == ""
+
+
 @pytest.mark.parametrize(
     "source",
     [

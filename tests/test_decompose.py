@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -26,11 +27,8 @@ from conftest import QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_po
 
 
 def test_quintic_report(quintic):
+    # the rank, basis and free moments are pinned in the fixture table below
     rep = decompose(quintic)
-    assert rep.rank == 4
-    assert rep.residual < 1e-7
-    assert rep.free_count == 0
-    assert rep.basis == [(0, 0), (1, 0), (0, 1), (2, 0)]
     got = {}
     for w, k in rep.decomposition.terms:
         assert abs(k[0] - 1) < 1e-9
@@ -39,25 +37,6 @@ def test_quintic_report(quintic):
         key = tuple(int(x) for x in p_true)
         assert key in got
         assert got[key] == pytest.approx(w_true, rel=1e-6)
-
-
-def test_quartic_rank_six(quartic):
-    rep = decompose(quartic)
-    assert rep.rank == 6
-    assert rep.residual < 1e-6
-    # six missing quintic moments, three left free by the equations
-    assert rep.free_count == 3
-
-
-def test_maximal_cubic_rank_five(maximal_cubic):
-    rep = decompose(maximal_cubic)
-    assert rep.rank == 5
-    assert rep.residual < 1e-6
-    # sizes 3 and 4 must be rejected on the way up: 12 failed attempts, which
-    # the Gauss-Newton plateau exit shortens without changing their outcome
-    assert rep.retries == 12
-    assert rep.free_count == 5
-    assert rep.basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
 
 
 def test_rank_examples():
@@ -122,8 +101,11 @@ def test_binary_path_honours_tol(tol):
     "fixture, rank_, retries, free_count, basis",
     [
         ("ternary_quintic_rank4.txt", 4, 0, 0, [[0, 0], [1, 0], [0, 1], [2, 0]]),
+        # six missing quintic moments, three left free by the equations
         ("ternary_quartic_rank6.txt", 6, 0, 3,
          [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
+        # sizes 3 and 4 must be rejected on the way up: 12 failed attempts,
+        # which the Gauss-Newton plateau exit shortens without changing them
         ("cubic_maximal.txt", 5, 12, 5, [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]]),
         # one failed rank-3 attempt, then the Koszul bound skips to rank 4
         ("cubic_generic_rank4.json", 4, 2, 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
@@ -143,6 +125,7 @@ def test_fixture_search_path_is_pinned(fixture, rank_, retries, free_count, basi
     rep = decompose(load(fixture), seed=0)
     assert (rep.rank, rep.retries, rep.free_count) == (rank_, retries, free_count)
     assert [list(e) for e in rep.basis] == basis
+    assert rep.residual <= 1e-7
 
 
 def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
@@ -151,9 +134,9 @@ def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
     module = sys.modules["waring.decompose"]
     sizes = []
 
-    def counted(g, L, basis, opts, rng):
+    def counted(f, frame, basis, tol, seed, rng):
         sizes.append(len(basis))
-        return attempt(g, L, basis, opts, rng)
+        return attempt(f, frame, basis, tol, seed, rng)
 
     attempt = module._attempt
     monkeypatch.setattr(module, "_attempt", counted)
@@ -185,7 +168,7 @@ def test_koszul_bound_leaves_room_for_the_noise_tol_allows(monkeypatch):
     module = sys.modules["waring.decompose"]
     sizes = []
 
-    def failed(g, L, basis, opts, rng):
+    def failed(f, frame, basis, tol, seed, rng):
         sizes.append(len(basis))
 
     monkeypatch.setattr(module, "_attempt", failed)
@@ -208,7 +191,7 @@ def test_catalecticant_bound_leaves_room_for_the_noise_tol_allows(monkeypatch, d
     module = sys.modules["waring.decompose"]
     sizes = []
 
-    def failed(g, L, basis, opts, rng):
+    def failed(f, frame, basis, tol, seed, rng):
         sizes.append(len(basis))
 
     monkeypatch.setattr(module, "_attempt", failed)
@@ -219,12 +202,30 @@ def test_catalecticant_bound_leaves_room_for_the_noise_tol_allows(monkeypatch, d
 
 def test_ill_conditioned_quartic_reaches_rank_six():
     # rank <= 6, with terms spread over 1e6: the first basis's extension has
-    # 3 free moments, and the point the solver reaches there is an answer
-    f = parse_poly("(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2")
-    rep = decompose(f)
-    assert rep.rank == 6
-    assert rep.residual <= 1e-7
-    assert verify(f, rep.decomposition).residual <= 1.01e-7
+    # 3 free moments, and the point the solver reaches there is an answer.
+    # Spread over 1e8 the search needs more attempts but gets there too
+    for c in ("1000000", "100000000"):
+        f = parse_poly(f"(0,1)*x0^4 + x1^4 + x2^4 - {c}*x0*x1*x2^2")
+        rep = decompose(f)
+        assert rep.rank == 6
+        assert rep.residual <= 1e-7
+        assert verify(f, rep.decomposition).residual <= 1.01e-7
+
+
+@pytest.mark.parametrize("text", ["x0^2*x1*x2", "x0*x1*x2^2"])
+def test_search_stops_at_the_proven_maximum(text):
+    # rank 6 (Carlini-Catalisano-Geramita), which the search does not find;
+    # past 7, the maximum for ternary quartics, any rank it found would be
+    # wrong, so it fails there instead
+    f = parse_poly(text)
+    with pytest.raises(DecompositionError, match=re.escape(
+            "no decomposition of rank <= 7 (the maximum for ternary quartics) "
+            "found at tolerance 1e-07")):
+        decompose(f)
+    # a lower max_rank still wins, and names no maximum
+    with pytest.raises(DecompositionError, match=re.escape(
+            "no decomposition of rank <= 6 found at tolerance 1e-07")):
+        decompose(f, max_rank=6)
 
 
 def test_a_bound_above_max_rank_fails_at_once(quintic):

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from waring.core import grlex_key, to_dual
+from waring.core import grlex_key, parse_poly, to_dual
 from waring.extension import CommutatorResidual, extend_dual
 from waring.extension import _gauss_newton
 from waring.hankel import (
@@ -127,6 +127,26 @@ def test_quartic_extension_keeps_the_first_solution(quartic, monkeypatch):
     sol = extend_dual(to_dual(quartic), MonomialBasis(2, QUARTIC_BASIS), seed=0)
     assert sol.free_count == 3
     assert len(runs) == 1
+
+
+def test_extension_gives_up_after_the_probe_starts(monkeypatch):
+    # the moments of x0^3 + x1^3 + x2^3 fill D_0's column of y with known
+    # zeros, so D_0 is singular at every start and none gets near a root: the
+    # solve stops after the PROBES starts instead of trying all RESTARTS
+    module = sys.modules["waring.extension"]
+    runs = []
+
+    def counted(*args):
+        out = gauss_newton(*args)
+        runs.append(out[1])
+        return out
+
+    gauss_newton = module._gauss_newton
+    monkeypatch.setattr(module, "_gauss_newton", counted)
+    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0)])
+    assert extend_dual(to_dual(parse_poly("x0^3 + x1^3 + x2^3")), b, seed=0) is None
+    assert len(runs) == 8
+    assert min(runs) > 1e-4
 
 
 def test_cubic_system_counts(maximal_cubic):

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from waring.core import Decomposition, DualForm, expand_power_sum, to_dual
+from waring.decompose import _support_ok
 from waring.hankel import (
     MonomialBasis,
     build_hankel,
@@ -55,13 +58,12 @@ def test_extract_points_and_weights(quintic):
     _, u = generalized_eigen(d1, d0)
     mult = [d1 @ np.linalg.inv(d0), d2 @ np.linalg.inv(d0)]
     ps = extract_points(u, b, mult)
-    assert ps.simple
-    assert len(ps) == 4
-    pts = sorted(tuple(np.round(p.real).astype(int)) for p in ps.points)
+    assert ps.shape == (4, 2)
+    pts = sorted(tuple(np.round(p.real).astype(int)) for p in ps)
     assert pts == [(-12, -3), (-2, 3), (2, 3), (12, -13)]
     wts, res = solve_weights(ps, L)
     assert res < 1e-10
-    pairing = {tuple(np.round(p.real).astype(int)): w for p, w in zip(ps.points, wts)}
+    pairing = {tuple(np.round(p.real).astype(int)): w for p, w in zip(ps, wts)}
     for w_true, p_true in QUINTIC_SUPPORT:
         assert pairing[tuple(int(x) for x in p_true)] == pytest.approx(w_true, abs=1e-6)
 
@@ -73,7 +75,7 @@ def test_full_reconstruction(quintic):
     assert ps is not None and len(ps) == 4
     wts, _ = solve_weights(ps, L)
     dec = Decomposition(
-        5, [(w, np.concatenate([[1.0], p])) for w, p in zip(wts, ps.points)]
+        5, [(w, np.concatenate([[1.0], p])) for w, p in zip(wts, ps)]
     )
     g = expand_power_sum(dec, 3, 5)
     assert (quintic - g).coeff_norm() < 1e-10 * quintic.coeff_norm()
@@ -91,7 +93,7 @@ def test_rayleigh_fallback_recovers_missing_coordinate():
     d2 = shifted_matrix(L, b, 1).value_matrix()
     ps = pencil_support(d0, [d1, d2], b, np.random.default_rng(1))
     assert ps is not None
-    rec = sorted((round(p[0].real, 6), round(p[1].real, 6)) for p in ps.points)
+    rec = sorted((round(p[0].real, 6), round(p[1].real, 6)) for p in ps)
     assert rec == sorted(pts)
     _, res = solve_weights(ps, L)
     assert res < 1e-8
@@ -118,7 +120,7 @@ def test_single_point_support():
     d1 = shifted_matrix(L, b, 0).value_matrix()
     _, u = generalized_eigen(d1, d0)
     ps = extract_points(u, b, [d1 @ np.linalg.inv(d0)])
-    assert ps.points[0][0] == pytest.approx(5.0, abs=1e-10)
+    assert ps[0][0] == pytest.approx(5.0, abs=1e-10)
     wt, res = solve_weights(ps, L)
     assert wt[0] == pytest.approx(1.0, abs=1e-10)
     assert res < 1e-12
@@ -153,3 +155,35 @@ def test_extract_points_reports_the_first_failing_coordinate():
         extract_points(u, b)
     with pytest.raises(ExtractionError, match="no usable constant coordinate"):
         extract_points(u[:, [0, 3, 1, 2]], b)
+
+
+def test_colliding_points_cost_one_pencil(monkeypatch):
+    # two points 3e-4 apart, next to one at 1e4, are a simple x_1 pencil.
+    # Once a pencil is simple its points are those of every other pencil, so
+    # no second pencil is drawn; the support gate turns the near pair down
+    pts = [(2.0, 5.0), (2.0003, 5.0), (-1.0, 1e4)]
+    wts = [1.0, 2.0, 1e-8]
+    L = DualForm.from_support(wts, pts, 2, 4)
+    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1)])
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
+    shifts = [shifted_matrix(L, b, v).value_matrix() for v in range(2)]
+    module = sys.modules["waring.spectral"]
+    calls = []
+
+    def counted(d1, d0):
+        calls.append(d1)
+        return eigen(d1, d0)
+
+    eigen = module.generalized_eigen
+    monkeypatch.setattr(module, "generalized_eigen", counted)
+    got = pencil_support(d0, shifts, b, np.random.default_rng(0))
+    assert len(calls) == 1
+    assert got.shape == (3, 2)
+    np.testing.assert_allclose(sorted(map(tuple, got.real)), sorted(pts), atol=1e-5)
+    assert np.abs(got.imag).max() < 1e-5
+
+    weights, res = solve_weights(got, L)
+    assert res < 1e-8
+    g = expand_power_sum([(w, np.array([1.0, *p])) for w, p in zip(wts, pts)], 3, 4)
+    terms = [(w, np.concatenate([[1.0], p])) for w, p in zip(weights, got)]
+    assert not _support_ok(g, terms)
