@@ -27,8 +27,11 @@ from conftest import QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_po
 
 
 def test_quintic_report(quintic):
-    # the rank, basis and free moments are pinned in the fixture table below
     rep = decompose(quintic)
+    assert rep.rank == 4
+    assert rep.residual < 1e-7
+    assert rep.free_count == 0
+    assert rep.basis == [(0, 0), (1, 0), (0, 1), (2, 0)]
     got = {}
     for w, k in rep.decomposition.terms:
         assert abs(k[0] - 1) < 1e-9
@@ -37,6 +40,25 @@ def test_quintic_report(quintic):
         key = tuple(int(x) for x in p_true)
         assert key in got
         assert got[key] == pytest.approx(w_true, rel=1e-6)
+
+
+def test_quartic_rank_six(quartic):
+    rep = decompose(quartic)
+    assert rep.rank == 6
+    assert rep.residual < 1e-6
+    # six missing quintic moments, three left free by the equations
+    assert rep.free_count == 3
+
+
+def test_maximal_cubic_rank_five(maximal_cubic):
+    rep = decompose(maximal_cubic)
+    assert rep.rank == 5
+    assert rep.residual < 1e-6
+    # sizes 3 and 4 must be rejected on the way up: 12 failed attempts, which
+    # the Gauss-Newton plateau exit shortens without changing their outcome
+    assert rep.retries == 12
+    assert rep.free_count == 5
+    assert rep.basis == [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)]
 
 
 def test_rank_examples():
@@ -101,11 +123,8 @@ def test_binary_path_honours_tol(tol):
     "fixture, rank_, retries, free_count, basis",
     [
         ("ternary_quintic_rank4.txt", 4, 0, 0, [[0, 0], [1, 0], [0, 1], [2, 0]]),
-        # six missing quintic moments, three left free by the equations
         ("ternary_quartic_rank6.txt", 6, 0, 3,
          [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
-        # sizes 3 and 4 must be rejected on the way up: 12 failed attempts,
-        # which the Gauss-Newton plateau exit shortens without changing them
         ("cubic_maximal.txt", 5, 12, 5, [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]]),
         # one failed rank-3 attempt, then the Koszul bound skips to rank 4
         ("cubic_generic_rank4.json", 4, 2, 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
