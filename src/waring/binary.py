@@ -19,6 +19,7 @@ from .core import (
     DecompositionError,
     HomogeneousPoly,
     monomial_values,
+    numerical_rank,
     pairwise_sines,
 )
 
@@ -117,8 +118,7 @@ def binary_decompose(
     for r in range(1, cap + 1):
         h = hankel_slice(bf, r) / scale
         _, s, vh = np.linalg.svd(h)
-        rank = int(np.sum(s > 1e-8 * s[0])) if s.size and s[0] > 0 else 0
-        null = vh[rank:].conj().T
+        null = vh[numerical_rank(s):].conj().T
         if null.shape[1] == 0:
             continue
         for attempt in range(KERNEL_RETRIES):

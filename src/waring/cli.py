@@ -138,31 +138,36 @@ def main(argv=None) -> int:
     return code
 
 
-def _main(argv) -> int:
+def _build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", help="file path, inline polynomial, or - for stdin")
+    common.add_argument("--tol", type=float, default=1e-7)
+    common.add_argument("--max-rank", type=int, default=None)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--format", choices=["text", "json"], default="text")
     ap = argparse.ArgumentParser(
         prog="waring",
         description="decompose homogeneous polynomials into sums of powers of linear forms",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="file path, inline polynomial, or - for stdin")
-        p.add_argument("--tol", type=float, default=1e-7)
-        p.add_argument("--max-rank", type=int, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=["text", "json"], default="text")
-
-    add_common(sub.add_parser("decompose", help="minimal power-sum decomposition"))
-    add_common(sub.add_parser("rank", help="symmetric rank only"))
-    add_common(sub.add_parser("classify", help="orbit class of a ternary cubic"))
-    add_common(sub.add_parser("sylvester", help="binary decomposition directly"))
-    pv = sub.add_parser("verify", help="check a decomposition against a polynomial")
-    add_common(pv)
+    sub.add_parser("decompose", help="minimal power-sum decomposition", parents=[common])
+    sub.add_parser("rank", help="symmetric rank only", parents=[common])
+    sub.add_parser("classify", help="orbit class of a ternary cubic", parents=[common])
+    sub.add_parser("sylvester", help="binary decomposition directly", parents=[common])
+    pv = sub.add_parser(
+        "verify", help="check a decomposition against a polynomial", parents=[common]
+    )
     pv.add_argument("--decomposition", required=True, help="decomposition JSON file")
+    return ap
 
+
+# built once, at import: setting argparse up costs more than a small input
+_PARSER = _build_parser()
+
+
+def _main(argv) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error, which it has
         # already printed; 2 is reserved for a failed decomposition here

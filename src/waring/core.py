@@ -22,6 +22,8 @@ import numpy as np
 
 Exponent = tuple[int, ...]
 
+RANK_CUT = 1e-8  # `numerical_rank` counts singular values above this fraction of the largest
+
 
 class PolyParseError(ValueError):
     """Raised on malformed polynomial text; carries the character position."""
@@ -398,13 +400,21 @@ def pairwise_sines(forms) -> np.ndarray:
     return np.linalg.norm(u[j] - inner[:, None] * u[i], axis=1)
 
 
-def essential_vars(f: HomogeneousPoly, tol: float = 1e-8):
+def numerical_rank(s: np.ndarray, floor: float = 0.0) -> int:
+    """The number of singular values `s` (largest first) above RANK_CUT times
+    the largest and above `floor`; 0 when there are none.
+
+    Every rank and nullity in the package is counted by this one rule."""
+    return int(np.sum(s > max(RANK_CUT * s[0], floor))) if len(s) else 0
+
+
+def essential_vars(f: HomogeneousPoly):
     """Number of variables really present in f, plus a change realizing it.
 
-    Builds the matrix of first partial derivatives (one row per variable,
-    columns indexed by degree d-1 monomials) and takes its numerical rank.
-    The returned change maps f to a form using only the first `count`
-    variables.
+    The count is the `numerical_rank` of the matrix of first partial
+    derivatives (one row per variable, columns indexed by degree d-1
+    monomials).  The returned change maps f to a form using only the first
+    `count` variables.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no essential variables")
@@ -419,7 +429,7 @@ def essential_vars(f: HomogeneousPoly, tol: float = 1e-8):
                 de[i] -= 1
                 p[i, col_index[tuple(de)]] += exp[i] * c
     u, s, _ = np.linalg.svd(p, full_matrices=True)
-    count = int(np.sum(s > tol * s[0]))
+    count = numerical_rank(s)
     # columns j >= count of conj(U) span the left null space of p, so the
     # substituted form has vanishing partials in those directions
     reducer = LinearChange(np.conj(u))

@@ -324,43 +324,20 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
     return VerifyReport(float(residual), float(max_err), collisions)
 
 
-def _restriction_has_double_root(f: HomogeneousPoly, p, q) -> bool:
-    # fit the cubic t -> f(p + t q) through four nodes, then test its
-    # discriminant on max-normalized coefficients
-    nodes = np.array([0.0, 1.0, -1.0, 2.0])
-    vals = f.evaluate(p + nodes[:, None] * q)
-    b = np.linalg.solve(np.vander(nodes, 4, increasing=True), vals)
-    b = b / np.max(np.abs(b))
-    b0, b1, b2, b3 = b
-    disc = (
-        18 * b3 * b2 * b1 * b0
-        - 4 * b2**3 * b0
-        + b2**2 * b1**2
-        - 4 * b3 * b1**3
-        - 27 * b3**2 * b0**2
-    )
-    return abs(disc) <= 1e-8
-
-
-def _square_free(f: HomogeneousPoly, seed: int) -> bool:
-    """Restrict to random lines; a repeated factor forces double roots on all."""
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        q = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        if _restriction_has_double_root(f, p / np.linalg.norm(p), q / np.linalg.norm(q)):
-            return False
-    return True
-
-
 def classify_ternary_cubic(
     f: HomogeneousPoly, seed: int = 0, tol: float = 1e-7
 ) -> OrbitClass:
-    """Projective class of a nonzero cubic in three variables."""
+    """Projective class of a nonzero cubic in three variables.
+
+    The rank decides the class, except at rank 3, where the `essential_vars`
+    count does: a cubic with a repeated linear factor is l^2 m or l^3 in
+    suitable coordinates, so it uses at most two variables.
+    """
     if f.nvars != 3 or f.degree != 3:
         raise ValueError("classification needs a ternary cubic")
     r = decompose(f, seed=seed, tol=tol).rank
     if r == 3:
-        return OrbitClass.FERMAT if _square_free(f, seed) else OrbitClass.SQUARE_TIMES_LINE
+        essential = essential_vars(f)[0]
+        return OrbitClass.FERMAT if essential == 3 else OrbitClass.SQUARE_TIMES_LINE
     # the search never goes above 5, the maximum for ternary cubics
     return next(c for c in OrbitClass if c.rank == r)

@@ -37,9 +37,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .core import DualForm, Exponent, grlex_key
+from .core import DualForm, Exponent, grlex_key, numerical_rank
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
 RESTARTS = 32  # Gauss-Newton starts per extension solve: zero, then random
@@ -106,11 +105,9 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     return x, fn
 
 
-def _free_columns(j: np.ndarray, tol: float = 1e-8) -> int:
-    """The number of columns of a nonempty J that QR with column pivoting
-    leaves free."""
-    diag = np.abs(np.diagonal(scipy.linalg.qr(j, pivoting=True, mode="r")[0]))
-    return j.shape[1] - int(np.sum(diag > tol * diag[0]))
+def _free_columns(j: np.ndarray) -> int:
+    """The nullity of J: its column count less its `numerical_rank`."""
+    return j.shape[1] - numerical_rank(np.linalg.svd(j, compute_uv=False))
 
 
 # ---------------------------------------------------------------------------

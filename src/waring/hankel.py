@@ -16,12 +16,11 @@ from operator import add
 
 import numpy as np
 
-from .core import DualForm, Exponent, grlex_key, monomials, monomials_upto, multinomial
+from .core import (
+    DualForm, Exponent, grlex_key, monomials, monomials_upto, multinomial, numerical_rank,
+)
 
 KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
-# a rank bound counts the singular values of a catalecticant or Koszul
-# flattening above this fraction of the largest and above the noise `tol` allows
-RANK_CUT = 1e-8
 
 
 class MonomialBasis:
@@ -172,7 +171,7 @@ def known_rank_bound(L: DualForm, tol: float) -> int:
     best = 0
     for k in range(L.degree // 2 + 1):  # block d-k is block k transposed
         index, gain = _catalecticant_layout(L.nvars, L.degree, k)
-        best = max(best, _numerical_rank(moments[index], gain * noise))
+        best = max(best, _rank(moments[index], gain * noise))
     return best
 
 
@@ -194,10 +193,9 @@ def _gain(counts: np.ndarray, nvars: int, degree: int) -> float:
     return float(np.sqrt(np.max(counts / _multinomials(nvars, degree) ** 2)))
 
 
-def _numerical_rank(m: np.ndarray, floor: float) -> int:
-    """Singular values of m above RANK_CUT of the largest and above `floor`."""
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.sum(s > max(RANK_CUT * s[0], floor)))
+def _rank(m: np.ndarray, floor: float = 0.0) -> int:
+    """The `numerical_rank` of the matrix m."""
+    return numerical_rank(np.linalg.svd(m, compute_uv=False), floor)
 
 
 @functools.cache
@@ -296,10 +294,10 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     catalecticant, but often past it (Landsberg-Ottaviani 2013;
     Oeding-Ottaviani 2013).  Every shape of `koszul_shapes` is tried.
 
-    Singular values count above RANK_CUT of the largest and above the
-    noise that `tol` allows, so the bound holds for every form g within
-    relative coefficient distance `tol` of L's form f: K(f - g) has spectral
-    norm at most gain * tol * ||f|| (see `_koszul_layout`), and by Weyl's
+    Singular values count by `numerical_rank`, above the noise that `tol`
+    allows, so the bound holds for every form g within relative coefficient
+    distance `tol` of L's form f: K(f - g) has spectral norm at most
+    gain * tol * ||f|| (see `_koszul_layout`), and by Weyl's
     inequality K(g) has at least as many singular values as K(f) has above
     that.  Returns (0, None) when every flattening is zero.
     """
@@ -308,63 +306,32 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     best, where = 0, None
     for delta, p in koszul_shapes(L.nvars, L.degree):
         gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]
-        count = _numerical_rank(koszul_flattening(L, delta, p, moments), gain * noise)
+        count = _rank(koszul_flattening(L, delta, p, moments), gain * noise)
         bound = -(-count // math.comb(L.nvars, p))
         if bound > best:
             best, where = bound, (delta, p)
     return best, where
 
 
-def _nonsingular(m: np.ndarray, tol: float) -> bool:
-    s = np.linalg.svd(m, compute_uv=False)
-    return bool(s[-1] > tol * s[0])
-
-
-def full_rank_principal_minor(
-    L: DualForm, size: int | None = None, tol: float = 1e-8
-) -> MonomialBasis | None:
-    """A connected basis B with H^{B,B} fully known and nonsingular.
+def full_rank_principal_minor(L: DualForm, size: int | None = None) -> MonomialBasis | None:
+    """A connected basis B with H^{B,B} fully known and of full numerical rank.
 
     The candidate monomials are those of degree <= d/2 (so all pairwise sums
-    stay within the truncation).  The target size is the numerical rank of
-    the full candidate matrix, which no principal minor can exceed; a greedy
-    graded-lex scan almost always reaches it, with an exhaustive fallback for
-    the structured cases where it does not.  Returns None when nothing
-    nonsingular of the requested size contains the constant monomial.
+    stay within the truncation).  No principal minor exceeds the numerical
+    rank of the full candidate matrix.  The search walks the candidate
+    subsets that hold the constant monomial in lex order, of `size`, or of
+    every size from that rank down when `size` is None, and returns the first
+    connected one.  Returns None when there is none, or after 20000 subsets.
     """
     pool = [m for m in monomials_upto(L.nvars, L.degree) if 2 * sum(m) <= L.degree]
     full = build_hankel(L, pool, pool).value_matrix()
-    s = np.linalg.svd(full, compute_uv=False)
-    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
-    if rank == 0:
-        return None
-    target = rank if size is None else size
-    if size is not None and size > rank:
-        return None
-
-    # greedy: extend by the first monomial (divisor-closed) keeping the
-    # principal minor nonsingular
-    chosen = [0]
-    have = {pool[0]}
-    for j in range(1, len(pool)):
-        if len(chosen) == target:
-            break
-        e = pool[j]
-        parents = [
-            e[:i] + (e[i] - 1,) + e[i + 1 :] for i in range(L.nvars) if e[i] > 0
-        ]
-        if not any(p in have for p in parents):
-            continue
-        trial = chosen + [j]
-        if _nonsingular(full[np.ix_(trial, trial)], tol):
-            chosen = trial
-            have.add(e)
-    if len(chosen) == target:
-        return MonomialBasis(L.nvars, [pool[i] for i in chosen])
-
-    # fallback: lex-ordered subsets, largest size first, constant forced in
+    rank = _rank(full)
+    if size is None:
+        sizes = range(rank, 0, -1)
+    else:
+        sizes = [size] if 0 < size <= rank else []
     budget = 20000
-    for k in range(target, 0, -1):
+    for k in sizes:
         for idx in combinations(range(len(pool)), k):
             if idx[0] != 0:
                 break
@@ -375,10 +342,8 @@ def full_rank_principal_minor(
                 basis = MonomialBasis(L.nvars, [pool[i] for i in idx])
             except ValueError:
                 continue
-            if _nonsingular(full[np.ix_(idx, idx)], tol):
+            if _rank(full[np.ix_(idx, idx)]) == k:
                 return basis
-        if size is not None:
-            return None
     return None
 
 

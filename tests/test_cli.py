@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -177,6 +178,21 @@ def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert out.startswith("usage:")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        code, out, _ = run(capsys, "rank", "x0^3 + x1^3")
+        assert (code, out) == (0, "2\n")
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from waring.core import (
     monomials,
     monomials_upto,
     multinomial,
+    numerical_rank,
     parse_poly,
     poly_from_json,
     poly_to_json,
@@ -269,6 +270,17 @@ def test_change_coordinates_matches_tuple_keys_bit_for_bit():
 def test_linear_change_rejects_singular():
     with pytest.raises(ValueError):
         LinearChange(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_numerical_rank_rule():
+    assert numerical_rank(np.array([])) == 0
+    assert numerical_rank(np.zeros(3)) == 0
+    # the cut is relative: 1e-8 of the largest singular value
+    assert numerical_rank(np.array([2.0, 1.99e-8])) == 1
+    assert numerical_rank(np.array([2.0, 2.01e-8])) == 2
+    # a floor above the relative cut wins
+    assert numerical_rank(np.array([1.0, 1e-3, 1e-6])) == 3
+    assert numerical_rank(np.array([1.0, 1e-3, 1e-6]), floor=1e-4) == 2
 
 
 def test_essential_vars_full(quintic):

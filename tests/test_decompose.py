@@ -352,18 +352,23 @@ CLASSIFY_CASES = [
     ("x0^3 + x1^3 + x2^3", OrbitClass.FERMAT),
     ("150x0^2*x2 + x1^2*x2 + x2^3 - 12x0^3", OrbitClass.GENERIC),
     ("x0^2*x1 + x0*x2^2", OrbitClass.MAXIMAL),
+    # Fermat cubics with terms of very different sizes
+    ("10000x0^3 + x1^3 + x2^3", OrbitClass.FERMAT),
+    ("100000x0^3 + x1^3 + x2^3", OrbitClass.FERMAT),
 ]
+CLASSIFY_IDS = [w.label for _, w in CLASSIFY_CASES[:-2]] + ["Fermat_1e4", "Fermat_1e5"]
 
 
-@pytest.mark.parametrize("text,want", CLASSIFY_CASES, ids=[w.label for _, w in CLASSIFY_CASES])
+@pytest.mark.parametrize("text,want", CLASSIFY_CASES, ids=CLASSIFY_IDS)
 def test_classify_canonical_cubics(text, want):
     src = parse_poly(text)
     f = HomogeneousPoly(
         3, src.degree, {e + (0,) * (3 - src.nvars): c for e, c in src.coeffs.items()}
     )
-    got = classify_ternary_cubic(f)
-    assert got is want
-    assert got.rank == want.rank
+    for seed in range(4):
+        got = classify_ternary_cubic(f, seed=seed)
+        assert got is want, seed
+        assert got.rank == want.rank
 
 
 def test_classify_rejects_wrong_shape():

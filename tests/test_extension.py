@@ -5,7 +5,7 @@ import pytest
 
 from waring.core import grlex_key, parse_poly, to_dual
 from waring.extension import CommutatorResidual, extend_dual
-from waring.extension import _gauss_newton
+from waring.extension import _free_columns, _gauss_newton
 from waring.hankel import (
     MonomialBasis,
     build_hankel,
@@ -147,6 +147,14 @@ def test_extension_gives_up_after_the_probe_starts(monkeypatch):
     assert extend_dual(to_dual(parse_poly("x0^3 + x1^3 + x2^3")), b, seed=0) is None
     assert len(runs) == 8
     assert min(runs) > 1e-4
+
+
+def test_free_columns_is_the_nullity():
+    # J = A B with A 30x4 and B 4x9 has rank 4, so 5 of its 9 columns are free
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
+    b = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    assert _free_columns(a @ b) == 5
 
 
 def test_cubic_system_counts(maximal_cubic):

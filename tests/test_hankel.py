@@ -9,6 +9,7 @@ from waring.core import (
     LinearChange,
     change_coordinates,
     monomials_upto,
+    numerical_rank,
     parse_poly,
     power_of_linear_form,
     to_dual,
@@ -139,6 +140,36 @@ def test_principal_minor_quartic(quartic):
 def test_principal_minor_size_too_large(quintic):
     L = to_dual(quintic)
     assert full_rank_principal_minor(L, size=9) is None
+
+
+@pytest.mark.parametrize("text", ["x0*x1*x2", "x0^2*x1*x2", "x0*x1^2 + x1*x2^2"])
+def test_principal_minor_is_never_singular(text):
+    # L(1) = 0, so the only basis of size 1 has H^{B,B} = [[0]]
+    assert full_rank_principal_minor(to_dual(parse_poly(text)), size=1) is None
+
+
+PLANTED_MINOR_SHAPES = [
+    (3, 4, 3), (3, 4, 5), (3, 5, 4), (3, 5, 6), (3, 6, 8), (4, 3, 3), (4, 4, 6), (5, 4, 8),
+]
+
+
+def test_principal_minors_have_full_numerical_rank(quintic, quartic):
+    rng = np.random.default_rng(43)
+    forms = [quintic, quartic]
+    forms += [planted_poly(n, d, r, rng)[0] for n, d, r in PLANTED_MINOR_SHAPES]
+    found = 0
+    for f in forms:
+        L = to_dual(f)
+        for size in [None, *range(1, 16)]:
+            b = full_rank_principal_minor(L, size=size)
+            if b is None:
+                continue
+            h = build_hankel(L, b.exponents, b.exponents)
+            assert not h.unknowns
+            s = np.linalg.svd(h.value_matrix(), compute_uv=False)
+            assert numerical_rank(s) == len(b)
+            found += 1
+    assert found >= 50
 
 
 def test_kernel_generators_annihilate():
