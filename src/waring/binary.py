@@ -71,17 +71,17 @@ def hankel_slice(p: BinaryForm | HomogeneousPoly, r: int) -> np.ndarray:
     return np.array([[c[i + j] for j in range(r + 1)] for i in range(d - r + 1)])
 
 
-def _projective_roots(b: np.ndarray, zero_tol: float = 1e-10):
+def _projective_roots(b: np.ndarray):
     """Roots of sum_k b_k alpha^k beta^(r-k) as points (alpha, beta).
 
-    Vanishing leading coefficients are roots at infinity, direction (1, 0);
-    more than one of those means a repeated root and the caller must retry.
-    Returns None in that case.
+    Leading coefficients at most 1e-10 of the largest vanish; each is a root
+    at infinity, direction (1, 0).  More than one of those means a repeated
+    root and the caller must retry: None is returned then.
     """
     r = len(b) - 1
     top = np.max(np.abs(b))
     k = r
-    while k >= 0 and abs(b[k]) <= zero_tol * top:
+    while k >= 0 and abs(b[k]) <= 1e-10 * top:
         k -= 1
     at_infinity = r - k
     if at_infinity > 1:

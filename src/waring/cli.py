@@ -33,11 +33,6 @@ from .core import (
 from .decompose import classify_ternary_cubic, decompose, verify
 
 
-def _pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def parse_input(text: str) -> HomogeneousPoly:
     """Polynomial from the text grammar or one of the JSON schemas."""
     stripped = text.strip()
@@ -60,11 +55,19 @@ def _poly_from_tensor(obj: dict) -> HomogeneousPoly:
         flat = json_value(obj["tensor"], list, "tensor")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad tensor JSON: {exc}")
-    exps = monomials(nvars, degree)
-    if len(flat) != len(exps):
+    if nvars < 1 or degree < 0:
         raise ValueError(
-            f"tensor array has {len(flat)} entries, expected {len(exps)}"
+            f"bad tensor JSON: no form has {nvars} variables and degree {degree}"
         )
+    # the entries are counted before any exponent is listed, which a large
+    # shape would not fit in memory; past k = 64 the count C(n+d-1, k) is
+    # above 2^64, more than any list holds
+    k = min(degree, nvars - 1)
+    count = math.comb(nvars + degree - 1, k) if k < 64 else None
+    if len(flat) != count:
+        want = "more than 2^64" if count is None else count
+        raise ValueError(f"tensor array has {len(flat)} entries, expected {want}")
+    exps = monomials(nvars, degree)
     coeffs = {}
     for i, (exp, v) in enumerate(zip(exps, flat)):
         # a real number or an [re, im] pair
@@ -91,20 +94,14 @@ def _emit(report: dict, fmt: str, text_lines) -> None:
 
 
 def _decomposition_report(rep) -> dict:
-    dec = rep.decomposition
+    """The decomposition's JSON, whose rank and residual are the report's,
+    with what the search did."""
     return {
-        "rank": rep.rank,
-        "residual": rep.residual,
-        "terms": [
-            {"weight": _pair(w), "form": [_pair(v) for v in k]}
-            for w, k in dec.terms
-        ],
+        **decomposition_to_json(rep.decomposition),
         "basis": [list(e) for e in rep.basis],
         "free_count": rep.free_count,
         "retries": rep.retries,
         "seed": rep.seed,
-        "degree": dec.degree,
-        "nvars": dec.nvars,
     }
 
 

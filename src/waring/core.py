@@ -180,23 +180,21 @@ class LinearChange:
     """Invertible change of variables x -> A x on coefficient vectors."""
 
     matrix: np.ndarray
-    inverse_transpose: np.ndarray = field(default=None)  # type: ignore[assignment]
+    inverse_transpose: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("change of coordinates must be a square matrix")
-        if self.inverse_transpose is None:
-            try:
-                inv_t = np.linalg.inv(a).T
-            except np.linalg.LinAlgError:
-                raise ValueError("singular change of coordinates")
-            object.__setattr__(self, "inverse_transpose", inv_t)
-        # cheap sanity check on the cached inverse
-        n = a.shape[0]
-        if not np.allclose(a @ self.inverse_transpose.T, np.eye(n), atol=1e-8):
-            raise ValueError("inverse_transpose inconsistent with matrix")
+        try:
+            inv_t = np.linalg.inv(a).T
+        except np.linalg.LinAlgError:
+            raise ValueError("singular change of coordinates")
+        # an inverse that does not invert: the matrix is numerically singular
+        if not np.allclose(a @ inv_t.T, np.eye(a.shape[0]), atol=1e-8):
+            raise ValueError("numerically singular change of coordinates")
         object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "inverse_transpose", inv_t)
 
     @property
     def nvars(self) -> int:
@@ -282,14 +280,13 @@ class DualForm:
         return DualForm(self.nvars, self.degree, self.moments, ext)
 
     @classmethod
-    def from_support(cls, weights, points, nvars, degree, upto=None) -> "DualForm":
+    def from_support(cls, weights, points, nvars, degree) -> "DualForm":
         """Moment table of the functional sum_j w_j * eval_{zeta_j}.
 
         Used heavily by tests: the moments of a planted decomposition are
         c_alpha = sum_j w_j * zeta_j^alpha.
         """
-        upto = degree if upto is None else upto
-        exps = monomials_upto(nvars, upto)
+        exps = monomials_upto(nvars, degree)
         values = np.asarray(weights) @ monomial_values(points, exps)
         return cls(nvars, degree, dict(zip(exps, values.tolist())))
 
@@ -297,23 +294,20 @@ class DualForm:
         return f"DualForm(nvars={self.nvars}, degree={self.degree}, extended={len(self.extended)})"
 
 
-def to_dual(f: HomogeneousPoly, distinguished_var: int = 0) -> DualForm:
-    """Dual form of f: divide coefficients by multinomials, drop x_var.
+def to_dual(f: HomogeneousPoly) -> DualForm:
+    """Dual form of f in the affine chart x_0 = 1.
 
-    The moment of the affine monomial x^beta is the coefficient of
-    x_var^(d-|beta|) * x^beta in f divided by multinomial(d, full exponent).
+    The moment of x^beta, beta over x_1..x_{n-1}, is the coefficient of
+    x_0^(d-|beta|) * x^beta in f over its multinomial.  A term whose form has
+    x_0 coefficient 0 lies outside the chart; the rank loop's random frames
+    move it in.
     """
     d = f.degree
-    n = f.nvars - 1
-    if not (0 <= distinguished_var < f.nvars):
-        raise ValueError("bad distinguished variable")
     moments = {}
-    for beta in monomials_upto(n, d):
-        full = list(beta)
-        full.insert(distinguished_var, d - sum(beta))
-        full = tuple(full)
+    for beta in monomials_upto(f.nvars - 1, d):
+        full = (d - sum(beta),) + beta
         moments[beta] = f.coeff(full) / multinomial(d, full)
-    return DualForm(n, d, moments)
+    return DualForm(f.nvars - 1, d, moments)
 
 
 def apolar(f: HomogeneousPoly, g: HomogeneousPoly) -> complex:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -138,36 +138,24 @@ def _basis_candidates(L: DualForm, r: int, limit: int) -> list[MonomialBasis]:
 
     A fully known nonsingular principal minor is the best start when one
     exists at this size; after that come the graded-lex prefix and a few
-    other choices of top-degree monomials.
+    other choices of top-degree monomials.  Each of those keeps every
+    monomial of lower degree, so it is connected to 1, and only the principal
+    minor can repeat one.
     """
-    out: list[MonomialBasis] = []
-    seen = set()
-
-    def push(exps):
-        if len(out) >= limit:
-            return
-        key = tuple(sorted(exps))
-        if key in seen:
-            return
-        seen.add(key)
-        try:
-            out.append(MonomialBasis(L.nvars, exps))
-        except ValueError:
-            pass
-
     pm = full_rank_principal_minor(L, size=r)
-    if pm is not None:
-        push(pm.exponents)
+    out = [] if pm is None else [pm]
     pool = monomials_upto(L.nvars, max(1, L.degree - 1))
     if len(pool) >= r:
         lower = pool[:r]
         top = sum(lower[-1])
         head = [m for m in lower if sum(m) < top]
         block = [m for m in pool if sum(m) == top]
-        for combo in islice(combinations(block, r - len(head)), 60):
+        for combo in combinations(block, r - len(head)):
             if len(out) >= limit:
                 break
-            push(head + list(combo))
+            basis = MonomialBasis(L.nvars, head + list(combo))
+            if basis != pm:
+                out.append(basis)
     return out
 
 
@@ -278,6 +266,8 @@ def decompose(
 
     count, reducer = essential_vars(f)
     if count < f.nvars:
+        # the form in fewer variables, unless its terms, lifted back, miss f
+        # by more than tol: then the variables it dropped were not noise
         g = _restrict(change_coordinates(f, reducer), count)
         rep = decompose(g, tol=tol, max_rank=max_rank, seed=seed)
         pad = np.zeros(f.nvars - count, dtype=complex)
@@ -285,8 +275,9 @@ def decompose(
         lifted = [np.concatenate([k, pad]) for _, k in small.terms]
         final = list(zip([w for w, _ in small.terms], pullback_points(lifted, reducer)))
         res = _relative_err(f, final)
-        dec = Decomposition(f.degree, final, res).normalized()
-        return replace(rep, decomposition=dec, residual=res)
+        if res <= tol:
+            dec = Decomposition(f.degree, final, res).normalized()
+            return replace(rep, decomposition=dec, residual=res)
 
     if f.nvars == 2:
         dec = binary_decompose(

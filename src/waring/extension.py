@@ -250,10 +250,10 @@ class CommutatorResidual:
         np.add.at(out, target, factor[left] * factor[right])
         return out.reshape(self.nequations(), -1) / self.scale
 
-    def d0_healthy(self, x: np.ndarray, tol: float = 1e-10) -> bool:
-        """s_min(D_0) > tol * s_max(D_0): the pencil step can invert D_0."""
+    def d0_healthy(self, x: np.ndarray) -> bool:
+        """s_min(D_0) > 1e-10 s_max(D_0): the pencil step can invert D_0."""
         s = np.linalg.svd(self.matrices(x)[0], compute_uv=False)
-        return bool(s[-1] > tol * s[0])
+        return bool(s[-1] > 1e-10 * s[0])
 
 
 def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSolution | None:

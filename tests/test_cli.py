@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -131,6 +132,46 @@ def test_tensor_json_length_mismatch(capsys):
     code, _, err = run(capsys, "rank", blob)
     assert code == 1
     assert "expected" in err
+
+
+@pytest.mark.parametrize(
+    "nvars, degree, message",
+    [(40, 9, "expected 1677106640"), (2000000, 1000000, "expected more than 2^64")],
+    ids=["count_1.7e9", "count_past_2_64"],
+)
+def test_huge_tensor_shape_is_rejected_before_listing(nvars, degree, message):
+    # a one-entry tensor naming C(nvars + degree - 1, degree) exponents: the
+    # entry count is checked before any exponent is listed, so the run fits
+    # in a 2 GB address space
+    blob = json.dumps({"nvars": nvars, "degree": degree, "tensor": [1]})
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "waring.cli", "decompose", blob, "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["code"] == "invalid-input"
+    assert f"tensor array has 1 entries, {message}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [
+        ('{"nvars": 0, "degree": 2, "tensor": []}', "no form has 0 variables"),
+        ('{"nvars": -1, "degree": 2, "tensor": [1]}', "no form has -1 variables"),
+        ('{"nvars": 2, "degree": -1, "tensor": []}', "and degree -1"),
+    ],
+    ids=["no_variables", "negative_nvars", "negative_degree"],
+)
+def test_tensor_shape_errors(capsys, blob, message):
+    code, _, err = run(capsys, "rank", blob)
+    assert code == 1
+    assert message in err
 
 
 def test_polynomial_json_input(capsys):

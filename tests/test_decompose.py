@@ -1,3 +1,4 @@
+import contextlib
 import re
 import sys
 
@@ -288,6 +289,19 @@ def test_degenerate_input_uses_fewer_variables():
         assert len(k) == 3
     vr = verify(f, rep.decomposition)
     assert vr.residual < 1e-8
+
+
+def test_reduced_form_is_held_to_tol():
+    # x1's 1e-9 coefficient is below the essential-variable cut, so the form
+    # reads as one in x0 alone; that is only within tol from 1e-9 on
+    f = parse_poly("x0^3 + 1e-9*x1^3")
+    assert decompose(f, tol=1e-12).rank == 2
+    assert decompose(f, tol=1e-7).rank == 1
+    # in three variables the search in all of them may fail, but it never
+    # returns the reduced form's rank 2 at residual 7e-10
+    g = parse_poly("x0^3 + x1^3 + 1e-9*x2^3")
+    with contextlib.suppress(DecompositionError):
+        assert decompose(g, tol=1e-12).residual <= 1e-12
 
 
 def test_round_trip_spot_checks():

@@ -32,6 +32,13 @@ def _quintic_setup(quintic):
     return L, b, d0, d1, d2
 
 
+def _scaled_columns(v, d0, shifts):
+    """D_0 v above the first row of each D_i v, each column scaled by its
+    constant entry: what `pencil_support` hands to `extract_points`."""
+    u = np.vstack([d0, *(s[:1] for s in shifts)]) @ v
+    return u / u[0]
+
+
 def test_pencil_eigenvalues_are_coordinates(quintic):
     L, b, d0, d1, d2 = _quintic_setup(quintic)
     w, _ = generalized_eigen(d1, d0)
@@ -43,7 +50,8 @@ def test_pencil_eigenvalues_are_coordinates(quintic):
 def test_eigenvectors_are_evaluation_vectors(quintic):
     # columns normalized at the constant slot read off (1, z1, z2, z1^2)
     L, b, d0, d1, d2 = _quintic_setup(quintic)
-    _, u = generalized_eigen(d1, d0)
+    _, v = generalized_eigen(d1, d0)
+    u = _scaled_columns(v, d0, [])
     want = {(-12, -3, 144), (12, -13, 144), (-2, 3, 4), (2, 3, 4)}
     got = set()
     for k in range(4):
@@ -55,9 +63,8 @@ def test_eigenvectors_are_evaluation_vectors(quintic):
 
 def test_extract_points_and_weights(quintic):
     L, b, d0, d1, d2 = _quintic_setup(quintic)
-    _, u = generalized_eigen(d1, d0)
-    mult = [d1 @ np.linalg.inv(d0), d2 @ np.linalg.inv(d0)]
-    ps = extract_points(u, b, mult)
+    _, v = generalized_eigen(d1, d0)
+    ps = extract_points(_scaled_columns(v, d0, [d1, d2]), b)
     assert ps.shape == (4, 2)
     pts = sorted(tuple(np.round(p.real).astype(int)) for p in ps)
     assert pts == [(-12, -3), (-2, 3), (2, 3), (12, -13)]
@@ -66,6 +73,18 @@ def test_extract_points_and_weights(quintic):
     pairing = {tuple(np.round(p.real).astype(int)): w for p, w in zip(ps, wts)}
     for w_true, p_true in QUINTIC_SUPPORT:
         assert pairing[tuple(int(x) for x in p_true)] == pytest.approx(w_true, abs=1e-6)
+
+
+def test_row_rule_equals_the_basis_entry(quintic):
+    # x_1 and x_2 are in the quintic's basis, so each coordinate can also be
+    # read off the evaluation vector D_0 v; the first rows of D_1 and D_2 give
+    # the same numbers
+    L, b, d0, d1, d2 = _quintic_setup(quintic)
+    ps = pencil_support(d0, [d1, d2], b, np.random.default_rng(0))
+    _, v = generalized_eigen(d1, d0)
+    u = _scaled_columns(v, d0, [])
+    entries = u[[b.index[(1, 0)], b.index[(0, 1)]]].T
+    np.testing.assert_allclose(ps, entries, rtol=1e-14, atol=0)
 
 
 def test_full_reconstruction(quintic):
@@ -83,7 +102,7 @@ def test_full_reconstruction(quintic):
 
 def test_rayleigh_fallback_recovers_missing_coordinate():
     # basis carries only powers of the first variable; the second coordinate
-    # must come out of the Rayleigh quotient with M_2
+    # must come out of the first row of D_2, like every other coordinate
     pts = [(2.0, 5.0), (-1.0, 0.5), (0.3, -2.0)]
     wts = [1.0, 2.0, -0.5]
     L = DualForm.from_support(wts, pts, 2, 6)
@@ -105,7 +124,7 @@ def test_extract_points_rejects_junk():
     )
     b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0)])
     with pytest.raises(ExtractionError):
-        extract_points(bad, b, None)
+        extract_points(np.vstack([bad, bad[1:3]]), b)
 
 
 def test_eigenvalues_simple_flags_collision():
@@ -118,8 +137,8 @@ def test_single_point_support():
     b = MonomialBasis(1, [(0,)])
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     d1 = shifted_matrix(L, b, 0).value_matrix()
-    _, u = generalized_eigen(d1, d0)
-    ps = extract_points(u, b, [d1 @ np.linalg.inv(d0)])
+    _, v = generalized_eigen(d1, d0)
+    ps = extract_points(_scaled_columns(v, d0, [d1]), b)
     assert ps[0][0] == pytest.approx(5.0, abs=1e-10)
     wt, res = solve_weights(ps, L)
     assert wt[0] == pytest.approx(1.0, abs=1e-10)
@@ -142,15 +161,17 @@ def test_pencil_support_rejects_nilpotent_operators(maximal_cubic):
 
 
 def test_extract_points_reports_the_first_failing_coordinate():
-    # column 0 is the evaluation vector (1, a, b, a^2, ab) at (a, b) = (2, 3);
-    # column 1 fails at ab, column 2 at a^2, column 3 has no usable constant
-    # coordinate: the first failure in column order is the one reported
+    # column 0 is the evaluation vector (1, a, b, a^2, ab) at (a, b) = (2, 3),
+    # followed by the point; column 1 fails at ab, column 2 at a^2, column 3
+    # has no usable constant coordinate: the first failure in column order is
+    # the one reported
     b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])
     u = np.array(
         [[1, 1, 1, 0.5], [2, 1, 1, 1], [3, 1, 2, 1], [4, 1, 9, 1], [6, 7, 2, 1]],
         dtype=complex,
     )
     want = r"^coordinate of \(1, 1\) is 7\+0j, expected 1\+0j$"
+    u = np.vstack([u, u[1:3]])
     with pytest.raises(ExtractionError, match=want):
         extract_points(u, b)
     with pytest.raises(ExtractionError, match="no usable constant coordinate"):
