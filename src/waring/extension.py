@@ -6,16 +6,24 @@ and D_i is its x_i-shifted matrix on the basis B.  `CommutatorResidual`
 evaluates those equations numerically with one inverse of D_0 per point,
 which the residual and the Jacobian at that point share; an SVD is taken
 only when D_0 may lie near the singularity floor.  The Jacobian is built from
-one rank-1 term per cell an unknown occupies.  `extend_dual` solves the
-equations with a damped Gauss-Newton iteration, one start after the other:
-the zero start, then random ones, up to RESTARTS in all.  It gives up after
-the first PROBES starts when none of them came within 1e-4: the system is
-then almost certainly infeasible (a basis below the true rank).  It keeps
-the first point that reaches TOL with a healthy D_0, also on a
-positive-dimensional solution set.  A run ends at the first of these exits:
+one rank-1 term per cell an unknown occupies; the index of those terms
+depends only on the pattern of unknown cells, so it is built once per
+pattern (`_jacobian_terms`).  `extend_dual` solves the equations with a
+damped Gauss-Newton iteration, one start after the other: the zero start,
+then random ones, up to RESTARTS in all.  It gives up after the first PROBES
+starts when none of them came within 1e-4: the system is then almost
+certainly infeasible (a basis below the true rank).  It keeps the first
+point that reaches TOL with a healthy D_0, also on a positive-dimensional
+solution set.
+
+Each step solves the normal equations J^H J d = -J^H f by one Cholesky
+factorization (LAPACK zposv), several times cheaper than a least-squares
+solve.  When the factorization fails, or its diagonal has min/max at or
+below CHOLESKY_FLOOR, the run takes the minimum-norm `lstsq` step instead,
+and keeps to it until the run ends.  A run ends at the first of these exits:
 
 * the max-abs residual is at most TOL (success);
-* the least-squares step is not finite;
+* the step is not finite (also when the Jacobian is not);
 * a line search finds no sufficient decrease in 25 halvings (x and the
   residual are then unchanged, so every later iteration would repeat it);
 * the accepted step is below 1e-14 relative to the iterate;
@@ -37,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zposv
 
 from .core import DualForm, Exponent, grlex_key, numerical_rank
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
@@ -45,6 +54,10 @@ RESTARTS = 32  # Gauss-Newton starts per extension solve: zero, then random
 PROBES = 8  # starts tried before a solve whose best residual is above 1e-4 stops
 TOL = 1e-10  # max-abs (scaled) commutator residual a solution must reach
 MAX_ITER = 200  # Gauss-Newton iterations per start
+# least min/max of the Cholesky factor's diagonal for a normal-equations step,
+# so that cond(J^H J) stays below about 1e14
+CHOLESKY_FLOOR = 1e-7
+TERMS_CACHE = 32  # Jacobian index layouts kept, one per pattern of unknown cells
 
 
 @dataclass
@@ -60,18 +73,34 @@ class ExtensionSolution:
 # Gauss-Newton
 
 
-def _gauss_newton(fun, jac, x0, tol, max_iter):
-    """Damped least-squares iteration; returns (x, max-abs residual).
+def _normal_step(j: np.ndarray, f: np.ndarray) -> np.ndarray | None:
+    """The step solving J^H J d = -J^H f by Cholesky, or None when J^H J is not
+    positive definite or the factor's diagonal has min/max <= CHOLESKY_FLOOR."""
+    jh = j.conj().T
+    c, step, info = zposv(jh @ j, -(jh @ f))
+    d = np.abs(np.diagonal(c))
+    if info == 0 and d.min() > CHOLESKY_FLOOR * d.max():
+        return step
+    return None
 
-    Each iteration takes the least-squares step and backtracks (up to 25
-    halvings) until the max-abs residual decreases sufficiently.  The run ends
-    at the first of: residual <= tol; a non-finite step; a failed line search
-    (the next iteration would take the same step from the same point and fail
-    alike); a step below 1e-14 of the iterate; no tenfold residual decrease
-    over the last 30 iterations (a plateau); max_iter iterations.
-    The plateau exit is safe for regular roots, which are reached with
-    quadratic convergence, and stops the linear or slower creep towards
-    singular roots and the drift where no root exists.
+
+def _gauss_newton(fun, jac, x0, tol, max_iter):
+    """Damped Gauss-Newton iteration; returns (x, max-abs residual).
+
+    Each iteration takes a Gauss-Newton step and backtracks (up to 25
+    halvings) until the max-abs residual decreases sufficiently.  The step
+    comes from the normal equations by Cholesky (`_normal_step`); the first
+    time that is refused, the run falls back to the minimum-norm `lstsq` step
+    and stays on it, so that a run over rank-deficient Jacobians (most runs
+    below the true rank) does not pay for a failed factorization every step.
+    The run ends at the first of: residual <= tol; a non-finite step, which
+    a non-finite Jacobian also counts as; a failed line search (the next
+    iteration would take the same step from the same point and fail alike);
+    a step below 1e-14 of the iterate; no tenfold residual decrease over the
+    last 30 iterations (a plateau); max_iter iterations.  The plateau exit is
+    safe for regular roots, which are reached with quadratic convergence, and
+    stops the linear or slower creep towards singular roots and the drift
+    where no root exists.
     """
     x = np.asarray(x0, dtype=complex)
     f = fun(x)
@@ -79,11 +108,17 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     if not math.isfinite(fn):
         return x, np.inf
     history = [fn]
+    cholesky = True
     for _ in range(max_iter):
         if fn <= tol:
             break
         j = jac(x)
-        step, *_ = np.linalg.lstsq(j, -f, rcond=None)
+        step = _normal_step(j, f) if cholesky else None
+        if step is None:
+            cholesky = False
+            if not np.isfinite(j).all():
+                break  # lstsq would raise on it
+            step, *_ = np.linalg.lstsq(j, -f, rcond=None)
         if not np.isfinite(step).all():
             break
         t = 1.0
@@ -170,31 +205,10 @@ class CommutatorResidual:
 
     @functools.cached_property
     def _terms(self) -> np.ndarray:
-        """The Jacobian's rank-1 terms u[:,r] (x) v[c,:] on the upper triangle, as
-        (target, left, right) indices into N D_v, D_v N, -D_v N, 0, 1, -1.
-
-        Built on the first `jacobian` call: a basis whose moments are all known
-        never needs it."""
+        """The Jacobian's index (see `_jacobian_terms`), built on the first
+        `jacobian` call: a basis whose moments are all known never needs it."""
         n, s = len(self.const) - 1, self.const.shape[1]
-        p, q = self.upper
-        idx = np.arange(3 * n * s * s).reshape(3, n, s, s)
-        zero, one, minus = idx.size + np.arange(3)
-        eye = np.where(np.eye(s, dtype=bool), one, zero)
-        neg_eye = np.where(eye == one, minus, zero)
-        mat, r, c, k = self.cells
-        parts = [np.zeros((3, 0), dtype=np.intp)]
-        for t, (i, j) in enumerate(self.pairs):
-            (na, an, neg_an), (nb, bn, neg_bn) = idx[:, i - 1], idx[:, j - 1]
-            target = (t * len(p) + np.arange(len(p))) * len(self.unknowns)
-            # dA N B + A N dB + A dN B - dB N A - B N dA - B dN A
-            for m, u, v in ((i, eye, nb), (j, an, eye), (0, neg_an, nb),
-                            (j, neg_eye, na), (i, neg_bn, eye), (0, bn, na)):
-                on = mat == m
-                part = np.reshape(np.broadcast_arrays(
-                    target + k[on, None], u[p, r[on, None]], v[c[on, None], q]),
-                    (3, -1))
-                parts.append(part[:, (part[1] != zero) & (part[2] != zero)])
-        return np.concatenate(parts, axis=1)
+        return _jacobian_terms(n, s, len(self.unknowns), self.cells.tobytes())
 
     def nequations(self) -> int:
         return len(self.pairs) * len(self.upper[0])
@@ -254,6 +268,40 @@ class CommutatorResidual:
         """s_min(D_0) > 1e-10 s_max(D_0): the pencil step can invert D_0."""
         s = np.linalg.svd(self.matrices(x)[0], compute_uv=False)
         return bool(s[-1] > 1e-10 * s[0])
+
+
+@functools.lru_cache(maxsize=TERMS_CACHE)
+def _jacobian_terms(n: int, s: int, m: int, cells: bytes) -> np.ndarray:
+    """The Jacobian's rank-1 terms u[:,r] (x) v[c,:] on the upper triangle, as
+    (target, left, right) indices into N D_v, D_v N, -D_v N, 0, 1, -1.
+
+    n is the number of affine variables, s the basis size, m the number of
+    unknowns and `cells` the bytes of `CommutatorResidual.cells`.  The index
+    depends on nothing else, so one pattern of unknown cells is indexed once
+    for every form, frame and retry that meets it; the array is read-only,
+    since every caller shares it."""
+    mat, r, c, k = np.frombuffer(cells, dtype=np.intp).reshape(4, -1)
+    p, q = np.triu_indices(s, k=1)
+    idx = np.arange(3 * n * s * s).reshape(3, n, s, s)
+    zero, one, minus = idx.size + np.arange(3)
+    eye = np.where(np.eye(s, dtype=bool), one, zero)
+    neg_eye = np.where(eye == one, minus, zero)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    parts = [np.zeros((3, 0), dtype=np.intp)]
+    for t, (i, j) in enumerate(pairs):
+        (na, an, neg_an), (nb, bn, neg_bn) = idx[:, i - 1], idx[:, j - 1]
+        target = (t * len(p) + np.arange(len(p))) * m
+        # dA N B + A N dB + A dN B - dB N A - B N dA - B dN A
+        for d, u, v in ((i, eye, nb), (j, an, eye), (0, neg_an, nb),
+                        (j, neg_eye, na), (i, neg_bn, eye), (0, bn, na)):
+            on = mat == d
+            part = np.reshape(np.broadcast_arrays(
+                target + k[on, None], u[p, r[on, None]], v[c[on, None], q]),
+                (3, -1))
+            parts.append(part[:, (part[1] != zero) & (part[2] != zero)])
+    terms = np.concatenate(parts, axis=1)
+    terms.flags.writeable = False
+    return terms
 
 
 def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSolution | None:

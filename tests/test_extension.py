@@ -5,7 +5,14 @@ import pytest
 
 from waring.core import grlex_key, parse_poly, to_dual
 from waring.extension import CommutatorResidual, extend_dual
-from waring.extension import _free_columns, _gauss_newton
+from waring.extension import (
+    CHOLESKY_FLOOR,
+    TERMS_CACHE,
+    _free_columns,
+    _gauss_newton,
+    _jacobian_terms,
+    _normal_step,
+)
 from waring.hankel import (
     MonomialBasis,
     build_hankel,
@@ -409,6 +416,74 @@ def test_gauss_newton_regular_root_is_not_cut_short(fun, jac, x0, want, want_cal
     np.testing.assert_allclose(x, want, rtol=1e-12)
 
 
+def test_gauss_newton_ends_on_a_non_finite_jacobian(capfd):
+    # a NaN Jacobian gives no step: the run ends where it started, with no
+    # LinAlgError from lstsq and no LAPACK message on stderr
+    calls = []
+
+    def jac(v):
+        calls.append(1)
+        return np.full((2, 1), np.nan + 0j)
+
+    x, r = _gauss_newton(lambda v: np.array([v[0], v[0] + 1]), jac,
+                         np.array([0.5], dtype=complex), 1e-10, 200)
+    assert (x[0], r) == (0.5, 1.5)
+    assert len(calls) == 1
+    assert capfd.readouterr().err == ""
+
+
+def test_cholesky_step_matches_lstsq_on_full_column_rank():
+    rng = np.random.default_rng(11)
+    j = rng.standard_normal((60, 8)) + 1j * rng.standard_normal((60, 8))
+    f = rng.standard_normal(60) + 1j * rng.standard_normal(60)
+    want, *_ = np.linalg.lstsq(j, -f, rcond=None)
+    got = _normal_step(j, f)
+    assert got is not None
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _cubic_rank4_start(maximal_cubic):
+    # below the maximal cubic's rank 5 its Jacobians have rank 3 of 5 at every
+    # point; D_0 is singular at the zero start (the residual is NaN there and
+    # no Jacobian is taken), so the runs here start at a random point
+    res = CommutatorResidual(to_dual(maximal_cubic), MonomialBasis(2, CUBIC_BASIS5[:4]))
+    u = np.random.default_rng(0).uniform(-1, 1, (2, len(res.unknowns)))
+    return res, u[0] + 1j * u[1]
+
+
+def test_rank_deficient_jacobian_takes_the_fallback(maximal_cubic):
+    res, x = _cubic_rank4_start(maximal_cubic)
+    j = res.jacobian(x)
+    assert _free_columns(j) == 2
+    assert _normal_step(j, res.residual(x)) is None
+
+
+def test_no_cholesky_after_the_fallback(maximal_cubic, monkeypatch):
+    # the first Jacobian refuses the factorization, and the run then keeps to
+    # lstsq: one zposv call over all its iterations
+    module = sys.modules["waring.extension"]
+    factorizations = []
+
+    def counted(*args):
+        factorizations.append(1)
+        return zposv(*args)
+
+    zposv = module.zposv
+    monkeypatch.setattr(module, "zposv", counted)
+    res, x0 = _cubic_rank4_start(maximal_cubic)
+    _, _, calls = _counted_gauss_newton(res.residual, res.jacobian, x0)
+    assert calls > 10
+    assert len(factorizations) == 1
+
+
+def test_cholesky_floor_is_checked_on_the_factor():
+    # J = diag(1, g) has full column rank; its factor's diagonal is (1, g), so
+    # the step is refused just below the floor and taken just above it
+    f = np.ones(2, dtype=complex)
+    assert _normal_step(np.diag([1, CHOLESKY_FLOOR / 2]).astype(complex), f) is None
+    assert _normal_step(np.diag([1, CHOLESKY_FLOOR * 2]).astype(complex), f) is not None
+
+
 # ---------------------------------------------------------------------------
 # exactness of the kernel against the per-call formulation: one SVD and one
 # inverse per evaluation, a loop over the pairs of products
@@ -585,3 +660,19 @@ def test_setup_is_bit_identical_to_the_object_cell_walk(name):
         # the Jacobian index is built on first use, not by the set-up
         assert "_terms" not in vars(res)
         assert np.array_equal(res._terms, ref._terms)
+
+
+def test_jacobian_index_is_shared_across_forms(quartic):
+    # the index depends on the pattern of unknown cells only: two forms over
+    # the same basis share one read-only array, equal to a fresh build
+    b = MonomialBasis(2, QUARTIC_BASIS)
+    res = CommutatorResidual(to_dual(quartic), b)
+    other = CommutatorResidual(to_dual(parse_poly("x0^4 + 2*x1^4 - x2^4 + x0*x1*x2^2")), b)
+    assert np.array_equal(res.cells, other.cells)
+    assert not np.array_equal(res.const, other.const)
+    assert res._terms is other._terms
+    assert not res._terms.flags.writeable
+    n, s = len(res.const) - 1, res.const.shape[1]
+    fresh = _jacobian_terms.__wrapped__(n, s, len(res.unknowns), res.cells.tobytes())
+    assert np.array_equal(res._terms, fresh)
+    assert _jacobian_terms.cache_info().maxsize == TERMS_CACHE
