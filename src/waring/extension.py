@@ -18,9 +18,10 @@ solution set.
 
 Each step solves the normal equations J^H J d = -J^H f by one Cholesky
 factorization (LAPACK zposv), several times cheaper than a least-squares
-solve.  When the factorization fails, or its diagonal has min/max at or
-below CHOLESKY_FLOOR, the run takes the minimum-norm `lstsq` step instead,
-and keeps to it until the run ends.  A run ends at the first of these exits:
+solve.  When the factorization fails, or LAPACK's condition estimate from
+the factor (zpocon) puts 1/cond(J^H J) at or below CHOLESKY_FLOOR, the run
+takes the minimum-norm `lstsq` step instead, and keeps to it until the run
+ends.  A run ends at the first of these exits:
 
 * the max-abs residual is at most TOL (success);
 * the step is not finite (also when the Jacobian is not);
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zposv
+from scipy.linalg.lapack import zpocon, zposv
 
 from .core import DualForm, Exponent, grlex_key, numerical_rank
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
@@ -54,10 +55,13 @@ RESTARTS = 32  # Gauss-Newton starts per extension solve: zero, then random
 PROBES = 8  # starts tried before a solve whose best residual is above 1e-4 stops
 TOL = 1e-10  # max-abs (scaled) commutator residual a solution must reach
 MAX_ITER = 200  # Gauss-Newton iterations per start
-# least min/max of the Cholesky factor's diagonal for a normal-equations step,
-# so that cond(J^H J) stays below about 1e14
-CHOLESKY_FLOOR = 1e-7
-TERMS_CACHE = 32  # Jacobian index layouts kept, one per pattern of unknown cells
+# least reciprocal condition number of J^H J (LAPACK's 1-norm estimate from the
+# Cholesky factor) for a normal-equations step: cond(J) then stays below about
+# 1e7, so squaring it costs the step at most about 1e14 units of rounding
+CHOLESKY_FLOOR = 1e-14
+# Jacobian index layouts kept, one per pattern of unknown cells: a perfbench
+# run at seeds 1-4 meets at most 12 (rank_search), and 8 would halve its hits
+TERMS_CACHE = 16
 
 
 @dataclass
@@ -75,11 +79,18 @@ class ExtensionSolution:
 
 def _normal_step(j: np.ndarray, f: np.ndarray) -> np.ndarray | None:
     """The step solving J^H J d = -J^H f by Cholesky, or None when J^H J is not
-    positive definite or the factor's diagonal has min/max <= CHOLESKY_FLOOR."""
+    positive definite or the condition estimate that LAPACK's zpocon takes from
+    the factor puts its reciprocal condition number at or below CHOLESKY_FLOOR.
+
+    The factor's diagonal alone would not do: its spread is only a lower bound
+    on cond(R), and a J with unit diagonal can be numerically singular."""
     jh = j.conj().T
-    c, step, info = zposv(jh @ j, -(jh @ f))
-    d = np.abs(np.diagonal(c))
-    if info == 0 and d.min() > CHOLESKY_FLOOR * d.max():
+    a = jh @ j
+    c, step, info = zposv(a, -(jh @ f))
+    if info != 0:
+        return None
+    rcond, info = zpocon(c, np.abs(a).sum(axis=0).max())
+    if info == 0 and rcond > CHOLESKY_FLOOR:
         return step
     return None
 
@@ -149,6 +160,15 @@ def _free_columns(j: np.ndarray) -> int:
 # commutation equations
 
 
+def _equations(n: int, s: int):
+    """The order of the commutator equations: the pairs (i, j), 1 <= i < j <= n,
+    of shifted matrices, and the strict upper triangle (p, q) of an s x s
+    matrix.  Equation t * len(p) + e is cell (p[e], q[e]) of pair t's
+    commutator; the residual and the Jacobian index both number rows so."""
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return pairs, np.triu_indices(s, k=1)
+
+
 class CommutatorResidual:
     """Commutator equations evaluated numerically, inverting D_0 once per point.
 
@@ -187,10 +207,7 @@ class CommutatorResidual:
         # (matrix, row, col, unknown index) of every unknown cell, in C order
         cells = np.nonzero(slot >= 0)
         self.cells = np.array([*cells, slot[cells]], dtype=np.intp)
-        self.pairs = [
-            (i, j) for i in range(1, L.nvars + 1) for j in range(i + 1, L.nvars + 1)
-        ]
-        self.upper = np.triu_indices(s, k=1)
+        self.pairs, self.upper = _equations(L.nvars, s)
         # one reference magnitude so residuals read as relative numbers
         self.scale = (1.0 + np.max(np.abs(self.const))) ** 2
         self._sing_floor = 1e-12
@@ -281,12 +298,11 @@ def _jacobian_terms(n: int, s: int, m: int, cells: bytes) -> np.ndarray:
     for every form, frame and retry that meets it; the array is read-only,
     since every caller shares it."""
     mat, r, c, k = np.frombuffer(cells, dtype=np.intp).reshape(4, -1)
-    p, q = np.triu_indices(s, k=1)
+    pairs, (p, q) = _equations(n, s)
     idx = np.arange(3 * n * s * s).reshape(3, n, s, s)
     zero, one, minus = idx.size + np.arange(3)
     eye = np.where(np.eye(s, dtype=bool), one, zero)
     neg_eye = np.where(eye == one, minus, zero)
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     parts = [np.zeros((3, 0), dtype=np.intp)]
     for t, (i, j) in enumerate(pairs):
         (na, an, neg_an), (nb, bn, neg_bn) = idx[:, i - 1], idx[:, j - 1]

@@ -1,3 +1,4 @@
+import math
 import sys
 
 import numpy as np
@@ -476,12 +477,22 @@ def test_no_cholesky_after_the_fallback(maximal_cubic, monkeypatch):
     assert len(factorizations) == 1
 
 
-def test_cholesky_floor_is_checked_on_the_factor():
-    # J = diag(1, g) has full column rank; its factor's diagonal is (1, g), so
-    # the step is refused just below the floor and taken just above it
+def test_cholesky_floor_is_checked_on_the_condition_estimate():
+    # J = diag(1, g) has full column rank and cond(J^H J) = 1/g^2, so the
+    # step is refused just below the floor and taken just above it
     f = np.ones(2, dtype=complex)
-    assert _normal_step(np.diag([1, CHOLESKY_FLOOR / 2]).astype(complex), f) is None
-    assert _normal_step(np.diag([1, CHOLESKY_FLOOR * 2]).astype(complex), f) is not None
+    g = math.sqrt(CHOLESKY_FLOOR)
+    assert _normal_step(np.diag([1, g / 2]).astype(complex), f) is None
+    assert _normal_step(np.diag([1, g * 2]).astype(complex), f) is not None
+
+
+def test_cholesky_refuses_a_singular_jacobian_with_a_unit_diagonal():
+    # J upper triangular with 1 on the diagonal and -1 above it is its own
+    # Cholesky factor of J^H J: the factor's diagonal has no spread, yet at
+    # s = 30 cond(J) is about 6.5e9, beyond the floor's 1e7
+    j = (np.eye(30) - np.triu(np.ones((30, 30)), 1)).astype(complex)
+    assert np.linalg.cond(j) > 1e9
+    assert _normal_step(j, np.ones(30, dtype=complex)) is None
 
 
 # ---------------------------------------------------------------------------
