@@ -2,14 +2,17 @@
 
 The search tries ranks from a lower bound upward: the catalecticant bound,
 raised after the first failed attempt to the Koszul flattening bound when that
-is higher.  At each rank it works through a few coordinate frames (identity
-first, then random unitary changes) and a few connected monomial bases per
-frame.  An attempt is one pass: each basis is extended, its pencil read, its
-weights fitted and its support gated once, and the terms, pulled back to the
-input's coordinates, are accepted only when their re-expanded power sum
-matches the input coefficients to the requested tolerance.  The search never
-goes above a proven maximum rank: MAX_RANK for the shapes it lists, the
-dimension C(n+d-1, d) of the space of forms otherwise.
+is higher.  At each rank it works through two coordinate frames (the
+identity, then one random unitary change) and in each walks the monomial
+bases that are order ideals (sets holding every divisor of each member), the
+fully known principal minor first.  A basis whose fully known Hankel columns
+are rank-deficient is pruned without an extension; it counts as a retry, like
+a failed attempt.  An attempt is one pass: each basis is extended, its pencil
+read, its weights fitted and its support gated once, and the terms, pulled
+back to the input's coordinates, are accepted only when their re-expanded
+power sum matches the input coefficients to the requested tolerance.  The
+search never goes above a proven maximum rank: MAX_RANK for the shapes it
+lists, the dimension C(n+d-1, d) of the space of forms otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import islice
 
 import numpy as np
 
@@ -32,7 +35,6 @@ from .core import (
     change_coordinates,
     essential_vars,
     expand_power_sum,
-    monomials_upto,
     pairwise_sines,
     pullback_points,
     to_dual,
@@ -42,15 +44,24 @@ from .hankel import (
     MonomialBasis,
     build_hankel,
     full_rank_principal_minor,
+    known_columns_test,
     known_rank_bound,
     koszul_rank_bound,
+    order_ideals,
     shifted_matrix,
 )
 from .spectral import pencil_support, solve_weights
 
 
-COORD_CHANGES = 3  # coordinate frames tried per rank: identity, then random unitary
-BASES_PER_RANK = 3  # bases tried per frame and rank
+# coordinate frames tried per rank: the identity, then one random unitary
+# change, which moves support points off the hyperplane x0 = 0 (two of the
+# Fermat cubic's three points lie on it)
+COORD_CHANGES = 2
+# order ideals walked per frame and rank, pruned ones included.  The bench
+# workloads walk at most 3, and the monomials of proven rank in the tests
+# succeed by the 16th; x0^3*x1^3*x2^3 (rank 16) succeeds at the 49th, and at
+# a budget of 32 it returns rank 23
+IDEALS_PER_RANK = 64
 # support-quality gate: genuine simple-point decompositions keep their
 # forms apart and their term masses comparable to the polynomial itself;
 # a borderline form approximated from below shows near-coincident points
@@ -133,30 +144,24 @@ def _restrict(g: HomogeneousPoly, count: int) -> HomogeneousPoly:
     return HomogeneousPoly(count, g.degree, kept)
 
 
-def _basis_candidates(L: DualForm, r: int, limit: int) -> list[MonomialBasis]:
-    """Connected bases of size r, most promising first.
+def _basis_candidates(L: DualForm, r: int):
+    """The bases of size r the rank loop walks in one frame, in order, each
+    with whether it passes `known_columns_test`; one that does not is pruned,
+    never extended.
 
-    A fully known nonsingular principal minor is the best start when one
-    exists at this size; after that come the graded-lex prefix and a few
-    other choices of top-degree monomials.  Each of those keeps every
-    monomial of lower degree, so it is connected to 1, and only the principal
-    minor can repeat one.
+    The fully known nonsingular principal minor comes first when one exists
+    at this size.  Then come the other order ideals of degree <= d - 1 in
+    `order_ideals` order, the first IDEALS_PER_RANK of them.
     """
     pm = full_rank_principal_minor(L, size=r)
-    out = [] if pm is None else [pm]
-    pool = monomials_upto(L.nvars, max(1, L.degree - 1))
-    if len(pool) >= r:
-        lower = pool[:r]
-        top = sum(lower[-1])
-        head = [m for m in lower if sum(m) < top]
-        block = [m for m in pool if sum(m) == top]
-        for combo in combinations(block, r - len(head)):
-            if len(out) >= limit:
-                break
-            basis = MonomialBasis(L.nvars, head + list(combo))
-            if basis != pm:
-                out.append(basis)
-    return out
+    if pm is not None:
+        yield pm, True
+    top = max(1, L.degree - 1)
+    test = known_columns_test(L, top)[1]
+    for ideal in islice(order_ideals(L.nvars, r, top), IDEALS_PER_RANK):
+        basis = MonomialBasis(L.nvars, ideal)
+        if basis != pm:
+            yield basis, test(ideal)
 
 
 def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: int, rng):
@@ -198,11 +203,7 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
 
     def frame(i: int):
         while len(frames) <= i:
-            a = (
-                LinearChange.identity(n)
-                if not frames
-                else LinearChange.random_unitary(n, rng)
-            )
+            a = LinearChange.random_unitary(n, rng) if frames else LinearChange.identity(n)
             g = change_coordinates(f, a)
             frames.append((a, g, to_dual(g)))
         return frames[i]
@@ -210,8 +211,8 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
     def candidates(r: int):
         for ci in range(COORD_CHANGES):
             fr = frame(ci)
-            for basis in _basis_candidates(fr[2], r, BASES_PER_RANK):
-                yield fr, basis
+            for basis, full in _basis_candidates(fr[2], r):
+                yield fr, basis, full
 
     lower = max(1, known_rank_bound(frame(0)[2], tol))
     source = "catalecticant"
@@ -219,8 +220,8 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
     r = lower
     while r <= cap:
         after = r + 1
-        for fr, basis in candidates(r):
-            got = _attempt(f, fr, basis, tol, seed, rng)
+        for fr, basis, full in candidates(r):
+            got = _attempt(f, fr, basis, tol, seed, rng) if full else None
             if got is not None:
                 terms, res, free = got
                 dec = Decomposition(d, terms, res).normalized()

@@ -10,11 +10,8 @@ one rank-1 term per cell an unknown occupies; the index of those terms
 depends only on the pattern of unknown cells, so it is built once per
 pattern (`_jacobian_terms`).  `extend_dual` solves the equations with a
 damped Gauss-Newton iteration, one start after the other: the zero start,
-then random ones, up to RESTARTS in all.  It gives up after the first PROBES
-starts when none of them came within 1e-4: the system is then almost
-certainly infeasible (a basis below the true rank).  It keeps the first
-point that reaches TOL with a healthy D_0, also on a positive-dimensional
-solution set.
+then random ones, up to RESTARTS in all.  It keeps the first point that
+reaches TOL with a healthy D_0, also on a positive-dimensional solution set.
 
 Each step solves the normal equations J^H J d = -J^H f by one Cholesky
 factorization (LAPACK zposv), several times cheaper than a least-squares
@@ -51,8 +48,7 @@ from scipy.linalg.lapack import zpocon, zposv
 from .core import DualForm, Exponent, grlex_key, numerical_rank
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
-RESTARTS = 32  # Gauss-Newton starts per extension solve: zero, then random
-PROBES = 8  # starts tried before a solve whose best residual is above 1e-4 stops
+RESTARTS = 8  # Gauss-Newton starts per extension solve: zero, then random
 TOL = 1e-10  # max-abs (scaled) commutator residual a solution must reach
 MAX_ITER = 200  # Gauss-Newton iterations per start
 # least reciprocal condition number of J^H J (LAPACK's 1-norm estimate from the
@@ -350,13 +346,9 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     m = len(res.unknowns)
     u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, m))
     starts = [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]
-    best = np.inf
-    for k, x0 in enumerate(starts):
-        if k == PROBES and best > 1e-4:
-            return None
+    for x0 in starts:
         x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
         if r <= TOL and res.d0_healthy(x):
             assignment = {e: complex(v) for e, v in zip(res.unknowns, x)}
             return ExtensionSolution(assignment, float(r), _free_columns(res.jacobian(x)))
-        best = min(best, r)
     return None

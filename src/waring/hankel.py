@@ -313,37 +313,100 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     return best, where
 
 
-def full_rank_principal_minor(L: DualForm, size: int | None = None) -> MonomialBasis | None:
-    """A connected basis B with H^{B,B} fully known and of full numerical rank.
+def _macaulay(c: int, k: int) -> int:
+    """c^<k>, the most monomials of degree k + 1 over c of degree k >= 1 in an
+    order ideal (Macaulay): C(a_k+1, k+1) + C(a_(k-1)+1, k) + ... for
+    c = C(a_k, k) + C(a_(k-1), k-1) + ..., a_k > a_(k-1) > ..."""
+    out = 0
+    while c > 0 and k > 0:
+        a = k
+        while math.comb(a + 1, k) <= c:
+            a += 1
+        c -= math.comb(a, k)
+        out += math.comb(a + 1, k + 1)
+        k -= 1
+    return out
 
-    The candidate monomials are those of degree <= d/2 (so all pairwise sums
-    stay within the truncation).  No principal minor exceeds the numerical
-    rank of the full candidate matrix.  The search walks the candidate
-    subsets that hold the constant monomial in lex order, of `size`, or of
-    every size from that rank down when `size` is None, and returns the first
-    connected one.  Returns None when there is none, or after 20000 subsets.
+
+def order_ideals(nvars: int, size: int, top: int):
+    """Order ideals of `size` monomials in `nvars` variables with degree <= top,
+    each a graded-lex sorted list.
+
+    An order ideal holds every divisor of each member, so it holds 1 and is
+    connected to it.  Ideals come out lowest top degree first, then by degree
+    profile (monomials per degree) with the most low-degree monomials first,
+    then in graded-lex combination order within each degree, so the
+    graded-lex prefix comes first.  The walk is lazy: there can be thousands
+    ((5,4,10) has 1920 of size 10 and degree <= 3).  Only profiles within
+    Macaulay's bound are filled, and every such profile has an ideal.
     """
-    pool = [m for m in monomials_upto(L.nvars, L.degree) if 2 * sum(m) <= L.degree]
-    full = build_hankel(L, pool, pool).value_matrix()
+    zero = (0,) * nvars
+
+    def profiles(profile, left, t):
+        k = len(profile)
+        if k > t:
+            if left == 0:
+                yield from fill(profile, [zero], {zero}, 1)
+            return
+        most = nvars if k == 1 else _macaulay(profile[-1], k - 1)
+        for c in range(min(most, left - (t - k)), 0, -1):
+            yield from profiles(profile + (c,), left - c, t)
+
+    def fill(profile, ideal, below, k):
+        # `below`: the ideal's monomials of degree k - 1
+        if k == len(profile):
+            yield ideal
+            return
+        cands = [
+            m for m in monomials(nvars, k)
+            if all(m[:i] + (m[i] - 1,) + m[i + 1 :] in below for i in range(nvars) if m[i])
+        ]
+        for chosen in combinations(cands, profile[k]):
+            yield from fill(profile, ideal + list(chosen), set(chosen), k + 1)
+
+    for t in range(min(top, size - 1) + 1):
+        yield from profiles((1,), size - 1, t)
+
+
+def known_columns_test(L: DualForm, top: int):
+    """(H, test) for order ideals B of degree <= top: test(B) tells whether
+    the fully known columns of H^{B,B} have full numerical rank.
+
+    Column b is fully known when deg b + deg B <= L.degree; up to degree
+    L.degree / 2 all are.  No extension changes those columns, so when they
+    are rank-deficient D_0 = H^{B,B} is singular for every extension and B
+    holds no flat one.  The test slices H, the Hankel matrix of the monomials
+    of degree <= top against those of degree <= L.degree / 2 (0 at unknown
+    cells), which is built once.
+    """
+    d = L.degree
+    rows = monomials_upto(L.nvars, top)
+    at = {m: i for i, m in enumerate(rows)}
+    h = build_hankel(L, rows, [m for m in rows if 2 * sum(m) <= d]).values
+
+    def test(ideal) -> bool:
+        t = sum(ideal[-1])
+        known = [at[m] for m in ideal if sum(m) + t <= d]
+        return _rank(h[np.ix_([at[m] for m in ideal], known)]) == len(known)
+
+    return h, test
+
+
+def full_rank_principal_minor(L: DualForm, size: int | None = None) -> MonomialBasis | None:
+    """A basis B with H^{B,B} fully known and of full numerical rank, or None.
+
+    B is the first order ideal of degree <= d/2 (so all pairwise sums stay
+    within the truncation) that `known_columns_test` passes: of `size`, or of
+    every size from the numerical rank of the full candidate matrix down when
+    `size` is None.  No principal minor exceeds that rank.
+    """
+    top = L.degree // 2
+    full, test = known_columns_test(L, top)  # `full` is square at this top
     rank = _rank(full)
-    if size is None:
-        sizes = range(rank, 0, -1)
-    else:
-        sizes = [size] if 0 < size <= rank else []
-    budget = 20000
-    for k in sizes:
-        for idx in combinations(range(len(pool)), k):
-            if idx[0] != 0:
-                break
-            budget -= 1
-            if budget < 0:
-                return None
-            try:
-                basis = MonomialBasis(L.nvars, [pool[i] for i in idx])
-            except ValueError:
-                continue
-            if _rank(full[np.ix_(idx, idx)]) == k:
-                return basis
+    for k in range(rank, 0, -1) if size is None else [size] * (0 < size <= rank):
+        for ideal in order_ideals(L.nvars, k, top):
+            if test(ideal):
+                return MonomialBasis(L.nvars, ideal)
     return None
 
 

@@ -137,14 +137,14 @@ EXACTNESS_CASES = EXACTNESS_FIXTURES + [
 def exactness_case(name: str):
     """A dual form and the bases to compare the two Hankel layers on.
 
-    For a fixture these are the bases the rank loop tries at every size in
-    the identity frame; the planted forms use their principal-minor basis;
-    the extended quartic fills its quintic moments, so its bases meet known,
-    extended and unknown moments at once."""
+    For a fixture these are the bases the rank loop walks at every size up
+    to 7 in the identity frame, the pruned ones included; the planted forms
+    use their principal-minor basis; the extended quartic fills its quintic
+    moments, so its bases meet known, extended and unknown moments at once."""
     if name in EXACTNESS_FIXTURES:
         load = load_json_poly if name.endswith(".json") else load_text_poly
         L = to_dual(load(name))
-        return L, [b for r in range(1, 8) for b in _basis_candidates(L, r, 3)]
+        return L, [b for r in range(1, 8) for b, _ in _basis_candidates(L, r)]
     if name.startswith("planted_4_4_10"):
         L, basis, _ = planted_4_4_10(name.endswith("degree3"))
         return L, [basis]

@@ -129,7 +129,10 @@ def test_binary_path_honours_tol(tol):
         ("cubic_maximal.txt", 5, 12, 5, [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]]),
         # one failed rank-3 attempt, then the Koszul bound skips to rank 4
         ("cubic_generic_rank4.json", 4, 2, 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
-        ("cubic_fermat.json", 3, 1, 0, [[0, 0], [1, 0], [0, 1]]),
+        # in the identity frame {1, x1, x2} is pruned (two of the three points
+        # lie at x0 = 0) and two ideals of degree 2 fail; pruned ideals count
+        # as retries
+        ("cubic_fermat.json", 3, 3, 0, [[0, 0], [1, 0], [0, 1]]),
         ("cubic_two_cubes.json", 2, 0, 0, []),
         ("cubic_square_line.json", 3, 0, 0, []),
         ("cubic_cube.json", 1, 0, 0, []),
@@ -233,10 +236,10 @@ def test_ill_conditioned_quartic_reaches_rank_six():
 
 
 @pytest.mark.parametrize("text", ["x0^2*x1*x2", "x0*x1*x2^2"])
-def test_search_stops_at_the_proven_maximum(text):
-    # rank 6 (Carlini-Catalisano-Geramita), which the search does not find;
-    # past 7, the maximum for ternary quartics, any rank it found would be
-    # wrong, so it fails there instead
+def test_search_stops_at_the_proven_maximum(monkeypatch, text):
+    # past 7, the maximum for ternary quartics, any rank found would be
+    # wrong, so a search whose every attempt fails ends there
+    monkeypatch.setattr(sys.modules["waring.decompose"], "_attempt", lambda *args: None)
     f = parse_poly(text)
     with pytest.raises(DecompositionError, match=re.escape(
             "no decomposition of rank <= 7 (the maximum for ternary quartics) "
@@ -246,6 +249,50 @@ def test_search_stops_at_the_proven_maximum(text):
     with pytest.raises(DecompositionError, match=re.escape(
             "no decomposition of rank <= 6 found at tolerance 1e-07")):
         decompose(f, max_rank=6)
+
+
+# x^a with a_0 = min a_i has rank prod_{i >= 1} (a_i + 1)
+# (Carlini-Catalisano-Geramita 2012)
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("text, proven", [
+    ("x0*x1*x2", 4), ("x0^2*x1*x2", 6), ("x0*x1*x2^2", 6), ("x0^2*x1^2*x2^2", 9),
+    ("x0*x1*x2*x3", 8),
+])
+def test_monomials_reach_their_proven_rank(text, proven, seed):
+    f = parse_poly(text)
+    rep = decompose(f, seed=seed)
+    assert rep.rank == proven
+    assert verify(f, rep.decomposition).residual <= 1.01e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_monomial_never_exceeds_its_proven_rank(seed):
+    # rank 9 by the same theorem; the search returns rank 7 or 8 instead:
+    # close points with large cancelling weights that fit within tol, an
+    # approximation from the border that the support gate lets through
+    f = parse_poly("x0^2*x1^2*x2")
+    rep = decompose(f, seed=seed)
+    assert rep.rank <= 9
+    assert verify(f, rep.decomposition).residual <= 1.01e-7
+
+
+def test_planted_quartic_of_rank_six():
+    # six unit-norm forms at pairwise chordal distance > 0.3 with unit-modulus
+    # weights, drawn as perfbench/cases.py draws its (3, 4, 6) probe.  The
+    # first bases tried fail, and the grlex-prefix bases alone went on to
+    # rank 7
+    rng = np.random.default_rng([2, 33, 1])
+    forms = []
+    while len(forms) < 6:
+        k = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        k /= np.linalg.norm(k)
+        if all(1 - abs(np.vdot(k, q)) ** 2 > 0.09 for q in forms):
+            forms.append(k)
+    weights = np.exp(2j * np.pi * rng.uniform(size=6))
+    f = expand_power_sum(list(zip(weights, forms)), 3, 4)
+    rep = decompose(f)
+    assert rep.rank == 6
+    assert verify(f, rep.decomposition).residual <= 1.01e-7
 
 
 def test_a_bound_above_max_rank_fails_at_once(quintic):

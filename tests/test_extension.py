@@ -140,7 +140,7 @@ def test_quartic_extension_keeps_the_first_solution(quartic, monkeypatch):
 def test_extension_gives_up_after_the_probe_starts(monkeypatch):
     # the moments of x0^3 + x1^3 + x2^3 fill D_0's column of y with known
     # zeros, so D_0 is singular at every start and none gets near a root: the
-    # solve stops after the PROBES starts instead of trying all RESTARTS
+    # solve gives up after its RESTARTS starts
     module = sys.modules["waring.extension"]
     runs = []
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from waring.hankel import (
     _moment_vector,
     full_rank_principal_minor,
     kernel_generators,
+    known_columns_test,
     known_rank_bound,
     koszul_flattening,
     koszul_rank_bound,
     koszul_shapes,
+    order_ideals,
     shifted_matrix,
 )
 
@@ -120,6 +123,47 @@ def test_known_rank_bound_detects_planted_rank():
         r = int(rng.integers(1, min(4, d) + 1))
         f, _ = planted_poly(nv, d, r, rng)
         assert known_rank_bound(to_dual(f), TOL) == r
+
+
+@pytest.mark.parametrize("nvars, size, top", [
+    (2, 4, 3), (2, 6, 5), (3, 5, 3), (3, 8, 3), (3, 10, 3), (4, 6, 2),
+])
+def test_order_ideals_are_every_divisor_closed_set(nvars, size, top):
+    # every subset of the candidate monomials that holds 1 and each divisor
+    # of its members, listed once, lowest top degree and then most
+    # low-degree monomials first
+    pool = monomials_upto(nvars, top)
+    want = set()
+    for rest in combinations(pool[1:], size - 1):
+        s = {pool[0], *rest}
+        if all(m[:i] + (m[i] - 1,) + m[i + 1:] in s
+               for m in s for i in range(nvars) if m[i]):
+            want.add(frozenset(s))
+    got = list(order_ideals(nvars, size, top))
+    assert len(got) == len(want) and {frozenset(b) for b in got} == want
+    assert got[0] == pool[:size]
+    keys = [(max(map(sum, b)), [-sum(sum(m) == k for m in b) for k in range(top + 1)])
+            for b in got]
+    assert keys == sorted(keys)
+
+
+def test_order_ideals_are_lazy():
+    # (4, 27, 8) has far more ideals than anyone can list; the first few
+    # come at once, the graded-lex prefix first
+    walk = order_ideals(4, 27, 8)
+    assert next(walk) == monomials_upto(4, 3)[:27]
+    assert len([next(walk) for _ in range(63)]) == 63
+
+
+def test_known_columns_prune_a_singular_basis():
+    # the Fermat cubic puts one point at x0 != 0: H^{B,B} on {1, x1, x2} is
+    # diag(1, 0, 0) for every extension; {1, x1, x1^2} has the known columns
+    # 1 and x1 of full rank
+    L = to_dual(parse_poly("x0^3 + x1^3 + x2^3"))
+    _, test = known_columns_test(L, 2)
+    assert not test([(0, 0), (1, 0), (0, 1)])
+    assert test([(0, 0), (1, 0), (2, 0)])
+    assert full_rank_principal_minor(L, size=3) is None
 
 
 def test_principal_minor_quintic(quintic):
