@@ -1,6 +1,6 @@
 """Waring decomposition of homogeneous polynomials over the complex numbers."""
 
-from .binary import BinaryForm, binary_decompose, hankel_slice
+from .binary import binary_decompose, hankel_slice
 from .core import (
     Decomposition,
     DecompositionError,
@@ -34,7 +34,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "BinaryForm",
     "CommutatorResidual",
     "Decomposition",
     "DecompositionError",

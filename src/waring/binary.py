@@ -1,16 +1,15 @@
 """Power-sum decomposition of binary forms via Hankel kernels.
 
-For two variables the whole machinery collapses to one classical step: slice
-the coefficient sequence into a Hankel matrix, pick a square-free polynomial
-in its kernel, and read the decomposition directions off its projective
-roots.  This is both the fast path of the general driver and an independent
-check on it.
+For two variables the whole machinery collapses to one classical step
+(Sylvester): slice the moment sequence into a Hankel matrix, pick a
+square-free polynomial in its kernel, and read the decomposition directions
+off its projective roots.  The Hankel data are the dual form's moments read
+from x1's end: c_i, the moment of x1^(d-i), is the coefficient of
+x0^i x1^(d-i) over binom(d, i).  This is both the fast path of the general
+driver and an independent check on it.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,57 +17,33 @@ from .core import (
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
+    expand_power_sum,
     monomial_values,
     numerical_rank,
     pairwise_sines,
+    to_dual,
 )
 
 KERNEL_RETRIES = 16  # kernel combinations tried per size
 
 
-@dataclass
-class BinaryForm:
-    """Degree-d form in x0, x1 stored densely: a[i] = coeff of x0^i x1^(d-i)."""
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("need exactly degree+1 coefficients")
-
-    @classmethod
-    def from_poly(cls, p: HomogeneousPoly) -> "BinaryForm":
-        if p.nvars != 2:
-            raise ValueError("binary form needs exactly two variables")
-        a = np.zeros(p.degree + 1, dtype=complex)
-        for (e0, _), c in p.coeffs.items():
-            a[e0] = c
-        return cls(p.degree, a)
-
-    def to_poly(self) -> HomogeneousPoly:
-        d = self.degree
-        return HomogeneousPoly(
-            2, d, {(i, d - i): c for i, c in enumerate(self.coeffs) if c != 0}
-        )
-
-    def moments(self) -> np.ndarray:
-        """c_i = a_i / binom(d, i); the Hankel data of the form."""
-        d = self.degree
-        return np.array(
-            [self.coeffs[i] / math.comb(d, i) for i in range(d + 1)], dtype=complex
-        )
+def _moments(p: HomogeneousPoly) -> np.ndarray:
+    """c_0 .. c_d, c_i the moment of x1^(d-i) in `to_dual(p)`."""
+    if p.nvars != 2:
+        raise ValueError("binary form needs exactly two variables")
+    return to_dual(p).moments[::-1]
 
 
-def hankel_slice(p: BinaryForm | HomogeneousPoly, r: int) -> np.ndarray:
+def _slice(c: np.ndarray, r: int) -> np.ndarray:
+    return c[np.add.outer(np.arange(len(c) - r), np.arange(r + 1))]
+
+
+def hankel_slice(p: HomogeneousPoly, r: int) -> np.ndarray:
     """The (d-r+1) x (r+1) matrix with entries c_{i+j}."""
-    bf = BinaryForm.from_poly(p) if isinstance(p, HomogeneousPoly) else p
-    d = bf.degree
-    if not 1 <= r <= d:
-        raise ValueError(f"slice index {r} outside 1..{d}")
-    c = bf.moments()
-    return np.array([[c[i + j] for j in range(r + 1)] for i in range(d - r + 1)])
+    c = _moments(p)
+    if not 1 <= r <= p.degree:
+        raise ValueError(f"slice index {r} outside 1..{p.degree}")
+    return _slice(c, r)
 
 
 def _projective_roots(b: np.ndarray):
@@ -93,7 +68,7 @@ def _projective_roots(b: np.ndarray):
 
 
 def binary_decompose(
-    p: BinaryForm | HomogeneousPoly,
+    p: HomogeneousPoly,
     rng_seed: int = 0,
     tol: float = 1e-8,
     max_rank: int | None = None,
@@ -106,9 +81,8 @@ def binary_decompose(
     `tol`.  Raises DecompositionError when no size up to d, or up to
     `max_rank` when that is smaller, does.
     """
-    bf = BinaryForm.from_poly(p) if isinstance(p, HomogeneousPoly) else p
-    d = bf.degree
-    c = bf.moments()
+    c = _moments(p)
+    d = p.degree
     scale = np.max(np.abs(c))
     if scale == 0:
         raise ValueError("zero form has no decomposition")
@@ -116,7 +90,7 @@ def binary_decompose(
     cap = d if max_rank is None else min(d, max_rank)
 
     for r in range(1, cap + 1):
-        h = hankel_slice(bf, r) / scale
+        h = _slice(c, r) / scale
         _, s, vh = np.linalg.svd(h)
         null = vh[numerical_rank(s):].conj().T
         if null.shape[1] == 0:
@@ -142,10 +116,8 @@ def binary_decompose(
             w, *_ = np.linalg.lstsq(a, c, rcond=None)
             res = np.linalg.norm(a @ w - c) / np.linalg.norm(c)
             if res < tol:
-                rebuilt = np.array([math.comb(d, i) * (a[i] @ w) for i in range(d + 1)])
-                coeff_err = float(
-                    np.linalg.norm(rebuilt - bf.coeffs) / np.linalg.norm(bf.coeffs)
-                )
+                terms = list(zip(w, pts))
+                coeff_err = (expand_power_sum(terms, 2, d) - p).coeff_norm() / p.coeff_norm()
                 if coeff_err <= tol:
-                    return Decomposition(d, list(zip(w, pts)), coeff_err)
+                    return Decomposition(d, terms, coeff_err)
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")

@@ -16,6 +16,7 @@ import cmath
 import functools
 import json
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,25 @@ def _monomials(nvars: int, degree: int) -> tuple[Exponent, ...]:
 @functools.cache
 def _monomials_upto(nvars: int, degree: int) -> tuple[Exponent, ...]:
     return tuple(e for k in range(degree + 1) for e in _monomials(nvars, k))
+
+
+@functools.cache
+def monomial_positions(nvars: int, degree: int) -> types.MappingProxyType:
+    """Exponent -> its index in `monomials_upto(nvars, degree)`; read only,
+    since every caller shares the cached map."""
+    return types.MappingProxyType({e: i for i, e in enumerate(_monomials_upto(nvars, degree))})
+
+
+@functools.cache
+def multinomials(nvars: int, degree: int) -> np.ndarray:
+    """multinomial(degree, (degree - |e|, *e)) for e in `monomials_upto(nvars,
+    degree)`: a form's coefficient over its moment (see `to_dual`)."""
+    out = np.array(
+        [multinomial(degree, (degree - sum(e), *e)) for e in _monomials_upto(nvars, degree)],
+        dtype=float,
+    )
+    out.flags.writeable = False
+    return out
 
 
 def monomial_values(points, exps) -> np.ndarray:
@@ -243,41 +263,23 @@ class Decomposition:
 class DualForm:
     """Truncated moment table of a form: Lambda(x^alpha) = c_alpha for |alpha| <= d.
 
-    Moments beyond degree d are unknown until an extension assigns them; those
-    live in `extended`.
+    `moments` is one complex vector in `monomials_upto(nvars, degree)` order.
+    Moments beyond degree d are unknown; an extension's values for them live
+    in its `ExtensionSolution.assignment`.
     """
 
-    __slots__ = ("nvars", "degree", "moments", "extended")
+    __slots__ = ("nvars", "degree", "moments")
 
-    def __init__(self, nvars, degree, moments, extended=None):
+    def __init__(self, nvars, degree, moments):
         self.nvars = nvars
         self.degree = degree
-        self.moments = dict(moments)
-        self.extended = dict(extended) if extended else {}
+        self.moments = np.asarray(moments, dtype=complex)
+        if self.moments.shape != (len(_monomials_upto(nvars, degree)),):
+            raise ValueError(f"need one moment per monomial of degree <= {degree}")
 
     def moment(self, alpha: Exponent) -> complex:
-        alpha = tuple(alpha)
-        if sum(alpha) <= self.degree:
-            return self.moments.get(alpha, 0j)
-        if alpha in self.extended:
-            return self.extended[alpha]
-        raise KeyError(f"moment {alpha} not determined")
-
-    def entry(self, alpha: Exponent):
-        """Moment value, or None when the entry is an unknown."""
-        alpha = tuple(alpha)
-        if sum(alpha) <= self.degree:
-            return self.moments.get(alpha, 0j)
-        return self.extended.get(alpha)
-
-    def with_extension(self, assignment: dict[Exponent, complex]) -> "DualForm":
-        ext = dict(self.extended)
-        for alpha, v in assignment.items():
-            alpha = tuple(alpha)
-            if sum(alpha) <= self.degree:
-                raise ValueError(f"{alpha} is a known moment, not an unknown")
-            ext[alpha] = complex(v)
-        return DualForm(self.nvars, self.degree, self.moments, ext)
+        """Lambda(x^alpha); KeyError past the truncation."""
+        return complex(self.moments[monomial_positions(self.nvars, self.degree)[tuple(alpha)]])
 
     @classmethod
     def from_support(cls, weights, points, nvars, degree) -> "DualForm":
@@ -286,12 +288,11 @@ class DualForm:
         Used heavily by tests: the moments of a planted decomposition are
         c_alpha = sum_j w_j * zeta_j^alpha.
         """
-        exps = monomials_upto(nvars, degree)
-        values = np.asarray(weights) @ monomial_values(points, exps)
-        return cls(nvars, degree, dict(zip(exps, values.tolist())))
+        values = np.asarray(weights) @ monomial_values(points, monomials_upto(nvars, degree))
+        return cls(nvars, degree, values)
 
     def __repr__(self):
-        return f"DualForm(nvars={self.nvars}, degree={self.degree}, extended={len(self.extended)})"
+        return f"DualForm(nvars={self.nvars}, degree={self.degree})"
 
 
 def to_dual(f: HomogeneousPoly) -> DualForm:
@@ -302,12 +303,15 @@ def to_dual(f: HomogeneousPoly) -> DualForm:
     x_0 coefficient 0 lies outside the chart; the rank loop's random frames
     move it in.
     """
-    d = f.degree
-    moments = {}
-    for beta in monomials_upto(f.nvars - 1, d):
-        full = (d - sum(beta),) + beta
-        moments[beta] = f.coeff(full) / multinomial(d, full)
-    return DualForm(f.nvars - 1, d, moments)
+    n, d = f.nvars - 1, f.degree
+    at = monomial_positions(n, d)
+    c = np.zeros(len(at), dtype=complex)
+    for exp, v in f.coeffs.items():
+        c[at[exp[1:]]] = v
+    # each part on its own: complex-by-real division would multiply by a
+    # reciprocal and round differently from the exact quotient
+    mults = multinomials(n, d)
+    return DualForm(n, d, c.real / mults + 1j * (c.imag / mults))
 
 
 def apolar(f: HomogeneousPoly, g: HomogeneousPoly) -> complex:
@@ -413,15 +417,15 @@ def essential_vars(f: HomogeneousPoly):
     if f.is_zero:
         raise ValueError("zero polynomial has no essential variables")
     n = f.nvars
-    cols = monomials(n, f.degree - 1)
-    col_index = {m: j for j, m in enumerate(cols)}
-    p = np.zeros((n, len(cols)), dtype=complex)
+    # the degree d-1 monomials, in graded-lex order, by their part past x0
+    at = monomial_positions(n - 1, f.degree - 1)
+    p = np.zeros((n, len(at)), dtype=complex)
     for exp, c in f.coeffs.items():
         for i in range(n):
             if exp[i]:
                 de = list(exp)
                 de[i] -= 1
-                p[i, col_index[tuple(de)]] += exp[i] * c
+                p[i, at[tuple(de[1:])]] += exp[i] * c
     u, s, _ = np.linalg.svd(p, full_matrices=True)
     count = numerical_rank(s)
     # columns j >= count of conj(U) span the left null space of p, so the
@@ -439,10 +443,10 @@ def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
     """Expand sum_i w_i (k_i . x)^d by the multinomial theorem."""
     if isinstance(terms, Decomposition):
         terms = terms.terms
-    exps = monomials(nvars, degree)
+    exps = monomials(nvars, degree)  # x0 dropped, these are monomials_upto(nvars - 1, degree)
     weights = np.array([w for w, _ in terms], dtype=complex)
-    mult = np.array([multinomial(degree, alpha) for alpha in exps], dtype=float)
-    values = mult * (weights @ monomial_values([k for _, k in terms], exps))
+    values = weights @ monomial_values([k for _, k in terms], exps)
+    values *= multinomials(nvars - 1, degree)
     return HomogeneousPoly(nvars, degree, dict(zip(exps, values.tolist())))
 
 

@@ -41,6 +41,7 @@ from .core import (
 )
 from .extension import extend_dual
 from .hankel import (
+    IDEALS_PER_RANK,
     MonomialBasis,
     build_hankel,
     full_rank_principal_minor,
@@ -57,11 +58,6 @@ from .spectral import pencil_support, solve_weights
 # change, which moves support points off the hyperplane x0 = 0 (two of the
 # Fermat cubic's three points lie on it)
 COORD_CHANGES = 2
-# order ideals walked per frame and rank, pruned ones included.  The bench
-# workloads walk at most 3, and the monomials of proven rank in the tests
-# succeed by the 16th; x0^3*x1^3*x2^3 (rank 16) succeeds at the 49th, and at
-# a budget of 32 it returns rank 23
-IDEALS_PER_RANK = 64
 # support-quality gate: genuine simple-point decompositions keep their
 # forms apart and their term masses comparable to the polynomial itself;
 # a borderline form approximated from below shows near-coincident points

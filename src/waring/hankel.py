@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations
+from itertools import combinations, islice
 from operator import add
 
 import numpy as np
 
 from .core import (
-    DualForm, Exponent, grlex_key, monomials, monomials_upto, multinomial, numerical_rank,
+    DualForm, Exponent, grlex_key, monomial_positions, monomials, monomials_upto,
+    multinomials, numerical_rank,
 )
 
 KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
@@ -138,13 +139,12 @@ def build_hankel(L: DualForm, rows, cols, shift: Exponent | None = None) -> Quas
         + s
     )
     cells = [tuple(e) for e in exps.reshape(-1, n).tolist()]
-    moments = {e: L.entry(e) for e in dict.fromkeys(cells)}
-    unknowns = sorted((e for e, v in moments.items() if v is None), key=grlex_key)
+    at = monomial_positions(n, L.degree)  # holds every cell of degree <= d
+    unknowns = sorted({e for e in cells if e not in at}, key=grlex_key)
     index = {e: k for k, e in enumerate(unknowns)}
     shape = (len(rows), len(cols))
-    values = np.array(
-        [0j if moments[e] is None else moments[e] for e in cells], dtype=complex
-    ).reshape(shape)
+    known = np.array([at.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
+    values = np.where(known >= 0, L.moments[known], 0j)
     slot = np.array([index.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
     return QuasiHankelMatrix(rows, cols, values, unknowns, slot)
 
@@ -166,12 +166,11 @@ def known_rank_bound(L: DualForm, tol: float) -> int:
     coordinates.  Singular values count as in `koszul_rank_bound`, so the bound
     holds for every form within relative coefficient distance `tol` of L's.
     """
-    moments = _moment_vector(L)
-    noise = tol * float(np.linalg.norm(moments * _multinomials(L.nvars, L.degree)))
+    noise = tol * float(np.linalg.norm(L.moments * multinomials(L.nvars, L.degree)))
     best = 0
     for k in range(L.degree // 2 + 1):  # block d-k is block k transposed
         index, gain = _catalecticant_layout(L.nvars, L.degree, k)
-        best = max(best, _rank(moments[index], gain * noise))
+        best = max(best, _rank(L.moments[index], gain * noise))
     return best
 
 
@@ -179,7 +178,7 @@ def known_rank_bound(L: DualForm, tol: float) -> int:
 def _catalecticant_layout(nvars: int, degree: int, k: int):
     """(index, gain) of H^{B_k, B_(degree-k)}: entry (a, b) is moment index[a, b]
     of `monomials_upto(nvars, degree)`; gain is as in `_koszul_layout`."""
-    moment = {e: i for i, e in enumerate(monomials_upto(nvars, degree))}
+    moment = monomial_positions(nvars, degree)
     cols = monomials_upto(nvars, degree - k)
     index = np.array([[moment[tuple(map(add, a, b))] for b in cols]
                       for a in monomials_upto(nvars, k)], dtype=np.intp)
@@ -190,7 +189,7 @@ def _catalecticant_layout(nvars: int, degree: int, k: int):
 def _gain(counts: np.ndarray, nvars: int, degree: int) -> float:
     """Moment k of a form is its coefficient over mults[k]; filling counts[k]
     entries of a matrix M, it gives ||M(e)||_2 <= ||M(e)||_F <= gain * ||e||."""
-    return float(np.sqrt(np.max(counts / _multinomials(nvars, degree) ** 2)))
+    return float(np.sqrt(np.max(counts / multinomials(nvars, degree) ** 2)))
 
 
 def _rank(m: np.ndarray, floor: float = 0.0) -> int:
@@ -213,7 +212,7 @@ def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
     coefficient norm.
     """
     big = nvars + 1
-    moment = {e: k for k, e in enumerate(monomials_upto(nvars, degree))}
+    moment = monomial_positions(nvars, degree)
     alphas = monomials(big, delta)
     betas = monomials(big, degree - delta - 1)
     subsets = list(combinations(range(big), p))
@@ -238,30 +237,11 @@ def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
     return shape, rows, cols, moms, signs, gain
 
 
-@functools.cache
-def _multinomials(nvars: int, degree: int) -> np.ndarray:
-    """multinomial(degree, (degree - |e|, *e)) for e in `monomials_upto(nvars,
-    degree)`: a form's coefficient over its moment (see `core.to_dual`)."""
-    exps = monomials_upto(nvars, degree)
-    out = np.array([multinomial(degree, (degree - sum(e), *e)) for e in exps], dtype=float)
-    out.flags.writeable = False
-    return out
-
-
-def _moment_vector(L: DualForm) -> np.ndarray:
-    """The known moments of L in the order of `monomials_upto`."""
-    exps = monomials_upto(L.nvars, L.degree)
-    return np.array([L.moments.get(e, 0j) for e in exps], dtype=complex)
-
-
-def koszul_flattening(
-    L: DualForm, delta: int, p: int, moments: np.ndarray
-) -> np.ndarray:
-    """The matrix of K_{delta,p} (see `_koszul_layout`) filled from `moments`,
-    L's `_moment_vector`, which a caller trying many shapes builds once."""
+def koszul_flattening(L: DualForm, delta: int, p: int) -> np.ndarray:
+    """The matrix of K_{delta,p} (see `_koszul_layout`) filled from L's moments."""
     shape, rows, cols, moms, signs, _ = _koszul_layout(L.nvars, L.degree, delta, p)
     out = np.zeros(shape, dtype=complex)
-    out[rows, cols] = signs * moments[moms]
+    out[rows, cols] = signs * L.moments[moms]
     return out
 
 
@@ -301,12 +281,11 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     inequality K(g) has at least as many singular values as K(f) has above
     that.  Returns (0, None) when every flattening is zero.
     """
-    moments = _moment_vector(L)
-    noise = tol * float(np.linalg.norm(moments * _multinomials(L.nvars, L.degree)))
+    noise = tol * float(np.linalg.norm(L.moments * multinomials(L.nvars, L.degree)))
     best, where = 0, None
     for delta, p in koszul_shapes(L.nvars, L.degree):
         gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]
-        count = _rank(koszul_flattening(L, delta, p, moments), gain * noise)
+        count = _rank(koszul_flattening(L, delta, p), gain * noise)
         bound = -(-count // math.comb(L.nvars, p))
         if bound > best:
             best, where = bound, (delta, p)
@@ -326,6 +305,14 @@ def _macaulay(c: int, k: int) -> int:
         out += math.comb(a + 1, k + 1)
         k -= 1
     return out
+
+
+# order ideals either walk takes per call: `_basis_candidates` per frame and
+# rank, pruned ones included, and `full_rank_principal_minor` per size.  The
+# bench workloads walk at most 3, and the monomials of proven rank in the
+# tests succeed by the 16th; x0^3*x1^3*x2^3 (rank 16) succeeds at the 49th,
+# and at a budget of 32 it returns rank 23
+IDEALS_PER_RANK = 64
 
 
 def order_ideals(nvars: int, size: int, top: int):
@@ -381,7 +368,7 @@ def known_columns_test(L: DualForm, top: int):
     """
     d = L.degree
     rows = monomials_upto(L.nvars, top)
-    at = {m: i for i, m in enumerate(rows)}
+    at = monomial_positions(L.nvars, top)
     h = build_hankel(L, rows, [m for m in rows if 2 * sum(m) <= d]).values
 
     def test(ideal) -> bool:
@@ -396,15 +383,16 @@ def full_rank_principal_minor(L: DualForm, size: int | None = None) -> MonomialB
     """A basis B with H^{B,B} fully known and of full numerical rank, or None.
 
     B is the first order ideal of degree <= d/2 (so all pairwise sums stay
-    within the truncation) that `known_columns_test` passes: of `size`, or of
-    every size from the numerical rank of the full candidate matrix down when
-    `size` is None.  No principal minor exceeds that rank.
+    within the truncation) that `known_columns_test` passes among the first
+    IDEALS_PER_RANK of `size`, or of every size from the numerical rank of
+    the full candidate matrix down when `size` is None.  No principal minor
+    exceeds that rank.
     """
     top = L.degree // 2
     full, test = known_columns_test(L, top)  # `full` is square at this top
     rank = _rank(full)
     for k in range(rank, 0, -1) if size is None else [size] * (0 < size <= rank):
-        for ideal in order_ideals(L.nvars, k, top):
+        for ideal in islice(order_ideals(L.nvars, k, top), IDEALS_PER_RANK):
             if test(ideal):
                 return MonomialBasis(L.nvars, ideal)
     return None

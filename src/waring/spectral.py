@@ -86,9 +86,8 @@ def solve_weights(points: np.ndarray, L: DualForm):
     truncation), so a wrong support shows up as a large residual rather than
     a silent bad fit.  Returns (weights, relative residual).
     """
-    rows = monomials_upto(L.nvars, L.degree)
-    a = monomial_values(points, rows).T
-    rhs = np.array([L.moment(alpha) for alpha in rows], dtype=complex)
+    a = monomial_values(points, monomials_upto(L.nvars, L.degree)).T
+    rhs = L.moments
     w, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     denom = max(float(np.linalg.norm(rhs)), 1e-300)
     residual = float(np.linalg.norm(a @ w - rhs)) / denom

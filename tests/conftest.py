@@ -97,8 +97,7 @@ def object_hankel(L, rows, cols, shift=None) -> np.ndarray:
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
             e = tuple(x + y + z for x, y, z in zip(a, b, s))
-            v = L.entry(e)
-            ent[i, j] = ObjectUnknown(e) if v is None else complex(v)
+            ent[i, j] = ObjectUnknown(e) if sum(e) > L.degree else L.moment(e)
     return ent
 
 
@@ -129,7 +128,7 @@ EXACTNESS_FIXTURES = [
     "cubic_generic_rank4.json",
 ]
 EXACTNESS_CASES = EXACTNESS_FIXTURES + [
-    "planted_4_4_10", "planted_4_4_10_degree3", "planted_5_4_12", "quartic_with_extension"
+    "planted_4_4_10", "planted_4_4_10_degree3", "planted_5_4_12"
 ]
 
 
@@ -139,8 +138,7 @@ def exactness_case(name: str):
 
     For a fixture these are the bases the rank loop walks at every size up
     to 7 in the identity frame, the pruned ones included; the planted forms
-    use their principal-minor basis; the extended quartic fills its quintic
-    moments, so its bases meet known, extended and unknown moments at once."""
+    use their principal-minor basis."""
     if name in EXACTNESS_FIXTURES:
         load = load_json_poly if name.endswith(".json") else load_text_poly
         L = to_dual(load(name))
@@ -148,16 +146,9 @@ def exactness_case(name: str):
     if name.startswith("planted_4_4_10"):
         L, basis, _ = planted_4_4_10(name.endswith("degree3"))
         return L, [basis]
-    if name == "planted_5_4_12":
-        f, _ = planted_poly(5, 4, 12, np.random.default_rng(0))
-        L = to_dual(f)
-        return L, [full_rank_principal_minor(L, size=12)]
-    quintics = [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
-    fill = [1.0, 2.0, 3.0, 1.5060, 4.960, 0.056]
-    L = to_dual(load_text_poly("ternary_quartic_rank6.txt"))
-    L = L.with_extension(dict(zip(quintics, fill)))
-    flat = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
-    return L, [flat, MonomialBasis(2, flat.exponents + [(3, 0), (2, 1)])]
+    f, _ = planted_poly(5, 4, 12, np.random.default_rng(0))
+    L = to_dual(f)
+    return L, [full_rank_principal_minor(L, size=12)]
 
 
 # ---------------------------------------------------------------------------

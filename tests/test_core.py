@@ -29,7 +29,10 @@ from waring.core import (
 )
 
 from conftest import (
+    EXACTNESS_FIXTURES,
     QUINTIC_SUPPORT,
+    load_json_poly,
+    load_text_poly,
     loop_expand_power_sum,
     loop_monomial_values,
     planted_poly,
@@ -148,10 +151,31 @@ def test_dual_frozen_values(quintic):
 
 def test_dual_truncation(quintic):
     L = to_dual(quintic)
-    assert L.entry((6, 0)) is None
-    ext = L.with_extension({(6, 0): 2.5})
-    assert ext.entry((6, 0)) == 2.5
-    assert ext.moment((0, 0)) == L.moment((0, 0))
+    assert L.moments.shape == (21,)  # the monomials of degree <= 5 in 2 variables
+    assert L.moment((0, 5)) == L.moments[-1]
+    with pytest.raises(KeyError):
+        L.moment((6, 0))
+    with pytest.raises(KeyError):
+        L.moment((3, 3))
+
+
+@pytest.mark.parametrize("name", EXACTNESS_FIXTURES + ["planted_5_4_12"])
+def test_dual_moments_are_the_exact_quotients(name):
+    # moment k is Python's complex quotient of the coefficient by its
+    # multinomial, to the last bit (a complex-by-real numpy division, which
+    # multiplies by a reciprocal, would not be)
+    if name == "planted_5_4_12":
+        f, _ = planted_poly(5, 4, 12, np.random.default_rng(0))
+    else:
+        f = (load_json_poly if name.endswith(".json") else load_text_poly)(name)
+    d = f.degree
+    want = []
+    for beta in monomials_upto(f.nvars - 1, d):
+        full = (d - sum(beta),) + beta
+        want.append(f.coeff(full) / multinomial(d, full))
+    got = to_dual(f).moments
+    assert got.tolist() == want
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(np.array(want).view(float)))
 
 
 def test_apolar_power_pairing():

@@ -97,15 +97,11 @@ def test_quartic_extend_dual(quartic):
     assert sol is not None
     assert sol.residual < 1e-10
     # filled moments really make the operators commute
-    ext = L.with_extension(sol.assignment)
     b = MonomialBasis(2, QUARTIC_BASIS)
-    d0 = np.asarray(
-        [[complex(ext.entry(tuple(a + c for a, c in zip(p, q))))
-          for q in b.exponents] for p in b.exponents]
-    )
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix(sol.assignment)
     m = []
     for v in range(2):
-        dv = shifted_matrix(ext, b, v).value_matrix({})
+        dv = shifted_matrix(L, b, v).value_matrix(sol.assignment)
         m.append(dv @ np.linalg.inv(d0))
     comm = m[0] @ m[1] - m[1] @ m[0]
     scale = max(np.linalg.norm(m[0]), np.linalg.norm(m[1]))
@@ -327,10 +323,9 @@ def test_commutator_jacobian_matches_dense_reference(degree3):
 def _border_spread(L, basis, assignment):
     """Largest disagreement among the entries of W^T D_0 W that share an
     exponent, relative to its largest entry, where W = D_0^{-1} H^{B,dB}."""
-    ext = L.with_extension(assignment)
     rows, border = basis.exponents, basis.border()
-    d0 = build_hankel(ext, rows, rows).value_matrix({})
-    w = np.linalg.solve(d0, build_hankel(ext, rows, border).value_matrix({}))
+    d0 = build_hankel(L, rows, rows).value_matrix(assignment)
+    w = np.linalg.solve(d0, build_hankel(L, rows, border).value_matrix(assignment))
     h = w.T @ d0 @ w
     first, spread = {}, 0.0
     for i, a in enumerate(border):

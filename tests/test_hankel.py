@@ -15,12 +15,13 @@ from waring.core import (
     power_of_linear_form,
     to_dual,
 )
+from waring import hankel
 from waring.hankel import (
+    IDEALS_PER_RANK,
     KOSZUL_MAX_ENTRIES,
     MonomialBasis,
     build_hankel,
     _koszul_layout,
-    _moment_vector,
     full_rank_principal_minor,
     kernel_generators,
     known_columns_test,
@@ -192,6 +193,22 @@ def test_principal_minor_is_never_singular(text):
     assert full_rank_principal_minor(to_dual(parse_poly(text)), size=1) is None
 
 
+def test_principal_minor_walk_is_bounded(monkeypatch):
+    # L(1) = 0, so no ideal passes; the walk draws IDEALS_PER_RANK ideals
+    # of size 14, not all 17526
+    drawn = []
+
+    def counted(*args):
+        for ideal in order_ideals(*args):
+            drawn.append(ideal)
+            yield ideal
+
+    monkeypatch.setattr(hankel, "order_ideals", counted)
+    L = to_dual(parse_poly("x0^2*x1*x2*x3*x4"))
+    assert full_rank_principal_minor(L, size=14) is None
+    assert len(drawn) == IDEALS_PER_RANK
+
+
 PLANTED_MINOR_SHAPES = [
     (3, 4, 3), (3, 4, 5), (3, 5, 4), (3, 5, 6), (3, 6, 8), (4, 3, 3), (4, 4, 6), (5, 4, 8),
 ]
@@ -235,10 +252,10 @@ def test_kernel_generators_annihilate():
                 ok = True
                 for e, c in g.items():
                     s = tuple(a + x for a, x in zip(e, m))
-                    me = L.entry(s)
-                    if me is None:
+                    if sum(s) > L.degree:
                         ok = False
                         break
+                    me = L.moment(s)
                     val += c * me
                     scale = max(scale, abs(c * me))
                 if ok and scale > 0:
@@ -325,9 +342,8 @@ def test_koszul_flattening_of_a_power_has_rank_binom(nvars):
     for d in range(2, 7):
         k = rng.standard_normal(nvars) + 1j * rng.standard_normal(nvars)
         L = to_dual(power_of_linear_form(k, d))
-        m = _moment_vector(L)
         for delta, p in koszul_shapes(L.nvars, d):
-            assert _numerical_rank(koszul_flattening(L, delta, p, m)) == math.comb(nvars - 1, p)
+            assert _numerical_rank(koszul_flattening(L, delta, p)) == math.comb(nvars - 1, p)
             tried += 1
     assert tried >= 8
 
@@ -352,13 +368,13 @@ def test_koszul_gain_bounds_the_flattening_of_any_form():
             for _ in range(5):
                 m = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
                 e = _form_of_moments(nv, d, m)
-                k = koszul_flattening(DualForm(nv, d, {}), delta, p, m)
+                k = koszul_flattening(DualForm(nv, d, m), delta, p)
                 assert np.linalg.norm(k, 2) <= gain * e.coeff_norm() * (1 + 1e-12)
             peaks = []
             for i in range(len(exps)):
                 m = np.zeros(len(exps), dtype=complex)
                 m[i] = 1.0
-                k = koszul_flattening(DualForm(nv, d, {}), delta, p, m)
+                k = koszul_flattening(DualForm(nv, d, m), delta, p)
                 peaks.append(np.linalg.norm(k) / _form_of_moments(nv, d, m).coeff_norm())
             assert max(peaks) == pytest.approx(gain, rel=1e-12)
 
@@ -369,7 +385,7 @@ def test_koszul_shapes_respect_the_cap():
         assert all(1 <= p <= max(1, nv - 1) for _, p in shapes)
         zero = np.zeros(len(monomials_upto(nv, d)), dtype=complex)
         for delta, p in shapes:
-            k = koszul_flattening(DualForm(nv, d, {}), delta, p, zero)
+            k = koszul_flattening(DualForm(nv, d, zero), delta, p)
             assert k.size <= KOSZUL_MAX_ENTRIES
             # one shape of each transposed pair
             partner = (d - 1 - delta, nv - p)
@@ -382,11 +398,11 @@ def test_a_dropped_koszul_shape_has_the_singular_values_of_its_partner():
     rng = np.random.default_rng(6)
     for nv, d in [(2, 4), (2, 5), (3, 3), (3, 4)]:
         m = rng.standard_normal(len(monomials_upto(nv, d))) + 0j
-        L = DualForm(nv, d, {})
+        L = DualForm(nv, d, m)
         for delta, p in koszul_shapes(nv, d):
             partner = (d - 1 - delta, nv - p)
-            s = np.linalg.svd(koszul_flattening(L, delta, p, m), compute_uv=False)
-            t = np.linalg.svd(koszul_flattening(L, *partner, m), compute_uv=False)
+            s = np.linalg.svd(koszul_flattening(L, delta, p), compute_uv=False)
+            t = np.linalg.svd(koszul_flattening(L, *partner), compute_uv=False)
             assert np.allclose(s, t, rtol=1e-12, atol=1e-12 * s[0])
 
 
