@@ -4,14 +4,16 @@ Moments beyond the truncation degree are pinned down by forcing the candidate
 multiplication operators M_i = D_i D_0^{-1} to commute, where D_0 = H^{B,B}
 and D_i is its x_i-shifted matrix on the basis B.  `CommutatorResidual`
 evaluates those equations numerically with one inverse of D_0 per point,
-which the residual and the Jacobian at that point share; an SVD is taken
-only when D_0 may lie near the singularity floor.  The Jacobian is built from
+which the residual and the Jacobian at that point share.  That inverse is
+also the one test of D_0: it passes when |D_0|_F |D_0^{-1}|_F < 1e10, a bound
+on its condition number that no rescaling of the moments moves, and a point
+where it fails has a NaN residual.  The Jacobian is built from
 one rank-1 term per cell an unknown occupies; the index of those terms
 depends only on the pattern of unknown cells, so it is built once per
 pattern (`_jacobian_terms`).  `extend_dual` solves the equations with a
 damped Gauss-Newton iteration, one start after the other: the zero start,
 then random ones, up to RESTARTS in all.  It keeps the first point that
-reaches TOL with a healthy D_0, also on a positive-dimensional solution set.
+reaches TOL, also on a positive-dimensional solution set.
 
 Each step solves the normal equations J^H J d = -J^H f by one Cholesky
 factorization (LAPACK zposv), several times cheaper than a least-squares
@@ -177,9 +179,10 @@ class CommutatorResidual:
     The matrices, N and the products D_v N at the last point evaluated are
     kept, so the Jacobian that Gauss-Newton asks for at the point whose
     residual it has just accepted costs no second inverse.  N comes straight
-    from `np.linalg.inv`; an SVD is taken only when the Frobenius norms of D_0
-    and N cannot rule out the singularity floor.  The residual forms every
-    product D_i N D_j in one stacked matmul and gathers A N B and B N A from it.
+    from `np.linalg.inv` and is kept only when |D_0|_F |N|_F < 1e10
+    (`_inverse`); elsewhere the residual and the Jacobian are NaN.  The
+    residual forms every product D_i N D_j in one stacked matmul and gathers
+    A N B and B N A from it.
 
     A column of the Jacobian is a sum of rank-1 terms, one per cell (r, c)
     its unknown occupies; a unit there changes C by
@@ -206,7 +209,6 @@ class CommutatorResidual:
         self.pairs, self.upper = _equations(L.nvars, s)
         # one reference magnitude so residuals read as relative numbers
         self.scale = (1.0 + np.max(np.abs(self.const))) ** 2
-        self._sing_floor = 1e-12
         # positions of (A N B)[p, q] and (B N A)[p, q] in the flattened stack of
         # products D_i N D_j, i, j = 1..n
         n, p, q = L.nvars, *self.upper
@@ -232,24 +234,20 @@ class CommutatorResidual:
         out[tuple(self.cells[:3])] = x[self.cells[3]]
         return out
 
-    def _inverse(self, d0: np.ndarray):
-        """D_0^{-1}, or None when s_min <= 1e-12 max(s_max, 1)."""
+    @staticmethod
+    def _inverse(d0: np.ndarray):
+        """D_0^{-1}, or None unless |D_0|_F |D_0^{-1}|_F < 1e10: a bound on
+        cond(D_0) that holds at any scale, and that a non-finite inverse fails."""
         try:
             n_mat = np.linalg.inv(d0)
-            # s_max <= |D_0|_F and s_min >= 1/|N|_F, so a product of the norms
-            # below 1e10 keeps s_min a hundredfold above the floor even after
-            # the inverse's rounding
-            if np.vdot(n_mat, n_mat).real * max(np.vdot(d0, d0).real, 1.0) < 1e20:
-                return n_mat
         except np.linalg.LinAlgError:
-            pass
-        s = np.linalg.svd(d0, compute_uv=False)
-        if s[-1] <= self._sing_floor * max(s[0], 1.0):
             return None
-        return np.linalg.inv(d0)
+        if np.vdot(n_mat, n_mat).real * np.vdot(d0, d0).real < 1e20:
+            return n_mat
+        return None
 
     def _point(self, x: np.ndarray):
-        """(D_0..D_n, N, D_v N for v = 1..n) at x; N is None if D_0 is singular."""
+        """(D_0..D_n, N, D_v N for v = 1..n) at x; N is None where `_inverse` is."""
         x = np.asarray(x, dtype=complex)
         key = x.tobytes()
         if key != self._key:
@@ -276,11 +274,6 @@ class CommutatorResidual:
         out = np.zeros(self.nequations() * len(self.unknowns), dtype=complex)
         np.add.at(out, target, factor[left] * factor[right])
         return out.reshape(self.nequations(), -1) / self.scale
-
-    def d0_healthy(self, x: np.ndarray) -> bool:
-        """s_min(D_0) > 1e-10 s_max(D_0): the pencil step can invert D_0."""
-        s = np.linalg.svd(self.matrices(x)[0], compute_uv=False)
-        return bool(s[-1] > 1e-10 * s[0])
 
 
 @functools.lru_cache(maxsize=TERMS_CACHE)
@@ -322,7 +315,7 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     Returns None when no acceptable solution is found (usually meaning the
     basis size is below the true support size, or above it with the unknowns
     overdetermined into inconsistency).  Every solution returned, also one
-    with no unknowns, has a D_0 that passes `d0_healthy`.  Its free_count is
+    with no unknowns, has a D_0 that passes `_inverse`.  Its free_count is
     the number of unknowns the Jacobian leaves free there: the dimension of
     the solution set.  Any point of a positive-dimensional set whose pencil
     is simple gives a decomposition, so no second, more generic point is
@@ -330,12 +323,11 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     """
     res = CommutatorResidual(L, basis)
     if not res.unknowns:
-        x, rmax = np.zeros(0, dtype=complex), 0.0
-        if res.nequations():
-            rmax = float(np.max(np.abs(res.residual(x))))
-            if not np.isfinite(rmax) or rmax > TOL:
-                return None
-        if not res.d0_healthy(x):
+        x = np.zeros(0, dtype=complex)
+        if res._point(x)[1] is None:  # s = 1 has no equation to carry the NaN
+            return None
+        rmax = float(np.max(np.abs(res.residual(x)), initial=0.0))
+        if not rmax <= TOL:
             return None
         return ExtensionSolution({}, rmax, 0)
     if res.nequations() == 0:
@@ -348,7 +340,7 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     starts = [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]
     for x0 in starts:
         x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
-        if r <= TOL and res.d0_healthy(x):
+        if r <= TOL:
             assignment = {e: complex(v) for e, v in zip(res.unknowns, x)}
             return ExtensionSolution(assignment, float(r), _free_columns(res.jacobian(x)))
     return None

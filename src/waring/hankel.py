@@ -379,22 +379,23 @@ def known_columns_test(L: DualForm, top: int):
     return h, test
 
 
-def full_rank_principal_minor(L: DualForm, size: int | None = None) -> MonomialBasis | None:
-    """A basis B with H^{B,B} fully known and of full numerical rank, or None.
+def full_rank_principal_minor(L: DualForm, size: int) -> MonomialBasis | None:
+    """A basis B of `size` with H^{B,B} fully known and of full numerical
+    rank, or None.
 
     B is the first order ideal of degree <= d/2 (so all pairwise sums stay
     within the truncation) that `known_columns_test` passes among the first
-    IDEALS_PER_RANK of `size`, or of every size from the numerical rank of
-    the full candidate matrix down when `size` is None.  No principal minor
-    exceeds that rank.
+    IDEALS_PER_RANK of that size.  None also when `size` exceeds the
+    numerical rank of the full candidate matrix, which bounds every
+    principal minor's.
     """
     top = L.degree // 2
     full, test = known_columns_test(L, top)  # `full` is square at this top
-    rank = _rank(full)
-    for k in range(rank, 0, -1) if size is None else [size] * (0 < size <= rank):
-        for ideal in islice(order_ideals(L.nvars, k, top), IDEALS_PER_RANK):
-            if test(ideal):
-                return MonomialBasis(L.nvars, ideal)
+    if not 0 < size <= _rank(full):
+        return None
+    for ideal in islice(order_ideals(L.nvars, size, top), IDEALS_PER_RANK):
+        if test(ideal):
+            return MonomialBasis(L.nvars, ideal)
     return None
 
 

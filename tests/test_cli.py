@@ -323,6 +323,24 @@ def test_verify_rejects_non_finite_decomposition(capsys, tmp_path):
     assert "coefficients must be finite" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_rejects_the_zero_polynomial(capsys, tmp_path, fmt):
+    # the residual is relative to f's coefficient norm, which is 0 here
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps({
+        "degree": 3, "nvars": 2, "rank": 1, "residual": 0.0,
+        "terms": [{"form": [[1.0, 0.0], [0.0, 0.0]], "weight": [1.0, 0.0]}],
+    }))
+    code, out, err = run(
+        capsys, "verify", "0*x0^3 + 0*x1^3", "--decomposition", str(path),
+        "--format", fmt,
+    )
+    assert code == 1
+    assert "cannot verify against the zero polynomial" in err
+    if fmt == "json":
+        assert json.loads(out)["error"]["code"] == "invalid-input"
+
+
 def test_sylvester_honours_tol(capsys):
     # affine degree-20 binary form of rank 10 where a rank-7 candidate fits
     # the moments but misses the coefficients by 1e-6

@@ -22,7 +22,7 @@ from waring.decompose import (
     rank,
     verify,
 )
-from waring.hankel import known_rank_bound, koszul_rank_bound
+from waring.hankel import full_rank_principal_minor, known_rank_bound, koszul_rank_bound
 
 from conftest import QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_poly
 
@@ -168,6 +168,22 @@ def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
     assert rep.rank == 11
     assert sizes.count(10) == 1
     assert (rep.lower_bound, rep.lower_bound_source) == (11, "koszul(2,1)")
+
+
+def test_attempt_rejects_nan_weights(monkeypatch, quintic):
+    # the coefficient residual is the one fit test, and NaN fails it
+    module = sys.modules["waring.decompose"]
+    L = to_dual(quintic)
+    frame = (LinearChange.identity(3), quintic, L)
+    basis = full_rank_principal_minor(L, size=4)
+    args = (quintic, frame, basis, 1e-7, 0)
+    assert module._attempt(*args, np.random.default_rng(0)) is not None
+
+    def nan_weights(points, L):
+        return np.full(len(points), np.nan + 0j), 0.0
+
+    monkeypatch.setattr(module, "solve_weights", nan_weights)
+    assert module._attempt(*args, np.random.default_rng(0)) is None
 
 
 def _with_noise(f, size, rng):

@@ -228,7 +228,7 @@ def test_no_unknowns_path_rejects_a_singular_d0(maximal_cubic):
     b = MonomialBasis(2, [(0, 0)])
     res = CommutatorResidual(L, b)
     assert res.unknowns == [] and res.nequations() == 0
-    assert not res.d0_healthy(np.zeros(0, dtype=complex))
+    assert res._inverse(res.matrices(np.zeros(0, dtype=complex))[0]) is None
     assert extend_dual(L, b) is None
 
 
@@ -496,10 +496,13 @@ def test_cholesky_refuses_a_singular_jacobian_with_a_unit_diagonal():
 
 
 def _reference_inverse(d0):
-    s = np.linalg.svd(d0, compute_uv=False)
-    if s[-1] <= 1e-12 * max(s[0], 1.0):
+    try:
+        n_mat = np.linalg.inv(d0)
+    except np.linalg.LinAlgError:
         return None
-    return np.linalg.inv(d0)
+    if not np.linalg.norm(d0) * np.linalg.norm(n_mat) < 1e10:
+        return None
+    return n_mat
 
 
 def _reference_residual(res, x):
@@ -567,20 +570,47 @@ def test_zero_start_with_singular_d0_gives_nan(maximal_cubic):
     assert res.jacobian(x).shape == (res.nequations(), len(res.unknowns))
 
 
+def _spread_matrix(rng, sv):
+    """A random complex matrix with the singular values `sv`."""
+    k = len(sv)
+    u, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return (u * sv) @ v.conj().T
+
+
 @pytest.mark.parametrize("s_max", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("ratio", [1e-13, 0.999e-12, 1.001e-12, 1e-11, 1e-9])
 def test_inverse_matches_the_svd_rule_near_the_floor(quartic, ratio, s_max):
+    # on these spectra |D_0|_F |N|_F is within 0.1% of s_max / s_min, so the
+    # Frobenius test agrees with the SVD's relative rule s_min > 1e-10 s_max,
+    # whatever the scale: the ratios 1e-11 and below fail, 1e-9 passes
     res = _quartic_residual(quartic)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        v, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-        sv = s_max * np.geomspace(1.0, ratio, 6)
-        d0 = (u * sv) @ v.conj().T
-        got, want = res._inverse(d0), _reference_inverse(d0)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert np.array_equal(got, want)
+        d0 = _spread_matrix(rng, s_max * np.geomspace(1.0, ratio, 6))
+        got = res._inverse(d0)
+        assert (got is None) == (ratio <= 1e-10)
+        if got is not None:
+            assert np.array_equal(got, np.linalg.inv(d0))
+
+
+def test_inverse_is_none_exactly_when_the_condition_product_reaches_1e10(quartic):
+    res = _quartic_residual(quartic)
+    rng = np.random.default_rng(9)
+    verdicts = set()
+    for ratio in np.geomspace(1e-9, 1e-11, 41):
+        d0 = _spread_matrix(rng, np.geomspace(1.0, ratio, 6))
+        # the verdict at scale 1 holds at every scale
+        want = _reference_inverse(d0) is None
+        verdicts.add(want)
+        for c in (1e-6, 1.0, 1e6):
+            got = res._inverse(c * d0)
+            assert (got is None) == want, (ratio, c)
+            if got is not None:
+                assert np.array_equal(got, np.linalg.inv(c * d0))
+    assert verdicts == {False, True}
+    assert res._inverse(np.zeros((6, 6), dtype=complex)) is None
+    assert res._inverse(np.full((6, 6), np.nan + 0j)) is None
 
 
 def test_kernel_reuses_no_stale_point(quartic):

@@ -25,7 +25,7 @@ from conftest import QUINTIC_SUPPORT
 
 def _quintic_setup(quintic):
     L = to_dual(quintic)
-    b = full_rank_principal_minor(L)
+    b = full_rank_principal_minor(L, size=4)
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     d1 = shifted_matrix(L, b, 0).value_matrix()
     d2 = shifted_matrix(L, b, 1).value_matrix()
