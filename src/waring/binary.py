@@ -21,6 +21,7 @@ from .core import (
     monomial_values,
     numerical_rank,
     pairwise_sines,
+    relative_error,
     to_dual,
 )
 
@@ -117,7 +118,7 @@ def binary_decompose(
             res = np.linalg.norm(a @ w - c) / np.linalg.norm(c)
             if res < tol:
                 terms = list(zip(w, pts))
-                coeff_err = (expand_power_sum(terms, 2, d) - p).coeff_norm() / p.coeff_norm()
+                coeff_err = relative_error(expand_power_sum(terms, 2, d), p)
                 if coeff_err <= tol:
                     return Decomposition(d, terms, coeff_err)
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")

@@ -176,6 +176,8 @@ def _main(argv) -> int:
             raise ValueError("--tol must be finite and positive")
         if args.max_rank is not None and args.max_rank < 1:
             raise ValueError("--max-rank must be at least 1")
+        if args.seed < 0:
+            raise ValueError("--seed must be at least 0")
         f = parse_input(_read_source(args.input))
     except (PolyParseError, ValueError, OverflowError, OSError) as exc:
         # OverflowError: a JSON integer too large for a float; OSError: an

@@ -16,7 +16,6 @@ import cmath
 import functools
 import json
 import math
-import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,10 +91,49 @@ def _monomials_upto(nvars: int, degree: int) -> tuple[Exponent, ...]:
 
 
 @functools.cache
-def monomial_positions(nvars: int, degree: int) -> types.MappingProxyType:
-    """Exponent -> its index in `monomials_upto(nvars, degree)`; read only,
-    since every caller shares the cached map."""
-    return types.MappingProxyType({e: i for i, e in enumerate(_monomials_upto(nvars, degree))})
+def _binomials(nvars: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, offsets): C(a, b) at a * (nvars + 1) + b, for a < nvars + top
+    and b <= nvars, and the offsets that put C(nvars - 1 - j + t, nvars - j)
+    at t * (nvars + 1) + offsets[j]; read only, since every caller shares them."""
+    table = np.array(
+        [math.comb(a, b) for a in range(nvars + top) for b in range(nvars + 1)],
+        dtype=np.intp,
+    )
+    j = np.arange(nvars)
+    offsets = (nvars - 1 - j) * (nvars + 1) + nvars - j
+    table.flags.writeable = offsets.flags.writeable = False
+    return table, offsets
+
+
+def monomial_index(exps) -> np.ndarray:
+    """The graded-lex position of each exponent (along the last axis) among
+    all monomials in that many variables: its index in `monomials_upto(n, D)`
+    for every D at or above its degree.
+
+    With t_j = e_j + ... + e_(n-1), the position is the sum over j of
+    C(n - 1 - j + t_j, n - j): the j = 0 term counts the monomials of lower
+    degree, and term j >= 1 those of the same degree that agree with e
+    before x_(j-1) and are larger in it.  Integer arithmetic over the whole
+    block; the only table is one of binomials."""
+    e = np.asarray(exps, dtype=np.intp)
+    n = e.shape[-1]
+    if n == 0 or e.size == 0:
+        return np.zeros(e.shape[:-1], dtype=np.intp)
+    t = np.cumsum(e[..., ::-1], axis=-1)[..., ::-1]
+    table, offsets = _binomials(n, int(t[..., 0].max()))
+    return table.take(t * (n + 1) + offsets).sum(axis=-1)
+
+
+def monomials_at(nvars: int, positions: np.ndarray) -> list[Exponent]:
+    """The exponents at the ascending graded-lex `positions` (see
+    `monomial_index`)."""
+    if not len(positions):
+        return []
+    top, last = 0, int(positions[-1])
+    while math.comb(nvars + top, nvars) <= last:  # the monomials of degree <= top
+        top += 1
+    table = _monomials_upto(nvars, top)
+    return [table[p] for p in positions.tolist()]
 
 
 @functools.cache
@@ -149,6 +187,16 @@ class HomogeneousPoly:
         self.degree = degree
         self.coeffs = {e: c for e, c in clean.items() if c != 0}
 
+    @classmethod
+    def _trusted(cls, nvars: int, degree: int, coeffs: dict) -> "HomogeneousPoly":
+        """The form of coefficients the package computed itself, one per
+        exponent tuple of the right shape: none is checked, and the result is
+        the constructor's (exact zeros dropped, each value 0 + c)."""
+        out = object.__new__(cls)
+        out.nvars, out.degree = nvars, degree
+        out.coeffs = {e: 0 + complex(c) for e, c in coeffs.items() if c != 0}
+        return out
+
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -170,7 +218,7 @@ class HomogeneousPoly:
         return complex(vals[0]) if pts.ndim == 1 else vals
 
     def scale(self, s: complex) -> "HomogeneousPoly":
-        return HomogeneousPoly(
+        return HomogeneousPoly._trusted(
             self.nvars, self.degree, {e: s * c for e, c in self.coeffs.items()}
         )
 
@@ -180,19 +228,41 @@ class HomogeneousPoly:
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
-        return HomogeneousPoly(self.nvars, self.degree, out)
+        return HomogeneousPoly._trusted(self.nvars, self.degree, out)
 
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
         return self + other.scale(-1)
 
     def coeff_norm(self) -> float:
-        return math.sqrt(sum(abs(c) ** 2 for c in self.coeffs.values()))
+        return ordered_norm(self.coeffs.values())
 
     def __repr__(self):
         return f"HomogeneousPoly(nvars={self.nvars}, degree={self.degree}, terms={len(self.coeffs)})"
 
     def __str__(self):
         return format_poly(self)
+
+
+def ordered_norm(values) -> float:
+    """The 2-norm of complex `values`, summed in their order."""
+    return math.sqrt(sum(abs(c) ** 2 for c in values))
+
+
+def coeff_difference(g: HomogeneousPoly, f: HomogeneousPoly) -> list[complex]:
+    """The nonzero coefficients of g - f, up to signed zeros, in the order
+    `(g - f).coeffs` holds them: g's monomials, then those of f alone.  No
+    intermediate form is built."""
+    if (g.nvars, g.degree) != (f.nvars, f.degree):
+        raise ValueError("mismatched polynomials")
+    fc, gc = f.coeffs, g.coeffs
+    out = [c - fc.get(e, 0) for e, c in gc.items()]
+    out += [-c for e, c in fc.items() if e not in gc]
+    return [c for c in out if c != 0]
+
+
+def relative_error(g: HomogeneousPoly, f: HomogeneousPoly) -> float:
+    """(g - f).coeff_norm() / f.coeff_norm(), summed in the same order."""
+    return ordered_norm(coeff_difference(g, f)) / f.coeff_norm()
 
 
 @dataclass(frozen=True)
@@ -211,7 +281,9 @@ class LinearChange:
         except np.linalg.LinAlgError:
             raise ValueError("singular change of coordinates")
         # an inverse that does not invert: the matrix is numerically singular
-        if not np.allclose(a @ inv_t.T, np.eye(a.shape[0]), atol=1e-8):
+        # (np.allclose's test at atol 1e-8, rtol 1e-5, without its overhead)
+        eye = np.eye(a.shape[0])
+        if not np.all(abs(a @ inv_t.T - eye) <= 1e-8 + 1e-5 * eye):
             raise ValueError("numerically singular change of coordinates")
         object.__setattr__(self, "matrix", a)
         object.__setattr__(self, "inverse_transpose", inv_t)
@@ -279,7 +351,10 @@ class DualForm:
 
     def moment(self, alpha: Exponent) -> complex:
         """Lambda(x^alpha); KeyError past the truncation."""
-        return complex(self.moments[monomial_positions(self.nvars, self.degree)[tuple(alpha)]])
+        alpha = tuple(alpha)
+        if len(alpha) != self.nvars or min(alpha, default=0) < 0 or sum(alpha) > self.degree:
+            raise KeyError(alpha)
+        return complex(self.moments[monomial_index(alpha)])
 
     @classmethod
     def from_support(cls, weights, points, nvars, degree) -> "DualForm":
@@ -295,6 +370,21 @@ class DualForm:
         return f"DualForm(nvars={self.nvars}, degree={self.degree})"
 
 
+@functools.cache
+def _form_positions(nvars: int, degree: int) -> dict[Exponent, int]:
+    """Exponent -> its index in `monomials(nvars, degree)`, which is the
+    `monomial_index` of its part past x0; callers only read it."""
+    return {e: i for i, e in enumerate(_monomials(nvars, degree))}
+
+
+def _coeff_vector(f: HomogeneousPoly) -> np.ndarray:
+    """f's coefficients in `monomials(f.nvars, f.degree)` order, 0 where f has none."""
+    at = _form_positions(f.nvars, f.degree)
+    c = np.zeros(len(at), dtype=complex)
+    c[list(map(at.__getitem__, f.coeffs))] = list(f.coeffs.values())
+    return c
+
+
 def to_dual(f: HomogeneousPoly) -> DualForm:
     """Dual form of f in the affine chart x_0 = 1.
 
@@ -304,13 +394,10 @@ def to_dual(f: HomogeneousPoly) -> DualForm:
     move it in.
     """
     n, d = f.nvars - 1, f.degree
-    at = monomial_positions(n, d)
-    c = np.zeros(len(at), dtype=complex)
-    for exp, v in f.coeffs.items():
-        c[at[exp[1:]]] = v
+    mults = multinomials(n, d)
+    c = _coeff_vector(f)
     # each part on its own: complex-by-real division would multiply by a
     # reciprocal and round differently from the exact quotient
-    mults = multinomials(n, d)
     return DualForm(n, d, c.real / mults + 1j * (c.imag / mults))
 
 
@@ -364,8 +451,6 @@ def change_coordinates(f: HomogeneousPoly, change: LinearChange) -> HomogeneousP
                 term = _poly_mul(term, powers[i][e])
         for mono, v in term.items():
             out[mono] = out.get(mono, 0) + v
-    biggest = max((abs(v) for v in out.values()), default=0.0)
-    cutoff = 1e-14 * biggest
 
     def exponent(code: int) -> Exponent:
         digits = []
@@ -374,9 +459,22 @@ def change_coordinates(f: HomogeneousPoly, change: LinearChange) -> HomogeneousP
             digits.append(e)
         return tuple(digits)
 
-    return HomogeneousPoly(
-        n, f.degree, {exponent(e): v for e, v in out.items() if abs(v) > cutoff}
+    return _trimmed(n, f.degree, {exponent(e): v for e, v in out.items()})
+
+
+def _trimmed(nvars: int, degree: int, coeffs: dict) -> HomogeneousPoly:
+    """The form of `coeffs` without those of modulus at most 1e-14 of the largest."""
+    cutoff = 1e-14 * max((abs(v) for v in coeffs.values()), default=0.0)
+    return HomogeneousPoly._trusted(
+        nvars, degree, {e: v for e, v in coeffs.items() if abs(v) > cutoff}
     )
+
+
+def identity_frame(f: HomogeneousPoly) -> HomogeneousPoly:
+    """`change_coordinates(f, LinearChange.identity(f.nvars))` without the
+    expansion: f's coefficients above 1e-14 of the largest, signed zeros made
+    +0 as the expansion's sums make them."""
+    return _trimmed(f.nvars, f.degree, f.coeffs)
 
 
 def pullback_points(points, change: LinearChange):
@@ -406,6 +504,23 @@ def numerical_rank(s: np.ndarray, floor: float = 0.0) -> int:
     return int(np.sum(s > max(RANK_CUT * s[0], floor))) if len(s) else 0
 
 
+@functools.cache
+def _partials_layout(nvars: int, degree: int):
+    """(rows, cols, monos, mults, shape) of the first partials of a form:
+    the partial in x_rows[k] holds mults[k] times the coefficient of
+    monomial monos[k] of `monomials(nvars, degree)` at column cols[k], the
+    index of the quotient in `monomials(nvars, degree - 1)`; read only."""
+    exps = np.array(monomials(nvars, degree), dtype=np.intp).reshape(-1, nvars)
+    monos, rows = np.nonzero(exps)
+    mults = exps[monos, rows]
+    quotients = exps[monos]
+    quotients[np.arange(len(monos)), rows] -= 1
+    cols = monomial_index(quotients[:, 1:])
+    for a in (rows, cols, monos, mults):
+        a.flags.writeable = False
+    return rows, cols, monos, mults, (nvars, math.comb(nvars + degree - 2, degree - 1))
+
+
 def essential_vars(f: HomogeneousPoly):
     """Number of variables really present in f, plus a change realizing it.
 
@@ -417,15 +532,9 @@ def essential_vars(f: HomogeneousPoly):
     if f.is_zero:
         raise ValueError("zero polynomial has no essential variables")
     n = f.nvars
-    # the degree d-1 monomials, in graded-lex order, by their part past x0
-    at = monomial_positions(n - 1, f.degree - 1)
-    p = np.zeros((n, len(at)), dtype=complex)
-    for exp, c in f.coeffs.items():
-        for i in range(n):
-            if exp[i]:
-                de = list(exp)
-                de[i] -= 1
-                p[i, at[tuple(de[1:])]] += exp[i] * c
+    rows, cols, monos, mults, shape = _partials_layout(n, f.degree)
+    p = np.zeros(shape, dtype=complex)
+    p[rows, cols] += mults * _coeff_vector(f)[monos]  # no cell is hit twice
     u, s, _ = np.linalg.svd(p, full_matrices=True)
     count = numerical_rank(s)
     # columns j >= count of conj(U) span the left null space of p, so the
@@ -447,7 +556,7 @@ def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
     weights = np.array([w for w, _ in terms], dtype=complex)
     values = weights @ monomial_values([k for _, k in terms], exps)
     values *= multinomials(nvars - 1, degree)
-    return HomogeneousPoly(nvars, degree, dict(zip(exps, values.tolist())))
+    return HomogeneousPoly._trusted(nvars, degree, dict(zip(exps, values.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,14 @@ from .core import (
     HomogeneousPoly,
     LinearChange,
     change_coordinates,
+    coeff_difference,
     essential_vars,
     expand_power_sum,
+    identity_frame,
+    ordered_norm,
     pairwise_sines,
     pullback_points,
+    relative_error,
     to_dual,
 )
 from .extension import extend_dual
@@ -110,8 +114,7 @@ class VerifyReport:
 
 
 def _relative_err(f: HomogeneousPoly, terms) -> float:
-    rebuilt = expand_power_sum(terms, f.nvars, f.degree)
-    return (rebuilt - f).coeff_norm() / f.coeff_norm()
+    return relative_error(expand_power_sum(terms, f.nvars, f.degree), f)
 
 
 def _support_ok(g: HomogeneousPoly, terms) -> bool:
@@ -200,8 +203,11 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
 
     def frame(i: int):
         while len(frames) <= i:
-            a = LinearChange.random_unitary(n, rng) if frames else LinearChange.identity(n)
-            g = change_coordinates(f, a)
+            if frames:
+                a = LinearChange.random_unitary(n, rng)
+                g = change_coordinates(f, a)
+            else:
+                a, g = LinearChange.identity(n), identity_frame(f)
             frames.append((a, g, to_dual(g)))
         return frames[i]
 
@@ -304,13 +310,10 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
             raise ValueError(f"form of term {i} has {len(k)} entries, expected {f.nvars}")
         if not np.any(k):
             raise ValueError(f"form of term {i} is zero")
-    rebuilt = expand_power_sum(dec.terms, f.nvars, f.degree)
-    diff = rebuilt - f
-    residual = diff.coeff_norm() / f.coeff_norm()
+    diff = coeff_difference(expand_power_sum(dec.terms, f.nvars, f.degree), f)
+    residual = ordered_norm(diff) / f.coeff_norm()
     biggest = max(abs(c) for c in f.coeffs.values())
-    max_err = max(
-        (abs(c) for c in diff.coeffs.values()), default=0.0
-    ) / biggest
+    max_err = max((abs(c) for c in diff), default=0.0) / biggest
     collisions = int(np.sum(pairwise_sines([k for _, k in dec.terms]) <= 1e-8))
     return VerifyReport(float(residual), float(max_err), collisions)
 

@@ -45,9 +45,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpocon, zposv
+from scipy.linalg.lapack import zgesv, zpocon, zposv
 
-from .core import DualForm, Exponent, grlex_key, numerical_rank
+from .core import DualForm, Exponent, monomials_at, numerical_rank
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
 RESTARTS = 8  # Gauss-Newton starts per extension solve: zero, then random
@@ -179,7 +179,7 @@ class CommutatorResidual:
     The matrices, N and the products D_v N at the last point evaluated are
     kept, so the Jacobian that Gauss-Newton asks for at the point whose
     residual it has just accepted costs no second inverse.  N comes straight
-    from `np.linalg.inv` and is kept only when |D_0|_F |N|_F < 1e10
+    from LAPACK's zgesv and is kept only when |D_0|_F |N|_F < 1e10
     (`_inverse`); elsewhere the residual and the Jacobian are NaN.  The
     residual forms every product D_i N D_j in one stacked matmul and gathers
     A N B and B N A from it.
@@ -194,18 +194,19 @@ class CommutatorResidual:
     def __init__(self, L: DualForm, basis: MonomialBasis):
         mats = [build_hankel(L, basis.exponents, basis.exponents)]
         mats += [shifted_matrix(L, basis, v) for v in range(L.nvars)]
-        self.unknowns = sorted({e for m in mats for e in m.unknowns}, key=grlex_key)
-        index = {e: i for i, e in enumerate(self.unknowns)}
         s = len(basis)
-        self.const = np.stack([m.values for m in mats])
-        # each matrix's slots renumbered into self.unknowns; -1 stays -1
-        slot = np.stack([
-            np.array([index[e] for e in m.unknowns] + [-1], dtype=np.intp)[m.slot]
-            for m in mats
-        ])
-        # (matrix, row, col, unknown index) of every unknown cell, in C order
+        self.const = np.array([m.values for m in mats])
+        # (matrix, row, col, unknown index) of every unknown cell, in C order:
+        # a cell's slot indexes its matrix's positions, which start at `first`
+        # in `at`; the unknowns are the distinct positions, in order
+        slot = np.array([m.slot for m in mats])
         cells = np.nonzero(slot >= 0)
-        self.cells = np.array([*cells, slot[cells]], dtype=np.intp)
+        at = np.concatenate([m.positions for m in mats])
+        first = np.cumsum([0] + [len(m.positions) for m in mats[:-1]])
+        positions = np.unique(at)
+        self.unknowns = monomials_at(L.nvars, positions)
+        index = np.searchsorted(positions, at[first[cells[0]] + slot[cells]])
+        self.cells = np.array([*cells, index], dtype=np.intp)
         self.pairs, self.upper = _equations(L.nvars, s)
         # one reference magnitude so residuals read as relative numbers
         self.scale = (1.0 + np.max(np.abs(self.const))) ** 2
@@ -237,12 +238,12 @@ class CommutatorResidual:
     @staticmethod
     def _inverse(d0: np.ndarray):
         """D_0^{-1}, or None unless |D_0|_F |D_0^{-1}|_F < 1e10: a bound on
-        cond(D_0) that holds at any scale, and that a non-finite inverse fails."""
-        try:
-            n_mat = np.linalg.inv(d0)
-        except np.linalg.LinAlgError:
-            return None
-        if np.vdot(n_mat, n_mat).real * np.vdot(d0, d0).real < 1e20:
+        cond(D_0) that holds at any scale, and that a non-finite inverse fails.
+
+        The inverse solves D_0 N = I by LAPACK's zgesv, as `np.linalg.inv`
+        does, without numpy's wrapping; exactly singular is info > 0."""
+        *_, n_mat, info = zgesv(d0, _identity(len(d0)))
+        if info == 0 and np.vdot(n_mat, n_mat).real * np.vdot(d0, d0).real < 1e20:
             return n_mat
         return None
 
@@ -274,6 +275,14 @@ class CommutatorResidual:
         out = np.zeros(self.nequations() * len(self.unknowns), dtype=complex)
         np.add.at(out, target, factor[left] * factor[right])
         return out.reshape(self.nequations(), -1) / self.scale
+
+
+@functools.cache
+def _identity(s: int) -> np.ndarray:
+    """The complex s x s identity, read only: zgesv copies its right side."""
+    out = np.eye(s, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
 @functools.lru_cache(maxsize=TERMS_CACHE)

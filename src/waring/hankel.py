@@ -4,7 +4,9 @@ For a moment table L and monomial sets B, B' the matrix H^{B,B'} has entry
 (alpha, beta) = L(x^(alpha+beta)).  Entries whose total degree exceeds the
 truncation are unknown moments; a matrix keeps them as an integer slot map
 into its list of unknown exponents, and an extension step assigns them
-values later.
+values later.  Every cell is placed by one rule, its graded-lex position
+(`monomial_index`): below len(L.moments) it indexes the known moment, and
+above it numbers the unknown, so unknowns sort graded-lex as integers.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 import functools
 import math
 from itertools import combinations, islice
-from operator import add
 
 import numpy as np
 
 from .core import (
-    DualForm, Exponent, grlex_key, monomial_positions, monomials, monomials_upto,
-    multinomials, numerical_rank,
+    DualForm, Exponent, grlex_key, monomial_index, monomials, monomials_at,
+    monomials_upto, multinomials, numerical_rank,
 )
 
 KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
@@ -91,30 +92,36 @@ class MonomialBasis:
 class QuasiHankelMatrix:
     """H^{rows,cols} as numbers plus an integer map of its unknown cells.
 
-    `values` holds the known moments and 0 at every unknown cell; `unknowns`
-    lists the distinct unknown exponents in graded-lex order; `slot` is -1 at
-    a known cell and otherwise the cell's index into `unknowns`.
+    `values` holds the known moments and 0 at every unknown cell;
+    `positions` holds the graded-lex positions of the distinct unknown
+    exponents, ascending, and `unknowns` those exponents; `slot` is -1 at a
+    known cell and otherwise the cell's index into both.
     """
 
-    __slots__ = ("rows", "cols", "values", "unknowns", "slot")
+    __slots__ = ("rows", "cols", "values", "positions", "slot")
 
-    def __init__(self, rows, cols, values, unknowns, slot):
+    def __init__(self, rows, cols, values, positions, slot):
         self.rows = list(rows)
         self.cols = list(cols)
         self.values = values
-        self.unknowns = unknowns
+        self.positions = positions
         self.slot = slot
 
     @property
     def shape(self):
         return (len(self.rows), len(self.cols))
 
+    @property
+    def unknowns(self) -> list[Exponent]:
+        """The distinct unknown exponents, in graded-lex order."""
+        return monomials_at(len(self.rows[0]) if self.rows else 0, self.positions)
+
     def value_matrix(
         self, assignment: dict[Exponent, complex] | None = None
     ) -> np.ndarray:
         """Numeric matrix with the unknowns filled from `assignment`."""
         out = self.values.copy()
-        if self.unknowns:
+        if len(self.positions):
             given = assignment or {}
             # a moment missing from the assignment raises KeyError here
             fill = np.array([given[e] for e in self.unknowns], dtype=complex)
@@ -129,24 +136,21 @@ class QuasiHankelMatrix:
 
 def build_hankel(L: DualForm, rows, cols, shift: Exponent | None = None) -> QuasiHankelMatrix:
     """H with entry (a, b) = L(x^(a+b+shift)); a slot past the truncation."""
+    square = cols is rows
     rows = [tuple(r) for r in rows]
-    cols = [tuple(c) for c in cols]
+    cols = rows if square else [tuple(c) for c in cols]
     n = L.nvars
-    s = np.zeros(n, dtype=np.intp) if shift is None else np.array(shift, dtype=np.intp)
-    exps = (
-        np.array(rows, dtype=np.intp).reshape(-1, 1, n)
-        + np.array(cols, dtype=np.intp).reshape(1, -1, n)
-        + s
-    )
-    cells = [tuple(e) for e in exps.reshape(-1, n).tolist()]
-    at = monomial_positions(n, L.degree)  # holds every cell of degree <= d
-    unknowns = sorted({e for e in cells if e not in at}, key=grlex_key)
-    index = {e: k for k, e in enumerate(unknowns)}
-    shape = (len(rows), len(cols))
-    known = np.array([at.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
-    values = np.where(known >= 0, L.moments[known], 0j)
-    slot = np.array([index.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
-    return QuasiHankelMatrix(rows, cols, values, unknowns, slot)
+    r = np.array(rows, dtype=np.intp).reshape(-1, 1, n)
+    c = r.reshape(1, -1, n) if square else np.array(cols, dtype=np.intp).reshape(1, -1, n)
+    at = monomial_index(r + c if shift is None else r + np.array(shift, dtype=np.intp) + c)
+    unknown = at >= len(L.moments)  # graded: exactly the cells of degree > d
+    values = L.moments.take(at, mode="clip")
+    values[unknown] = 0
+    past = at[unknown]
+    positions = np.unique(past) if len(past) else past
+    slot = np.full(at.shape, -1, dtype=np.intp)
+    slot[unknown] = np.searchsorted(positions, past)
+    return QuasiHankelMatrix(rows, cols, values, positions, slot)
 
 
 def shifted_matrix(L: DualForm, basis: MonomialBasis, var: int) -> QuasiHankelMatrix:
@@ -178,12 +182,12 @@ def known_rank_bound(L: DualForm, tol: float) -> int:
 def _catalecticant_layout(nvars: int, degree: int, k: int):
     """(index, gain) of H^{B_k, B_(degree-k)}: entry (a, b) is moment index[a, b]
     of `monomials_upto(nvars, degree)`; gain is as in `_koszul_layout`."""
-    moment = monomial_positions(nvars, degree)
-    cols = monomials_upto(nvars, degree - k)
-    index = np.array([[moment[tuple(map(add, a, b))] for b in cols]
-                      for a in monomials_upto(nvars, k)], dtype=np.intp)
+    rows = np.array(monomials_upto(nvars, k), dtype=np.intp)
+    cols = np.array(monomials_upto(nvars, degree - k), dtype=np.intp)
+    index = monomial_index(rows[:, None] + cols[None, :])
     index.flags.writeable = False  # cached: every caller shares it
-    return index, _gain(np.bincount(index.ravel(), minlength=len(moment)), nvars, degree)
+    counts = np.bincount(index.ravel(), minlength=len(multinomials(nvars, degree)))
+    return index, _gain(counts, nvars, degree)
 
 
 def _gain(counts: np.ndarray, nvars: int, degree: int) -> float:
@@ -212,12 +216,11 @@ def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
     coefficient norm.
     """
     big = nvars + 1
-    moment = monomial_positions(nvars, degree)
     alphas = monomials(big, delta)
     betas = monomials(big, degree - delta - 1)
     subsets = list(combinations(range(big), p))
     supersets = {J: k for k, J in enumerate(combinations(range(big), p + 1))}
-    entries = []
+    entries, exps = [], []
     for col, (a, I) in enumerate((a, I) for a in alphas for I in subsets):
         for j in range(big):
             if j in I:
@@ -225,15 +228,16 @@ def _koszul_layout(nvars: int, degree: int, delta: int, p: int):
             J = supersets[tuple(sorted(I + (j,)))]
             sign = -1.0 if sum(i < j for i in I) % 2 else 1.0
             for bi, b in enumerate(betas):
-                e = tuple(x + y + (k == j) for k, (x, y) in enumerate(zip(a, b)))
-                entries.append((bi * len(supersets) + J, col, moment[e[1:]], sign))
+                entries.append((bi * len(supersets) + J, col, sign))
+                exps.append([x + y + (k == j) for k, (x, y) in enumerate(zip(a, b))][1:])
     table = np.array(entries)
-    rows, cols, moms = table[:, :3].T.astype(np.intp)
-    signs = table[:, 3]
+    rows, cols = table[:, :2].T.astype(np.intp)
+    moms = monomial_index(np.array(exps, dtype=np.intp))
+    signs = table[:, 2]
     for a in (rows, cols, moms, signs):
         a.flags.writeable = False  # cached: every caller shares these arrays
     shape = (len(betas) * len(supersets), len(alphas) * len(subsets))
-    gain = _gain(np.bincount(moms, minlength=len(moment)), nvars, degree)
+    gain = _gain(np.bincount(moms, minlength=len(multinomials(nvars, degree))), nvars, degree)
     return shape, rows, cols, moms, signs, gain
 
 
@@ -368,8 +372,8 @@ def known_columns_test(L: DualForm, top: int):
     """
     d = L.degree
     rows = monomials_upto(L.nvars, top)
-    at = monomial_positions(L.nvars, top)
     h = build_hankel(L, rows, [m for m in rows if 2 * sum(m) <= d]).values
+    at = {m: i for i, m in enumerate(rows)}  # a member's row, and its column if any
 
     def test(ideal) -> bool:
         t = sum(ideal[-1])

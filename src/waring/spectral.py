@@ -45,11 +45,8 @@ def generalized_eigen(d1: np.ndarray, d0: np.ndarray):
 def eigenvalues_simple(w: np.ndarray) -> bool:
     """No two eigenvalues closer than 1e-8 max(1, largest modulus)."""
     scale = max(1.0, float(np.max(np.abs(w))))
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if abs(w[i] - w[j]) <= 1e-8 * scale:
-                return False
-    return True
+    i, j = np.triu_indices(len(w), k=1)
+    return not np.any(np.abs(w[i] - w[j]) <= 1e-8 * scale)
 
 
 def extract_points(u: np.ndarray, basis: MonomialBasis) -> np.ndarray:

@@ -11,13 +11,14 @@ from waring.core import (
     expand_power_sum,
     grlex_key,
     monomials,
+    monomials_upto,
     multinomial,
     parse_poly,
     poly_from_json,
     to_dual,
 )
 from waring.decompose import _basis_candidates
-from waring.hankel import MonomialBasis, full_rank_principal_minor
+from waring.hankel import MonomialBasis, full_rank_principal_minor, known_rank_bound
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -28,6 +29,11 @@ QUINTIC_SUPPORT = [
     (5.0, (-12.0, -3.0)),
     (3.0, (12.0, -13.0)),
 ]
+
+
+def coeff_bits(f: HomogeneousPoly) -> list:
+    """f's coefficients in its own order, each part as `float.hex`."""
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in f.coeffs.items()]
 
 
 def load_text_poly(name: str) -> HomogeneousPoly:
@@ -117,6 +123,27 @@ def object_value_matrix(ent, assignment) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the per-cell dict walk that the graded-lex position rule replaced, kept as
+# an independent reference: a tuple and two dict lookups per cell
+
+
+def dict_hankel(L, rows, cols, shift=None):
+    """(values, unknowns, slot) of H^{rows,cols} with every cell looked up
+    by its exponent tuple in a dict of the moments' positions."""
+    n = L.nvars
+    s = (0,) * n if shift is None else tuple(shift)
+    at = {e: i for i, e in enumerate(monomials_upto(n, L.degree))}
+    cells = [tuple(x + y + z for x, y, z in zip(a, b, s)) for a in rows for b in cols]
+    unknowns = sorted({e for e in cells if e not in at}, key=grlex_key)
+    index = {e: k for k, e in enumerate(unknowns)}
+    shape = (len(rows), len(cols))
+    known = np.array([at.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
+    values = np.where(known >= 0, L.moments[known], 0j)
+    slot = np.array([index.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
+    return values, unknowns, slot
+
+
 EXACTNESS_FIXTURES = [
     "ternary_quintic_rank4.txt",
     "ternary_quartic_rank6.txt",
@@ -127,9 +154,17 @@ EXACTNESS_FIXTURES = [
     "cubic_fermat.json",
     "cubic_generic_rank4.json",
 ]
+# the planted (nvars, degree, rank) shapes of the benchmark's workloads, and
+# a wide one: 8 affine variables
+WALK_SHAPES = [
+    (3, 4, 5), (3, 5, 4), (3, 5, 6), (4, 3, 3), (4, 3, 4), (5, 3, 5), (3, 6, 9),
+    (3, 6, 10), (4, 4, 10), (5, 4, 10), (5, 4, 12),
+    (3, 5, 7), (4, 3, 5), (3, 7, 11), (4, 5, 11), (5, 3, 6),
+    (9, 3, 9),
+]
 EXACTNESS_CASES = EXACTNESS_FIXTURES + [
     "planted_4_4_10", "planted_4_4_10_degree3", "planted_5_4_12"
-]
+] + ["walk_{}_{}_{}".format(*shape) for shape in WALK_SHAPES]
 
 
 @functools.cache
@@ -137,12 +172,20 @@ def exactness_case(name: str):
     """A dual form and the bases to compare the two Hankel layers on.
 
     For a fixture these are the bases the rank loop walks at every size up
-    to 7 in the identity frame, the pruned ones included; the planted forms
-    use their principal-minor basis."""
+    to 7 in the identity frame, the pruned ones included.  For a walk shape
+    they are the bases it walks in the identity frame at every size from the
+    catalecticant bound to the planted rank, pruned ones included; the other
+    planted forms use their principal-minor basis."""
     if name in EXACTNESS_FIXTURES:
         load = load_json_poly if name.endswith(".json") else load_text_poly
         L = to_dual(load(name))
         return L, [b for r in range(1, 8) for b, _ in _basis_candidates(L, r)]
+    if name.startswith("walk_"):
+        nvars, degree, rank = map(int, name.split("_")[1:])
+        f, _ = planted_poly(nvars, degree, rank, np.random.default_rng(rank))
+        L = to_dual(f)
+        sizes = range(max(1, known_rank_bound(L, 1e-7)), rank + 1)
+        return L, [b for r in sizes for b, _ in _basis_candidates(L, r)]
     if name.startswith("planted_4_4_10"):
         L, basis, _ = planted_4_4_10(name.endswith("degree3"))
         return L, [basis]

@@ -239,13 +239,22 @@ def test_parser_is_built_once(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flag, value",
     [("--tol", "nan"), ("--tol", "inf"), ("--tol", "0"),
-     ("--max-rank", "-3"), ("--max-rank", "0")],
+     ("--max-rank", "-3"), ("--max-rank", "0"), ("--seed", "-1")],
 )
 def test_bad_flag_values_are_invalid_input(capsys, flag, value):
     code, out, err = run(capsys, "rank", "x0^3 + x1^3", flag, value, "--format", "json")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "invalid-input"
     assert flag in err
+
+
+def test_negative_seed_is_named_in_text(capsys):
+    # numpy's own message ("expected non-negative integer") names no flag
+    code, out, err = run(capsys, "decompose", "x0^3 + x1^3 + x2^3", "--seed", "-5")
+    assert (code, out) == (1, "")
+    assert err == "error: --seed must be at least 0\n"
+    code, out, _ = run(capsys, "rank", "x0^3 + x1^3 + x2^3", "--seed", "0")
+    assert (code, out) == (0, "3\n")
 
 
 @pytest.mark.parametrize("command", ["rank", "decompose", "sylvester"])

@@ -10,27 +10,32 @@ from waring.core import (
     PolyParseError,
     apolar,
     change_coordinates,
+    coeff_difference,
     decomposition_from_json,
     decomposition_to_json,
     essential_vars,
     expand_power_sum,
     format_poly,
+    identity_frame,
     monomial_values,
     monomials,
     monomials_upto,
     multinomial,
+    multinomials,
     numerical_rank,
     parse_poly,
     poly_from_json,
     poly_to_json,
     power_of_linear_form,
     pullback_points,
+    relative_error,
     to_dual,
 )
 
 from conftest import (
     EXACTNESS_FIXTURES,
     QUINTIC_SUPPORT,
+    coeff_bits,
     load_json_poly,
     load_text_poly,
     loop_expand_power_sum,
@@ -289,6 +294,7 @@ def test_change_coordinates_matches_tuple_keys_bit_for_bit():
         got = change_coordinates(f, a)
         want = _tuple_key_change_coordinates(f, a)
         assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert coeff_bits(got) == coeff_bits(want)
 
 
 def test_linear_change_rejects_singular():
@@ -457,3 +463,164 @@ def test_evaluate_at_many_points():
         assert v == pytest.approx(f.evaluate(xi), rel=1e-14)
     with pytest.raises(ValueError):
         f.evaluate(x[0, :2])
+
+
+# ---------------------------------------------------------------------------
+# forms the package builds itself skip the constructor's checks, and the
+# frame, residual and partials shortcuts skip whole forms: each against the
+# path it replaced, bit for bit
+
+
+def _fixture_forms():
+    return [
+        (load_json_poly if name.endswith(".json") else load_text_poly)(name)
+        for name in EXACTNESS_FIXTURES
+    ]
+
+
+def _planted_forms():
+    rng = np.random.default_rng(23)
+    return [planted_poly(n, d, r, rng)[0]
+            for n, d, r in ((2, 5, 2), (3, 3, 3), (3, 4, 5), (4, 3, 4), (5, 4, 7))]
+
+
+def _validated_expand(terms, nvars, degree):
+    """`expand_power_sum` as it was: the same sums, then the checking constructor."""
+    exps = monomials(nvars, degree)
+    weights = np.array([w for w, _ in terms], dtype=complex)
+    values = weights @ monomial_values([k for _, k in terms], exps)
+    values *= multinomials(nvars - 1, degree)
+    return HomogeneousPoly(nvars, degree, dict(zip(exps, values.tolist())))
+
+
+def _validated_sub(g, f):
+    """g - f as it was: the checking constructor at every step."""
+    neg = HomogeneousPoly(f.nvars, f.degree, {e: -1 * c for e, c in f.coeffs.items()})
+    out = dict(g.coeffs)
+    for e, c in neg.coeffs.items():
+        out[e] = out.get(e, 0) + c
+    return HomogeneousPoly(g.nvars, g.degree, out)
+
+
+def _cancelling_cases():
+    """(f, terms) whose power sum cancels coefficients exactly: x0*x1 of
+    (x0 + x1)^2 + (x0 - x1)^2, and so every coefficient of x0^2 + x1^2 but
+    f's own x0*x1; then a ternary cubic whose x1^3 cancels."""
+    one = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    cubic = [(1.0, np.array([1.0, 1.0, 0.5])), (-1.0, np.array([2.0, 1.0, 0.5])),
+             (2.0 + 1j, np.array([1.0, 0.0, 1.0]))]
+    return [
+        (parse_poly("x0^2 + 3*x0*x1 + x1^2"), [(0.5, one[0]), (0.5, one[1])]),
+        (parse_poly("x0^2 + x1^2"), [(0.5, one[0]), (0.5, one[1])]),
+        (parse_poly("2*x0^3 - x0*x1^2 + (0,1)*x2^3"), cubic),
+    ]
+
+
+def _residual_cases():
+    rng = np.random.default_rng(29)
+    cases = []
+    for f in _fixture_forms() + _planted_forms():
+        # terms near f (a fit) and far from it (the failing attempts)
+        for scale in (1e-9, 0.3):
+            terms = [(complex(rng.standard_normal(), rng.standard_normal()) * scale,
+                      rng.standard_normal(f.nvars) + 1j * rng.standard_normal(f.nvars))
+                     for _ in range(3)]
+            cases.append((f, terms))
+    for n, d, r in ((3, 4, 5), (4, 3, 4), (2, 6, 3)):
+        f, terms = planted_poly(n, d, r, rng)
+        cases.append((f, terms))  # the exact planted terms
+    return cases + _cancelling_cases()
+
+
+def test_package_built_forms_equal_the_checking_constructor():
+    rng = np.random.default_rng(31)
+    for f in _fixture_forms() + _planted_forms():
+        g = HomogeneousPoly(f.nvars, f.degree, f.coeffs)
+        for s in (-1, 0.5 - 2j, 3):
+            want = HomogeneousPoly(f.nvars, f.degree, {e: s * c for e, c in f.coeffs.items()})
+            assert coeff_bits(f.scale(s)) == coeff_bits(want)
+        h = f.scale(-1)
+        out = dict(f.coeffs)
+        for e, c in h.coeffs.items():
+            out[e] = out.get(e, 0) + c
+        assert coeff_bits(f + h) == coeff_bits(HomogeneousPoly(f.nvars, f.degree, out)) == []
+        assert coeff_bits(f - g) == coeff_bits(_validated_sub(f, g))
+        terms = [(complex(*rng.standard_normal(2)), rng.standard_normal(f.nvars) + 0j)
+                 for _ in range(4)]
+        assert coeff_bits(expand_power_sum(terms, f.nvars, f.degree)) == coeff_bits(
+            _validated_expand(terms, f.nvars, f.degree))
+
+
+def test_relative_error_is_the_subtraction_bit_for_bit():
+    for f, terms in _residual_cases():
+        g = expand_power_sum(terms, f.nvars, f.degree)
+        old = _validated_sub(_validated_expand(terms, f.nvars, f.degree), f)
+        assert [c.hex() for c in map(abs, coeff_difference(g, f))] == [
+            c.hex() for c in map(abs, old.coeffs.values())]
+        want = (g - f).coeff_norm() / f.coeff_norm()
+        assert relative_error(g, f).hex() == want.hex()
+        assert want.hex() == (old.coeff_norm() / f.coeff_norm()).hex()
+
+
+def test_exact_cancellation_keeps_the_subtraction_order():
+    # x0^2 and x1^2 cancel to 0 and drop out; only f's own x0*x1 is left
+    f, terms = _cancelling_cases()[0]
+    g = expand_power_sum(terms, 2, 2)
+    assert list(g.coeffs) == [(2, 0), (0, 2)]
+    assert coeff_difference(g, f) == [-3]
+    assert relative_error(g, f) == 3 / f.coeff_norm()
+    f, terms = _cancelling_cases()[1]
+    assert relative_error(expand_power_sum(terms, 2, 2), f) == 0.0
+
+
+def _signed_zero_form():
+    """A form holding -0.0 parts and coefficients at 1e-15 and 2e-14 of
+    the largest: the first is dropped, the second kept."""
+    f = parse_poly("4*x0^3 + (1,2)*x0*x1*x2 - 3*x1^2*x2 + x2^3 + x0^2*x1")
+    f.coeffs[(3, 0, 0)] = complex(4.0, -0.0)
+    f.coeffs[(1, 1, 1)] = complex(-0.0, 2.0)
+    f.coeffs[(0, 2, 1)] = complex(-3.0, -0.0)
+    f.coeffs[(0, 0, 3)] = complex(4e-15, 0.0)  # 1e-15 of |4 + 0i|
+    f.coeffs[(2, 1, 0)] = complex(0.0, -8e-14)  # 2e-14 of it
+    return f
+
+
+def test_identity_frame_is_the_identity_change_bit_for_bit():
+    forms = _fixture_forms() + _planted_forms() + [_signed_zero_form()]
+    for f in forms:
+        want = change_coordinates(f, LinearChange.identity(f.nvars))
+        assert coeff_bits(identity_frame(f)) == coeff_bits(want)
+    g = identity_frame(_signed_zero_form())
+    assert (0, 0, 3) not in g.coeffs and (2, 1, 0) in g.coeffs
+    assert g.coeffs[(3, 0, 0)].imag.hex() == g.coeffs[(0, 2, 1)].imag.hex() == "0x0.0p+0"
+    assert g.coeffs[(1, 1, 1)].real.hex() == "0x0.0p+0"
+
+
+def _loop_essential_vars(f):
+    """The partials matrix filled term by term, as `essential_vars` did."""
+    n = f.nvars
+    at = {e: i for i, e in enumerate(monomials_upto(n - 1, f.degree - 1))}
+    p = np.zeros((n, len(at)), dtype=complex)
+    for exp, c in f.coeffs.items():
+        for i in range(n):
+            if exp[i]:
+                de = list(exp)
+                de[i] -= 1
+                p[i, at[tuple(de[1:])]] += exp[i] * c
+    u, s, _ = np.linalg.svd(p, full_matrices=True)
+    return numerical_rank(s), np.conj(u)
+
+
+def test_essential_vars_layout_matches_the_term_loop_bit_for_bit():
+    rng = np.random.default_rng(37)
+    hidden, _ = planted_poly(2, 4, 2, rng)
+    lifted = HomogeneousPoly(3, 4, {(a, b, 0): c for (a, b), c in hidden.coeffs.items()})
+    forms = _fixture_forms() + _planted_forms() + [
+        _signed_zero_form(), parse_poly("x0 + (2,1)*x1 - x2"), parse_poly("7*x0^3", nvars=1),
+        lifted, change_coordinates(lifted, LinearChange.random_unitary(3, rng)),
+    ]
+    for f in forms:
+        count, reducer = essential_vars(f)
+        want_count, want = _loop_essential_vars(f)
+        assert count == want_count
+        assert reducer.matrix.tobytes() == want.astype(complex).tobytes()

@@ -1,4 +1,5 @@
 import contextlib
+import json
 import re
 import sys
 
@@ -11,12 +12,14 @@ from waring.core import (
     HomogeneousPoly,
     LinearChange,
     change_coordinates,
+    decomposition_from_json,
     expand_power_sum,
     parse_poly,
     to_dual,
 )
 from waring.decompose import (
     OrbitClass,
+    _relative_err,
     classify_ternary_cubic,
     decompose,
     rank,
@@ -24,7 +27,7 @@ from waring.decompose import (
 )
 from waring.hankel import full_rank_principal_minor, known_rank_bound, koszul_rank_bound
 
-from conftest import QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_poly
+from conftest import FIXTURES, QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_poly
 
 
 def test_quintic_report(quintic):
@@ -396,6 +399,36 @@ def test_verify_exact_and_perturbed():
     vr2 = verify(f, Decomposition(4, list(zip(wts, [pts[0], pts[0] * 2.0, pts[2]]))))
     assert vr2.residual > 1e-3
     assert vr2.collisions == 1
+
+
+def _subtraction_verify(f, dec):
+    """verify's residual and largest coefficient error through g - f, the
+    form it subtracted before the one residual helper."""
+    diff = expand_power_sum(dec.terms, f.nvars, f.degree) - f
+    biggest = max(abs(c) for c in f.coeffs.values())
+    worst = max((abs(c) for c in diff.coeffs.values()), default=0.0)
+    return diff.coeff_norm() / f.coeff_norm(), worst / biggest
+
+
+def test_verify_and_the_fit_test_are_the_subtraction_bit_for_bit():
+    cases = []
+    for poly, name in (("cubic_maximal.txt", "cubic_maximal_decomposition.json"),
+                       ("ternary_quartic_rank6.txt", "quartic_rank6_decomposition.json")):
+        dec = decomposition_from_json(json.loads((FIXTURES / name).read_text()))
+        cases.append((load_text_poly(poly), dec))
+    for name in ("ternary_quintic_rank4.txt", "cubic_generic_rank4.json", "cubic_fermat.json"):
+        f = (load_json_poly if name.endswith(".json") else load_text_poly)(name)
+        cases.append((f, decompose(f).decomposition))
+    f, terms = planted_poly(4, 3, 4, np.random.default_rng(43))
+    cases.append((f, Decomposition(3, terms)))
+    # the x0*x1 term of (x0 + x1)^2 + (x0 - x1)^2 cancels exactly
+    cases.append((parse_poly("x0^2 + 3*x0*x1 + x1^2"),
+                  Decomposition(2, [(0.5, np.array([1.0, 1.0])), (0.5, np.array([1.0, -1.0]))])))
+    for f, dec in cases:
+        residual, worst = _subtraction_verify(f, dec)
+        vr = verify(f, dec)
+        assert (vr.residual.hex(), vr.max_coeff_err.hex()) == (residual.hex(), worst.hex())
+        assert _relative_err(f, dec.terms).hex() == residual.hex()
 
 
 @pytest.mark.parametrize("sine, want", [(3e-9, 1), (2e-8, 0)])

@@ -591,7 +591,23 @@ def test_inverse_matches_the_svd_rule_near_the_floor(quartic, ratio, s_max):
         got = res._inverse(d0)
         assert (got is None) == (ratio <= 1e-10)
         if got is not None:
-            assert np.array_equal(got, np.linalg.inv(d0))
+            assert got.tobytes() == np.linalg.inv(d0).tobytes()
+
+
+@pytest.mark.parametrize("name", ["cubic_maximal.txt", "walk_4_4_10", "walk_5_4_12", "walk_9_3_9"])
+def test_inverse_is_numpys_bit_for_bit(name):
+    # LAPACK's zgesv called directly gives np.linalg.inv's bits, at the zero
+    # start and at random points of each basis the rank loop walks
+    L, bases = exactness_case(name)
+    rng = np.random.default_rng(13)
+    for basis in bases[:16]:
+        res = CommutatorResidual(L, basis)
+        m = len(res.unknowns)
+        for x in (np.zeros(m, dtype=complex), rng.standard_normal(m) + 1j * rng.standard_normal(m)):
+            d0 = res.matrices(x)[0]
+            got = res._inverse(d0)
+            if got is not None:
+                assert got.tobytes() == np.linalg.inv(d0).tobytes()
 
 
 def test_inverse_is_none_exactly_when_the_condition_product_reaches_1e10(quartic):
@@ -607,7 +623,7 @@ def test_inverse_is_none_exactly_when_the_condition_product_reaches_1e10(quartic
             got = res._inverse(c * d0)
             assert (got is None) == want, (ratio, c)
             if got is not None:
-                assert np.array_equal(got, np.linalg.inv(c * d0))
+                assert got.tobytes() == np.linalg.inv(c * d0).tobytes()
     assert verdicts == {False, True}
     assert res._inverse(np.zeros((6, 6), dtype=complex)) is None
     assert res._inverse(np.full((6, 6), np.nan + 0j)) is None

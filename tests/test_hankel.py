@@ -8,7 +8,11 @@ from waring.core import (
     DualForm,
     HomogeneousPoly,
     LinearChange,
+    _binomials,
+    _monomials_upto,
     change_coordinates,
+    monomial_index,
+    monomials_at,
     monomials_upto,
     numerical_rank,
     parse_poly,
@@ -35,6 +39,7 @@ from waring.hankel import (
 
 from conftest import (
     EXACTNESS_CASES,
+    dict_hankel,
     exactness_case,
     object_hankel,
     object_unknowns,
@@ -291,6 +296,17 @@ def test_slot_map_is_exact_against_object_cells(name):
     L, bases = exactness_case(name)
     rng = np.random.default_rng(11)
     for basis in bases:
+        rows = basis.exponents
+        for v in [None, *range(L.nvars)]:
+            # the position rule against the per-cell dict walk, bit for bit
+            shift = None if v is None else tuple(int(i == v) for i in range(L.nvars))
+            h = build_hankel(L, rows, rows) if v is None else shifted_matrix(L, basis, v)
+            values, unknowns, slot = dict_hankel(L, rows, rows, shift)
+            assert h.values.tobytes() == values.tobytes()
+            assert h.unknowns == unknowns
+            assert h.slot.tobytes() == slot.tobytes()
+            exps = np.array(unknowns, dtype=np.intp).reshape(-1, L.nvars)
+            assert h.positions.tolist() == monomial_index(exps).tolist()
         for h, ref in _matrix_pairs(L, basis):
             assert h.shape == ref.shape
             assert h.unknowns == object_unknowns(ref)
@@ -306,6 +322,26 @@ def test_slot_map_is_exact_against_object_cells(name):
                 )
             if not h.unknowns:
                 assert np.array_equal(h.value_matrix(), object_value_matrix(ref, {}))
+
+
+@pytest.mark.parametrize("nvars, top", [(1, 9), (2, 6), (3, 7), (5, 5), (8, 5)])
+def test_position_rule_is_the_graded_lex_index(nvars, top):
+    # the rule numbers every monomial of degree <= top by its place in
+    # graded-lex order, so its data holds one entry per monomial: a binomial
+    # table of (nvars + top) (nvars + 1) entries and the exponent table that
+    # `monomials_at` reads, nothing of size (top + 1)^nvars
+    exps = monomials_upto(nvars, top)
+    assert len(exps) == math.comb(nvars + top, nvars)
+    assert monomial_index(exps).tolist() == list(range(len(exps)))
+    assert monomials_at(nvars, np.arange(len(exps))) == exps
+    assert _binomials(nvars, top)[0].shape == ((nvars + top) * (nvars + 1),)
+    assert len(_monomials_upto(nvars, top)) == len(exps)
+    # a block of any shape: the index of each exponent along the last axis,
+    # past `top` too (8 variables at top 5 is the wide shape's range)
+    block = np.array(exps[-6:])[:, None, :] + np.array(exps[:4])[None, :, :]
+    wider = {e: i for i, e in enumerate(monomials_upto(nvars, 2 * top))}
+    assert monomial_index(block).tolist() == [
+        [wider[tuple(c)] for c in row] for row in block.tolist()]
 
 
 def test_value_matrix_needs_every_unknown(quintic):

@@ -132,6 +132,36 @@ def test_eigenvalues_simple_flags_collision():
     assert not eigenvalues_simple(np.array([1.0, 1.0 + 1e-12, 3.0]))
 
 
+def _pairwise_loop_simple(w) -> bool:
+    """The pair loop `eigenvalues_simple` replaced, kept as its reference."""
+    scale = max(1.0, float(np.max(np.abs(w))))
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            if abs(w[i] - w[j]) <= 1e-8 * scale:
+                return False
+    return True
+
+
+def test_eigenvalues_simple_at_the_threshold():
+    # a gap of exactly 1e-8 * max(1, max |w|) is a collision, one ulp more is not
+    at = np.array([0.0, 1e-8, 0.5])
+    above = np.array([0.0, np.nextafter(1e-8, 1.0), 0.5])
+    scaled = np.array([0.0, 4e-8, 4.0])  # the scale is the largest modulus, 4
+    complex_pair = np.array([0.5, 0.5 + 1e-8j, -0.25])
+    for w, simple in ((at, False), (above, True), (scaled, False),
+                      (np.array([0.0, np.nextafter(4e-8, 1.0), 4.0]), True),
+                      (complex_pair, False), (np.array([7.0]), True)):
+        assert eigenvalues_simple(w) is simple
+        assert _pairwise_loop_simple(w) is simple
+    rng = np.random.default_rng(8)
+    for _ in range(300):
+        r = int(rng.integers(1, 9))
+        w = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        if r > 1:  # one pair within a few ulps of the threshold
+            w[1] = w[0] + 1e-8 * max(1.0, np.max(np.abs(w))) * rng.uniform(0.999, 1.001)
+        assert eigenvalues_simple(w) is _pairwise_loop_simple(w)
+
+
 def test_single_point_support():
     L = DualForm.from_support([1.0], [(5.0,)], 1, 3)
     b = MonomialBasis(1, [(0,)])
