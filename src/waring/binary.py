@@ -77,10 +77,10 @@ def binary_decompose(
     """Minimal power-sum decomposition of a nonzero binary form.
 
     Tries sizes r = 1, 2, ...; at each size draws kernel combinations until
-    one has r distinct projective roots, then accepts if the weight solve
-    reproduces both the moments and the coefficients to relative residual
-    `tol`.  Raises DecompositionError when no size up to d, or up to
-    `max_rank` when that is smaller, does.
+    one has r distinct projective roots, then accepts if the weights fitted
+    to the moments reproduce the coefficients to relative residual `tol`.
+    Raises DecompositionError when no size up to d, or up to `max_rank`
+    when that is smaller, does.
     """
     c = _moments(p)
     d = p.degree
@@ -115,10 +115,8 @@ def binary_decompose(
             # c_i = sum_j w_j alpha_j^i beta_j^(d-i)
             a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
             w, *_ = np.linalg.lstsq(a, c, rcond=None)
-            res = np.linalg.norm(a @ w - c) / np.linalg.norm(c)
-            if res < tol:
-                terms = list(zip(w, pts))
-                coeff_err = relative_error(expand_power_sum(terms, 2, d), p)
-                if coeff_err <= tol:
-                    return Decomposition(d, terms, coeff_err)
+            terms = list(zip(w, pts))
+            res = relative_error(expand_power_sum(terms, 2, d), p)
+            if res <= tol:
+                return Decomposition(d, terms, res)
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")

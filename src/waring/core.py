@@ -16,7 +16,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,44 +265,12 @@ def relative_error(g: HomogeneousPoly, f: HomogeneousPoly) -> float:
     return ordered_norm(coeff_difference(g, f)) / f.coeff_norm()
 
 
-@dataclass(frozen=True)
-class LinearChange:
-    """Invertible change of variables x -> A x on coefficient vectors."""
-
-    matrix: np.ndarray
-    inverse_transpose: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("change of coordinates must be a square matrix")
-        try:
-            inv_t = np.linalg.inv(a).T
-        except np.linalg.LinAlgError:
-            raise ValueError("singular change of coordinates")
-        # an inverse that does not invert: the matrix is numerically singular
-        # (np.allclose's test at atol 1e-8, rtol 1e-5, without its overhead)
-        eye = np.eye(a.shape[0])
-        if not np.all(abs(a @ inv_t.T - eye) <= 1e-8 + 1e-5 * eye):
-            raise ValueError("numerically singular change of coordinates")
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "inverse_transpose", inv_t)
-
-    @property
-    def nvars(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def identity(cls, nvars: int) -> "LinearChange":
-        return cls(np.eye(nvars, dtype=complex))
-
-    @classmethod
-    def random_unitary(cls, nvars: int, rng: np.random.Generator) -> "LinearChange":
-        g = rng.standard_normal((nvars, nvars)) + 1j * rng.standard_normal((nvars, nvars))
-        q, r = np.linalg.qr(g)
-        # fix the phase so the factorization is unique-ish
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-        return cls(q)
+def random_unitary(nvars: int, rng: np.random.Generator) -> np.ndarray:
+    """A random unitary matrix: the Q of a complex Gaussian matrix's QR
+    factorization, each column's phase fixed by R's diagonal."""
+    g = rng.standard_normal((nvars, nvars)) + 1j * rng.standard_normal((nvars, nvars))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 @dataclass
@@ -424,20 +392,26 @@ def _poly_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def change_coordinates(f: HomogeneousPoly, change: LinearChange) -> HomogeneousPoly:
-    """Substitute x_i <- sum_j A[i,j] x_j and expand.
+def change_coordinates(f: HomogeneousPoly, a) -> HomogeneousPoly:
+    """g(y) = f(A y) for an (n, k) matrix A: substitute x_i <- sum_j A[i,j] y_j
+    and expand, a form in k variables.
+
+    Every change the package makes has orthonormal columns, A^H A = I, and
+    when k < n f depends on x only through A^H x.  Then f(x) = g(A^H x), so
+    a term w (m . y)^d of g is the term w ((conj(A) m) . x)^d of f.
 
     The expansion keys each exponent e by the integer code sum_i e_i (d+1)^i,
     so multiplying monomials adds their codes: at total degree <= d no digit
     carries.  Codes become exponent tuples only for the result.
     """
-    a = change.matrix
-    if a.shape[0] != f.nvars:
-        raise ValueError("change of coordinates has wrong size")
-    n, base = f.nvars, f.degree + 1
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != f.nvars:
+        raise ValueError(f"change of coordinates needs {f.nvars} rows, got shape {a.shape}")
+    n, k = a.shape
+    base = f.degree + 1
     # linear forms for each original variable, then powers on demand
     lin = [
-        {base**j: complex(a[i, j]) for j in range(n) if a[i, j] != 0}
+        {base**j: complex(a[i, j]) for j in range(k) if a[i, j] != 0}
         for i in range(n)
     ]
     powers: list[list[dict]] = [[{0: 1.0}] for _ in range(n)]
@@ -454,12 +428,12 @@ def change_coordinates(f: HomogeneousPoly, change: LinearChange) -> HomogeneousP
 
     def exponent(code: int) -> Exponent:
         digits = []
-        for _ in range(n):
+        for _ in range(k):
             code, e = divmod(code, base)
             digits.append(e)
         return tuple(digits)
 
-    return _trimmed(n, f.degree, {exponent(e): v for e, v in out.items()})
+    return _trimmed(k, f.degree, {exponent(e): v for e, v in out.items()})
 
 
 def _trimmed(nvars: int, degree: int, coeffs: dict) -> HomogeneousPoly:
@@ -471,15 +445,10 @@ def _trimmed(nvars: int, degree: int, coeffs: dict) -> HomogeneousPoly:
 
 
 def identity_frame(f: HomogeneousPoly) -> HomogeneousPoly:
-    """`change_coordinates(f, LinearChange.identity(f.nvars))` without the
-    expansion: f's coefficients above 1e-14 of the largest, signed zeros made
-    +0 as the expansion's sums make them."""
+    """`change_coordinates(f, np.eye(f.nvars))` without the expansion: f's
+    coefficients above 1e-14 of the largest, signed zeros made +0 as the
+    expansion's sums make them."""
     return _trimmed(f.nvars, f.degree, f.coeffs)
-
-
-def pullback_points(points, change: LinearChange):
-    """Map recovered vectors m to k = A^(-T) m, undoing change_coordinates."""
-    return [change.inverse_transpose @ np.asarray(m, dtype=complex) for m in points]
 
 
 def pairwise_sines(forms) -> np.ndarray:
@@ -522,12 +491,13 @@ def _partials_layout(nvars: int, degree: int):
 
 
 def essential_vars(f: HomogeneousPoly):
-    """Number of variables really present in f, plus a change realizing it.
+    """Number of variables really present in f, and a change realizing it.
 
     The count is the `numerical_rank` of the matrix of first partial
     derivatives (one row per variable, columns indexed by degree d-1
-    monomials).  The returned change maps f to a form using only the first
-    `count` variables.
+    monomials).  The change is the (n, count) matrix q = conj(U)[:, :count]
+    of that matrix's thin SVD, whose columns are orthonormal:
+    `change_coordinates(f, q)` is f in `count` variables.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no essential variables")
@@ -535,12 +505,11 @@ def essential_vars(f: HomogeneousPoly):
     rows, cols, monos, mults, shape = _partials_layout(n, f.degree)
     p = np.zeros(shape, dtype=complex)
     p[rows, cols] += mults * _coeff_vector(f)[monos]  # no cell is hit twice
-    u, s, _ = np.linalg.svd(p, full_matrices=True)
+    u, s, _ = np.linalg.svd(p, full_matrices=False)
     count = numerical_rank(s)
-    # columns j >= count of conj(U) span the left null space of p, so the
-    # substituted form has vanishing partials in those directions
-    reducer = LinearChange(np.conj(u))
-    return count, reducer
+    # the directions conj(U[:, j]), j >= count, are in the left null space
+    # of p: f is constant along them and depends on x only through q^H x
+    return count, np.conj(u[:, :count])
 
 
 def power_of_linear_form(k, degree: int) -> HomogeneousPoly:

@@ -31,7 +31,6 @@ from .core import (
     DualForm,
     Exponent,
     HomogeneousPoly,
-    LinearChange,
     change_coordinates,
     coeff_difference,
     essential_vars,
@@ -39,7 +38,7 @@ from .core import (
     identity_frame,
     ordered_norm,
     pairwise_sines,
-    pullback_points,
+    random_unitary,
     relative_error,
     to_dual,
 )
@@ -118,29 +117,15 @@ def _relative_err(f: HomogeneousPoly, terms) -> float:
 
 
 def _support_ok(g: HomogeneousPoly, terms) -> bool:
-    """Reject numerically degenerate supports (both tests are unitary
-    invariants, so checking in the working frame is enough)."""
+    """Reject numerically degenerate supports, in the frame g they were found
+    in.  The separation test is a unitary invariant.  The mass cap is not:
+    each term's mass |w| ||k||^d is, but the cap is relative to g's plain
+    coefficient norm, which a unitary change moves (x0^2 rotated by 45
+    degrees goes from norm 1 to sqrt(1.5))."""
     cap = MASS_RATIO_CAP * g.coeff_norm()
     if any(abs(w) * np.linalg.norm(k) ** g.degree > cap for w, k in terms):
         return False
     return not np.any(pairwise_sines([k for _, k in terms]) < MIN_SEPARATION)
-
-
-def _restrict(g: HomogeneousPoly, count: int) -> HomogeneousPoly:
-    """Drop the trailing variables of a form that only uses the first few."""
-    kept: dict[Exponent, complex] = {}
-    dropped = 0.0
-    biggest = max(abs(c) for c in g.coeffs.values())
-    for exp, c in g.coeffs.items():
-        if any(exp[count:]):
-            dropped = max(dropped, abs(c))
-        else:
-            kept[exp[:count]] = c
-    if dropped > 1e-6 * biggest:
-        raise DecompositionError(
-            f"variable reduction left a coefficient of size {dropped:.3g}"
-        )
-    return HomogeneousPoly(count, g.degree, kept)
 
 
 def _basis_candidates(L: DualForm, r: int):
@@ -187,7 +172,7 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
     forms = np.hstack([np.ones((len(points), 1), dtype=complex), points])
     if not _support_ok(g, list(zip(w, forms))):
         return None
-    terms = list(zip(w, pullback_points(forms, a)))
+    terms = [(wi, np.conj(a) @ m) for wi, m in zip(w, forms)]
     res = _relative_err(f, terms)
     if not res <= tol:
         return None
@@ -199,15 +184,15 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
     rng = np.random.default_rng(seed)
     family, top = MAX_RANK.get((n, d), (None, math.comb(n + d - 1, d)))
     cap = top if max_rank is None else min(max_rank, top)
-    frames: list[tuple[LinearChange, HomogeneousPoly, DualForm]] = []
+    frames: list[tuple[np.ndarray, HomogeneousPoly, DualForm]] = []
 
     def frame(i: int):
         while len(frames) <= i:
             if frames:
-                a = LinearChange.random_unitary(n, rng)
+                a = random_unitary(n, rng)
                 g = change_coordinates(f, a)
             else:
-                a, g = LinearChange.identity(n), identity_frame(f)
+                a, g = np.eye(n), identity_frame(f)
             frames.append((a, g, to_dual(g)))
         return frames[i]
 
@@ -268,19 +253,15 @@ def decompose(
         dec = Decomposition(f.degree, [(c, np.ones(1, dtype=complex))], 0.0)
         return DecomposeReport(1, dec, [], 0, 0, 0.0, seed)
 
-    count, reducer = essential_vars(f)
+    count, q = essential_vars(f)
     if count < f.nvars:
-        # the form in fewer variables, unless its terms, lifted back, miss f
+        # the form in fewer variables, unless its terms, mapped back, miss f
         # by more than tol: then the variables it dropped were not noise
-        g = _restrict(change_coordinates(f, reducer), count)
-        rep = decompose(g, tol=tol, max_rank=max_rank, seed=seed)
-        pad = np.zeros(f.nvars - count, dtype=complex)
-        small = rep.decomposition
-        lifted = [np.concatenate([k, pad]) for _, k in small.terms]
-        final = list(zip([w for w, _ in small.terms], pullback_points(lifted, reducer)))
-        res = _relative_err(f, final)
+        rep = decompose(change_coordinates(f, q), tol=tol, max_rank=max_rank, seed=seed)
+        terms = [(w, np.conj(q) @ k) for w, k in rep.decomposition.terms]
+        res = _relative_err(f, terms)
         if res <= tol:
-            dec = Decomposition(f.degree, final, res).normalized()
+            dec = Decomposition(f.degree, terms, res).normalized()
             return replace(rep, decomposition=dec, residual=res)
 
     if f.nvars == 2:

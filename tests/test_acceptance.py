@@ -14,7 +14,6 @@ from waring.binary import _projective_roots, binary_decompose, hankel_slice
 from waring.core import (
     DualForm,
     HomogeneousPoly,
-    LinearChange,
     apolar,
     change_coordinates,
     decomposition_from_json,
@@ -24,6 +23,7 @@ from waring.core import (
     multinomial,
     parse_poly,
     power_of_linear_form,
+    random_unitary,
     to_dual,
 )
 from waring.decompose import OrbitClass, classify_ternary_cubic, decompose, rank, verify
@@ -272,7 +272,7 @@ def test_criterion_6e_rank_invariance(quintic, quartic, maximal_cubic):
     rng = np.random.default_rng(65)
     for f, want in [(quintic, 4), (quartic, 6), (maximal_cubic, 5)]:
         for _ in range(20):
-            g = change_coordinates(f, LinearChange.random_unitary(3, rng))
+            g = change_coordinates(f, random_unitary(3, rng))
             assert rank(g) == want
     _ok("criterion 6e: rank invariant under 20 random coordinate changes per fixture")
 

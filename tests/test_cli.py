@@ -144,19 +144,32 @@ def test_huge_tensor_shape_is_rejected_before_listing(nvars, degree, message):
     # entry count is checked before any exponent is listed, so the run fits
     # in a 2 GB address space
     blob = json.dumps({"nvars": nvars, "degree": degree, "tensor": [1]})
+    proc = _run_in_2gb("decompose", blob, "--format", "json")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["code"] == "invalid-input"
+    assert f"tensor array has 1 entries, {message}" in proc.stderr
+
+
+def test_variable_reduction_fits_in_2gb():
+    # a rank-1 form in 21 variables: the reduction to one variable reads only
+    # the partials' left singular vectors, never a 10626 x 10626 V
+    proc = _run_in_2gb("rank", "x20^5")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+def _run_in_2gb(*argv):
+    """`waring *argv` in a subprocess whose address space is capped at 2 GB."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
 
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "waring.cli", "decompose", blob, "--format", "json"],
+    return subprocess.run(
+        [sys.executable, "-m", "waring.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
     )
-    assert proc.returncode == 1
-    assert json.loads(proc.stdout)["error"]["code"] == "invalid-input"
-    assert f"tensor array has 1 entries, {message}" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,13 @@ from waring.core import (
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
-    LinearChange,
     change_coordinates,
     decomposition_from_json,
+    essential_vars,
     expand_power_sum,
     parse_poly,
+    random_unitary,
+    relative_error,
     to_dual,
 )
 from waring.decompose import (
@@ -177,7 +179,7 @@ def test_attempt_rejects_nan_weights(monkeypatch, quintic):
     # the coefficient residual is the one fit test, and NaN fails it
     module = sys.modules["waring.decompose"]
     L = to_dual(quintic)
-    frame = (LinearChange.identity(3), quintic, L)
+    frame = (np.eye(3), quintic, L)
     basis = full_rank_principal_minor(L, size=4)
     args = (quintic, frame, basis, 1e-7, 0)
     assert module._attempt(*args, np.random.default_rng(0)) is not None
@@ -347,7 +349,7 @@ def test_degenerate_input_uses_fewer_variables():
     lifted = HomogeneousPoly(
         3, 4, {e + (0,): c for e, c in g.coeffs.items()}
     )
-    f = change_coordinates(lifted, LinearChange.random_unitary(3, rng))
+    f = change_coordinates(lifted, random_unitary(3, rng))
     rep = decompose(f)
     assert rep.rank == 2
     assert rep.residual < 1e-8
@@ -355,6 +357,27 @@ def test_degenerate_input_uses_fewer_variables():
         assert len(k) == 3
     vr = verify(f, rep.decomposition)
     assert vr.residual < 1e-8
+
+
+def test_reduction_maps_back_through_the_conjugate():
+    # a binary form hidden in n variables by a unitary: the reduced form g in
+    # two variables gives f back as g(q^H x), and its terms map back to f's
+    rng = np.random.default_rng(31)
+    for n, d, r in [(3, 4, 2), (4, 5, 2), (5, 6, 3)]:
+        g2, _ = planted_poly(2, d, r, rng)
+        lifted = HomogeneousPoly(n, d, {e + (0,) * (n - 2): c for e, c in g2.coeffs.items()})
+        f = change_coordinates(lifted, random_unitary(n, rng))
+        count, q = essential_vars(f)
+        assert (count, q.shape) == (2, (n, 2))
+        g = change_coordinates(f, q)
+        assert g.nvars == 2
+        assert relative_error(change_coordinates(g, q.conj().T), f) <= 1e-12
+        rep = decompose(f)
+        assert rep.rank == r
+        assert rep.residual <= 1e-7
+        # the binary path's terms stood: the rank loop would report a bound
+        assert rep.lower_bound is None
+        assert all(len(k) == n for _, k in rep.decomposition.terms)
 
 
 def test_reduced_form_is_held_to_tol():
@@ -382,7 +405,7 @@ def test_round_trip_spot_checks():
 def test_rank_invariant_under_coordinate_changes(quintic):
     rng = np.random.default_rng(41)
     for _ in range(5):
-        a = LinearChange.random_unitary(3, rng)
+        a = random_unitary(3, rng)
         assert rank(change_coordinates(quintic, a)) == 4
 
 
@@ -492,7 +515,7 @@ def test_classify_stable_under_coordinate_changes():
     rng = np.random.default_rng(53)
     src = parse_poly("x0^3 + x1^3 + x2^3")
     for _ in range(3):
-        g = change_coordinates(src, LinearChange.random_unitary(3, rng))
+        g = change_coordinates(src, random_unitary(3, rng))
         assert classify_ternary_cubic(g) is OrbitClass.FERMAT
 
 
