@@ -45,20 +45,6 @@ def finite_coeff(c) -> complex:
     return c
 
 
-def multinomial(d: int, alpha: Exponent) -> int:
-    """Exact multinomial coefficient d! / (alpha_0! * ... * alpha_n!)."""
-    if any(a < 0 for a in alpha):
-        raise ValueError(f"negative exponent in {alpha}")
-    if sum(alpha) != d:
-        raise ValueError(f"exponent {alpha} does not sum to degree {d}")
-    out = 1
-    rest = d
-    for a in alpha:
-        out *= math.comb(rest, a)
-        rest -= a
-    return out
-
-
 def grlex_key(alpha: Exponent):
     # Graded order, and inside one degree the variable with the lowest index
     # dominates: (2,0) before (1,1) before (0,2).
@@ -137,11 +123,26 @@ def monomials_at(nvars: int, positions: np.ndarray) -> list[Exponent]:
 
 
 @functools.cache
+def _multinomials(nvars: int, degree: int) -> tuple[int, ...]:
+    """degree! / (e_0! * ... * e_(nvars-1)!) for e in `_monomials(nvars,
+    degree)`, exact: C(degree, e_0) times the multinomial of the rest."""
+    if nvars < 2:
+        return (1,) if nvars or not degree else ()
+    return tuple(
+        math.comb(degree, a) * m
+        for a in range(degree, -1, -1)
+        for m in _multinomials(nvars - 1, degree - a)
+    )
+
+
+@functools.cache
 def multinomials(nvars: int, degree: int) -> np.ndarray:
-    """multinomial(degree, (degree - |e|, *e)) for e in `monomials_upto(nvars,
-    degree)`: a form's coefficient over its moment (see `to_dual`)."""
+    """The multinomial coefficient of (degree - |e|, *e) for e in
+    `monomials_upto(nvars, degree)`: a form's coefficient over its moment
+    (see `to_dual`).  Each is C(degree, |e|) times the multinomial of e,
+    an exact integer rounded once to a float."""
     out = np.array(
-        [multinomial(degree, (degree - sum(e), *e)) for e in _monomials_upto(nvars, degree)],
+        [math.comb(degree, k) * m for k in range(degree + 1) for m in _multinomials(nvars, k)],
         dtype=float,
     )
     out.flags.writeable = False
@@ -208,14 +209,6 @@ class HomogeneousPoly:
         """(exponent, coefficient) pairs in graded-lex order."""
         for exp in sorted(self.coeffs, key=grlex_key):
             yield exp, self.coeffs[exp]
-
-    def evaluate(self, points):
-        """f at one point, or an array of f at each row of a 2-D array."""
-        pts = np.asarray(points, dtype=complex)
-        exps = np.array(list(self.coeffs), dtype=int).reshape(-1, self.nvars)  # f may be 0
-        coeffs = np.array(list(self.coeffs.values()), dtype=complex)
-        vals = monomial_values(np.atleast_2d(pts), exps) @ coeffs
-        return complex(vals[0]) if pts.ndim == 1 else vals
 
     def scale(self, s: complex) -> "HomogeneousPoly":
         return HomogeneousPoly._trusted(
@@ -317,23 +310,6 @@ class DualForm:
         if self.moments.shape != (len(_monomials_upto(nvars, degree)),):
             raise ValueError(f"need one moment per monomial of degree <= {degree}")
 
-    def moment(self, alpha: Exponent) -> complex:
-        """Lambda(x^alpha); KeyError past the truncation."""
-        alpha = tuple(alpha)
-        if len(alpha) != self.nvars or min(alpha, default=0) < 0 or sum(alpha) > self.degree:
-            raise KeyError(alpha)
-        return complex(self.moments[monomial_index(alpha)])
-
-    @classmethod
-    def from_support(cls, weights, points, nvars, degree) -> "DualForm":
-        """Moment table of the functional sum_j w_j * eval_{zeta_j}.
-
-        Used heavily by tests: the moments of a planted decomposition are
-        c_alpha = sum_j w_j * zeta_j^alpha.
-        """
-        values = np.asarray(weights) @ monomial_values(points, monomials_upto(nvars, degree))
-        return cls(nvars, degree, values)
-
     def __repr__(self):
         return f"DualForm(nvars={self.nvars}, degree={self.degree})"
 
@@ -373,12 +349,15 @@ def apolar(f: HomogeneousPoly, g: HomogeneousPoly) -> complex:
     """Apolar pairing <f, g> = sum_alpha f_alpha g_alpha / multinomial(d, alpha)."""
     if (f.nvars, f.degree) != (g.nvars, g.degree):
         raise ValueError("apolar pairing needs equal nvars and degree")
+    # alpha's multinomial, at alpha's index in `monomials(f.nvars, f.degree)`
+    mults = multinomials(f.nvars - 1, f.degree)
+    at = _form_positions(f.nvars, f.degree)
     total = 0j
     small, other = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
     for exp, c in small.coeffs.items():
         oc = other.coeffs.get(exp)
         if oc is not None:
-            total += c * oc / multinomial(f.degree, exp)
+            total += c * oc / mults[at[exp]]
     return total
 
 
@@ -510,11 +489,6 @@ def essential_vars(f: HomogeneousPoly):
     # the directions conj(U[:, j]), j >= count, are in the left null space
     # of p: f is constant along them and depends on x only through q^H x
     return count, np.conj(u[:, :count])
-
-
-def power_of_linear_form(k, degree: int) -> HomogeneousPoly:
-    k = np.asarray(k, dtype=complex)
-    return expand_power_sum([(1.0, k)], len(k), degree)
 
 
 def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
@@ -687,16 +661,6 @@ def parse_poly(text: str, nvars: int | None = None) -> HomogeneousPoly:
     if degree == 0:
         raise PolyParseError("constant polynomial", 0)
     return HomogeneousPoly(n, degree, coeffs)
-
-
-def poly_to_json(f: HomogeneousPoly) -> dict:
-    return {
-        "nvars": f.nvars,
-        "degree": f.degree,
-        "terms": [
-            {"exp": list(exp), "c": [c.real, c.imag]} for exp, c in f.terms()
-        ],
-    }
 
 
 _JSON_KINDS = {

@@ -152,10 +152,9 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
     """One basis in one frame: extension, eigenstructure, weights, support
     gate, then the terms pulled back and verified in the input's coordinates.
 
-    The coefficient residual of the terms against f is the one fit test;
-    `solve_weights`' moment residual is not read, and a NaN residual (from
-    NaN weights, say) fails.  Returns (terms, residual, free_count), or
-    None."""
+    The coefficient residual of the terms against f is the one fit test; a
+    NaN residual (from NaN weights, say) fails.  Returns (terms, residual,
+    free_count), or None."""
     a, g, L = frame
     ext = extend_dual(L, basis, seed=seed)
     if ext is None:
@@ -168,7 +167,7 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
     points = pencil_support(d0, shifts, basis, rng)
     if points is None:
         return None
-    w, _ = solve_weights(points, L)
+    w = solve_weights(points, L)
     forms = np.hstack([np.ones((len(points), 1), dtype=complex), points])
     if not _support_ok(g, list(zip(w, forms))):
         return None

@@ -90,7 +90,8 @@ class MonomialBasis:
 
 
 class QuasiHankelMatrix:
-    """H^{rows,cols} as numbers plus an integer map of its unknown cells.
+    """H^{rows,cols} of a dual form in `nvars` variables, as numbers plus an
+    integer map of its unknown cells.
 
     `values` holds the known moments and 0 at every unknown cell;
     `positions` holds the graded-lex positions of the distinct unknown
@@ -98,23 +99,22 @@ class QuasiHankelMatrix:
     known cell and otherwise the cell's index into both.
     """
 
-    __slots__ = ("rows", "cols", "values", "positions", "slot")
+    __slots__ = ("nvars", "values", "positions", "slot")
 
-    def __init__(self, rows, cols, values, positions, slot):
-        self.rows = list(rows)
-        self.cols = list(cols)
+    def __init__(self, nvars, values, positions, slot):
+        self.nvars = nvars
         self.values = values
         self.positions = positions
         self.slot = slot
 
     @property
     def shape(self):
-        return (len(self.rows), len(self.cols))
+        return self.values.shape
 
     @property
     def unknowns(self) -> list[Exponent]:
         """The distinct unknown exponents, in graded-lex order."""
-        return monomials_at(len(self.rows[0]) if self.rows else 0, self.positions)
+        return monomials_at(self.nvars, self.positions)
 
     def value_matrix(
         self, assignment: dict[Exponent, complex] | None = None
@@ -136,12 +136,9 @@ class QuasiHankelMatrix:
 
 def build_hankel(L: DualForm, rows, cols, shift: Exponent | None = None) -> QuasiHankelMatrix:
     """H with entry (a, b) = L(x^(a+b+shift)); a slot past the truncation."""
-    square = cols is rows
-    rows = [tuple(r) for r in rows]
-    cols = rows if square else [tuple(c) for c in cols]
     n = L.nvars
     r = np.array(rows, dtype=np.intp).reshape(-1, 1, n)
-    c = r.reshape(1, -1, n) if square else np.array(cols, dtype=np.intp).reshape(1, -1, n)
+    c = r.reshape(1, -1, n) if cols is rows else np.array(cols, dtype=np.intp).reshape(1, -1, n)
     at = monomial_index(r + c if shift is None else r + np.array(shift, dtype=np.intp) + c)
     unknown = at >= len(L.moments)  # graded: exactly the cells of degree > d
     values = L.moments.take(at, mode="clip")
@@ -150,7 +147,7 @@ def build_hankel(L: DualForm, rows, cols, shift: Exponent | None = None) -> Quas
     positions = np.unique(past) if len(past) else past
     slot = np.full(at.shape, -1, dtype=np.intp)
     slot[unknown] = np.searchsorted(positions, past)
-    return QuasiHankelMatrix(rows, cols, values, positions, slot)
+    return QuasiHankelMatrix(n, values, positions, slot)
 
 
 def shifted_matrix(L: DualForm, basis: MonomialBasis, var: int) -> QuasiHankelMatrix:
@@ -159,6 +156,12 @@ def shifted_matrix(L: DualForm, basis: MonomialBasis, var: int) -> QuasiHankelMa
         raise ValueError("bad variable index")
     e = tuple(1 if i == var else 0 for i in range(L.nvars))
     return build_hankel(L, basis.exponents, basis.exponents, shift=e)
+
+
+def _noise(L: DualForm, tol: float) -> float:
+    """tol times the coefficient norm of L's form (each moment times its
+    multinomial): how far a form within relative distance tol may lie."""
+    return tol * float(np.linalg.norm(L.moments * multinomials(L.nvars, L.degree)))
 
 
 def known_rank_bound(L: DualForm, tol: float) -> int:
@@ -170,7 +173,7 @@ def known_rank_bound(L: DualForm, tol: float) -> int:
     coordinates.  Singular values count as in `koszul_rank_bound`, so the bound
     holds for every form within relative coefficient distance `tol` of L's.
     """
-    noise = tol * float(np.linalg.norm(L.moments * multinomials(L.nvars, L.degree)))
+    noise = _noise(L, tol)
     best = 0
     for k in range(L.degree // 2 + 1):  # block d-k is block k transposed
         index, gain = _catalecticant_layout(L.nvars, L.degree, k)
@@ -285,7 +288,7 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     inequality K(g) has at least as many singular values as K(f) has above
     that.  Returns (0, None) when every flattening is zero.
     """
-    noise = tol * float(np.linalg.norm(L.moments * multinomials(L.nvars, L.degree)))
+    noise = _noise(L, tol)
     best, where = 0, None
     for delta, p in koszul_shapes(L.nvars, L.degree):
         gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]

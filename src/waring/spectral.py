@@ -10,11 +10,12 @@ Lambda(x_i b) = zeta_i Lambda(b), so the first row of D_i = H^{B, x_i B} times
 v over the first row of D_0 times v is zeta_i, whether or not x_i is in B;
 D_0 v at that scale is the basis monomials at zeta, which checks the point.
 
-`pencil_support` retries only what a new pencil can change: eigenvalues that
-are not finite or not simple, and eigenvectors that are not evaluation
-vectors.  Once a pencil is simple its eigenvectors are those of every
-multiplication operator, so the points do not depend on which pencil gave
-them; whether they are far enough apart is decided once, by the caller.
+`pencil_support` tries a second pencil only for what a new pencil can
+change: eigenvalues that are not finite or not simple, and eigenvectors that
+are not evaluation vectors.  Once a pencil is simple its eigenvectors are
+those of every multiplication operator, so the points do not depend on which
+pencil gave them; whether they are far enough apart is decided once, by the
+caller.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import scipy.linalg
 
 from .core import DualForm, monomial_values, monomials_upto
 from .hankel import MonomialBasis
-
-PENCIL_RETRIES = 8  # pencils per support extraction: x_1, then random combinations
 
 
 class ExtractionError(RuntimeError):
@@ -75,20 +74,15 @@ def extract_points(u: np.ndarray, basis: MonomialBasis) -> np.ndarray:
     return points
 
 
-def solve_weights(points: np.ndarray, L: DualForm):
+def solve_weights(points: np.ndarray, L: DualForm) -> np.ndarray:
     """Least-squares weights making sum_j w_j eval_{zeta_j} match the moments
     of L, one per row of the (r, n) array `points`.
 
     The system runs over every known moment (all degrees up to the
-    truncation), so a wrong support shows up as a large residual rather than
-    a silent bad fit.  Returns (weights, relative residual).
+    truncation); the caller's coefficient residual judges the fit.
     """
     a = monomial_values(points, monomials_upto(L.nvars, L.degree)).T
-    rhs = L.moments
-    w, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    denom = max(float(np.linalg.norm(rhs)), 1e-300)
-    residual = float(np.linalg.norm(a @ w - rhs)) / denom
-    return w, residual
+    return np.linalg.lstsq(a, L.moments, rcond=None)[0]
 
 
 def pencil_support(
@@ -97,24 +91,22 @@ def pencil_support(
     basis: MonomialBasis,
     rng: np.random.Generator,
 ) -> np.ndarray | None:
-    """Support points, (r, n), from the first pencil with simple eigenvalues
-    and evaluation-vector eigenvectors.
-
-    The first attempt uses the plain x_1 pencil (D_1, D_0); subsequent ones
-    draw t on the complex unit sphere and use (sum_i t_i D_i, D_0).  Returns
-    None when none of PENCIL_RETRIES pencils passes.
+    """Support points, (r, n), from the first of two pencils with simple
+    eigenvalues and evaluation-vector eigenvectors: the plain x_1 pencil
+    (D_1, D_0), then (sum_i t_i D_i, D_0) for t drawn on the complex unit
+    sphere, only when the first fails.  Returns None when both fail.
     """
-    n = len(shifts)
+    def pencils():
+        yield shifts[0]
+        n = len(shifts)
+        t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        t /= np.linalg.norm(t)
+        yield sum(ti * s for ti, s in zip(t, shifts))
+
     # D_0, then the first row of each D_i: times an eigenvector, the basis
     # monomials and the coordinates of its point, all at one scale
     rows = np.vstack([d0, *(s[:1] for s in shifts)])
-    for attempt in range(PENCIL_RETRIES):
-        if attempt == 0:
-            dt = shifts[0]
-        else:
-            t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            t /= np.linalg.norm(t)
-            dt = sum(ti * s for ti, s in zip(t, shifts))
+    for dt in pencils():
         w, v = generalized_eigen(dt, d0)
         if not np.all(np.isfinite(w)) or not eigenvalues_simple(w):
             continue

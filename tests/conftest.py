@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import pathlib
 from dataclasses import dataclass
 
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 
 from waring.core import (
+    DualForm,
     HomogeneousPoly,
     expand_power_sum,
     grlex_key,
+    monomial_index,
+    monomial_values,
     monomials,
     monomials_upto,
-    multinomial,
     parse_poly,
     poly_from_json,
     to_dual,
@@ -29,6 +32,70 @@ QUINTIC_SUPPORT = [
     (5.0, (-12.0, -3.0)),
     (3.0, (12.0, -13.0)),
 ]
+
+
+# ---------------------------------------------------------------------------
+# reference helpers: scalar and per-form forms of what the package computes
+# in bulk, which the search itself never needs
+
+
+def multinomial(d: int, alpha) -> int:
+    """Exact multinomial coefficient d! / (alpha_0! * ... * alpha_n!)."""
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"negative exponent in {alpha}")
+    if sum(alpha) != d:
+        raise ValueError(f"exponent {alpha} does not sum to degree {d}")
+    out = 1
+    rest = d
+    for a in alpha:
+        out *= math.comb(rest, a)
+        rest -= a
+    return out
+
+
+def evaluate(f: HomogeneousPoly, points):
+    """f at one point, or an array of f at each row of a 2-D array."""
+    pts = np.asarray(points, dtype=complex)
+    exps = np.array(list(f.coeffs), dtype=int).reshape(-1, f.nvars)  # f may be 0
+    coeffs = np.array(list(f.coeffs.values()), dtype=complex)
+    vals = monomial_values(np.atleast_2d(pts), exps) @ coeffs
+    return complex(vals[0]) if pts.ndim == 1 else vals
+
+
+def moment(L: DualForm, alpha) -> complex:
+    """Lambda(x^alpha); KeyError past the truncation."""
+    alpha = tuple(alpha)
+    if len(alpha) != L.nvars or min(alpha, default=0) < 0 or sum(alpha) > L.degree:
+        raise KeyError(alpha)
+    return complex(L.moments[monomial_index(alpha)])
+
+
+def dual_from_support(weights, points, nvars: int, degree: int) -> DualForm:
+    """Moment table of the functional sum_j w_j * eval_{zeta_j}: the moments
+    of a planted decomposition, c_alpha = sum_j w_j * zeta_j^alpha."""
+    values = np.asarray(weights) @ monomial_values(points, monomials_upto(nvars, degree))
+    return DualForm(nvars, degree, values)
+
+
+def moment_residual(weights, points, L: DualForm) -> float:
+    """||moments of sum_j w_j eval_{zeta_j} - moments of L|| / ||moments of L||."""
+    fit = dual_from_support(weights, points, L.nvars, L.degree).moments
+    return float(np.linalg.norm(fit - L.moments)) / max(float(np.linalg.norm(L.moments)), 1e-300)
+
+
+def power_of_linear_form(k, degree: int) -> HomogeneousPoly:
+    k = np.asarray(k, dtype=complex)
+    return expand_power_sum([(1.0, k)], len(k), degree)
+
+
+def poly_to_json(f: HomogeneousPoly) -> dict:
+    return {
+        "nvars": f.nvars,
+        "degree": f.degree,
+        "terms": [
+            {"exp": list(exp), "c": [c.real, c.imag]} for exp, c in f.terms()
+        ],
+    }
 
 
 def coeff_bits(f: HomogeneousPoly) -> list:
@@ -103,7 +170,7 @@ def object_hankel(L, rows, cols, shift=None) -> np.ndarray:
     for i, a in enumerate(rows):
         for j, b in enumerate(cols):
             e = tuple(x + y + z for x, y, z in zip(a, b, s))
-            ent[i, j] = ObjectUnknown(e) if sum(e) > L.degree else L.moment(e)
+            ent[i, j] = ObjectUnknown(e) if sum(e) > L.degree else moment(L, e)
     return ent
 
 

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from waring.cli import main, parse_input
-from waring.core import poly_to_json
 
-from conftest import FIXTURES, planted_poly
+from conftest import FIXTURES, planted_poly, poly_to_json
 
 QUINTIC = str(FIXTURES / "ternary_quintic_rank4.txt")
 

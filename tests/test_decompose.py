@@ -185,7 +185,7 @@ def test_attempt_rejects_nan_weights(monkeypatch, quintic):
     assert module._attempt(*args, np.random.default_rng(0)) is not None
 
     def nan_weights(points, L):
-        return np.full(len(points), np.nan + 0j), 0.0
+        return np.full(len(points), np.nan + 0j)
 
     monkeypatch.setattr(module, "solve_weights", nan_weights)
     assert module._attempt(*args, np.random.default_rng(0)) is None

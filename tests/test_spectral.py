@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from waring.core import Decomposition, DualForm, expand_power_sum, to_dual
+from waring.core import Decomposition, expand_power_sum, to_dual
 from waring.decompose import _support_ok
 from waring.hankel import (
     MonomialBasis,
@@ -20,7 +20,7 @@ from waring.spectral import (
     solve_weights,
 )
 
-from conftest import QUINTIC_SUPPORT
+from conftest import QUINTIC_SUPPORT, dual_from_support, moment_residual
 
 
 def _quintic_setup(quintic):
@@ -68,8 +68,8 @@ def test_extract_points_and_weights(quintic):
     assert ps.shape == (4, 2)
     pts = sorted(tuple(np.round(p.real).astype(int)) for p in ps)
     assert pts == [(-12, -3), (-2, 3), (2, 3), (12, -13)]
-    wts, res = solve_weights(ps, L)
-    assert res < 1e-10
+    wts = solve_weights(ps, L)
+    assert moment_residual(wts, ps, L) < 1e-10
     pairing = {tuple(np.round(p.real).astype(int)): w for p, w in zip(ps, wts)}
     for w_true, p_true in QUINTIC_SUPPORT:
         assert pairing[tuple(int(x) for x in p_true)] == pytest.approx(w_true, abs=1e-6)
@@ -92,7 +92,7 @@ def test_full_reconstruction(quintic):
     rng = np.random.default_rng(0)
     ps = pencil_support(d0, [d1, d2], b, rng)
     assert ps is not None and len(ps) == 4
-    wts, _ = solve_weights(ps, L)
+    wts = solve_weights(ps, L)
     dec = Decomposition(
         5, [(w, np.concatenate([[1.0], p])) for w, p in zip(wts, ps)]
     )
@@ -105,7 +105,7 @@ def test_rayleigh_fallback_recovers_missing_coordinate():
     # must come out of the first row of D_2, like every other coordinate
     pts = [(2.0, 5.0), (-1.0, 0.5), (0.3, -2.0)]
     wts = [1.0, 2.0, -0.5]
-    L = DualForm.from_support(wts, pts, 2, 6)
+    L = dual_from_support(wts, pts, 2, 6)
     b = MonomialBasis(2, [(0, 0), (1, 0), (2, 0)])
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     d1 = shifted_matrix(L, b, 0).value_matrix()
@@ -114,8 +114,7 @@ def test_rayleigh_fallback_recovers_missing_coordinate():
     assert ps is not None
     rec = sorted((round(p[0].real, 6), round(p[1].real, 6)) for p in ps)
     assert rec == sorted(pts)
-    _, res = solve_weights(ps, L)
-    assert res < 1e-8
+    assert moment_residual(solve_weights(ps, L), ps, L) < 1e-8
 
 
 def test_extract_points_rejects_junk():
@@ -163,16 +162,16 @@ def test_eigenvalues_simple_at_the_threshold():
 
 
 def test_single_point_support():
-    L = DualForm.from_support([1.0], [(5.0,)], 1, 3)
+    L = dual_from_support([1.0], [(5.0,)], 1, 3)
     b = MonomialBasis(1, [(0,)])
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     d1 = shifted_matrix(L, b, 0).value_matrix()
     _, v = generalized_eigen(d1, d0)
     ps = extract_points(_scaled_columns(v, d0, [d1]), b)
     assert ps[0][0] == pytest.approx(5.0, abs=1e-10)
-    wt, res = solve_weights(ps, L)
+    wt = solve_weights(ps, L)
     assert wt[0] == pytest.approx(1.0, abs=1e-10)
-    assert res < 1e-12
+    assert moment_residual(wt, ps, L) < 1e-12
 
 
 def test_pencil_support_rejects_nilpotent_operators(maximal_cubic):
@@ -208,13 +207,14 @@ def test_extract_points_reports_the_first_failing_coordinate():
         extract_points(u[:, [0, 3, 1, 2]], b)
 
 
-def test_colliding_points_cost_one_pencil(monkeypatch):
+def test_colliding_points_cost_one_pencil(monkeypatch, maximal_cubic):
     # two points 3e-4 apart, next to one at 1e4, are a simple x_1 pencil.
     # Once a pencil is simple its points are those of every other pencil, so
-    # no second pencil is drawn; the support gate turns the near pair down
+    # no second pencil is drawn; the support gate turns the near pair down.
+    # When the x_1 pencil fails, one random pencil is drawn, and no more
     pts = [(2.0, 5.0), (2.0003, 5.0), (-1.0, 1e4)]
     wts = [1.0, 2.0, 1e-8]
-    L = DualForm.from_support(wts, pts, 2, 4)
+    L = dual_from_support(wts, pts, 2, 4)
     b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1)])
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     shifts = [shifted_matrix(L, b, v).value_matrix() for v in range(2)]
@@ -233,8 +233,18 @@ def test_colliding_points_cost_one_pencil(monkeypatch):
     np.testing.assert_allclose(sorted(map(tuple, got.real)), sorted(pts), atol=1e-5)
     assert np.abs(got.imag).max() < 1e-5
 
-    weights, res = solve_weights(got, L)
-    assert res < 1e-8
+    weights = solve_weights(got, L)
+    assert moment_residual(weights, got, L) < 1e-8
     g = expand_power_sum([(w, np.array([1.0, *p])) for w, p in zip(wts, pts)], 3, 4)
     terms = [(w, np.concatenate([[1.0], p])) for w, p in zip(weights, got)]
     assert not _support_ok(g, terms)
+
+    # the maximal cubic's size-3 basis: nilpotent operators, so every pencil
+    # has eigenvalue 0 three times and fails
+    calls.clear()
+    L = to_dual(maximal_cubic)
+    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1)])
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
+    shifts = [shifted_matrix(L, b, v).value_matrix() for v in range(2)]
+    assert pencil_support(d0, shifts, b, np.random.default_rng(0)) is None
+    assert len(calls) == 2
