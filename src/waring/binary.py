@@ -25,8 +25,6 @@ from .core import (
     to_dual,
 )
 
-KERNEL_RETRIES = 16  # kernel combinations tried per size
-
 
 def _moments(p: HomogeneousPoly) -> np.ndarray:
     """c_0 .. c_d, c_i the moment of x1^(d-i) in `to_dual(p)`."""
@@ -76,11 +74,11 @@ def binary_decompose(
 ) -> Decomposition:
     """Minimal power-sum decomposition of a nonzero binary form.
 
-    Tries sizes r = 1, 2, ...; at each size draws kernel combinations until
-    one has r distinct projective roots, then accepts if the weights fitted
-    to the moments reproduce the coefficients to relative residual `tol`.
-    Raises DecompositionError when no size up to d, or up to `max_rank`
-    when that is smaller, does.
+    Tries sizes r = 1, 2, ...; at each size takes at most two kernel
+    candidates, and accepts the first with r distinct projective roots whose
+    weights, fitted to the moments, reproduce the coefficients to relative
+    residual `tol`.  Raises DecompositionError when no size up to d, or up
+    to `max_rank` when that is smaller, does.
     """
     c = _moments(p)
     d = p.degree
@@ -96,19 +94,15 @@ def binary_decompose(
         null = vh[numerical_rank(s):].conj().T
         if null.shape[1] == 0:
             continue
-        for attempt in range(KERNEL_RETRIES):
-            if attempt == 0:
-                # the smallest right singular vector: the cut above can read a
-                # slice of an ill-conditioned form as rank-deficient too early,
-                # and then it is the best single kernel candidate
-                b = null[:, -1]
-            elif null.shape[1] == 1:
-                break  # one-dimensional kernel cannot produce new candidates
-            else:
-                mu = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(
-                    null.shape[1]
-                )
-                b = null @ (mu / np.linalg.norm(mu))
+        # the smallest right singular vector first: the cut above can read a
+        # slice of an ill-conditioned form as rank-deficient too early, and
+        # then it is the best single kernel candidate.  A kernel of more than
+        # one dimension adds one random combination
+        kernel = [null[:, -1]]
+        if null.shape[1] > 1:
+            mu = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
+            kernel.append(null @ (mu / np.linalg.norm(mu)))
+        for b in kernel:
             pts = _projective_roots(b)
             if pts is None or len(pts) != r or np.any(pairwise_sines(pts) <= 1e-8):
                 continue

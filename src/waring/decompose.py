@@ -8,9 +8,9 @@ bases that are order ideals (sets holding every divisor of each member), the
 fully known principal minor first.  A basis whose fully known Hankel columns
 are rank-deficient is pruned without an extension; it counts as a retry, like
 a failed attempt.  An attempt is one pass: each basis is extended, its pencil
-read, its weights fitted and its support gated once, and the terms, pulled
-back to the input's coordinates, are accepted only when their re-expanded
-power sum matches the input coefficients to the requested tolerance.  The
+read and its weights fitted once; the terms, pulled back to the input's
+coordinates, are gated there and accepted only when their re-expanded power
+sum matches the input coefficients to the requested tolerance.  The
 search never goes above a proven maximum rank: MAX_RANK for the shapes it
 lists, the dimension C(n+d-1, d) of the space of forms otherwise.
 """
@@ -57,10 +57,6 @@ from .hankel import (
 from .spectral import pencil_support, solve_weights
 
 
-# coordinate frames tried per rank: the identity, then one random unitary
-# change, which moves support points off the hyperplane x0 = 0 (two of the
-# Fermat cubic's three points lie on it)
-COORD_CHANGES = 2
 # support-quality gate: genuine simple-point decompositions keep their
 # forms apart and their term masses comparable to the polynomial itself;
 # a borderline form approximated from below shows near-coincident points
@@ -76,18 +72,24 @@ MAX_RANK = {(3, 3): ("ternary cubics", 5), (3, 4): ("ternary quartics", 7)}
 class DecomposeReport:
     """What the search did, alongside the decomposition itself."""
 
-    rank: int
     decomposition: Decomposition
     basis: list[Exponent]
     free_count: int
     retries: int
-    residual: float
     seed: int
     # the rank is at least `lower_bound`, shown by `lower_bound_source`:
     # "catalecticant" or "koszul(delta,p)"; None off the rank loop (binary
     # forms, one variable)
     lower_bound: int | None = None
     lower_bound_source: str | None = None
+
+    @property
+    def rank(self) -> int:
+        return self.decomposition.rank
+
+    @property
+    def residual(self) -> float:
+        return self.decomposition.residual
 
 
 class OrbitClass(enum.Enum):
@@ -116,14 +118,12 @@ def _relative_err(f: HomogeneousPoly, terms) -> float:
     return relative_error(expand_power_sum(terms, f.nvars, f.degree), f)
 
 
-def _support_ok(g: HomogeneousPoly, terms) -> bool:
-    """Reject numerically degenerate supports, in the frame g they were found
-    in.  The separation test is a unitary invariant.  The mass cap is not:
-    each term's mass |w| ||k||^d is, but the cap is relative to g's plain
-    coefficient norm, which a unitary change moves (x0^2 rotated by 45
-    degrees goes from norm 1 to sqrt(1.5))."""
-    cap = MASS_RATIO_CAP * g.coeff_norm()
-    if any(abs(w) * np.linalg.norm(k) ** g.degree > cap for w, k in terms):
+def _support_ok(f: HomogeneousPoly, terms) -> bool:
+    """Reject numerically degenerate supports of the input f.  The
+    separation and each term's mass |w| ||k||^d are unitary invariants, so
+    the verdict does not depend on the frame that found the terms."""
+    cap = MASS_RATIO_CAP * f.coeff_norm()
+    if any(abs(w) * np.linalg.norm(k) ** f.degree > cap for w, k in terms):
         return False
     return not np.any(pairwise_sines([k for _, k in terms]) < MIN_SEPARATION)
 
@@ -149,13 +149,14 @@ def _basis_candidates(L: DualForm, r: int):
 
 
 def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: int, rng):
-    """One basis in one frame: extension, eigenstructure, weights, support
-    gate, then the terms pulled back and verified in the input's coordinates.
+    """One basis in the frame (A, L): extension, eigenstructure and weights;
+    then the terms are pulled back to the input's coordinates, gated and
+    fitted there.
 
     The coefficient residual of the terms against f is the one fit test; a
     NaN residual (from NaN weights, say) fails.  Returns (terms, residual,
     free_count), or None."""
-    a, g, L = frame
+    a, L = frame
     ext = extend_dual(L, basis, seed=seed)
     if ext is None:
         return None
@@ -169,9 +170,9 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
         return None
     w = solve_weights(points, L)
     forms = np.hstack([np.ones((len(points), 1), dtype=complex), points])
-    if not _support_ok(g, list(zip(w, forms))):
-        return None
     terms = [(wi, np.conj(a) @ m) for wi, m in zip(w, forms)]
+    if not _support_ok(f, terms):
+        return None
     res = _relative_err(f, terms)
     if not res <= tol:
         return None
@@ -183,25 +184,20 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
     rng = np.random.default_rng(seed)
     family, top = MAX_RANK.get((n, d), (None, math.comb(n + d - 1, d)))
     cap = top if max_rank is None else min(max_rank, top)
-    frames: list[tuple[np.ndarray, HomogeneousPoly, DualForm]] = []
-
-    def frame(i: int):
-        while len(frames) <= i:
-            if frames:
-                a = random_unitary(n, rng)
-                g = change_coordinates(f, a)
-            else:
-                a, g = np.eye(n), identity_frame(f)
-            frames.append((a, g, to_dual(g)))
-        return frames[i]
+    frames = [(np.eye(n), to_dual(identity_frame(f)))]
 
     def candidates(r: int):
-        for ci in range(COORD_CHANGES):
-            fr = frame(ci)
-            for basis, full in _basis_candidates(fr[2], r):
-                yield fr, basis, full
+        for i in range(2):
+            if i == len(frames):
+                # one random unitary change, drawn at the first rank that gets
+                # here: it moves support points off the hyperplane x0 = 0 (two
+                # of the Fermat cubic's three points lie on it)
+                a = random_unitary(n, rng)
+                frames.append((a, to_dual(change_coordinates(f, a))))
+            for basis, full in _basis_candidates(frames[i][1], r):
+                yield frames[i], basis, full
 
-    lower = max(1, known_rank_bound(frame(0)[2], tol))
+    lower = max(1, known_rank_bound(frames[0][1], tol))
     source = "catalecticant"
     retries = 0
     r = lower
@@ -213,14 +209,13 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
                 terms, res, free = got
                 dec = Decomposition(d, terms, res).normalized()
                 return DecomposeReport(
-                    r, dec, list(basis.exponents), free, retries, res, seed,
-                    lower, source,
+                    dec, list(basis.exponents), free, retries, seed, lower, source
                 )
             retries += 1
             if retries == 1:
                 # the flattenings may rule out more ranks; only inputs that
                 # need a second attempt pay for them
-                bound, shape = koszul_rank_bound(frame(0)[2], tol)
+                bound, shape = koszul_rank_bound(frames[0][1], tol)
                 if bound > lower:
                     lower, source = bound, "koszul({},{})".format(*shape)
                 if lower > r:
@@ -250,7 +245,7 @@ def decompose(
             raise DecompositionError(f"rank 1 exceeds max_rank {max_rank}")
         c = f.coeff((f.degree,))
         dec = Decomposition(f.degree, [(c, np.ones(1, dtype=complex))], 0.0)
-        return DecomposeReport(1, dec, [], 0, 0, 0.0, seed)
+        return DecomposeReport(dec, [], 0, 0, seed)
 
     count, q = essential_vars(f)
     if count < f.nvars:
@@ -261,13 +256,13 @@ def decompose(
         res = _relative_err(f, terms)
         if res <= tol:
             dec = Decomposition(f.degree, terms, res).normalized()
-            return replace(rep, decomposition=dec, residual=res)
+            return replace(rep, decomposition=dec)
 
     if f.nvars == 2:
         dec = binary_decompose(
             f, rng_seed=seed, tol=tol, max_rank=max_rank
         ).normalized()
-        return DecomposeReport(dec.rank, dec, [], 0, 0, dec.residual, seed)
+        return DecomposeReport(dec, [], 0, 0, seed)
     return _rank_loop(f, tol, max_rank, seed)
 
 

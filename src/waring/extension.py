@@ -196,16 +196,13 @@ class CommutatorResidual:
         mats += [shifted_matrix(L, basis, v) for v in range(L.nvars)]
         s = len(basis)
         self.const = np.array([m.values for m in mats])
-        # (matrix, row, col, unknown index) of every unknown cell, in C order:
-        # a cell's slot indexes its matrix's positions, which start at `first`
-        # in `at`; the unknowns are the distinct positions, in order
+        # (matrix, row, col, unknown index) of every unknown cell, in C order;
+        # the unknowns are the distinct positions of those cells, in order
         slot = np.array([m.slot for m in mats])
         cells = np.nonzero(slot >= 0)
-        at = np.concatenate([m.positions for m in mats])
-        first = np.cumsum([0] + [len(m.positions) for m in mats[:-1]])
-        positions = np.unique(at)
+        past = np.concatenate([m.positions[m.slot[m.slot >= 0]] for m in mats])
+        positions, index = np.unique(past, return_inverse=True)
         self.unknowns = monomials_at(L.nvars, positions)
-        index = np.searchsorted(positions, at[first[cells[0]] + slot[cells]])
         self.cells = np.array([*cells, index], dtype=np.intp)
         self.pairs, self.upper = _equations(L.nvars, s)
         # one reference magnitude so residuals read as relative numbers

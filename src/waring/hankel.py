@@ -143,10 +143,9 @@ def build_hankel(L: DualForm, rows, cols, shift: Exponent | None = None) -> Quas
     unknown = at >= len(L.moments)  # graded: exactly the cells of degree > d
     values = L.moments.take(at, mode="clip")
     values[unknown] = 0
-    past = at[unknown]
-    positions = np.unique(past) if len(past) else past
+    positions, numbers = np.unique(at[unknown], return_inverse=True)
     slot = np.full(at.shape, -1, dtype=np.intp)
-    slot[unknown] = np.searchsorted(positions, past)
+    slot[unknown] = numbers
     return QuasiHankelMatrix(n, values, positions, slot)
 
 

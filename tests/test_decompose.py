@@ -103,6 +103,23 @@ def test_max_rank_cap_on_every_path(text, nvars, rank_found):
     assert decompose(f, max_rank=rank_found).rank == rank_found
 
 
+@pytest.mark.parametrize(
+    "text, nvars",
+    [("x0^3 + x1^3 + x2^3", None),  # the rank loop
+     ("x0^3 + x1^3 + x2^3 + 0*x3^3", 4),  # reduced to 3 variables
+     ("x0^12 - 3*x0^7*x1^5 + 2*x0^3*x1^9 + x1^12", None),  # binary path
+     ("7*x0^3", 1)],  # one variable
+)
+def test_report_reads_rank_and_residual_off_its_decomposition(text, nvars):
+    f = parse_poly(text, nvars=nvars)
+    rep = decompose(f)
+    dec = rep.decomposition
+    assert (rep.rank, rep.residual) == (dec.rank, dec.residual)
+    # the terms and their residual are the input's, also after a reduction
+    assert dec.nvars == f.nvars
+    assert rep.residual == pytest.approx(verify(f, dec).residual, abs=1e-15)
+
+
 def test_binary_delegation():
     f = parse_poly("x0^4 + x1^4")
     rep = decompose(f)
@@ -179,7 +196,7 @@ def test_attempt_rejects_nan_weights(monkeypatch, quintic):
     # the coefficient residual is the one fit test, and NaN fails it
     module = sys.modules["waring.decompose"]
     L = to_dual(quintic)
-    frame = (np.eye(3), quintic, L)
+    frame = (np.eye(3), L)
     basis = full_rank_principal_minor(L, size=4)
     args = (quintic, frame, basis, 1e-7, 0)
     assert module._attempt(*args, np.random.default_rng(0)) is not None
@@ -273,11 +290,12 @@ def test_search_stops_at_the_proven_maximum(monkeypatch, text):
 
 
 # x^a with a_0 = min a_i has rank prod_{i >= 1} (a_i + 1)
-# (Carlini-Catalisano-Geramita 2012)
+# (Carlini-Catalisano-Geramita 2012); a binary one, its largest exponent + 1.
+# The binary kernel's random combination decides the binary ones
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("text, proven", [
     ("x0*x1*x2", 4), ("x0^2*x1*x2", 6), ("x0*x1*x2^2", 6), ("x0^2*x1^2*x2^2", 9),
-    ("x0*x1*x2*x3", 8),
+    ("x0*x1*x2*x3", 8), ("x0^3*x1^2", 4), ("x0^7*x1", 8), ("x0^5*x1^5", 6),
 ])
 def test_monomials_reach_their_proven_rank(text, proven, seed):
     f = parse_poly(text)
