@@ -110,18 +110,6 @@ def monomial_index(exps) -> np.ndarray:
     return table.take(t * (n + 1) + offsets).sum(axis=-1)
 
 
-def monomials_at(nvars: int, positions: np.ndarray) -> list[Exponent]:
-    """The exponents at the ascending graded-lex `positions` (see
-    `monomial_index`)."""
-    if not len(positions):
-        return []
-    top, last = 0, int(positions[-1])
-    while math.comb(nvars + top, nvars) <= last:  # the monomials of degree <= top
-        top += 1
-    table = _monomials_upto(nvars, top)
-    return [table[p] for p in positions.tolist()]
-
-
 @functools.cache
 def _multinomials(nvars: int, degree: int) -> tuple[int, ...]:
     """degree! / (e_0! * ... * e_(nvars-1)!) for e in `_monomials(nvars,
@@ -297,8 +285,8 @@ class DualForm:
     """Truncated moment table of a form: Lambda(x^alpha) = c_alpha for |alpha| <= d.
 
     `moments` is one complex vector in `monomials_upto(nvars, degree)` order.
-    Moments beyond degree d are unknown; an extension's values for them live
-    in its `ExtensionSolution.assignment`.
+    Moments beyond degree d are unknown; an extension carries the vector past
+    them, in the same order, as its `ExtensionSolution.moments`.
     """
 
     __slots__ = ("nvars", "degree", "moments")

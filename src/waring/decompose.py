@@ -160,10 +160,9 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
     ext = extend_dual(L, basis, seed=seed)
     if ext is None:
         return None
-    assign = ext.assignment
-    d0 = build_hankel(L, basis.exponents, basis.exponents).value_matrix(assign)
+    d0 = build_hankel(L, basis.exponents, basis.exponents).value_matrix(ext.moments)
     shifts = [
-        shifted_matrix(L, basis, i).value_matrix(assign) for i in range(L.nvars)
+        shifted_matrix(L, basis, i).value_matrix(ext.moments) for i in range(L.nvars)
     ]
     points = pencil_support(d0, shifts, basis, rng)
     if points is None:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgesv, zpocon, zposv
 
-from .core import DualForm, Exponent, monomials_at, numerical_rank
+from .core import DualForm, numerical_rank
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
 RESTARTS = 8  # Gauss-Newton starts per extension solve: zero, then random
@@ -64,9 +64,10 @@ TERMS_CACHE = 16
 
 @dataclass
 class ExtensionSolution:
-    """Values for the unknown moments plus how constrained they were."""
+    """L.moments followed by the solved unknowns at their graded-lex positions,
+    NaN where no cell reads one, plus how constrained the unknowns were."""
 
-    assignment: dict[Exponent, complex]
+    moments: np.ndarray
     residual: float
     free_count: int = 0
 
@@ -197,12 +198,10 @@ class CommutatorResidual:
         s = len(basis)
         self.const = np.array([m.values for m in mats])
         # (matrix, row, col, unknown index) of every unknown cell, in C order;
-        # the unknowns are the distinct positions of those cells, in order
-        slot = np.array([m.slot for m in mats])
-        cells = np.nonzero(slot >= 0)
-        past = np.concatenate([m.positions[m.slot[m.slot >= 0]] for m in mats])
-        positions, index = np.unique(past, return_inverse=True)
-        self.unknowns = monomials_at(L.nvars, positions)
+        # the unknowns are the distinct positions of those cells, ascending
+        at = np.array([m.at for m in mats])
+        cells = np.nonzero(at >= len(L.moments))
+        self.unknowns, index = np.unique(at[cells], return_inverse=True)
         self.cells = np.array([*cells, index], dtype=np.intp)
         self.pairs, self.upper = _equations(L.nvars, s)
         # one reference magnitude so residuals read as relative numbers
@@ -328,14 +327,14 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     sought.
     """
     res = CommutatorResidual(L, basis)
-    if not res.unknowns:
+    if not res.unknowns.size:
         x = np.zeros(0, dtype=complex)
         if res._point(x)[1] is None:  # s = 1 has no equation to carry the NaN
             return None
         rmax = float(np.max(np.abs(res.residual(x)), initial=0.0))
         if not rmax <= TOL:
             return None
-        return ExtensionSolution({}, rmax, 0)
+        return ExtensionSolution(L.moments, rmax, 0)
     if res.nequations() == 0:
         # a single affine variable never constrains anything here; the caller
         # should have taken the binary route instead
@@ -347,6 +346,7 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     for x0 in starts:
         x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
         if r <= TOL:
-            assignment = {e: complex(v) for e, v in zip(res.unknowns, x)}
-            return ExtensionSolution(assignment, float(r), _free_columns(res.jacobian(x)))
+            moments = np.append(L.moments, np.full(res.unknowns[-1] + 1 - len(L.moments), np.nan))
+            moments[res.unknowns] = x
+            return ExtensionSolution(moments, float(r), _free_columns(res.jacobian(x)))
     return None

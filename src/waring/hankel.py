@@ -1,12 +1,12 @@
 """Quasi-Hankel matrices of a truncated dual form.
 
 For a moment table L and monomial sets B, B' the matrix H^{B,B'} has entry
-(alpha, beta) = L(x^(alpha+beta)).  Entries whose total degree exceeds the
-truncation are unknown moments; a matrix keeps them as an integer slot map
-into its list of unknown exponents, and an extension step assigns them
-values later.  Every cell is placed by one rule, its graded-lex position
-(`monomial_index`): below len(L.moments) it indexes the known moment, and
-above it numbers the unknown, so unknowns sort graded-lex as integers.
+(alpha, beta) = L(x^(alpha+beta)).  Every cell is named by one number, the
+graded-lex position of alpha + beta (`monomial_index`): below len(L.moments)
+it indexes a known moment, and at or past it an unknown one, of degree above
+the truncation.  An extension step solves the unknowns into a moment table
+that carries L.moments past the truncation, and a matrix is that table read
+at its cells' positions.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from itertools import combinations, islice
 import numpy as np
 
 from .core import (
-    DualForm, Exponent, grlex_key, monomial_index, monomials, monomials_at,
-    monomials_upto, multinomials, numerical_rank,
+    DualForm, Exponent, grlex_key, monomial_index, monomials, monomials_upto,
+    multinomials, numerical_rank,
 )
 
 KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
@@ -90,44 +90,41 @@ class MonomialBasis:
 
 
 class QuasiHankelMatrix:
-    """H^{rows,cols} of a dual form in `nvars` variables, as numbers plus an
-    integer map of its unknown cells.
+    """H^{rows,cols} of a dual form, as the graded-lex position of each cell.
 
-    `values` holds the known moments and 0 at every unknown cell;
-    `positions` holds the graded-lex positions of the distinct unknown
-    exponents, ascending, and `unknowns` those exponents; `slot` is -1 at a
-    known cell and otherwise the cell's index into both.
+    `at` holds every cell's position (`monomial_index`); `known` is the
+    number of known moments, so a cell is unknown where its position is
+    `known` or more.  `values` holds the known moments and 0 at every
+    unknown cell.
     """
 
-    __slots__ = ("nvars", "values", "positions", "slot")
+    __slots__ = ("at", "values", "known")
 
-    def __init__(self, nvars, values, positions, slot):
-        self.nvars = nvars
+    def __init__(self, at, values, known):
+        self.at = at
         self.values = values
-        self.positions = positions
-        self.slot = slot
+        self.known = known
 
     @property
     def shape(self):
         return self.values.shape
 
     @property
-    def unknowns(self) -> list[Exponent]:
-        """The distinct unknown exponents, in graded-lex order."""
-        return monomials_at(self.nvars, self.positions)
+    def unknowns(self) -> np.ndarray:
+        """The distinct positions of the unknown cells, ascending."""
+        return np.unique(self.at[self.at >= self.known])
 
-    def value_matrix(
-        self, assignment: dict[Exponent, complex] | None = None
-    ) -> np.ndarray:
-        """Numeric matrix with the unknowns filled from `assignment`."""
-        out = self.values.copy()
-        if len(self.positions):
-            given = assignment or {}
-            # a moment missing from the assignment raises KeyError here
-            fill = np.array([given[e] for e in self.unknowns], dtype=complex)
-            cells = self.slot >= 0
-            out[cells] = fill[self.slot[cells]]
-        return out
+    def value_matrix(self, moments: np.ndarray | None = None) -> np.ndarray:
+        """The matrix read from the moment table `moments` at `at`, such as
+        `ExtensionSolution.moments`; without a table only a matrix with no
+        unknown cell can be read.  Raises ValueError when a cell it reads is
+        past the table or NaN in it."""
+        unknown = self.at[self.at >= self.known]
+        if not unknown.size:
+            return self.values.copy()
+        if moments is None or unknown.max() >= len(moments) or np.isnan(moments[unknown]).any():
+            raise ValueError("a moment the matrix reads is missing from the table")
+        return moments[self.at]
 
     def __repr__(self):
         r, c = self.shape
@@ -135,18 +132,14 @@ class QuasiHankelMatrix:
 
 
 def build_hankel(L: DualForm, rows, cols, shift: Exponent | None = None) -> QuasiHankelMatrix:
-    """H with entry (a, b) = L(x^(a+b+shift)); a slot past the truncation."""
+    """H with entry (a, b) = L(x^(a+b+shift)), unknown past the truncation."""
     n = L.nvars
     r = np.array(rows, dtype=np.intp).reshape(-1, 1, n)
     c = r.reshape(1, -1, n) if cols is rows else np.array(cols, dtype=np.intp).reshape(1, -1, n)
     at = monomial_index(r + c if shift is None else r + np.array(shift, dtype=np.intp) + c)
-    unknown = at >= len(L.moments)  # graded: exactly the cells of degree > d
     values = L.moments.take(at, mode="clip")
-    values[unknown] = 0
-    positions, numbers = np.unique(at[unknown], return_inverse=True)
-    slot = np.full(at.shape, -1, dtype=np.intp)
-    slot[unknown] = numbers
-    return QuasiHankelMatrix(n, values, positions, slot)
+    values[at >= len(L.moments)] = 0  # graded: exactly the cells of degree > d
+    return QuasiHankelMatrix(at, values, len(L.moments))
 
 
 def shifted_matrix(L: DualForm, basis: MonomialBasis, var: int) -> QuasiHankelMatrix:
@@ -372,15 +365,16 @@ def known_columns_test(L: DualForm, top: int):
     of degree <= top against those of degree <= L.degree / 2 (0 at unknown
     cells), which is built once.
     """
-    d = L.degree
-    rows = monomials_upto(L.nvars, top)
+    n, d = L.nvars, L.degree
+    rows = monomials_upto(n, top)
     h = build_hankel(L, rows, [m for m in rows if 2 * sum(m) <= d]).values
-    at = {m: i for i, m in enumerate(rows)}  # a member's row, and its column if any
 
     def test(ideal) -> bool:
-        t = sum(ideal[-1])
-        known = [at[m] for m in ideal if sum(m) + t <= d]
-        return _rank(h[np.ix_([at[m] for m in ideal], known)]) == len(known)
+        # a member's row, and its column if it has one, is its position; the
+        # columns of degree <= d less the ideal's top degree come first
+        at = monomial_index(ideal)
+        known = at[at < math.comb(n + d - sum(ideal[-1]), n)]
+        return _rank(h[np.ix_(at, known)]) == len(known)
 
     return h, test
 
@@ -416,7 +410,7 @@ def kernel_generators(L: DualForm, basis: MonomialBasis) -> list[dict[Exponent, 
     out = []
     for m in basis.border():
         col = build_hankel(L, basis.exponents, [m])
-        if col.unknowns:
+        if col.unknowns.size:
             continue  # relation involves unextended moments; caller handles
         mu = np.linalg.solve(h, col.value_matrix()[:, 0])
         g: dict[Exponent, complex] = {m: 1.0 + 0j}

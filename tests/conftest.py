@@ -154,8 +154,8 @@ def planted_4_4_10(degree3: bool):
 
 
 # ---------------------------------------------------------------------------
-# the object-dtype Hankel layer that the numeric slot map replaced, kept as an
-# independent reference: one Python object per cell, unknowns as placeholders
+# the object-dtype Hankel layer that the numeric position map replaced, kept
+# as an independent reference: one Python object per cell, unknowns as placeholders
 
 
 @dataclass(frozen=True)
@@ -190,25 +190,32 @@ def object_value_matrix(ent, assignment) -> np.ndarray:
     return out
 
 
+def positions(nvars, exps) -> list[int]:
+    """The `monomial_index` of each exponent in the list `exps`, which may be empty."""
+    return monomial_index(np.array(exps, dtype=np.intp).reshape(-1, nvars)).tolist()
+
+
 # ---------------------------------------------------------------------------
 # the per-cell dict walk that the graded-lex position rule replaced, kept as
 # an independent reference: a tuple and two dict lookups per cell
 
 
 def dict_hankel(L, rows, cols, shift=None):
-    """(values, unknowns, slot) of H^{rows,cols} with every cell looked up
-    by its exponent tuple in a dict of the moments' positions."""
+    """(values, unknowns, at) of H^{rows,cols} with every cell looked up by
+    its exponent tuple in a dict of the moments' positions: the unknown
+    exponents in graded-lex order, and each cell's place in the graded-lex
+    list of all monomials up to the largest cell degree."""
     n = L.nvars
     s = (0,) * n if shift is None else tuple(shift)
-    at = {e: i for i, e in enumerate(monomials_upto(n, L.degree))}
+    known = {e: i for i, e in enumerate(monomials_upto(n, L.degree))}
     cells = [tuple(x + y + z for x, y, z in zip(a, b, s)) for a in rows for b in cols]
-    unknowns = sorted({e for e in cells if e not in at}, key=grlex_key)
-    index = {e: k for k, e in enumerate(unknowns)}
+    unknowns = sorted({e for e in cells if e not in known}, key=grlex_key)
+    place = {e: i for i, e in enumerate(monomials_upto(n, max(map(sum, cells), default=0)))}
     shape = (len(rows), len(cols))
-    known = np.array([at.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
-    values = np.where(known >= 0, L.moments[known], 0j)
-    slot = np.array([index.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
-    return values, unknowns, slot
+    index = np.array([known.get(e, -1) for e in cells], dtype=np.intp).reshape(shape)
+    values = np.where(index >= 0, L.moments[index], 0j)
+    at = np.array([place[e] for e in cells], dtype=np.intp).reshape(shape)
+    return values, unknowns, at
 
 
 EXACTNESS_FIXTURES = [

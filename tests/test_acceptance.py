@@ -214,7 +214,7 @@ def test_criterion_6c_extended_operators_commute(quartic, maximal_cubic):
     def commutator_ratio(L, basis):
         sol = extend_dual(L, basis, seed=0)
         assert sol is not None
-        assign = sol.assignment
+        assign = sol.moments
         d0 = build_hankel(L, basis.exponents, basis.exponents).value_matrix(assign)
         ms = [
             shifted_matrix(L, basis, v).value_matrix(assign) @ np.linalg.inv(d0)

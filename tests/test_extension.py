@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from waring.core import grlex_key, parse_poly, to_dual
+from waring.core import grlex_key, monomials_upto, parse_poly, to_dual
 from waring.extension import CommutatorResidual, extend_dual
 from waring.extension import (
     CHOLESKY_FLOOR,
@@ -27,6 +27,8 @@ from conftest import (
     exactness_case,
     object_hankel,
     planted_4_4_10,
+    planted_poly,
+    positions,
 )
 
 QUARTIC_BASIS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -45,7 +47,7 @@ def test_quartic_system_counts(quartic):
     res = _quartic_residual(quartic)
     # one pair of operators, the strict upper triangle of a 6x6 commutator
     assert res.nequations() == 15
-    assert res.unknowns == [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
+    assert res.unknowns.tolist() == positions(2, [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)])
 
 
 def test_quartic_known_filling_is_a_solution(quartic):
@@ -56,13 +58,14 @@ def test_quartic_known_filling_is_a_solution(quartic):
 
 
 def _pinned_solve(res, pins, tol=1e-12, max_iter=300):
-    """Gauss-Newton on the commutator residual with some unknowns held fixed."""
-    idx = {e: i for i, e in enumerate(res.unknowns)}
-    pi = [idx[e] for e in pins]
+    """Gauss-Newton on the commutator residual with some unknowns held fixed:
+    `pins` maps exponents in two variables to values; the solution maps
+    positions."""
+    idx = {p: i for i, p in enumerate(res.unknowns.tolist())}
+    pi = [idx[p] for p in positions(2, list(pins))]
     others = [i for i in range(len(res.unknowns)) if i not in pi]
     base = np.zeros(len(res.unknowns), dtype=complex)
-    for e, v in pins.items():
-        base[idx[e]] = v
+    base[pi] = list(pins.values())
 
     def fun(y):
         z = base.copy()
@@ -77,7 +80,7 @@ def _pinned_solve(res, pins, tol=1e-12, max_iter=300):
     y, r = _gauss_newton(fun, jac, np.zeros(len(others), dtype=complex), tol, max_iter)
     z = base.copy()
     z[others] = y
-    return dict(zip(res.unknowns, z)), r
+    return dict(zip(res.unknowns.tolist(), z)), r
 
 
 def test_quartic_pinned_solve_recovers_filling(quartic):
@@ -86,9 +89,10 @@ def test_quartic_pinned_solve_recovers_filling(quartic):
     res = _quartic_residual(quartic)
     got, r = _pinned_solve(res, {(5, 0): 1.0, (4, 1): 2.0, (3, 2): 3.0})
     assert r < 1e-9
-    assert got[(2, 3)] == pytest.approx(1.5060, abs=2e-3)
-    assert got[(1, 4)] == pytest.approx(4.960, abs=2e-3)
-    assert got[(0, 5)] == pytest.approx(0.056, abs=2e-3)
+    at = dict(zip([(2, 3), (1, 4), (0, 5)], positions(2, [(2, 3), (1, 4), (0, 5)])))
+    assert got[at[(2, 3)]] == pytest.approx(1.5060, abs=2e-3)
+    assert got[at[(1, 4)]] == pytest.approx(4.960, abs=2e-3)
+    assert got[at[(0, 5)]] == pytest.approx(0.056, abs=2e-3)
 
 
 def test_quartic_extend_dual(quartic):
@@ -98,10 +102,10 @@ def test_quartic_extend_dual(quartic):
     assert sol.residual < 1e-10
     # filled moments really make the operators commute
     b = MonomialBasis(2, QUARTIC_BASIS)
-    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix(sol.assignment)
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix(sol.moments)
     m = []
     for v in range(2):
-        dv = shifted_matrix(L, b, v).value_matrix(sol.assignment)
+        dv = shifted_matrix(L, b, v).value_matrix(sol.moments)
         m.append(dv @ np.linalg.inv(d0))
     comm = m[0] @ m[1] - m[1] @ m[0]
     scale = max(np.linalg.norm(m[0]), np.linalg.norm(m[1]))
@@ -110,10 +114,13 @@ def test_quartic_extend_dual(quartic):
 
 def test_quartic_extension_free_count(quartic):
     # six unknowns, three of them free on the solution set
-    sol = extend_dual(to_dual(quartic), MonomialBasis(2, QUARTIC_BASIS), seed=0)
+    L = to_dual(quartic)
+    sol = extend_dual(L, MonomialBasis(2, QUARTIC_BASIS), seed=0)
     assert sol.residual < 1e-9
     assert sol.free_count == 3
-    assert set(sol.assignment) == {(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)}
+    solved = np.flatnonzero(~np.isnan(sol.moments[len(L.moments):])) + len(L.moments)
+    quintics = [(5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5)]
+    assert set(solved.tolist()) == set(positions(2, quintics))
 
 
 def test_quartic_extension_keeps_the_first_solution(quartic, monkeypatch):
@@ -166,11 +173,11 @@ def test_cubic_system_counts(maximal_cubic):
     b = MonomialBasis(2, CUBIC_BASIS5)
     res = CommutatorResidual(L, b)
     assert res.nequations() == 10
-    assert set(res.unknowns) == {
+    assert set(res.unknowns.tolist()) == set(positions(2, [
         (4, 0), (3, 1), (2, 2), (1, 3), (5, 0), (4, 1), (3, 2), (2, 3)
-    }
+    ]))
     # some unknowns sit inside D_0, so the equations are rational in them
-    assert build_hankel(L, b.exponents, b.exponents).unknowns
+    assert build_hankel(L, b.exponents, b.exponents).unknowns.size
 
 
 def test_cubic_pinned_solve_frozen_values(maximal_cubic):
@@ -180,9 +187,10 @@ def test_cubic_pinned_solve_frozen_values(maximal_cubic):
     pins = {(1, 3): 3.0, (3, 1): 1.0, (2, 2): 2.0, (4, 1): 4.0, (4, 0): 5.0}
     got, r = _pinned_solve(res, pins)
     assert r < 1e-10
-    assert got[(5, 0)] == pytest.approx(-67.88235, abs=1e-4)
-    assert got[(3, 2)] == pytest.approx(3.23529, abs=1e-4)
-    assert got[(2, 3)] == pytest.approx(6.11765, abs=1e-4)
+    at = dict(zip([(5, 0), (3, 2), (2, 3)], positions(2, [(5, 0), (3, 2), (2, 3)])))
+    assert got[at[(5, 0)]] == pytest.approx(-67.88235, abs=1e-4)
+    assert got[at[(3, 2)]] == pytest.approx(3.23529, abs=1e-4)
+    assert got[at[(2, 3)]] == pytest.approx(6.11765, abs=1e-4)
 
 
 def test_cubic_extend_dual(maximal_cubic):
@@ -201,7 +209,7 @@ def test_cubic_extension_free_count(maximal_cubic):
     sol = extend_dual(L, b, seed=0)
     assert sol.residual < 1e-8
     s = np.linalg.svd(
-        build_hankel(L, b.exponents, b.exponents).value_matrix(sol.assignment),
+        build_hankel(L, b.exponents, b.exponents).value_matrix(sol.moments),
         compute_uv=False,
     )
     assert s[-1] > 1e-10 * s[0]
@@ -213,12 +221,43 @@ def test_quintic_system_is_empty(quintic):
     L = to_dual(quintic)
     b = full_rank_principal_minor(L, size=4)
     res = CommutatorResidual(L, b)
-    assert res.unknowns == []
+    assert res.unknowns.size == 0
     assert np.max(np.abs(res.residual(np.zeros(0, dtype=complex)))) < 1e-10
     sol = extend_dual(L, b)
     assert sol is not None
-    assert sol.assignment == {}
+    assert len(sol.moments) == len(L.moments)
     assert sol.residual < 1e-10
+
+
+@pytest.mark.parametrize(
+    "form, basis, unread",
+    [("quartic", QUARTIC_BASIS, []), ("maximal_cubic", CUBIC_BASIS5, [(0, 4)])],
+    ids=["quartic", "maximal_cubic"],
+)
+def test_extension_table_carries_the_known_moments(request, form, basis, unread):
+    # the table is L.moments bit for bit, then one entry per position up to
+    # the last unknown: the solved moments, and NaN where no cell reads one
+    # (the maximal cubic's bases never reach y2^4)
+    L = to_dual(request.getfixturevalue(form))
+    b = MonomialBasis(2, basis)
+    sol = extend_dual(L, b, seed=0)
+    unknowns = CommutatorResidual(L, b).unknowns
+    known = len(L.moments)
+    assert sol.moments[:known].tobytes() == L.moments.tobytes()
+    assert len(sol.moments) == unknowns[-1] + 1
+    assert np.flatnonzero(np.isnan(sol.moments)).tolist() == positions(2, unread)
+    assert sorted(unknowns.tolist() + positions(2, unread)) == list(range(known, len(sol.moments)))
+
+
+def test_a_basis_with_no_unknowns_gets_the_known_moments(quintic):
+    # the quintic's basis of degree <= 2 and a planted sextic's of degree 2
+    # read no moment past the truncation: the table is L.moments itself
+    sextic, _ = planted_poly(3, 6, 5, np.random.default_rng(3))
+    for f, size in ((quintic, 4), (sextic, 5)):
+        L = to_dual(f)
+        b = full_rank_principal_minor(L, size=size)
+        assert CommutatorResidual(L, b).unknowns.size == 0
+        assert extend_dual(L, b).moments is L.moments
 
 
 def test_no_unknowns_path_rejects_a_singular_d0(maximal_cubic):
@@ -227,7 +266,7 @@ def test_no_unknowns_path_rejects_a_singular_d0(maximal_cubic):
     L = to_dual(maximal_cubic)
     b = MonomialBasis(2, [(0, 0)])
     res = CommutatorResidual(L, b)
-    assert res.unknowns == [] and res.nequations() == 0
+    assert res.unknowns.size == 0 and res.nequations() == 0
     assert res._inverse(res.matrices(np.zeros(0, dtype=complex))[0]) is None
     assert extend_dual(L, b) is None
 
@@ -248,8 +287,9 @@ def test_commutator_jacobian_matches_finite_differences(quartic):
 
 def _dense_jacobian(L, basis, unknowns, x):
     """The commutator Jacobian through dense 0/1 occurrence tensors and
-    einsums, kept as an independent reference for the rank-1 kernel."""
-    index = {e: i for i, e in enumerate(unknowns)}
+    einsums, kept as an independent reference for the rank-1 kernel;
+    `unknowns` are the positions x gives values for."""
+    index = {p: i for i, p in enumerate(unknowns)}
     s, nu = len(basis), len(unknowns)
     mats, d_mats, known = [], [], 0.0
     quasi = [build_hankel(L, basis.exponents, basis.exponents)]
@@ -257,10 +297,10 @@ def _dense_jacobian(L, basis, unknowns, x):
     for q in quasi:
         m = np.zeros((s, s), dtype=complex)
         d = np.zeros((s, s, nu))
-        for (a, b), k in np.ndenumerate(q.slot):
-            if k >= 0:
-                m[a, b] = x[index[q.unknowns[k]]]
-                d[a, b, index[q.unknowns[k]]] = 1.0
+        for (a, b), p in np.ndenumerate(q.at):
+            if p >= q.known:
+                m[a, b] = x[index[p]]
+                d[a, b, index[p]] = 1.0
             else:
                 m[a, b] = q.values[a, b]
                 known = max(known, abs(q.values[a, b]))
@@ -290,9 +330,10 @@ def _planted_4_4_10(degree3: bool):
     L, basis, terms = planted_4_4_10(degree3)
     res = CommutatorResidual(L, basis)
     rng = np.random.default_rng(6)
+    exps = monomials_upto(L.nvars, 2 * max(map(sum, basis)) + 1)
     true = np.array([
-        sum(w * np.prod(z[1:] ** np.array(e)) for w, z in terms)
-        for e in res.unknowns
+        sum(w * np.prod(z[1:] ** np.array(exps[p])) for w, z in terms)
+        for p in res.unknowns
     ])
     x = true * (1 + 0.1 * rng.standard_normal(len(true)))
     return L, basis, res, x
@@ -302,7 +343,7 @@ def _planted_4_4_10(degree3: bool):
 def test_commutator_jacobian_larger_shape_finite_differences(degree3):
     L, basis, res, x = _planted_4_4_10(degree3)
     assert len(res.pairs) == 3
-    assert bool(build_hankel(L, basis.exponents, basis.exponents).unknowns) == degree3
+    assert bool(build_hankel(L, basis.exponents, basis.exponents).unknowns.size) == degree3
     j = res.jacobian(x)
     for k in range(len(x)):
         h = 1e-6 * max(1.0, abs(x[k]))
@@ -320,12 +361,12 @@ def test_commutator_jacobian_matches_dense_reference(degree3):
                                atol=1e-12 * np.abs(ref).max())
 
 
-def _border_spread(L, basis, assignment):
+def _border_spread(L, basis, moments):
     """Largest disagreement among the entries of W^T D_0 W that share an
     exponent, relative to its largest entry, where W = D_0^{-1} H^{B,dB}."""
     rows, border = basis.exponents, basis.border()
-    d0 = build_hankel(L, rows, rows).value_matrix(assignment)
-    w = np.linalg.solve(d0, build_hankel(L, rows, border).value_matrix(assignment))
+    d0 = build_hankel(L, rows, rows).value_matrix(moments)
+    w = np.linalg.solve(d0, build_hankel(L, rows, border).value_matrix(moments))
     h = w.T @ d0 @ w
     first, spread = {}, 0.0
     for i, a in enumerate(border):
@@ -347,7 +388,7 @@ def test_flat_extension_factors_through_the_basis(request, form, basis):
     b = MonomialBasis(2, basis)
     sol = extend_dual(L, b, seed=0)
     assert sol is not None
-    assert _border_spread(L, b, sol.assignment) < 1e-9
+    assert _border_spread(L, b, sol.moments) < 1e-9
 
 
 def _counted_gauss_newton(fun, jac, x0):
@@ -643,7 +684,7 @@ def test_kernel_reuses_no_stale_point(quartic):
 
 
 # ---------------------------------------------------------------------------
-# exactness of the slot-map set-up against the object-dtype cell walk
+# exactness of the position-map set-up against the object-dtype cell walk
 
 
 class _ObjectCellResidual(CommutatorResidual):
@@ -704,7 +745,7 @@ def test_setup_is_bit_identical_to_the_object_cell_walk(name):
     L, bases = exactness_case(name)
     for basis in bases:
         res, ref = CommutatorResidual(L, basis), _ObjectCellResidual(L, basis)
-        assert res.unknowns == ref.unknowns
+        assert res.unknowns.tolist() == positions(L.nvars, ref.unknowns)
         assert np.array_equal(res.const, ref.const)
         assert res.cells.dtype == ref.cells.dtype
         assert np.array_equal(res.cells, ref.cells)

@@ -11,7 +11,6 @@ from waring.core import (
     _monomials_upto,
     change_coordinates,
     monomial_index,
-    monomials_at,
     monomials_upto,
     numerical_rank,
     parse_poly,
@@ -43,6 +42,7 @@ from conftest import (
     object_unknowns,
     object_value_matrix,
     moment,
+    positions,
     planted_poly,
     power_of_linear_form,
 )
@@ -97,7 +97,7 @@ def test_quintic_hankel_blocks(quintic):
     L = to_dual(quintic)
     b = MonomialBasis(2, BASIS4)
     h0 = build_hankel(L, b.exponents, b.exponents)
-    assert h0.unknowns == []
+    assert h0.unknowns.size == 0
     assert np.allclose(h0.value_matrix(), D0)
     h1 = shifted_matrix(L, b, 0)
     assert np.allclose(h1.value_matrix(), D1)
@@ -107,9 +107,9 @@ def test_unknowns_past_truncation(quintic):
     L = to_dual(quintic)
     pool = monomials_upto(2, 3)
     h = build_hankel(L, pool, pool)
-    missing = set(h.unknowns)
-    assert missing == {(6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5), (0, 6)}
-    filled = h.value_matrix({e: 0.0 for e in missing})
+    missing = set(h.unknowns.tolist())
+    assert missing == set(positions(2, [(6, 0), (5, 1), (4, 2), (3, 3), (2, 4), (1, 5), (0, 6)]))
+    filled = h.value_matrix(np.append(L.moments, np.zeros(len(missing))))
     assert filled.shape == (10, 10)
 
 
@@ -231,7 +231,7 @@ def test_principal_minors_have_full_numerical_rank(quintic, quartic):
             if b is None:
                 continue
             h = build_hankel(L, b.exponents, b.exponents)
-            assert not h.unknowns
+            assert h.unknowns.size == 0
             s = np.linalg.svd(h.value_matrix(), compute_uv=False)
             assert numerical_rank(s) == len(b)
             found += 1
@@ -276,7 +276,7 @@ def test_kernel_generators_annihilate():
 
 
 # ---------------------------------------------------------------------------
-# exactness of the numeric slot map against the object-dtype cells
+# exactness of the numeric position map against the object-dtype cells
 
 
 def _matrix_pairs(L, basis):
@@ -301,26 +301,26 @@ def test_slot_map_is_exact_against_object_cells(name):
             # the position rule against the per-cell dict walk, bit for bit
             shift = None if v is None else tuple(int(i == v) for i in range(L.nvars))
             h = build_hankel(L, rows, rows) if v is None else shifted_matrix(L, basis, v)
-            values, unknowns, slot = dict_hankel(L, rows, rows, shift)
+            values, unknowns, at = dict_hankel(L, rows, rows, shift)
             assert h.values.tobytes() == values.tobytes()
-            assert h.unknowns == unknowns
-            assert h.slot.tobytes() == slot.tobytes()
-            exps = np.array(unknowns, dtype=np.intp).reshape(-1, L.nvars)
-            assert h.positions.tolist() == monomial_index(exps).tolist()
+            assert h.unknowns.tolist() == positions(L.nvars, unknowns)
+            assert h.at.tobytes() == at.tobytes()
+            assert h.known == len(L.moments)
         for h, ref in _matrix_pairs(L, basis):
             assert h.shape == ref.shape
-            assert h.unknowns == object_unknowns(ref)
-            assert h.slot.dtype == np.intp
-            assert np.all(h.values[h.slot >= 0] == 0)
+            exps = object_unknowns(ref)
+            assert h.unknowns.tolist() == positions(L.nvars, exps)
+            assert h.at.dtype == np.intp
+            assert np.all(h.values[h.at >= h.known] == 0)
             for _ in range(3):
-                z = rng.standard_normal(len(h.unknowns)) + 1j * rng.standard_normal(
-                    len(h.unknowns)
-                )
-                assignment = dict(zip(h.unknowns, z.tolist()))
+                z = rng.standard_normal(len(exps)) + 1j * rng.standard_normal(len(exps))
+                assignment = dict(zip(exps, z.tolist()))
+                table = np.append(L.moments, np.full(h.at.max(initial=0) + 1, np.nan))
+                table[h.unknowns] = z
                 assert np.array_equal(
-                    h.value_matrix(assignment), object_value_matrix(ref, assignment)
+                    h.value_matrix(table), object_value_matrix(ref, assignment)
                 )
-            if not h.unknowns:
+            if not exps:
                 assert np.array_equal(h.value_matrix(), object_value_matrix(ref, {}))
 
 
@@ -328,12 +328,11 @@ def test_slot_map_is_exact_against_object_cells(name):
 def test_position_rule_is_the_graded_lex_index(nvars, top):
     # the rule numbers every monomial of degree <= top by its place in
     # graded-lex order, so its data holds one entry per monomial: a binomial
-    # table of (nvars + top) (nvars + 1) entries and the exponent table that
-    # `monomials_at` reads, nothing of size (top + 1)^nvars
+    # table of (nvars + top) (nvars + 1) entries and the cached exponent
+    # table, nothing of size (top + 1)^nvars
     exps = monomials_upto(nvars, top)
     assert len(exps) == math.comb(nvars + top, nvars)
     assert monomial_index(exps).tolist() == list(range(len(exps)))
-    assert monomials_at(nvars, np.arange(len(exps))) == exps
     assert _binomials(nvars, top)[0].shape == ((nvars + top) * (nvars + 1),)
     assert len(_monomials_upto(nvars, top)) == len(exps)
     # a block of any shape: the index of each exponent along the last axis,
@@ -348,13 +347,38 @@ def test_value_matrix_needs_every_unknown(quintic):
     L = to_dual(quintic)
     pool = monomials_upto(2, 3)
     h = build_hankel(L, pool, pool)
-    partial = {e: 1.0 for e in h.unknowns[1:]}
+    ref = object_hankel(L, pool, pool)
+    partial = {e: 1.0 for e in object_unknowns(ref)[1:]}
+    table = np.append(L.moments, np.ones(len(h.unknowns)))
+    table[h.unknowns[0]] = np.nan
+    with pytest.raises(ValueError):
+        h.value_matrix(table)
     with pytest.raises(KeyError):
-        h.value_matrix(partial)
-    with pytest.raises(KeyError):
-        object_value_matrix(object_hankel(L, pool, pool), partial)
-    with pytest.raises(KeyError):
+        object_value_matrix(ref, partial)
+    with pytest.raises(ValueError):
         h.value_matrix()
+
+
+def test_value_matrix_reads_the_table_by_position(quintic):
+    # the 10x10 matrix over the monomials of degree <= 3 reads positions
+    # 0 .. 27: the known moments 0 .. 20 and the sextics 21 .. 27.  A table
+    # that stops short of 27, or has a NaN at a position a cell reads, is
+    # refused; a NaN that no cell reads is not looked at
+    L = to_dual(quintic)
+    pool = monomials_upto(2, 3)
+    h = build_hankel(L, pool, pool)
+    assert h.unknowns.tolist() == list(range(21, 28))
+    table = np.append(L.moments, np.arange(7.0) + 1j)
+    want = table[monomial_index(np.array(pool)[:, None] + np.array(pool)[None, :])]
+    assert np.array_equal(h.value_matrix(table), want)
+    assert np.array_equal(h.value_matrix(np.append(table, np.nan)), want)
+    with pytest.raises(ValueError):
+        h.value_matrix(table[:-1])
+    for p in (21, 24, 27):
+        holed = table.copy()
+        holed[p] = np.nan
+        with pytest.raises(ValueError):
+            h.value_matrix(holed)
 
 
 # ---------------------------------------------------------------------------
