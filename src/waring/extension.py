@@ -15,12 +15,13 @@ damped Gauss-Newton iteration, one start after the other: the zero start,
 then random ones, up to RESTARTS in all.  It keeps the first point that
 reaches TOL, also on a positive-dimensional solution set.
 
-Each step solves the normal equations J^H J d = -J^H f by one Cholesky
-factorization (LAPACK zposv), several times cheaper than a least-squares
-solve.  When the factorization fails, or LAPACK's condition estimate from
-the factor (zpocon) puts 1/cond(J^H J) at or below CHOLESKY_FLOOR, the run
-takes the minimum-norm `lstsq` step instead, and keeps to it until the run
-ends.  A run ends at the first of these exits:
+Each step solves the normal equations J^H J d = -J^H f through the Cholesky
+factor L of J^H J and its inverse, several times cheaper than a least-squares
+solve.  When the factorization fails, or |L|_F^2 |L^{-1}|_F^2, a bound on
+cond(J^H J), is not below 1/CHOLESKY_FLOOR, the run takes the minimum-norm
+`lstsq` step instead, and keeps to it until the run ends.  Both inverses, of
+D_0 and of L, are numpy's inverse kernel, so the package needs numpy alone.
+A run ends at the first of these exits:
 
 * the max-abs residual is at most TOL (success);
 * the step is not finite (also when the Jacobian is not);
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgesv, zpocon, zposv
+from numpy.linalg import _umath_linalg
 
 from .core import DualForm, numerical_rank
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
@@ -53,9 +54,9 @@ from .hankel import MonomialBasis, build_hankel, shifted_matrix
 RESTARTS = 8  # Gauss-Newton starts per extension solve: zero, then random
 TOL = 1e-10  # max-abs (scaled) commutator residual a solution must reach
 MAX_ITER = 200  # Gauss-Newton iterations per start
-# least reciprocal condition number of J^H J (LAPACK's 1-norm estimate from the
-# Cholesky factor) for a normal-equations step: cond(J) then stays below about
-# 1e7, so squaring it costs the step at most about 1e14 units of rounding
+# least reciprocal of the bound |L|_F^2 |L^{-1}|_F^2 on cond(J^H J), L its
+# Cholesky factor, for a normal-equations step: cond(J) then stays below 1e7,
+# so squaring it costs the step at most about 1e14 units of rounding
 CHOLESKY_FLOOR = 1e-14
 # Jacobian index layouts kept, one per pattern of unknown cells: a perfbench
 # run at seeds 1-4 meets at most 12 (rank_search), and 8 would halve its hits
@@ -76,21 +77,21 @@ class ExtensionSolution:
 # Gauss-Newton
 
 
+@np.errstate(all="ignore")
 def _normal_step(j: np.ndarray, f: np.ndarray) -> np.ndarray | None:
-    """The step solving J^H J d = -J^H f by Cholesky, or None when J^H J is not
-    positive definite or the condition estimate that LAPACK's zpocon takes from
-    the factor puts its reciprocal condition number at or below CHOLESKY_FLOOR.
+    """The step -L^{-H} L^{-1} J^H f solving J^H J d = -J^H f, L the Cholesky
+    factor of J^H J, or None when J^H J is not positive definite or
+    |L|_F^2 |L^{-1}|_F^2 CHOLESKY_FLOOR is not below 1.
 
-    The factor's diagonal alone would not do: its spread is only a lower bound
-    on cond(R), and a J with unit diagonal can be numerically singular."""
+    That product bounds cond(J^H J) from above, as the same test bounds
+    cond(D_0) in `CommutatorResidual`.  The factor's diagonal alone would not
+    do: its spread is only a lower bound on cond(L), and a J with unit
+    diagonal can be numerically singular."""
     jh = j.conj().T
-    a = jh @ j
-    c, step, info = zposv(a, -(jh @ f))
-    if info != 0:
-        return None
-    rcond, info = zpocon(c, np.abs(a).sum(axis=0).max())
-    if info == 0 and rcond > CHOLESKY_FLOOR:
-        return step
+    low = _umath_linalg.cholesky_lo(jh @ j)  # NaN where not positive definite
+    inv = _umath_linalg.inv(low)
+    if np.vdot(low, low).real * np.vdot(inv, inv).real * CHOLESKY_FLOOR < 1:
+        return -(inv.conj().T @ (inv @ (jh @ f)))
     return None
 
 
@@ -180,7 +181,7 @@ class CommutatorResidual:
     The matrices, N and the products D_v N at the last point evaluated are
     kept, so the Jacobian that Gauss-Newton asks for at the point whose
     residual it has just accepted costs no second inverse.  N comes straight
-    from LAPACK's zgesv and is kept only when |D_0|_F |N|_F < 1e10
+    from numpy's inverse kernel and is kept only when |D_0|_F |N|_F < 1e10
     (`_inverse`); elsewhere the residual and the Jacobian are NaN.  The
     residual forms every product D_i N D_j in one stacked matmul and gathers
     A N B and B N A from it.
@@ -232,14 +233,16 @@ class CommutatorResidual:
         return out
 
     @staticmethod
+    @np.errstate(all="ignore")
     def _inverse(d0: np.ndarray):
         """D_0^{-1}, or None unless |D_0|_F |D_0^{-1}|_F < 1e10: a bound on
         cond(D_0) that holds at any scale, and that a non-finite inverse fails.
 
-        The inverse solves D_0 N = I by LAPACK's zgesv, as `np.linalg.inv`
-        does, without numpy's wrapping; exactly singular is info > 0."""
-        *_, n_mat, info = zgesv(d0, _identity(len(d0)))
-        if info == 0 and np.vdot(n_mat, n_mat).real * np.vdot(d0, d0).real < 1e20:
+        The inverse is numpy's kernel behind `np.linalg.inv`, so the bits are
+        the same, without the wrapper's checks: a singular D_0 gives NaN where
+        `np.linalg.inv` would raise."""
+        n_mat = _umath_linalg.inv(d0)
+        if np.vdot(n_mat, n_mat).real * np.vdot(d0, d0).real < 1e20:
             return n_mat
         return None
 
@@ -271,14 +274,6 @@ class CommutatorResidual:
         out = np.zeros(self.nequations() * len(self.unknowns), dtype=complex)
         np.add.at(out, target, factor[left] * factor[right])
         return out.reshape(self.nequations(), -1) / self.scale
-
-
-@functools.cache
-def _identity(s: int) -> np.ndarray:
-    """The complex s x s identity, read only: zgesv copies its right side."""
-    out = np.eye(s, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 @functools.lru_cache(maxsize=TERMS_CACHE)

@@ -3,7 +3,10 @@
 Once the extension step has produced numeric matrices D_0 (nonsingular) and
 D_i for each variable, the evaluation points of the underlying functional are
 read off generalized eigenvectors v of a pencil (D_t, D_0), and the weights
-come from one over-determined linear solve against the known moments.
+come from one over-determined linear solve against the known moments.  The
+pencil is read through D_0's singular value decomposition D_0 = U S V^H: its
+eigenvectors are V times those of the standard eigenproblem S^{-1} U^H D_t V,
+which is the multiplication operator D_0^{-1} D_t written in the basis V.
 
 Every coordinate is read by one rule.  For an evaluation functional at zeta,
 Lambda(x_i b) = zeta_i Lambda(b), so the first row of D_i = H^{B, x_i B} times
@@ -21,7 +24,6 @@ caller.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .core import DualForm, monomial_values, monomials_upto
 from .hankel import MonomialBasis
@@ -37,8 +39,22 @@ class ExtractionError(RuntimeError):
 
 
 def generalized_eigen(d1: np.ndarray, d0: np.ndarray):
-    """Eigenvalues w and eigenvectors v of the pencil (d1, d0): d1 v = w d0 v."""
-    return scipy.linalg.eig(d1, d0)
+    """Eigenvalues w and eigenvectors v, of unit norm, of the pencil (d1, d0):
+    d1 v = w d0 v.
+
+    With d0 = U S V^H, v = V y for each eigenpair (w, y) of S^{-1} U^H d1 V.
+    Dividing by the singular values rather than solving with d0 keeps the
+    accuracy of the QZ algorithm on an ill-conditioned d0.  A d0 too near
+    singular for that division to stay finite has no such operator: its w are
+    then infinite and its v NaN, which the caller's finite test rejects."""
+    u, sigma, vh = np.linalg.svd(d0)
+    v = vh.conj().T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        op = (u.conj().T @ d1 @ v) / sigma[:, None]
+    if not np.isfinite(op).all():
+        return np.full(len(d0), np.inf + 0j), np.full_like(v, np.nan)
+    w, y = np.linalg.eig(op)
+    return w, v @ y
 
 
 def eigenvalues_simple(w: np.ndarray) -> bool:

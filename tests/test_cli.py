@@ -171,6 +171,52 @@ def _run_in_2gb(*argv):
     )
 
 
+# runs `waring.cli.main` on each argv of the JSON list in argv[1], with every
+# scipy import failing when argv[2] is "blocked", and prints the exit codes and
+# the scipy modules loaded as the last line
+WITHOUT_SCIPY = """
+import json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
+from waring.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(k for k, m in sys.modules.items() if k.startswith("scipy") and m is not None)
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def _without_scipy(runs, mode):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, json.dumps(runs), mode],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_every_command_runs_without_scipy():
+    # the Cholesky step and its lstsq fallback (the maximal cubic), free
+    # moments, the binary path, classify and verify, each with scipy blocked
+    runs = [
+        ["decompose", str(FIXTURES / "cubic_fermat.json")],
+        ["decompose", str(FIXTURES / "cubic_maximal.txt")],
+        ["decompose", "(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2"],
+        ["decompose", "x0^12 - 3*x0^7*x1^5 + 2*x0^3*x1^9 + x1^12"],
+        ["classify", str(FIXTURES / "cubic_generic_rank4.json")],
+        ["verify", str(FIXTURES / "cubic_maximal.txt"),
+         "--decomposition", str(FIXTURES / "cubic_maximal_decomposition.json")],
+    ]
+    assert _without_scipy(runs, "blocked") == {"codes": [0] * len(runs), "scipy": []}
+
+
+def test_a_rank_loop_decomposition_loads_no_scipy():
+    # scipy importable, yet neither the import nor a decomposition loads it
+    runs = [["decompose", str(FIXTURES / "cubic_maximal.txt")]]
+    assert _without_scipy(runs, "importable") == {"codes": [0], "scipy": []}
+
+
 @pytest.mark.parametrize(
     "blob, message",
     [

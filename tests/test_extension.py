@@ -497,16 +497,16 @@ def test_rank_deficient_jacobian_takes_the_fallback(maximal_cubic):
 
 def test_no_cholesky_after_the_fallback(maximal_cubic, monkeypatch):
     # the first Jacobian refuses the factorization, and the run then keeps to
-    # lstsq: one zposv call over all its iterations
+    # lstsq: one Cholesky step attempted over all its iterations
     module = sys.modules["waring.extension"]
     factorizations = []
 
     def counted(*args):
         factorizations.append(1)
-        return zposv(*args)
+        return normal_step(*args)
 
-    zposv = module.zposv
-    monkeypatch.setattr(module, "zposv", counted)
+    normal_step = module._normal_step
+    monkeypatch.setattr(module, "_normal_step", counted)
     res, x0 = _cubic_rank4_start(maximal_cubic)
     _, _, calls = _counted_gauss_newton(res.residual, res.jacobian, x0)
     assert calls > 10
@@ -637,8 +637,9 @@ def test_inverse_matches_the_svd_rule_near_the_floor(quartic, ratio, s_max):
 
 @pytest.mark.parametrize("name", ["cubic_maximal.txt", "walk_4_4_10", "walk_5_4_12", "walk_9_3_9"])
 def test_inverse_is_numpys_bit_for_bit(name):
-    # LAPACK's zgesv called directly gives np.linalg.inv's bits, at the zero
-    # start and at random points of each basis the rank loop walks
+    # numpy's inverse kernel called without its wrapper gives np.linalg.inv's
+    # bits, at the zero start and at random points of each basis the rank
+    # loop walks
     L, bases = exactness_case(name)
     rng = np.random.default_rng(13)
     for basis in bases[:16]:

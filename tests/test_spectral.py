@@ -1,7 +1,9 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from waring.core import Decomposition, expand_power_sum, to_dual
 from waring.decompose import _support_ok
@@ -207,17 +209,27 @@ def test_extract_points_reports_the_first_failing_coordinate():
         extract_points(u[:, [0, 3, 1, 2]], b)
 
 
+COLLIDING_POINTS = [(2.0, 5.0), (2.0003, 5.0), (-1.0, 1e4)]
+COLLIDING_WEIGHTS = [1.0, 2.0, 1e-8]
+
+
+def _colliding_setup():
+    """Two points 3e-4 apart next to one at 1e4, on the basis {1, x1, x2}:
+    L, the basis, D_0 (cond about 7.6e9) and D_1, D_2."""
+    L = dual_from_support(COLLIDING_WEIGHTS, COLLIDING_POINTS, 2, 4)
+    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1)])
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
+    shifts = [shifted_matrix(L, b, v).value_matrix() for v in range(2)]
+    return L, b, d0, shifts
+
+
 def test_colliding_points_cost_one_pencil(monkeypatch, maximal_cubic):
     # two points 3e-4 apart, next to one at 1e4, are a simple x_1 pencil.
     # Once a pencil is simple its points are those of every other pencil, so
     # no second pencil is drawn; the support gate turns the near pair down.
     # When the x_1 pencil fails, one random pencil is drawn, and no more
-    pts = [(2.0, 5.0), (2.0003, 5.0), (-1.0, 1e4)]
-    wts = [1.0, 2.0, 1e-8]
-    L = dual_from_support(wts, pts, 2, 4)
-    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1)])
-    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
-    shifts = [shifted_matrix(L, b, v).value_matrix() for v in range(2)]
+    pts, wts = COLLIDING_POINTS, COLLIDING_WEIGHTS
+    L, b, d0, shifts = _colliding_setup()
     module = sys.modules["waring.spectral"]
     calls = []
 
@@ -248,3 +260,61 @@ def test_colliding_points_cost_one_pencil(monkeypatch, maximal_cubic):
     shifts = [shifted_matrix(L, b, v).value_matrix() for v in range(2)]
     assert pencil_support(d0, shifts, b, np.random.default_rng(0)) is None
     assert len(calls) == 2
+
+
+def _matched(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """w reordered so that entry k is the one nearest ref[k], one to one."""
+    nearest = np.abs(w[:, None] - ref).argmin(axis=0)
+    assert len(set(nearest)) == len(ref)
+    return w[nearest]
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 6, 8, 12])
+def test_svd_pencil_matches_qz(s):
+    # pencils (D_0 M, D_0) with M = X diag(lam) X^{-1}, the shape of (D_t, D_0)
+    # with simple eigenvalues; Gaussian D_0 and X keep every condition number
+    # moderate, so the SVD route and scipy's QZ agree to rounding
+    rng = np.random.default_rng(s)
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for _ in range(10):
+        d0, x, lam = gaussian(s, s), gaussian(s, s), gaussian(s)
+        d1 = d0 @ x @ np.diag(lam) @ np.linalg.inv(x)
+        w, v = generalized_eigen(d1, d0)
+        ref = scipy.linalg.eig(d1, d0, right=False)
+        assert np.all(np.abs(_matched(w, ref) - ref) <= 1e-10 * np.abs(ref))
+        np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0)
+        scale = np.abs(d1).max() + np.abs(w).max() * np.abs(d0).max()
+        assert np.abs(d1 @ v - (d0 @ v) * w).max() < 1e-12 * scale
+
+
+def test_svd_pencil_is_as_accurate_as_qz_on_an_ill_conditioned_d0():
+    # cond(D_0) = 7.6e9 moves every route's eigenvalues by about
+    # cond(D_0) eps: QZ reads the planted x_1 = 2 as 1.9999987, so no two
+    # routes can agree to 1e-10 here.  The SVD route stays that close to QZ
+    # and no farther than QZ from the planted coordinates
+    _, _, d0, shifts = _colliding_setup()
+    cond = np.linalg.cond(d0)
+    assert 7e9 < cond < 8e9
+    truth = np.array([p[0] for p in COLLIDING_POINTS], dtype=complex)
+    w = _matched(generalized_eigen(shifts[0], d0)[0], truth)
+    ref = _matched(scipy.linalg.eig(shifts[0], d0, right=False), truth)
+    assert np.abs(w - ref).max() < cond * 1e-15
+    assert np.abs(w - truth).max() <= np.abs(ref - truth).max()
+
+
+def test_singular_d0_has_no_support_and_raises_no_warning(quintic):
+    # D_0 with its last row and column zeroed, as when a basis monomial's
+    # moments all vanish, has an exact zero singular value: the SVD route's
+    # division gives infinite eigenvalues without a warning, and both pencils
+    # are refused
+    L, b, d0, d1, d2 = _quintic_setup(quintic)
+    d0 = d0.copy()
+    d0[-1], d0[:, -1] = 0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, _ = generalized_eigen(d1, d0)
+        assert not np.isfinite(w).any()
+        assert pencil_support(d0, [d1, d2], b, np.random.default_rng(0)) is None
