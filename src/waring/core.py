@@ -16,6 +16,7 @@ import cmath
 import functools
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -522,6 +523,9 @@ def format_poly(f: HomogeneousPoly) -> str:
 
 
 _NUMBER_CHARS = set("0123456789.eE")
+# the literals `float` reads as NaN or an infinity; parsed as numbers, so that
+# the coefficient they give fails the finite test, not the term syntax
+_NON_FINITE = re.compile(r"nan|inf(inity)?", re.IGNORECASE)
 
 
 class _Lexer:
@@ -543,6 +547,8 @@ class _Lexer:
         t = self.text
         if self.pos < len(t) and t[self.pos] in "+-":
             self.pos += 1
+        if literal := _NON_FINITE.match(t, self.pos):
+            self.pos = literal.end()
         while self.pos < len(t) and (
             t[self.pos] in _NUMBER_CHARS
             or (t[self.pos] in "+-" and t[self.pos - 1] in "eE")
@@ -604,7 +610,7 @@ def parse_poly(text: str, nvars: int | None = None) -> HomogeneousPoly:
             lx.pos += 1
             coeff *= complex(re, im)
             saw_factor = True
-        elif ch and (ch.isdigit() or ch == "."):
+        elif ch and (ch.isdigit() or ch == "." or _NON_FINITE.match(lx.text, lx.pos)):
             coeff *= lx.take_number()
             saw_factor = True
         exps: dict[int, int] = {}

@@ -19,8 +19,20 @@ Each step solves the normal equations J^H J d = -J^H f through the Cholesky
 factor L of J^H J and its inverse, several times cheaper than a least-squares
 solve.  When the factorization fails, or |L|_F^2 |L^{-1}|_F^2, a bound on
 cond(J^H J), is not below 1/CHOLESKY_FLOOR, the run takes the minimum-norm
-`lstsq` step instead, and keeps to it until the run ends.  Both inverses, of
-D_0 and of L, are numpy's inverse kernel, so the package needs numpy alone.
+least-squares step instead, and keeps to it until the run ends.
+
+Every factorization is one of numpy's linalg kernels, called directly:
+`numpy.linalg._umath_linalg.inv` for D_0 and for L, `cholesky_lo` and
+`lstsq`, the gufuncs behind `np.linalg.inv`, `cholesky` and `lstsq`.  The
+numbers are theirs bit for bit, without the wrappers' checks, copies and
+per-call `np.errstate`, which at the sizes the rank loop meets cost as much as
+the kernels.  Those kernels flag a singular or indefinite matrix as an invalid
+value and return NaN, which the tests on each result (D_0's condition product,
+the Cholesky bound, a finite step) turn into a verdict.  So a Gauss-Newton run
+holds one `np.errstate(all="ignore")` from start to end, not one per kernel
+call, and any other caller of `_inverse`, `_normal_step` or `_lstsq_step`
+holds the same.
+
 A run ends at the first of these exits:
 
 * the max-abs residual is at most TOL (success);
@@ -61,6 +73,9 @@ CHOLESKY_FLOOR = 1e-14
 # Jacobian index layouts kept, one per pattern of unknown cells: a perfbench
 # run at seeds 1-4 meets at most 12 (rank_search), and 8 would halve its hits
 TERMS_CACHE = 16
+EPS = np.finfo(float).eps  # the unit of the least-squares step's rank cutoff
+# the 0, 1 and -1 that `_jacobian_terms` indexes after the three products
+_CONSTANTS = np.array([0.0, 1.0, -1.0])
 
 
 @dataclass
@@ -77,7 +92,6 @@ class ExtensionSolution:
 # Gauss-Newton
 
 
-@np.errstate(all="ignore")
 def _normal_step(j: np.ndarray, f: np.ndarray) -> np.ndarray | None:
     """The step -L^{-H} L^{-1} J^H f solving J^H J d = -J^H f, L the Cholesky
     factor of J^H J, or None when J^H J is not positive definite or
@@ -86,7 +100,9 @@ def _normal_step(j: np.ndarray, f: np.ndarray) -> np.ndarray | None:
     That product bounds cond(J^H J) from above, as the same test bounds
     cond(D_0) in `CommutatorResidual`.  The factor's diagonal alone would not
     do: its spread is only a lower bound on cond(L), and a J with unit
-    diagonal can be numerically singular."""
+    diagonal can be numerically singular.  The kernels flag a failed
+    factorization as an invalid value, so call this under
+    `np.errstate(all="ignore")`, as `_gauss_newton` does."""
     jh = j.conj().T
     low = _umath_linalg.cholesky_lo(jh @ j)  # NaN where not positive definite
     inv = _umath_linalg.inv(low)
@@ -95,23 +111,39 @@ def _normal_step(j: np.ndarray, f: np.ndarray) -> np.ndarray | None:
     return None
 
 
+def _lstsq_step(j: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares step: `np.linalg.lstsq(j, -f,
+    rcond=None)[0]` bit for bit, through the same kernel and cutoff without
+    the wrapper's checks and copies.  Call it under `np.errstate(all="ignore")`:
+    a kernel that fails then returns NaN where the wrapper would raise."""
+    cut = EPS * max(j.shape)
+    return _umath_linalg.lstsq(j, -f[:, None], cut, signature="DDd->Ddid")[0][:, 0]
+
+
+@np.errstate(all="ignore")
 def _gauss_newton(fun, jac, x0, tol, max_iter):
     """Damped Gauss-Newton iteration; returns (x, max-abs residual).
 
     Each iteration takes a Gauss-Newton step and backtracks (up to 25
     halvings) until the max-abs residual decreases sufficiently.  The step
     comes from the normal equations by Cholesky (`_normal_step`); the first
-    time that is refused, the run falls back to the minimum-norm `lstsq` step
-    and stays on it, so that a run over rank-deficient Jacobians (most runs
-    below the true rank) does not pay for a failed factorization every step.
-    The run ends at the first of: residual <= tol; a non-finite step, which
-    a non-finite Jacobian also counts as; a failed line search (the next
-    iteration would take the same step from the same point and fail alike);
-    a step below 1e-14 of the iterate; no tenfold residual decrease over the
-    last 30 iterations (a plateau); max_iter iterations.  The plateau exit is
-    safe for regular roots, which are reached with quadratic convergence, and
-    stops the linear or slower creep towards singular roots and the drift
-    where no root exists.
+    time that is refused, the run falls back to the minimum-norm least-squares
+    step (`_lstsq_step`) and stays on it, so that a run over rank-deficient
+    Jacobians (most runs below the true rank) does not pay for a failed
+    factorization every step.  The run ends at the first of: residual <= tol;
+    a non-finite step, which a non-finite Jacobian also counts as; a failed
+    line search (the next iteration would take the same step from the same
+    point and fail alike); a step below 1e-14 of the iterate; no tenfold
+    residual decrease over the last 30 iterations (a plateau); max_iter
+    iterations.  The plateau exit is safe for regular roots, which are
+    reached with quadratic convergence, and stops the linear or slower creep
+    towards singular roots and the drift where no root exists.
+
+    The whole run, `fun` and `jac` included, holds one
+    `np.errstate(all="ignore")`, not one per kernel call: numpy's kernels
+    (`_umath_linalg.inv` for D_0 and the Cholesky factor, `cholesky_lo`,
+    `lstsq`) flag a singular or indefinite matrix as an invalid value and
+    return NaN, which the tests on each result turn into an exit.
     """
     x = np.asarray(x0, dtype=complex)
     f = fun(x)
@@ -128,8 +160,8 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
         if step is None:
             cholesky = False
             if not np.isfinite(j).all():
-                break  # lstsq would raise on it
-            step, *_ = np.linalg.lstsq(j, -f, rcond=None)
+                break  # LAPACK prints an error on stderr for it
+            step = _lstsq_step(j, f)
         if not np.isfinite(step).all():
             break
         t = 1.0
@@ -204,6 +236,8 @@ class CommutatorResidual:
         cells = np.nonzero(at >= len(L.moments))
         self.unknowns, index = np.unique(at[cells], return_inverse=True)
         self.cells = np.array([*cells, index], dtype=np.intp)
+        # the same cells as flat positions in the stack, for one scatter
+        self._flat = np.ravel_multi_index(cells, at.shape)
         self.pairs, self.upper = _equations(L.nvars, s)
         # one reference magnitude so residuals read as relative numbers
         self.scale = (1.0 + np.max(np.abs(self.const))) ** 2
@@ -229,26 +263,26 @@ class CommutatorResidual:
     def matrices(self, x: np.ndarray) -> np.ndarray:
         """D_0, D_1, ..., D_n stacked, with the unknowns set to x."""
         out = self.const.copy()
-        out[tuple(self.cells[:3])] = x[self.cells[3]]
+        out.ravel()[self._flat] = x[self.cells[3]]
         return out
 
     @staticmethod
-    @np.errstate(all="ignore")
     def _inverse(d0: np.ndarray):
         """D_0^{-1}, or None unless |D_0|_F |D_0^{-1}|_F < 1e10: a bound on
         cond(D_0) that holds at any scale, and that a non-finite inverse fails.
 
         The inverse is numpy's kernel behind `np.linalg.inv`, so the bits are
         the same, without the wrapper's checks: a singular D_0 gives NaN where
-        `np.linalg.inv` would raise."""
+        `np.linalg.inv` would raise.  Call it under `np.errstate(all="ignore")`,
+        as `_gauss_newton` does, or that NaN comes with a RuntimeWarning."""
         n_mat = _umath_linalg.inv(d0)
         if np.vdot(n_mat, n_mat).real * np.vdot(d0, d0).real < 1e20:
             return n_mat
         return None
 
     def _point(self, x: np.ndarray):
-        """(D_0..D_n, N, D_v N for v = 1..n) at x; N is None where `_inverse` is."""
-        x = np.asarray(x, dtype=complex)
+        """(D_0..D_n, N, D_v N for v = 1..n) at the complex array x; N is None
+        where `_inverse` is."""
         key = x.tobytes()
         if key != self._key:
             mats = self.matrices(x)
@@ -262,18 +296,22 @@ class CommutatorResidual:
         if n_mat is None:
             return np.full(self.nequations(), np.nan + 0j)
         products = (shifts_n[:, None] @ mats[None, 1:]).ravel()
-        return (products[self._anb] - products[self._bna]) / self.scale
+        out = products[self._anb]
+        out -= products[self._bna]
+        out /= self.scale
+        return out
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         mats, n_mat, shifts_n = self._point(x)
         if n_mat is None:
             return np.full((self.nequations(), len(self.unknowns)), np.nan + 0j)
         an = shifts_n.ravel()
-        factor = np.concatenate([(n_mat @ mats[1:]).ravel(), an, -an, [0.0, 1.0, -1.0]])
+        factor = np.concatenate([(n_mat @ mats[1:]).ravel(), an, -an, _CONSTANTS])
         target, left, right = self._terms
-        out = np.zeros(self.nequations() * len(self.unknowns), dtype=complex)
-        np.add.at(out, target, factor[left] * factor[right])
-        return out.reshape(self.nequations(), -1) / self.scale
+        out = np.zeros((self.nequations(), len(self.unknowns)), dtype=complex)
+        np.add.at(out.ravel(), target, factor[left] * factor[right])
+        out /= self.scale
+        return out
 
 
 @functools.lru_cache(maxsize=TERMS_CACHE)
@@ -324,7 +362,9 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     res = CommutatorResidual(L, basis)
     if not res.unknowns.size:
         x = np.zeros(0, dtype=complex)
-        if res._point(x)[1] is None:  # s = 1 has no equation to carry the NaN
+        with np.errstate(all="ignore"):  # a singular D_0 is a verdict here
+            singular = res._point(x)[1] is None
+        if singular:  # s = 1 has no equation to carry the NaN
             return None
         rmax = float(np.max(np.abs(res.residual(x)), initial=0.0))
         if not rmax <= TOL:

@@ -351,6 +351,8 @@ def test_unreadable_input_path_is_invalid_input(capsys, tmp_path, fmt):
         '{"nvars": 2, "degree": 2, "terms": [{"exp": [2, 0], "c": [NaN, 0]}]}',
         '{"nvars": 2, "degree": 2, "terms": [{"exp": [2, 0], "c": [1, Infinity]}]}',
         '{"nvars": 2, "degree": 1, "tensor": [1, -Infinity]}',
+        "nan*x0^3 + x1^3",
+        "inf*x0^3 + x1^3",
     ],
 )
 def test_non_finite_coefficients_fail_fast(capsys, source):

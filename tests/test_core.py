@@ -382,7 +382,11 @@ def test_decomposition_normalized():
 
 @pytest.mark.parametrize(
     "text", ["x0^3 + x1^3 + 1e999*x2^3", "(1,1e999)*x0^2 + x1^2",
-             "1e308*x0^2 + 1e308*x0^2 + x1^2"]
+             "1e308*x0^2 + 1e308*x0^2 + x1^2",
+             # the literals float() reads as non-finite are numbers, not
+             # empty terms
+             "nan*x0^3 + x1^3", "inf*x0^3 + x1^3", "x0^3 - Infinity*x1^3",
+             "(1,NaN)*x0^2 + x1^2"]
 )
 def test_parse_rejects_non_finite_coefficients(text):
     with pytest.raises(PolyParseError, match="coefficients must be finite"):

@@ -3,15 +3,20 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from waring.core import grlex_key, monomials_upto, parse_poly, to_dual
 from waring.extension import CommutatorResidual, extend_dual
 from waring.extension import (
     CHOLESKY_FLOOR,
+    MAX_ITER,
+    RESTARTS,
     TERMS_CACHE,
+    TOL,
     _free_columns,
     _gauss_newton,
     _jacobian_terms,
+    _lstsq_step,
     _normal_step,
 )
 from waring.hankel import (
@@ -267,7 +272,8 @@ def test_no_unknowns_path_rejects_a_singular_d0(maximal_cubic):
     b = MonomialBasis(2, [(0, 0)])
     res = CommutatorResidual(L, b)
     assert res.unknowns.size == 0 and res.nequations() == 0
-    assert res._inverse(res.matrices(np.zeros(0, dtype=complex))[0]) is None
+    with np.errstate(all="ignore"):  # as extend_dual holds it
+        assert res._inverse(res.matrices(np.zeros(0, dtype=complex))[0]) is None
     assert extend_dual(L, b) is None
 
 
@@ -492,7 +498,8 @@ def test_rank_deficient_jacobian_takes_the_fallback(maximal_cubic):
     res, x = _cubic_rank4_start(maximal_cubic)
     j = res.jacobian(x)
     assert _free_columns(j) == 2
-    assert _normal_step(j, res.residual(x)) is None
+    with np.errstate(all="ignore"):  # as _gauss_newton holds it
+        assert _normal_step(j, res.residual(x)) is None
 
 
 def test_no_cholesky_after_the_fallback(maximal_cubic, monkeypatch):
@@ -605,10 +612,11 @@ def test_kernel_is_bit_identical_to_the_per_call_formulation(name, request):
 def test_zero_start_with_singular_d0_gives_nan(maximal_cubic):
     res = CommutatorResidual(to_dual(maximal_cubic), MonomialBasis(2, CUBIC_BASIS5[:4]))
     x = np.zeros(len(res.unknowns), dtype=complex)
-    assert res._inverse(res.matrices(x)[0]) is None
-    assert np.isnan(res.residual(x)).all()
-    assert np.isnan(res.jacobian(x)).all()
-    assert res.jacobian(x).shape == (res.nequations(), len(res.unknowns))
+    with np.errstate(all="ignore"):  # as _gauss_newton holds it
+        assert res._inverse(res.matrices(x)[0]) is None
+        assert np.isnan(res.residual(x)).all()
+        assert np.isnan(res.jacobian(x)).all()
+        assert res.jacobian(x).shape == (res.nequations(), len(res.unknowns))
 
 
 def _spread_matrix(rng, sv):
@@ -647,7 +655,8 @@ def test_inverse_is_numpys_bit_for_bit(name):
         m = len(res.unknowns)
         for x in (np.zeros(m, dtype=complex), rng.standard_normal(m) + 1j * rng.standard_normal(m)):
             d0 = res.matrices(x)[0]
-            got = res._inverse(d0)
+            with np.errstate(all="ignore"):  # as _gauss_newton holds it
+                got = res._inverse(d0)
             if got is not None:
                 assert got.tobytes() == np.linalg.inv(d0).tobytes()
 
@@ -667,8 +676,9 @@ def test_inverse_is_none_exactly_when_the_condition_product_reaches_1e10(quartic
             if got is not None:
                 assert got.tobytes() == np.linalg.inv(c * d0).tobytes()
     assert verdicts == {False, True}
-    assert res._inverse(np.zeros((6, 6), dtype=complex)) is None
-    assert res._inverse(np.full((6, 6), np.nan + 0j)) is None
+    with np.errstate(all="ignore"):  # as _gauss_newton holds it
+        assert res._inverse(np.zeros((6, 6), dtype=complex)) is None
+        assert res._inverse(np.full((6, 6), np.nan + 0j)) is None
 
 
 def test_kernel_reuses_no_stale_point(quartic):
@@ -682,6 +692,180 @@ def test_kernel_reuses_no_stale_point(quartic):
     x[2] += 0.5
     assert np.array_equal(res.jacobian(x), _reference_jacobian(res, x))
     assert np.array_equal(res.residual(x), _reference_residual(res, x))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Newton iterates against the per-call formulation: an errstate on
+# every kernel call, np.linalg.lstsq for the fallback step, the residual's
+# tuple scatter and out-of-place arithmetic
+
+
+@np.errstate(all="ignore")
+def _reference_normal_step(j, f):
+    return _normal_step(j, f)
+
+
+class _ReferenceResidual(CommutatorResidual):
+    """The residual and the Jacobian as computed per call: `np.asarray` on
+    every point, the unknowns scattered by a tuple of index arrays, an
+    errstate around every inverse and new arrays for every difference,
+    quotient and constant."""
+
+    def matrices(self, x):
+        out = self.const.copy()
+        out[tuple(self.cells[:3])] = x[self.cells[3]]
+        return out
+
+    @staticmethod
+    @np.errstate(all="ignore")
+    def _inverse(d0):
+        return CommutatorResidual._inverse(d0)
+
+    def _point(self, x):
+        return super()._point(np.asarray(x, dtype=complex))
+
+    def residual(self, x):
+        mats, n_mat, shifts_n = self._point(x)
+        if n_mat is None:
+            return np.full(self.nequations(), np.nan + 0j)
+        products = (shifts_n[:, None] @ mats[None, 1:]).ravel()
+        return (products[self._anb] - products[self._bna]) / self.scale
+
+    def jacobian(self, x):
+        mats, n_mat, shifts_n = self._point(x)
+        if n_mat is None:
+            return np.full((self.nequations(), len(self.unknowns)), np.nan + 0j)
+        an = shifts_n.ravel()
+        factor = np.concatenate([(n_mat @ mats[1:]).ravel(), an, -an, [0.0, 1.0, -1.0]])
+        target, left, right = self._terms
+        out = np.zeros(self.nequations() * len(self.unknowns), dtype=complex)
+        np.add.at(out, target, factor[left] * factor[right])
+        return out.reshape(self.nequations(), -1) / self.scale
+
+
+def _reference_gauss_newton(fun, jac, x0, tol, max_iter):
+    """`_gauss_newton` with no errstate of its own and `np.linalg.lstsq`."""
+    x = np.asarray(x0, dtype=complex)
+    f = fun(x)
+    fn = float(abs(f).max()) if f.size else 0.0
+    if not math.isfinite(fn):
+        return x, np.inf
+    history = [fn]
+    cholesky = True
+    for _ in range(max_iter):
+        if fn <= tol:
+            break
+        j = jac(x)
+        step = _reference_normal_step(j, f) if cholesky else None
+        if step is None:
+            cholesky = False
+            if not np.isfinite(j).all():
+                break
+            step, *_ = np.linalg.lstsq(j, -f, rcond=None)
+        if not np.isfinite(step).all():
+            break
+        t = 1.0
+        for _ in range(25):
+            xn = x + t * step
+            f2 = fun(xn)
+            f2n = float(abs(f2).max()) if f2.size else 0.0
+            if math.isfinite(f2n) and (f2n < fn * (1 - 1e-4 * t) or f2n <= tol):
+                x, f, fn = xn, f2, f2n
+                break
+            t /= 2
+        else:
+            break
+        if abs(step).max() * t <= 1e-14 * (1 + abs(x).max()):
+            break
+        history.append(fn)
+        if len(history) > 30 and fn > 0.1 * history[-31]:
+            break
+    return x, fn
+
+
+def _counted_run(solve, res, x0):
+    """(x, residual, residual calls, Jacobian calls) of one run from x0."""
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(name):
+        def evaluate(x):
+            calls[name] += 1
+            return getattr(res, name)(x)
+        return evaluate
+
+    x, r = solve(counted("residual"), counted("jacobian"), x0, TOL, MAX_ITER)
+    return x, r, calls["residual"], calls["jacobian"]
+
+
+def _gauss_newton_case(name, request):
+    if name.startswith("maximal_cubic"):
+        basis = CUBIC_BASIS5[:3] + [(2, 0) if name.endswith("x1^2") else (1, 1)]
+        return to_dual(request.getfixturevalue("maximal_cubic")), MonomialBasis(2, basis)
+    if name == "quartic":
+        return to_dual(request.getfixturevalue("quartic")), MonomialBasis(2, QUARTIC_BASIS)
+    L, (basis,) = exactness_case("planted_5_4_12")
+    return L, basis
+
+
+@pytest.mark.parametrize("name, fallback", [
+    ("maximal_cubic_x1^2", True), ("maximal_cubic_x1*x2", True),
+    ("quartic", True), ("planted_5_4_12", False)])
+def test_gauss_newton_iterates_are_bit_identical_to_the_per_call_formulation(
+        name, fallback, request, monkeypatch):
+    # every start extend_dual makes: the same end point, residual and number
+    # of evaluations.  The maximal cubic's rank-4 bases below its rank 5
+    # reach the least-squares fallback on rank-deficient Jacobians and end at
+    # the plateau exit, as does the quartic's basis, whose solution set has
+    # three free unknowns; the planted basis keeps to the Cholesky step
+    module = sys.modules["waring.extension"]
+    lstsq_steps = []
+
+    def counted(j, f):
+        lstsq_steps.append(1)
+        return lstsq_step(j, f)
+
+    lstsq_step = module._lstsq_step
+    monkeypatch.setattr(module, "_lstsq_step", counted)
+    L, basis = _gauss_newton_case(name, request)
+    m = len(CommutatorResidual(L, basis).unknowns)
+    u = np.random.default_rng(0).uniform(-1, 1, (RESTARTS - 1, 2, m))
+    for x0 in [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]:
+        x, r, *counts = _counted_run(_gauss_newton, CommutatorResidual(L, basis), x0)
+        want_x, want_r, *want_counts = _counted_run(
+            _reference_gauss_newton, _ReferenceResidual(L, basis), x0)
+        assert x.tobytes() == want_x.tobytes()
+        assert r == want_r
+        assert counts == want_counts
+    assert bool(lstsq_steps) == fallback
+
+
+def test_lstsq_step_is_numpys_bit_for_bit(maximal_cubic):
+    # (6, 5) Jacobians of rank 3 at random points of the maximal cubic's basis
+    # {1, x1, x2, x1^2}, as the fallback meets them, and a tall one of full
+    # column rank
+    res, _ = _cubic_rank4_start(maximal_cubic)
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(10):
+        x = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
+        cases.append((res.jacobian(x), res.residual(x)))
+    assert {j.shape for j, _ in cases} == {(6, 5)}
+    assert {_free_columns(j) for j, _ in cases} == {2}
+    tall = rng.standard_normal((60, 8)) + 1j * rng.standard_normal((60, 8))
+    cases.append((tall, rng.standard_normal(60) + 1j * rng.standard_normal(60)))
+    for j, f in cases:
+        want, *_ = np.linalg.lstsq(j, -f, rcond=None)
+        with np.errstate(all="ignore"):  # as _gauss_newton holds it
+            got = _lstsq_step(j, f)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["inv", "cholesky_lo", "lstsq"])
+def test_the_numpy_kernels_the_package_calls_exist(kernel):
+    # the package calls these private gufuncs of numpy.linalg directly: a numpy
+    # that renames or drops one must fail here, not deep inside a search
+    assert isinstance(getattr(_umath_linalg, kernel, None), np.ufunc)
 
 
 # ---------------------------------------------------------------------------
