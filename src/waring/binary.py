@@ -17,6 +17,7 @@ from .core import (
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
+    check_coeff_range,
     expand_power_sum,
     monomial_values,
     numerical_rank,
@@ -80,6 +81,7 @@ def binary_decompose(
     residual `tol`.  Raises DecompositionError when no size up to d, or up
     to `max_rank` when that is smaller, does.
     """
+    check_coeff_range(p)
     c = _moments(p)
     d = p.degree
     scale = np.max(np.abs(c))

@@ -230,6 +230,21 @@ def ordered_norm(values) -> float:
     return math.sqrt(sum(abs(c) ** 2 for c in values))
 
 
+def check_coeff_range(f: HomogeneousPoly) -> None:
+    """ValueError unless f is zero or its coefficient norm is a nonzero
+    double: |c|^2 passes the largest double for |c| above about 1.3e154, and
+    every |c|^2 rounds to 0 for all |c| below about 2e-162."""
+    try:
+        norm = f.coeff_norm()
+    except OverflowError:  # raised by float ** 2 past the largest double
+        norm = math.inf
+    if f.coeffs and not 0 < norm < math.inf:
+        raise ValueError(
+            "coefficients out of double range: every |c| must be below about "
+            "1.3e154 and some above about 2e-162, so that their norm is a nonzero double"
+        )
+
+
 def coeff_difference(g: HomogeneousPoly, f: HomogeneousPoly) -> list[complex]:
     """The nonzero coefficients of g - f, up to signed zeros, in the order
     `(g - f).coeffs` holds them: g's monomials, then those of f alone.  No

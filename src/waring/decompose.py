@@ -2,17 +2,17 @@
 
 The search tries ranks from a lower bound upward: the catalecticant bound,
 raised after the first failed attempt to the Koszul flattening bound when that
-is higher.  At each rank it works through two coordinate frames (the
-identity, then one random unitary change) and in each walks the monomial
-bases that are order ideals (sets holding every divisor of each member), the
-fully known principal minor first.  A basis whose fully known Hankel columns
-are rank-deficient is pruned without an extension; it counts as a retry, like
-a failed attempt.  An attempt is one pass: each basis is extended, its pencil
+is higher.  At each rank it works through two coordinate frames (the identity,
+then one random unitary change), both reading one walk of the monomial bases
+that are order ideals (sets holding every divisor of each member), the fully
+known principal minor first.  A basis whose fully known Hankel columns are
+rank-deficient is pruned without an extension; it counts as a retry, like a
+failed attempt.  An attempt is one pass: each basis is extended, its pencil
 read and its weights fitted once; the terms, pulled back to the input's
 coordinates, are gated there and accepted only when their re-expanded power
-sum matches the input coefficients to the requested tolerance.  The
-search never goes above a proven maximum rank: MAX_RANK for the shapes it
-lists, the dimension C(n+d-1, d) of the space of forms otherwise.
+sum matches the input coefficients to the requested tolerance.  The search
+never goes above a proven maximum rank: MAX_RANK for the shapes it lists, the
+dimension C(n+d-1, d) of the space of forms otherwise.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, tee
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .core import (
     Exponent,
     HomogeneousPoly,
     change_coordinates,
+    check_coeff_range,
     coeff_difference,
     essential_vars,
     expand_power_sum,
@@ -128,24 +130,38 @@ def _support_ok(f: HomogeneousPoly, terms) -> bool:
     return not np.any(pairwise_sines([k for _, k in terms]) < MIN_SEPARATION)
 
 
-def _basis_candidates(L: DualForm, r: int):
-    """The bases of size r the rank loop walks in one frame, in order, each
-    with whether it passes `known_columns_test`; one that does not is pruned,
-    never extended.
+class _Frame(NamedTuple):
+    """A coordinate frame x = A y and what its walks read, each built once:
+    f's dual form L in the frame, and L's `known_columns_test`."""
 
-    The fully known nonsingular principal minor comes first when one exists
-    at this size.  Then come the other order ideals of degree <= d - 1 in
-    `order_ideals` order, the first IDEALS_PER_RANK of them.
+    a: np.ndarray
+    L: DualForm
+    test: Callable[[list], bool]
+    minor_rank: int
+
+
+def _basis_candidates(frame: _Frame, walk, r: int):
+    """The bases of size r the rank loop tries in one frame, in order, each
+    with whether it passes the frame's known-columns test; one that does not
+    is pruned, never extended.
+
+    `walk` yields the order ideals of size r in `order_ideals` order.  The
+    fully known nonsingular principal minor, sought up to the frame's
+    `minor_rank`, comes first; then the others in walk order, each tested
+    once: the search failed every ideal of degree <= d/2 it read.
     """
-    pm = full_rank_principal_minor(L, size=r)
-    if pm is not None:
-        yield pm, True
-    top = max(1, L.degree - 1)
-    test = known_columns_test(L, top)[1]
-    for ideal in islice(order_ideals(L.nvars, r, top), IDEALS_PER_RANK):
-        basis = MonomialBasis(L.nvars, ideal)
-        if basis != pm:
-            yield basis, test(ideal)
+    n, half = frame.L.nvars, frame.L.degree // 2
+    walk, read = iter(walk), []  # read: the ideals the search takes from walk
+    if r <= frame.minor_rank:
+        taken = (read.append(ideal) or ideal for ideal in walk)
+        pm = full_rank_principal_minor(taken, frame.test, half)
+        if pm is not None:
+            yield pm, True
+            read.pop()
+    for ideal in read:
+        yield MonomialBasis(n, ideal), sum(ideal[-1]) > half and frame.test(ideal)
+    for ideal in walk:
+        yield MonomialBasis(n, ideal), frame.test(ideal)
 
 
 def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: int, rng):
@@ -156,7 +172,7 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
     The coefficient residual of the terms against f is the one fit test; a
     NaN residual (from NaN weights, say) fails.  Returns (terms, residual,
     free_count), or None."""
-    a, L = frame
+    a, L = frame.a, frame.L
     ext = extend_dual(L, basis, seed=seed)
     if ext is None:
         return None
@@ -183,20 +199,24 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
     rng = np.random.default_rng(seed)
     family, top = MAX_RANK.get((n, d), (None, math.comb(n + d - 1, d)))
     cap = top if max_rank is None else min(max_rank, top)
-    frames = [(np.eye(n), to_dual(identity_frame(f)))]
+    L0 = to_dual(identity_frame(f))
+    frames = [_Frame(np.eye(n), L0, *known_columns_test(L0))]
 
     def candidates(r: int):
-        for i in range(2):
+        # one walk per rank: the first frame draws it, the second re-reads it
+        walks = tee(islice(order_ideals(n - 1, r, max(1, d - 1)), IDEALS_PER_RANK))
+        for i, walk in enumerate(walks):
             if i == len(frames):
                 # one random unitary change, drawn at the first rank that gets
                 # here: it moves support points off the hyperplane x0 = 0 (two
                 # of the Fermat cubic's three points lie on it)
                 a = random_unitary(n, rng)
-                frames.append((a, to_dual(change_coordinates(f, a))))
-            for basis, full in _basis_candidates(frames[i][1], r):
+                L1 = to_dual(change_coordinates(f, a))
+                frames.append(_Frame(a, L1, *known_columns_test(L1)))
+            for basis, full in _basis_candidates(frames[i], walk, r):
                 yield frames[i], basis, full
 
-    lower = max(1, known_rank_bound(frames[0][1], tol))
+    lower = max(1, known_rank_bound(L0, tol))
     source = "catalecticant"
     retries = 0
     r = lower
@@ -214,7 +234,7 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
             if retries == 1:
                 # the flattenings may rule out more ranks; only inputs that
                 # need a second attempt pay for them
-                bound, shape = koszul_rank_bound(frames[0][1], tol)
+                bound, shape = koszul_rank_bound(L0, tol)
                 if bound > lower:
                     lower, source = bound, "koszul({},{})".format(*shape)
                 if lower > r:
@@ -239,6 +259,7 @@ def decompose(
         raise ValueError("cannot decompose the zero polynomial")
     if f.degree < 1:
         raise ValueError("degree must be at least 1")
+    check_coeff_range(f)
     if f.nvars == 1:
         if max_rank is not None and max_rank < 1:
             raise DecompositionError(f"rank 1 exceeds max_rank {max_rank}")
@@ -275,6 +296,7 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
     """Residuals of a claimed decomposition, plus proportional-form collisions."""
     if f.is_zero:
         raise ValueError("cannot verify against the zero polynomial")
+    check_coeff_range(f)
     if not dec.terms:
         raise ValueError("empty decomposition")
     if dec.degree != f.degree:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from itertools import combinations, islice
+from itertools import combinations
 
 import numpy as np
 
@@ -306,9 +306,9 @@ def _macaulay(c: int, k: int) -> int:
     return out
 
 
-# order ideals either walk takes per call: `_basis_candidates` per frame and
-# rank, pruned ones included, and `full_rank_principal_minor` per size.  The
-# bench workloads walk at most 3, and the monomials of proven rank in the
+# order ideals the rank loop walks per rank, pruned ones included: one walk,
+# generated once and read by both frames, its principal minor taken from it.
+# The bench workloads walk at most 3, and the monomials of proven rank in the
 # tests succeed by the 16th; x0^3*x1^3*x2^3 (rank 16) succeeds at the 49th,
 # and at a budget of 32 it returns rank 23
 IDEALS_PER_RANK = 64
@@ -354,20 +354,23 @@ def order_ideals(nvars: int, size: int, top: int):
         yield from profiles((1,), size - 1, t)
 
 
-def known_columns_test(L: DualForm, top: int):
-    """(H, test) for order ideals B of degree <= top: test(B) tells whether
-    the fully known columns of H^{B,B} have full numerical rank.
+def known_columns_test(L: DualForm):
+    """(test, bound) for order ideals B of degree <= max(1, d - 1), d =
+    L.degree: test(B) tells whether the fully known columns of H^{B,B} have
+    full numerical rank, and `bound`, the numerical rank of H^{B,B} over all
+    monomials of degree <= d/2, bounds every fully known principal minor's.
 
-    Column b is fully known when deg b + deg B <= L.degree; up to degree
-    L.degree / 2 all are.  No extension changes those columns, so when they
-    are rank-deficient D_0 = H^{B,B} is singular for every extension and B
-    holds no flat one.  The test slices H, the Hankel matrix of the monomials
-    of degree <= top against those of degree <= L.degree / 2 (0 at unknown
-    cells), which is built once.
+    Column b is fully known when deg b + deg B <= d; up to degree d/2 all
+    are.  No extension changes those columns, so when they are rank-deficient
+    D_0 = H^{B,B} is singular for every extension and B holds no flat one.
+    Both slice H, the Hankel matrix of the monomials of degree <= max(1, d - 1)
+    against those of degree <= d/2 (0 at unknown cells), built once; rows and
+    columns are graded-lex positions, so `bound` reads its leading block.
     """
     n, d = L.nvars, L.degree
-    rows = monomials_upto(n, top)
-    h = build_hankel(L, rows, [m for m in rows if 2 * sum(m) <= d]).values
+    rows = monomials_upto(n, max(1, d - 1))
+    half = math.comb(n + d // 2, n)  # the monomials of degree <= d/2
+    h = build_hankel(L, rows, rows[:half]).values
 
     def test(ideal) -> bool:
         # a member's row, and its column if it has one, is its position; the
@@ -376,46 +379,20 @@ def known_columns_test(L: DualForm, top: int):
         known = at[at < math.comb(n + d - sum(ideal[-1]), n)]
         return _rank(h[np.ix_(at, known)]) == len(known)
 
-    return h, test
+    return test, _rank(h[:half])
 
 
-def full_rank_principal_minor(L: DualForm, size: int) -> MonomialBasis | None:
-    """A basis B of `size` with H^{B,B} fully known and of full numerical
-    rank, or None.
+def full_rank_principal_minor(ideals, test, top: int) -> MonomialBasis | None:
+    """The first of `ideals` (in `order_ideals` order) that passes `test`
+    while their degree is <= top, as a basis; None when none does.
 
-    B is the first order ideal of degree <= d/2 (so all pairwise sums stay
-    within the truncation) that `known_columns_test` passes among the first
-    IDEALS_PER_RANK of that size.  None also when `size` exceeds the
-    numerical rank of the full candidate matrix, which bounds every
-    principal minor's.
+    With L's `known_columns_test` and top = L.degree // 2, the basis B has
+    H^{B,B} fully known (all pairwise sums stay within the truncation) and of
+    full numerical rank: the principal minor the rank loop tries first.
     """
-    top = L.degree // 2
-    full, test = known_columns_test(L, top)  # `full` is square at this top
-    if not 0 < size <= _rank(full):
-        return None
-    for ideal in islice(order_ideals(L.nvars, size, top), IDEALS_PER_RANK):
+    for ideal in ideals:
+        if sum(ideal[-1]) > top:
+            return None
         if test(ideal):
-            return MonomialBasis(L.nvars, ideal)
+            return MonomialBasis(len(ideal[0]), ideal)
     return None
-
-
-def kernel_generators(L: DualForm, basis: MonomialBasis) -> list[dict[Exponent, complex]]:
-    """For each border monomial m, the relation m - sum_i mu_i b_i.
-
-    The coefficients mu solve H^{B,B} mu = column H^{B,{m}}, so each returned
-    polynomial is annihilated by L up to the truncation.  Results are maps
-    exponent -> coefficient including the monomial m itself with coefficient 1.
-    """
-    h = build_hankel(L, basis.exponents, basis.exponents).value_matrix()
-    out = []
-    for m in basis.border():
-        col = build_hankel(L, basis.exponents, [m])
-        if col.unknowns.size:
-            continue  # relation involves unextended moments; caller handles
-        mu = np.linalg.solve(h, col.value_matrix()[:, 0])
-        g: dict[Exponent, complex] = {m: 1.0 + 0j}
-        for b, c in zip(basis.exponents, mu):
-            if c != 0:
-                g[b] = g.get(b, 0) - c
-        out.append(g)
-    return out

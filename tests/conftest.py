@@ -3,12 +3,14 @@ import json
 import math
 import pathlib
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from waring.core import (
     DualForm,
+    Exponent,
     HomogeneousPoly,
     expand_power_sum,
     grlex_key,
@@ -20,8 +22,16 @@ from waring.core import (
     poly_from_json,
     to_dual,
 )
-from waring.decompose import _basis_candidates
-from waring.hankel import MonomialBasis, full_rank_principal_minor, known_rank_bound
+from waring.decompose import _Frame, _basis_candidates
+from waring.hankel import (
+    IDEALS_PER_RANK,
+    MonomialBasis,
+    build_hankel,
+    full_rank_principal_minor,
+    known_columns_test,
+    known_rank_bound,
+    order_ideals,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -124,6 +134,58 @@ def planted_poly(nvars: int, degree: int, r: int, rng, sep: float = 0.3):
     return expand_power_sum(terms, nvars, degree), terms
 
 
+# ---------------------------------------------------------------------------
+# the rank loop's walk in the identity frame, and what the search itself
+# never needs from it
+
+
+def identity_frame_of(L: DualForm) -> _Frame:
+    """The rank loop's state for the identity frame of the dual form L."""
+    return _Frame(np.eye(L.nvars + 1), L, *known_columns_test(L))
+
+
+def rank_walk(L: DualForm, size: int):
+    """The order ideals of `size` the rank loop walks for L."""
+    return islice(order_ideals(L.nvars, size, max(1, L.degree - 1)), IDEALS_PER_RANK)
+
+
+def walked_bases(L: DualForm, size: int) -> list[MonomialBasis]:
+    """The bases of `size` the rank loop walks in L's frame, pruned ones
+    included, in its order."""
+    return [b for b, _ in _basis_candidates(identity_frame_of(L), rank_walk(L, size), size)]
+
+
+def principal_minor(L: DualForm, size: int) -> MonomialBasis | None:
+    """The fully known nonsingular principal minor of `size` the rank loop
+    tries first in L's frame, or None."""
+    test, bound = known_columns_test(L)
+    if size > bound:
+        return None
+    return full_rank_principal_minor(rank_walk(L, size), test, L.degree // 2)
+
+
+def kernel_generators(L: DualForm, basis: MonomialBasis) -> list[dict[Exponent, complex]]:
+    """For each border monomial m, the relation m - sum_i mu_i b_i.
+
+    The coefficients mu solve H^{B,B} mu = column H^{B,{m}}, so each returned
+    polynomial is annihilated by L up to the truncation.  Results are maps
+    exponent -> coefficient including the monomial m itself with coefficient 1.
+    """
+    h = build_hankel(L, basis.exponents, basis.exponents).value_matrix()
+    out = []
+    for m in basis.border():
+        col = build_hankel(L, basis.exponents, [m])
+        if col.unknowns.size:
+            continue  # relation involves unextended moments; caller handles
+        mu = np.linalg.solve(h, col.value_matrix()[:, 0])
+        g: dict[Exponent, complex] = {m: 1.0 + 0j}
+        for b, c in zip(basis.exponents, mu):
+            if c != 0:
+                g[b] = g.get(b, 0) - c
+        out.append(g)
+    return out
+
+
 @pytest.fixture(scope="session")
 def quintic():
     return load_text_poly("ternary_quintic_rank4.txt")
@@ -147,7 +209,7 @@ def planted_4_4_10(degree3: bool):
     unknowns inside D_0 as well."""
     f, terms = planted_poly(4, 4, 10, np.random.default_rng(5))
     L = to_dual(f)
-    basis = full_rank_principal_minor(L, size=10)
+    basis = principal_minor(L, 10)
     if degree3:
         basis = MonomialBasis(3, basis.exponents[:-1] + [(3, 0, 0)])
     return L, basis, terms
@@ -253,19 +315,19 @@ def exactness_case(name: str):
     if name in EXACTNESS_FIXTURES:
         load = load_json_poly if name.endswith(".json") else load_text_poly
         L = to_dual(load(name))
-        return L, [b for r in range(1, 8) for b, _ in _basis_candidates(L, r)]
+        return L, [b for r in range(1, 8) for b in walked_bases(L, r)]
     if name.startswith("walk_"):
         nvars, degree, rank = map(int, name.split("_")[1:])
         f, _ = planted_poly(nvars, degree, rank, np.random.default_rng(rank))
         L = to_dual(f)
         sizes = range(max(1, known_rank_bound(L, 1e-7)), rank + 1)
-        return L, [b for r in sizes for b, _ in _basis_candidates(L, r)]
+        return L, [b for r in sizes for b in walked_bases(L, r)]
     if name.startswith("planted_4_4_10"):
         L, basis, _ = planted_4_4_10(name.endswith("degree3"))
         return L, [basis]
     f, _ = planted_poly(5, 4, 12, np.random.default_rng(0))
     L = to_dual(f)
-    return L, [full_rank_principal_minor(L, size=12)]
+    return L, [principal_minor(L, 12)]
 
 
 # ---------------------------------------------------------------------------

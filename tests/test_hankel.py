@@ -16,7 +16,7 @@ from waring.core import (
     parse_poly,
     to_dual,
 )
-from waring import hankel
+from waring.decompose import _basis_candidates
 from waring.hankel import (
     IDEALS_PER_RANK,
     KOSZUL_MAX_ENTRIES,
@@ -24,7 +24,6 @@ from waring.hankel import (
     build_hankel,
     _koszul_layout,
     full_rank_principal_minor,
-    kernel_generators,
     known_columns_test,
     known_rank_bound,
     koszul_flattening,
@@ -38,6 +37,8 @@ from conftest import (
     EXACTNESS_CASES,
     dict_hankel,
     exactness_case,
+    identity_frame_of,
+    kernel_generators,
     object_hankel,
     object_unknowns,
     object_value_matrix,
@@ -45,6 +46,8 @@ from conftest import (
     positions,
     planted_poly,
     power_of_linear_form,
+    principal_minor,
+    rank_walk,
 )
 
 # H^{B,B} and its y1-shift for the quintic fixture on B = {1, y1, y2, y1^2}
@@ -166,22 +169,32 @@ def test_known_columns_prune_a_singular_basis():
     # diag(1, 0, 0) for every extension; {1, x1, x1^2} has the known columns
     # 1 and x1 of full rank
     L = to_dual(parse_poly("x0^3 + x1^3 + x2^3"))
-    _, test = known_columns_test(L, 2)
+    test, _ = known_columns_test(L)
     assert not test([(0, 0), (1, 0), (0, 1)])
     assert test([(0, 0), (1, 0), (2, 0)])
-    assert full_rank_principal_minor(L, size=3) is None
+    assert principal_minor(L, 3) is None
+
+
+@pytest.mark.parametrize("text", ["x0^3 + x1^3 + x2^3", "x0^2*x1*x2", "x0^5 + x1^5 + x2^5 + x3^5"])
+def test_known_columns_bound_is_the_full_principal_block_rank(text):
+    # the bound reads the leading block of the known-columns matrix: the
+    # Hankel matrix of every monomial of degree <= d/2 against itself
+    L = to_dual(parse_poly(text))
+    full = monomials_upto(L.nvars, L.degree // 2)
+    h = build_hankel(L, full, full).value_matrix()
+    assert known_columns_test(L)[1] == numerical_rank(np.linalg.svd(h, compute_uv=False))
 
 
 def test_principal_minor_quintic(quintic):
     L = to_dual(quintic)
-    b = full_rank_principal_minor(L, size=4)
+    b = principal_minor(L, 4)
     assert b is not None
     assert b.exponents == BASIS4
 
 
 def test_principal_minor_quartic(quartic):
     L = to_dual(quartic)
-    b = full_rank_principal_minor(L, size=6)
+    b = principal_minor(L, 6)
     assert b is not None
     assert len(b) == 6
     assert set(b.exponents) == set(monomials_upto(2, 2))
@@ -189,29 +202,47 @@ def test_principal_minor_quartic(quartic):
 
 def test_principal_minor_size_too_large(quintic):
     L = to_dual(quintic)
-    assert full_rank_principal_minor(L, size=9) is None
+    assert principal_minor(L, 9) is None
 
 
 @pytest.mark.parametrize("text", ["x0*x1*x2", "x0^2*x1*x2", "x0*x1^2 + x1*x2^2"])
 def test_principal_minor_is_never_singular(text):
     # L(1) = 0, so the only basis of size 1 has H^{B,B} = [[0]]
-    assert full_rank_principal_minor(to_dual(parse_poly(text)), size=1) is None
+    assert principal_minor(to_dual(parse_poly(text)), 1) is None
 
 
-def test_principal_minor_walk_is_bounded(monkeypatch):
-    # L(1) = 0, so no ideal passes; the walk draws IDEALS_PER_RANK ideals
-    # of size 14, not all 17526
-    drawn = []
+def test_principal_minor_walk_is_bounded():
+    # L(1) = 0, so no ideal passes; the rank loop's walk holds
+    # IDEALS_PER_RANK ideals of size 14, not all 17526, and the identity
+    # frame tests each of them once, its principal-minor search included
+    L = to_dual(parse_poly("x0^2*x1*x2*x3*x4"))
+    frame = identity_frame_of(L)
+    assert frame.minor_rank >= 14
+    tested = []
 
-    def counted(*args):
-        for ideal in order_ideals(*args):
-            drawn.append(ideal)
+    def counted(ideal):
+        tested.append(ideal)
+        return frame.test(ideal)
+
+    got = list(_basis_candidates(frame._replace(test=counted), rank_walk(L, 14), 14))
+    assert len(got) == len(tested) == IDEALS_PER_RANK
+    assert not any(full for _, full in got)
+    assert principal_minor(L, 14) is None
+
+
+def test_principal_minor_search_stops_past_its_degree():
+    # the search reads the walk it is given only while the degree is <= top
+    read = []
+
+    def walk():
+        for ideal in order_ideals(2, 3, 2):
+            read.append(ideal)
             yield ideal
 
-    monkeypatch.setattr(hankel, "order_ideals", counted)
-    L = to_dual(parse_poly("x0^2*x1*x2*x3*x4"))
-    assert full_rank_principal_minor(L, size=14) is None
-    assert len(drawn) == IDEALS_PER_RANK
+    assert full_rank_principal_minor(walk(), lambda ideal: False, 1) is None
+    assert [max(map(sum, b)) for b in read] == [1, 2]
+    got = full_rank_principal_minor(order_ideals(2, 3, 2), lambda ideal: len(ideal) == 3, 2)
+    assert got.exponents == [(0, 0), (1, 0), (0, 1)]
 
 
 PLANTED_MINOR_SHAPES = [
@@ -227,7 +258,7 @@ def test_principal_minors_have_full_numerical_rank(quintic, quartic):
     for f in forms:
         L = to_dual(f)
         for size in range(1, 16):
-            b = full_rank_principal_minor(L, size=size)
+            b = principal_minor(L, size)
             if b is None:
                 continue
             h = build_hankel(L, b.exponents, b.exponents)
@@ -245,7 +276,7 @@ def test_kernel_generators_annihilate():
         nv, d, r = 3, 5, int(rng.integers(2, 5))
         f, terms = planted_poly(nv, d, r, rng)
         L = to_dual(f)
-        b = full_rank_principal_minor(L, size=r)
+        b = principal_minor(L, r)
         assert b is not None
         gens = kernel_generators(L, b)
         assert gens

@@ -10,7 +10,6 @@ from waring.decompose import _support_ok
 from waring.hankel import (
     MonomialBasis,
     build_hankel,
-    full_rank_principal_minor,
     shifted_matrix,
 )
 from waring.spectral import (
@@ -22,12 +21,12 @@ from waring.spectral import (
     solve_weights,
 )
 
-from conftest import QUINTIC_SUPPORT, dual_from_support, moment_residual
+from conftest import QUINTIC_SUPPORT, dual_from_support, moment_residual, principal_minor
 
 
 def _quintic_setup(quintic):
     L = to_dual(quintic)
-    b = full_rank_principal_minor(L, size=4)
+    b = principal_minor(L, 4)
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     d1 = shifted_matrix(L, b, 0).value_matrix()
     d2 = shifted_matrix(L, b, 1).value_matrix()
