@@ -38,14 +38,6 @@ def _slice(c: np.ndarray, r: int) -> np.ndarray:
     return c[np.add.outer(np.arange(len(c) - r), np.arange(r + 1))]
 
 
-def hankel_slice(p: HomogeneousPoly, r: int) -> np.ndarray:
-    """The (d-r+1) x (r+1) matrix with entries c_{i+j}."""
-    c = _moments(p)
-    if not 1 <= r <= p.degree:
-        raise ValueError(f"slice index {r} outside 1..{p.degree}")
-    return _slice(c, r)
-
-
 def _projective_roots(b: np.ndarray):
     """Roots of sum_k b_k alpha^k beta^(r-k) as points (alpha, beta).
 

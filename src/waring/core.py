@@ -204,17 +204,6 @@ class HomogeneousPoly:
             self.nvars, self.degree, {e: s * c for e, c in self.coeffs.items()}
         )
 
-    def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if (other.nvars, other.degree) != (self.nvars, self.degree):
-            raise ValueError("mismatched polynomials")
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return HomogeneousPoly._trusted(self.nvars, self.degree, out)
-
-    def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return self + other.scale(-1)
-
     def coeff_norm(self) -> float:
         return ordered_norm(self.coeffs.values())
 
@@ -246,9 +235,8 @@ def check_coeff_range(f: HomogeneousPoly) -> None:
 
 
 def coeff_difference(g: HomogeneousPoly, f: HomogeneousPoly) -> list[complex]:
-    """The nonzero coefficients of g - f, up to signed zeros, in the order
-    `(g - f).coeffs` holds them: g's monomials, then those of f alone.  No
-    intermediate form is built."""
+    """The nonzero coefficients of g - f, up to signed zeros: g's monomials,
+    then those of f alone.  No intermediate form is built."""
     if (g.nvars, g.degree) != (f.nvars, f.degree):
         raise ValueError("mismatched polynomials")
     fc, gc = f.coeffs, g.coeffs
@@ -258,7 +246,8 @@ def coeff_difference(g: HomogeneousPoly, f: HomogeneousPoly) -> list[complex]:
 
 
 def relative_error(g: HomogeneousPoly, f: HomogeneousPoly) -> float:
-    """(g - f).coeff_norm() / f.coeff_norm(), summed in the same order."""
+    """The coefficient norm of g - f over f's, summed in `coeff_difference`
+    order."""
     return ordered_norm(coeff_difference(g, f)) / f.coeff_norm()
 
 
@@ -434,6 +423,15 @@ def identity_frame(f: HomogeneousPoly) -> HomogeneousPoly:
     return _trimmed(f.nvars, f.degree, f.coeffs)
 
 
+@functools.cache
+def upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(size, k=1)`, the pairs i < j, built once per size;
+    read-only, since every caller shares them."""
+    i, j = np.triu_indices(size, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def pairwise_sines(forms) -> np.ndarray:
     """Sine of the angle between the lines of each pair of forms, i < j.
 
@@ -443,7 +441,7 @@ def pairwise_sines(forms) -> np.ndarray:
     """
     u = np.array(forms, dtype=complex)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    i, j = np.triu_indices(len(u), k=1)
+    i, j = upper_triangle(len(u))
     inner = np.sum(u[i].conj() * u[j], axis=1)
     return np.linalg.norm(u[j] - inner[:, None] * u[i], axis=1)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DualForm, monomial_values, monomials_upto
+from .core import DualForm, monomial_values, monomials_upto, upper_triangle
 from .hankel import MonomialBasis
 
 
@@ -60,7 +60,7 @@ def generalized_eigen(d1: np.ndarray, d0: np.ndarray):
 def eigenvalues_simple(w: np.ndarray) -> bool:
     """No two eigenvalues closer than 1e-8 max(1, largest modulus)."""
     scale = max(1.0, float(np.max(np.abs(w))))
-    i, j = np.triu_indices(len(w), k=1)
+    i, j = upper_triangle(len(w))
     return not np.any(np.abs(w[i] - w[j]) <= 1e-8 * scale)
 
 

@@ -8,6 +8,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from waring.binary import _moments, _slice
 from waring.core import (
     DualForm,
     Exponent,
@@ -91,6 +92,30 @@ def moment_residual(weights, points, L: DualForm) -> float:
     """||moments of sum_j w_j eval_{zeta_j} - moments of L|| / ||moments of L||."""
     fit = dual_from_support(weights, points, L.nvars, L.degree).moments
     return float(np.linalg.norm(fit - L.moments)) / max(float(np.linalg.norm(L.moments)), 1e-300)
+
+
+def poly_add(f: HomogeneousPoly, g: HomogeneousPoly) -> HomogeneousPoly:
+    """f + g, coefficient by coefficient in f's order, then g's new ones."""
+    if (g.nvars, g.degree) != (f.nvars, f.degree):
+        raise ValueError("mismatched polynomials")
+    out = dict(f.coeffs)
+    for e, c in g.coeffs.items():
+        out[e] = out.get(e, 0) + c
+    return HomogeneousPoly._trusted(f.nvars, f.degree, out)
+
+
+def poly_sub(f: HomogeneousPoly, g: HomogeneousPoly) -> HomogeneousPoly:
+    """f - g, as f + (-1) g."""
+    return poly_add(f, g.scale(-1))
+
+
+def hankel_slice(p: HomogeneousPoly, r: int) -> np.ndarray:
+    """The (d-r+1) x (r+1) Hankel matrix of a binary form's moments c_{i+j},
+    c_i the moment of x1^(d-i), which `binary_decompose` slices."""
+    c = _moments(p)
+    if not 1 <= r <= p.degree:
+        raise ValueError(f"slice index {r} outside 1..{p.degree}")
+    return _slice(c, r)
 
 
 def power_of_linear_form(k, degree: int) -> HomogeneousPoly:

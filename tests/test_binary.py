@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from waring.binary import binary_decompose, hankel_slice
+from waring.binary import binary_decompose
 from waring.core import HomogeneousPoly, expand_power_sum, parse_poly, to_dual
+
+from conftest import hankel_slice, poly_sub
 
 
 def _reexpand_err(dec, f):
     g = expand_power_sum(dec, 2, dec.degree)
-    return (g - f).coeff_norm() / f.coeff_norm()
+    return poly_sub(g, f).coeff_norm() / f.coeff_norm()
 
 
 def _binary(coeffs) -> HomogeneousPoly:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from waring.cli import main, parse_input
+from waring.core import expand_power_sum, poly_from_json, relative_error
 
 from conftest import FIXTURES, planted_poly, poly_to_json
 
@@ -44,6 +45,20 @@ def test_decompose_json(capsys):
     }
     assert got[(2, 3)] == pytest.approx(15.0, rel=1e-6)
     assert got[(12, -13)] == pytest.approx(3.0, rel=1e-6)
+
+
+def test_quinary_quartic_fixture_decomposes_at_rank_10(capsys):
+    # a planted quartic in five variables: the known normal forms of its
+    # principal minor fix 28 of the 29 unknown moments before Gauss-Newton
+    path = FIXTURES / "quinary_quartic_rank10.json"
+    code, out, _ = run(capsys, "decompose", str(path), "--format", "json")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["rank"], rep["retries"], rep["free_count"]) == (10, 0, 0)
+    f = poly_from_json(json.loads(path.read_text()))
+    terms = [(complex(*t["weight"]), np.array([complex(*v) for v in t["form"]]))
+             for t in rep["terms"]]
+    assert relative_error(expand_power_sum(terms, 5, 4), f) < 1e-10
 
 
 def test_json_reports_are_byte_identical(capsys):
@@ -198,9 +213,11 @@ def _without_scipy(runs, mode):
 
 def test_every_command_runs_without_scipy():
     # the Cholesky step and its lstsq fallback (the maximal cubic), free
-    # moments, the binary path, classify and verify, each with scipy blocked
+    # moments, the normal-form start (the quinary quartic), the binary path,
+    # classify and verify, each with scipy blocked
     runs = [
         ["decompose", str(FIXTURES / "cubic_fermat.json")],
+        ["decompose", str(FIXTURES / "quinary_quartic_rank10.json")],
         ["decompose", str(FIXTURES / "cubic_maximal.txt")],
         ["decompose", "(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2"],
         ["decompose", "x0^12 - 3*x0^7*x1^5 + 2*x0^3*x1^9 + x1^12"],

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from waring.core import grlex_key, monomials_upto, parse_poly, to_dual
-from waring.extension import CommutatorResidual, extend_dual
+from waring.extension import CommutatorResidual, ExtensionSolution, extend_dual
 from waring.extension import (
     CHOLESKY_FLOOR,
     MAX_ITER,
@@ -17,7 +18,9 @@ from waring.extension import (
     _gauss_newton,
     _jacobian_terms,
     _lstsq_step,
+    _normal_form_relations,
     _normal_step,
+    _relation_split,
 )
 from waring.hankel import (
     MonomialBasis,
@@ -954,3 +957,138 @@ def test_jacobian_index_is_shared_across_forms(quartic):
     fresh = _jacobian_terms.__wrapped__(n, s, len(res.unknowns), res.cells.tobytes())
     assert np.array_equal(res._terms, fresh)
     assert _jacobian_terms.cache_info().maxsize == TERMS_CACHE
+
+
+# ---------------------------------------------------------------------------
+# the normal-form start: the relations the known normal forms of the border
+# put on the unknowns, solved before Gauss-Newton runs over what they leave
+
+
+def _reference_start_loop(L, basis, seed=0):
+    """`extend_dual`'s starts without the normal-form start: zero, then
+    random ones, each a full-space Gauss-Newton run."""
+    res = CommutatorResidual(L, basis)
+    m = len(res.unknowns)
+    u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, m))
+    for x0 in [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]:
+        x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
+        if r <= TOL:
+            moments = np.append(L.moments, np.full(res.unknowns[-1] + 1 - len(L.moments), np.nan))
+            moments[res.unknowns] = x
+            return ExtensionSolution(moments, float(r), _free_columns(res.jacobian(x)))
+    return None
+
+
+@functools.cache
+def _planted_minor(nvars, degree, rank, seed=None):
+    """The dual form of `planted_poly(nvars, degree, rank, rng(seed))`, seed
+    the rank unless given, and its principal minor of size `rank`."""
+    f, _ = planted_poly(nvars, degree, rank, np.random.default_rng(rank if seed is None else seed))
+    L = to_dual(f)
+    return L, principal_minor(L, rank)
+
+
+def _solution_bytes(sol):
+    return sol.moments.tobytes(), sol.residual, sol.free_count
+
+
+# (nvars, degree, rank): unknown moments, and how many the relations leave free
+RELATION_SHAPES = {(5, 4, 10): (29, 1), (5, 4, 12): (40, 10), (6, 4, 12): (49, 1)}
+
+
+@pytest.mark.parametrize("shape", RELATION_SHAPES, ids=lambda s: "planted_{}_{}_{}".format(*s))
+def test_relations_hold_at_the_full_space_solution(shape):
+    # every commuting extension satisfies them, so the point the zero and
+    # random starts reach does
+    L, basis = _planted_minor(*shape)
+    res = CommutatorResidual(L, basis)
+    a, b = _normal_form_relations(res, L, basis)
+    x_p, z = _relation_split(a, b)
+    assert (len(res.unknowns), z.shape[1]) == RELATION_SHAPES[shape]
+    x = _reference_start_loop(L, basis).moments[res.unknowns]
+    assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("shape", RELATION_SHAPES, ids=lambda s: "planted_{}_{}_{}".format(*s))
+def test_normal_form_start_finds_the_full_space_solution(shape, monkeypatch):
+    # free_count 0: the solution is isolated, so one Gauss-Newton run over
+    # the free directions reaches the moments the full-space starts reach
+    module = sys.modules["waring.extension"]
+    sizes = []
+
+    def counted(fun, jac, x0, tol, max_iter):
+        sizes.append(len(x0))
+        return gauss_newton(fun, jac, x0, tol, max_iter)
+
+    gauss_newton = module._gauss_newton
+    L, basis = _planted_minor(*shape)
+    want = _reference_start_loop(L, basis)
+    monkeypatch.setattr(module, "_gauss_newton", counted)
+    got = extend_dual(L, basis)
+    assert sizes == [RELATION_SHAPES[shape][1]]
+    assert got.free_count == want.free_count == 0
+    unknowns = CommutatorResidual(L, basis).unknowns
+    diff = got.moments[unknowns] - want.moments[unknowns]
+    assert np.linalg.norm(diff) <= 1e-8 * np.linalg.norm(want.moments[unknowns])
+    assert got.moments[:len(L.moments)].tobytes() == L.moments.tobytes()
+
+
+def test_relations_that_fix_every_unknown_need_no_gauss_newton(monkeypatch):
+    # planted (5, 4, 9): the relations have full column rank, so x_p is
+    # tested once and is the extension
+    module = sys.modules["waring.extension"]
+    runs = []
+    monkeypatch.setattr(module, "_gauss_newton", lambda *args: runs.append(args))
+    L, basis = _planted_minor(5, 4, 9)
+    res = CommutatorResidual(L, basis)
+    assert _relation_split(*_normal_form_relations(res, L, basis))[1].shape == (20, 0)
+    sol = extend_dual(L, basis)
+    assert runs == []
+    assert sol.residual <= TOL and sol.free_count == 0
+
+
+@pytest.mark.parametrize("name, planted", [
+    ("quartic", None), ("planted_4_4_10", (4, 4, 10)),
+    # the minor of the draw at seed 10 does not extend
+    ("planted_3_6_10", (3, 6, 10, 11))])
+def test_a_basis_without_relations_runs_the_start_loop_bit_for_bit(name, planted, quartic):
+    # the quartic's basis and both planted minors have no border monomial of
+    # fully known column whose products land on cells, so the normal-form
+    # start adds nothing
+    if planted is None:
+        L, basis = to_dual(quartic), MonomialBasis(2, QUARTIC_BASIS)
+    else:
+        L, basis = _planted_minor(*planted)
+    res = CommutatorResidual(L, basis)
+    assert res.unknowns.size
+    assert _normal_form_relations(res, L, basis) is None
+    got = extend_dual(L, basis)
+    assert _solution_bytes(got) == _solution_bytes(_reference_start_loop(L, basis))
+
+
+def test_a_failed_normal_form_start_falls_through_to_the_start_loop(monkeypatch):
+    # a particular solution moved off the solution set, with nothing left to
+    # vary, misses TOL; the zero and random starts then run as without it
+    module = sys.modules["waring.extension"]
+
+    def moved(a, b):
+        x_p, z = split(a, b)
+        return x_p + 1, z
+
+    split = module._relation_split
+    monkeypatch.setattr(module, "_relation_split", moved)
+    L, basis = _planted_minor(5, 4, 9)
+    got = extend_dual(L, basis)
+    assert _solution_bytes(got) == _solution_bytes(_reference_start_loop(L, basis))
+
+
+def test_relation_split_is_the_least_squares_solution_and_null_space():
+    rng = np.random.default_rng(12)
+    a = (rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))) @ (
+        rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8)))
+    b = a @ (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    x_p, z = _relation_split(a, b)
+    assert z.shape == (8, 5)
+    assert np.allclose(x_p, np.linalg.lstsq(a, b, rcond=None)[0])
+    assert np.allclose(a @ z, 0, atol=1e-12 * np.abs(a).max())
+    assert np.allclose(z.conj().T @ z, np.eye(5))
