@@ -7,6 +7,19 @@ off its projective roots.  The Hankel data are the dual form's moments read
 from x1's end: c_i, the moment of x1^(d-i), is the coefficient of
 x0^i x1^(d-i) over binom(d, i).  This is both the fast path of the general
 driver and an independent check on it.
+
+The sizes start at Sylvester's bound: the numerical rank of the middle
+slice r = d // 2, the catalecticant (or of the slice at `max_rank` when that
+is smaller), counted as `hankel.known_rank_bound` counts it.  A singular
+value counts when it is above the most that noise of relative size tol in
+the coefficients can add to it, so by Weyl's inequality every form within
+relative distance tol of the input has at least that rank.  No smaller size
+can then pass the residual test, and skipping those sizes changes no report:
+neither the decomposition nor the error when `max_rank` is below the bound.
+The loop reuses that slice's SVD at its size, so a form of rank d // 2 whose
+catalecticant shows that rank costs one SVD.  When the r = 1 slice may have
+a kernel, the loop starts at 1 with no bound instead, so a single power
+costs only that slice's SVD.
 """
 
 from __future__ import annotations
@@ -14,17 +27,20 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    RANK_CUT,
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
     check_coeff_range,
     expand_power_sum,
+    lstsq,
     monomial_values,
     numerical_rank,
     pairwise_sines,
     relative_error,
     to_dual,
 )
+from .hankel import _catalecticant_layout
 
 
 def _moments(p: HomogeneousPoly) -> np.ndarray:
@@ -36,6 +52,38 @@ def _moments(p: HomogeneousPoly) -> np.ndarray:
 
 def _slice(c: np.ndarray, r: int) -> np.ndarray:
     return c[np.add.outer(np.arange(len(c) - r), np.arange(r + 1))]
+
+
+def _first_slice_lacks_kernel(c: np.ndarray) -> bool:
+    """Whether the r = 1 slice [x y] surely has no numerical kernel, s_2 above
+    RANK_CUT s_1, told without its SVD.  s_1 s_2 is the norm of its 2 x 2
+    minors (Cauchy-Binet), which keeps its relative accuracy as s_2 falls,
+    and s_1^2 + s_2^2 = |x|^2 + |y|^2; their ratio is at most s_2 / s_1, so
+    with a margin of two over RANK_CUT the SVD's rounding cannot turn it.
+    `c` is read over its largest entry, so that no square overflows."""
+    x, y = c[:-1], c[1:]
+    minors = np.linalg.norm(np.outer(x, y) - np.outer(y, x)) / np.sqrt(2)
+    return minors > 2 * RANK_CUT * (np.vdot(x, x).real + np.vdot(y, y).real)
+
+
+def _start(u: np.ndarray, cap: int, floor: float):
+    """(start, r0, probe): the first size the loop needs to try, no more
+    than `cap` + 1, and the size and SVD of the slice read to know it; or
+    (1, None, None) when no slice was read.  `u` holds the moments over the
+    largest and `floor` the coefficient noise of the module docstring in
+    that scale.
+
+    r = 1 is skipped only when its slice surely has no kernel, so a single
+    power keeps to the one SVD it needs.  Past it, sizes start at the
+    catalecticant bound of the module docstring, read off the slice at r0,
+    the middle one or the last size allowed."""
+    d = len(u) - 1
+    r0 = min(d // 2, cap)
+    if r0 < 2 or not _first_slice_lacks_kernel(u):
+        return 1, None, None
+    probe = np.linalg.svd(_slice(u, r0))
+    gain = _catalecticant_layout(1, d, r0)[1]
+    return max(2, numerical_rank(probe.S, gain * floor)), r0, probe
 
 
 def _projective_roots(b: np.ndarray):
@@ -67,11 +115,12 @@ def binary_decompose(
 ) -> Decomposition:
     """Minimal power-sum decomposition of a nonzero binary form.
 
-    Tries sizes r = 1, 2, ...; at each size takes at most two kernel
-    candidates, and accepts the first with r distinct projective roots whose
-    weights, fitted to the moments, reproduce the coefficients to relative
-    residual `tol`.  Raises DecompositionError when no size up to d, or up
-    to `max_rank` when that is smaller, does.
+    Tries sizes r upward from the catalecticant bound (see the module
+    docstring); at each size takes at most two kernel candidates, and accepts
+    the first with r distinct projective roots whose weights, fitted to the
+    moments, reproduce the coefficients to relative residual `tol`.  Raises
+    DecompositionError when no size up to d, or up to `max_rank` when that is
+    smaller, does.
     """
     check_coeff_range(p)
     c = _moments(p)
@@ -82,9 +131,10 @@ def binary_decompose(
     rng = np.random.default_rng(rng_seed)
     cap = d if max_rank is None else min(d, max_rank)
 
-    for r in range(1, cap + 1):
-        h = _slice(c, r) / scale
-        _, s, vh = np.linalg.svd(h)
+    u = c / scale
+    start, r0, probe = _start(u, cap, tol * p.coeff_norm() / scale)
+    for r in range(start, cap + 1):
+        _, s, vh = probe if r == r0 else np.linalg.svd(_slice(u, r))
         null = vh[numerical_rank(s):].conj().T
         if null.shape[1] == 0:
             continue
@@ -102,7 +152,8 @@ def binary_decompose(
                 continue
             # c_i = sum_j w_j alpha_j^i beta_j^(d-i)
             a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
-            w, *_ = np.linalg.lstsq(a, c, rcond=None)
+            with np.errstate(all="ignore"):
+                w = lstsq(a, c)
             terms = list(zip(w, pts))
             res = relative_error(expand_power_sum(terms, 2, d), p)
             if res <= tol:

@@ -86,10 +86,12 @@ def _read_source(arg: str) -> str:
 
 
 def _emit(report: dict, fmt: str, text_lines) -> None:
+    """Print the report as JSON, or the lines `text_lines()` returns as text:
+    they are formatted only when they are printed."""
     if fmt == "json":
         print(json.dumps(report, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -188,7 +190,7 @@ def _main(argv) -> int:
         if args.command == "decompose":
             rep = decompose(f, tol=args.tol, max_rank=args.max_rank, seed=args.seed)
             report = _decomposition_report(rep)
-            _emit(report, fmt, [
+            _emit(report, fmt, lambda: [
                 f"rank {rep.rank}  residual {rep.residual:.3g}  "
                 f"retries {rep.retries}  seed {rep.seed}",
                 *_term_lines(rep.decomposition),
@@ -196,11 +198,11 @@ def _main(argv) -> int:
         elif args.command == "rank":
             rep = decompose(f, tol=args.tol, max_rank=args.max_rank, seed=args.seed)
             _emit({"rank": rep.rank, "residual": rep.residual, "seed": rep.seed},
-                  fmt, [str(rep.rank)])
+                  fmt, lambda: [str(rep.rank)])
         elif args.command == "classify":
             cls = classify_ternary_cubic(f, seed=args.seed, tol=args.tol)
             _emit({"class": cls.label, "rank": cls.rank}, fmt,
-                  [f"{cls.label} (rank {cls.rank})"])
+                  lambda: [f"{cls.label} (rank {cls.rank})"])
         elif args.command == "sylvester":
             if f.nvars != 2:
                 raise ValueError("sylvester needs a binary form")
@@ -209,7 +211,7 @@ def _main(argv) -> int:
             ).normalized()
             report = decomposition_to_json(dec)
             report["seed"] = args.seed
-            _emit(report, fmt, [
+            _emit(report, fmt, lambda: [
                 f"rank {dec.rank}  residual {dec.residual:.3g}",
                 *_term_lines(dec),
             ])
@@ -224,7 +226,7 @@ def _main(argv) -> int:
                     "collisions": vr.collisions,
                 },
                 fmt,
-                [
+                lambda: [
                     f"residual {vr.residual:.6g}  max coefficient error "
                     f"{vr.max_coeff_err:.6g}  collisions {vr.collisions}",
                     f"input: {format_poly(f)}",

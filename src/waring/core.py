@@ -20,10 +20,12 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 Exponent = tuple[int, ...]
 
 RANK_CUT = 1e-8  # `numerical_rank` counts singular values above this fraction of the largest
+EPS = np.finfo(float).eps  # the unit of `lstsq`'s rank cutoff
 
 
 class PolyParseError(ValueError):
@@ -452,6 +454,17 @@ def numerical_rank(s: np.ndarray, floor: float = 0.0) -> int:
 
     Every rank and nullity in the package is counted by this one rule."""
     return int(np.sum(s > max(RANK_CUT * s[0], floor))) if len(s) else 0
+
+
+def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of a x = b, a complex (m, n)
+    and b complex (m,): `np.linalg.lstsq(a, b, rcond=None)[0]` bit for bit,
+    through the same kernel and cutoff eps * max(m, n) without the wrapper's
+    checks, copies and `np.errstate`.  Call it under
+    `np.errstate(all="ignore")`: a kernel that fails then returns NaN where
+    the wrapper would raise."""
+    cut = EPS * max(a.shape)
+    return _umath_linalg.lstsq(a, b[:, None], cut, signature="DDd->Ddid")[0][:, 0]
 
 
 @functools.cache

@@ -37,15 +37,16 @@ least-squares step instead, and keeps to it until the run ends.
 
 Every factorization is one of numpy's linalg kernels, called directly:
 `numpy.linalg._umath_linalg.inv` for D_0 and for L, `cholesky_lo` and
-`lstsq`, the gufuncs behind `np.linalg.inv`, `cholesky` and `lstsq`.  The
-numbers are theirs bit for bit, without the wrappers' checks, copies and
+`lstsq` (through `core.lstsq`), the gufuncs behind `np.linalg.inv`,
+`cholesky` and `lstsq`.  The numbers are theirs bit for bit, without the
+wrappers' checks, copies and
 per-call `np.errstate`, which at the sizes the rank loop meets cost as much as
 the kernels.  Those kernels flag a singular or indefinite matrix as an invalid
 value and return NaN, which the tests on each result (D_0's condition product,
 the Cholesky bound, a finite step) turn into a verdict.  So a Gauss-Newton run
 holds one `np.errstate(all="ignore")` from start to end, not one per kernel
-call, and any other caller of `_inverse`, `_normal_step` or `_lstsq_step`
-holds the same.
+call, and any other caller of `_inverse`, `_normal_step` or `lstsq` holds
+the same.
 
 A run ends at the first of these exits:
 
@@ -74,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import DualForm, monomial_index, numerical_rank, upper_triangle
+from .core import DualForm, lstsq, monomial_index, numerical_rank, upper_triangle
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
 
 RESTARTS = 8  # Gauss-Newton starts per extension solve: zero, then random
@@ -87,7 +88,6 @@ CHOLESKY_FLOOR = 1e-14
 # Jacobian index layouts kept, one per pattern of unknown cells: a perfbench
 # run at seeds 1-4 meets at most 12 (rank_search), and 8 would halve its hits
 TERMS_CACHE = 16
-EPS = np.finfo(float).eps  # the unit of the least-squares step's rank cutoff
 # the 0, 1 and -1 that `_jacobian_terms` indexes after the three products
 _CONSTANTS = np.array([0.0, 1.0, -1.0])
 
@@ -125,15 +125,6 @@ def _normal_step(j: np.ndarray, f: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _lstsq_step(j: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The minimum-norm least-squares step: `np.linalg.lstsq(j, -f,
-    rcond=None)[0]` bit for bit, through the same kernel and cutoff without
-    the wrapper's checks and copies.  Call it under `np.errstate(all="ignore")`:
-    a kernel that fails then returns NaN where the wrapper would raise."""
-    cut = EPS * max(j.shape)
-    return _umath_linalg.lstsq(j, -f[:, None], cut, signature="DDd->Ddid")[0][:, 0]
-
-
 @np.errstate(all="ignore")
 def _gauss_newton(fun, jac, x0, tol, max_iter):
     """Damped Gauss-Newton iteration; returns (x, max-abs residual).
@@ -142,7 +133,7 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     halvings) until the max-abs residual decreases sufficiently.  The step
     comes from the normal equations by Cholesky (`_normal_step`); the first
     time that is refused, the run falls back to the minimum-norm least-squares
-    step (`_lstsq_step`) and stays on it, so that a run over rank-deficient
+    step (`lstsq(j, -f)`) and stays on it, so that a run over rank-deficient
     Jacobians (most runs below the true rank) does not pay for a failed
     factorization every step.  The run ends at the first of: residual <= tol;
     a non-finite step, which a non-finite Jacobian also counts as; a failed
@@ -175,7 +166,7 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
             cholesky = False
             if not np.isfinite(j).all():
                 break  # LAPACK prints an error on stderr for it
-            step = _lstsq_step(j, f)
+            step = lstsq(j, -f)
         if not np.isfinite(step).all():
             break
         t = 1.0

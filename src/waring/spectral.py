@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DualForm, monomial_values, monomials_upto, upper_triangle
+from .core import DualForm, lstsq, monomial_values, monomials_upto, upper_triangle
 from .hankel import MonomialBasis
 
 
@@ -95,10 +95,12 @@ def solve_weights(points: np.ndarray, L: DualForm) -> np.ndarray:
     of L, one per row of the (r, n) array `points`.
 
     The system runs over every known moment (all degrees up to the
-    truncation); the caller's coefficient residual judges the fit.
+    truncation); the caller's coefficient residual judges the fit, and
+    fails the NaN weights of a least-squares kernel that did not converge.
     """
     a = monomial_values(points, monomials_upto(L.nvars, L.degree)).T
-    return np.linalg.lstsq(a, L.moments, rcond=None)[0]
+    with np.errstate(all="ignore"):
+        return lstsq(a, L.moments)
 
 
 def pencil_support(

@@ -1,10 +1,30 @@
+import json
+
 import numpy as np
 import pytest
 
-from waring.binary import binary_decompose
-from waring.core import HomogeneousPoly, expand_power_sum, parse_poly, to_dual
+from waring.binary import (
+    _first_slice_lacks_kernel,
+    _projective_roots,
+    _slice,
+    _start,
+    binary_decompose,
+)
+from waring.core import (
+    Decomposition,
+    DecompositionError,
+    HomogeneousPoly,
+    decomposition_to_json,
+    expand_power_sum,
+    monomial_values,
+    numerical_rank,
+    pairwise_sines,
+    parse_poly,
+    relative_error,
+    to_dual,
+)
 
-from conftest import hankel_slice, poly_sub
+from conftest import hankel_slice, planted_poly, poly_add, poly_sub
 
 
 def _reexpand_err(dec, f):
@@ -122,3 +142,169 @@ def test_direction_at_infinity():
     assert dec.rank == 2
     assert any(abs(m[1]) < 1e-10 for _, m in dec.terms)
 
+
+
+# ---------------------------------------------------------------------------
+# the start at the catalecticant bound, against the loop from r = 1
+
+
+def _reference_loop(p, rng_seed=0, tol=1e-8, max_rank=None):
+    """`binary_decompose` as it was before the catalecticant start: every
+    size from r = 1, one SVD each, and numpy's lstsq wrapper for the weights."""
+    c = to_dual(p).moments[::-1]
+    d = p.degree
+    scale = np.max(np.abs(c))
+    rng = np.random.default_rng(rng_seed)
+    cap = d if max_rank is None else min(d, max_rank)
+    for r in range(1, cap + 1):
+        _, s, vh = np.linalg.svd(_slice(c, r) / scale)
+        null = vh[numerical_rank(s):].conj().T
+        if null.shape[1] == 0:
+            continue
+        kernel = [null[:, -1]]
+        if null.shape[1] > 1:
+            mu = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
+            kernel.append(null @ (mu / np.linalg.norm(mu)))
+        for b in kernel:
+            pts = _projective_roots(b)
+            if pts is None or len(pts) != r or np.any(pairwise_sines(pts) <= 1e-8):
+                continue
+            a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
+            w, *_ = np.linalg.lstsq(a, c, rcond=None)
+            terms = list(zip(w, pts))
+            res = relative_error(expand_power_sum(terms, 2, d), p)
+            if res <= tol:
+                return Decomposition(d, terms, res)
+    raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """A list that gets one entry per `np.linalg.svd` call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _report(decompose, f, kwargs, svd_calls):
+    """(the JSON of the decomposition or the error message, SVDs taken)."""
+    svd_calls.clear()
+    try:
+        out = json.dumps(decomposition_to_json(decompose(f, **kwargs)), sort_keys=True)
+    except DecompositionError as exc:
+        out = f"DecompositionError: {exc}"
+    return out, len(svd_calls)
+
+
+def _unit_planted(rng, d, r):
+    """A binary form of degree d and rank r as the benchmark plants them:
+    unit directions at pairwise chordal distance above 0.3 and unit weights,
+    so the catalecticant is well conditioned and its numerical rank is r."""
+    pts = []
+    while len(pts) < r:
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        v /= np.linalg.norm(v)
+        if all(np.sqrt(max(0.0, 1 - abs(np.vdot(v, q)) ** 2)) > 0.3 for q in pts):
+            pts.append(v)
+    wts = np.exp(2j * np.pi * rng.uniform(size=r))
+    return expand_power_sum(list(zip(wts, pts)), 2, d)
+
+
+def _start_cases(group):
+    if group == "planted":
+        for d in range(3, 21):
+            for r in range(1, d // 2 + 1):
+                f, _ = planted_poly(2, d, r, np.random.default_rng([d, r]))
+                yield f, {}
+    elif group == "monomials":
+        for a in range(21):
+            for b in range(max(0, 2 - a), 21 - a):
+                yield HomogeneousPoly(2, a + b, {(a, b): 1.0}), {}
+    elif group == "affine_probe":
+        # the known-defect probe: rank 9 at tol 1e-7, rank 10 at 1e-9
+        f, _ = planted_poly(2, 20, 10, np.random.default_rng(1420))
+        yield f, {"tol": 1e-7}
+        yield f, {"tol": 1e-9}
+    elif group == "scaled":
+        # rank 1 and 2 far from 1 in scale: the r = 1 test reads the moments
+        # over their largest, so the rounding in its 2 x 2 minors, about eps
+        # |c|^2, neither overflows nor underflows into a verdict
+        shapes = [
+            (6, [(1.0, [1, 3])]),  # (x0 + 3 x1)^6
+            (5, [(1.0, [1, 0]), (-2.0, [0, 1])]),  # x0^5 - 2 x1^5
+            (7, [(1.0, [1, 1j]), (1.0, [2, -1])]),  # (x0 + i x1)^7 + (2 x0 - x1)^7
+        ]
+        for k in (-150, -100, 100, 120, 150):
+            for d, terms in shapes:
+                scaled = [(w * 10.0**k, np.array(v, dtype=complex)) for w, v in terms]
+                yield expand_power_sum(scaled, 2, d), {}
+    elif group == "max_rank":
+        for d in (4, 9, 14, 20):
+            f = _unit_planted(np.random.default_rng(d), d, d // 2)
+            for k in range(1, d // 2 + 1):
+                yield f, {"max_rank": k}
+
+
+@pytest.mark.parametrize("group", ["planted", "monomials", "affine_probe", "scaled", "max_rank"])
+def test_the_start_changes_no_report_and_adds_no_svd(group, svd_calls):
+    # conftest-planted forms of degree 3-20 at every rank up to d // 2, every
+    # x0^a x1^b of degree 2-20, the affine degree-20 probe at two tolerances
+    # and max_rank at and below the bound: the same decomposition or the
+    # same error as the loop from r = 1, and never more SVDs
+    cases = list(_start_cases(group))
+    for f, kwargs in cases:
+        want, want_svds = _report(_reference_loop, f, kwargs, svd_calls)
+        got, got_svds = _report(binary_decompose, f, kwargs, svd_calls)
+        assert got == want, (f.coeffs, kwargs)
+        assert got_svds <= want_svds, (f.coeffs, kwargs)
+
+
+@pytest.mark.parametrize("d", range(3, 21))
+def test_a_form_of_rank_half_the_degree_takes_one_svd(d, svd_calls):
+    for seed in range(3):
+        f = _unit_planted(np.random.default_rng([seed, d]), d, d // 2)
+        assert _report(binary_decompose, f, {}, svd_calls)[1] == 1
+        assert _report(_reference_loop, f, {}, svd_calls)[1] == d // 2
+
+
+def test_max_rank_below_the_middle_costs_one_svd(svd_calls):
+    # the bound is read off the slice at max_rank: past it the search fails
+    # at once, and at it the loop reuses that slice
+    f = _unit_planted(np.random.default_rng(20), 20, 10)
+    for k in range(2, 10):
+        got, svds = _report(binary_decompose, f, {"max_rank": k}, svd_calls)
+        assert (got, svds) == (
+            f"DecompositionError: no distinct-root kernel combination found up to r = {k}", 1)
+        g = _unit_planted(np.random.default_rng(k), 20, k)
+        got, svds = _report(binary_decompose, g, {"max_rank": k}, svd_calls)
+        assert (json.loads(got)["rank"], svds) == (k, 1)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8, 1e-6, 1e-4])
+def test_the_start_is_sound_under_noise_up_to_tol(tol):
+    # a planted form of rank r moved by coefficient noise of relative size
+    # just under tol: no form within tol of the result has rank below the
+    # start, so the start is at most r.  Rank 1 is skipped too when the
+    # r = 1 slice has no numerical kernel, which the loop from 1 also skips
+    rng = np.random.default_rng(int(-np.log10(tol)))
+    for d in range(4, 21):
+        for r in range(1, d // 2 + 1):
+            f, _ = planted_poly(2, d, r, rng)
+            spread = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+            for noise in (spread, np.eye(d + 1)[0], np.eye(d + 1)[d // 2]):
+                e = 0.99 * tol * f.coeff_norm() * noise / np.linalg.norm(noise)
+                g = poly_add(f, HomogeneousPoly(2, d, {(i, d - i): e[i] for i in range(d + 1)}))
+                assert poly_sub(g, f).coeff_norm() <= tol * g.coeff_norm()
+                c = to_dual(g).moments[::-1]
+                scale = np.max(np.abs(c))
+                start, _, _ = _start(c / scale, d, tol * g.coeff_norm() / scale)
+                first = np.linalg.svd(_slice(c, 1) / scale, compute_uv=False)
+                if _first_slice_lacks_kernel(c / scale):
+                    assert numerical_rank(first) == 2
+                assert start <= r or (r == 1 and numerical_rank(first) == 2), (d, r, start)

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from waring import cli
 from waring.cli import main, parse_input
 from waring.core import expand_power_sum, poly_from_json, relative_error
 
@@ -59,6 +60,35 @@ def test_quinary_quartic_fixture_decomposes_at_rank_10(capsys):
     terms = [(complex(*t["weight"]), np.array([complex(*v) for v in t["form"]]))
              for t in rep["terms"]]
     assert relative_error(expand_power_sum(terms, 5, 4), f) < 1e-10
+
+
+def test_binary_fixture_decomposes_at_rank_10(capsys):
+    # a planted binary form of degree 20, through the Sylvester path from its
+    # catalecticant bound, by decompose and by sylvester
+    path = FIXTURES / "binary_deg20_rank10.json"
+    f = poly_from_json(json.loads(path.read_text()))
+    for command in ("decompose", "sylvester"):
+        code, out, _ = run(capsys, command, str(path), "--format", "json")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["rank"] == 10
+        assert rep.get("retries", 0) == 0
+        terms = [(complex(*t["weight"]), np.array([complex(*v) for v in t["form"]]))
+                 for t in rep["terms"]]
+        assert relative_error(expand_power_sum(terms, 2, 20), f) < 1e-10
+
+
+@pytest.mark.parametrize("command", ["decompose", "sylvester"])
+def test_json_output_formats_no_text_lines(capsys, monkeypatch, command):
+    def refuse(dec):
+        raise AssertionError("text lines formatted for a JSON report")
+
+    monkeypatch.setattr(cli, "_term_lines", refuse)
+    code, out, _ = run(capsys, command, "x0^3 + x1^3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rank"] == 2
+    with pytest.raises(AssertionError, match="text lines"):
+        run(capsys, command, "x0^3 + x1^3")
 
 
 def test_json_reports_are_byte_identical(capsys):
@@ -221,6 +251,7 @@ def test_every_command_runs_without_scipy():
         ["decompose", str(FIXTURES / "cubic_maximal.txt")],
         ["decompose", "(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2"],
         ["decompose", "x0^12 - 3*x0^7*x1^5 + 2*x0^3*x1^9 + x1^12"],
+        ["sylvester", str(FIXTURES / "binary_deg20_rank10.json")],
         ["classify", str(FIXTURES / "cubic_generic_rank4.json")],
         ["verify", str(FIXTURES / "cubic_maximal.txt"),
          "--decomposition", str(FIXTURES / "cubic_maximal_decomposition.json")],

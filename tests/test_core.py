@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from waring.core import (
     expand_power_sum,
     format_poly,
     identity_frame,
+    lstsq,
     monomial_values,
     monomials,
     monomials_upto,
@@ -654,3 +656,36 @@ def test_upper_triangle_is_numpys_index_built_once_per_size():
         assert i.tobytes() == want_i.tobytes() and j.tobytes() == want_j.tobytes()
         assert i.dtype == want_i.dtype and not i.flags.writeable and not j.flags.writeable
         assert upper_triangle(size) is upper_triangle(size)
+
+
+def test_lstsq_is_numpys_bit_for_bit_on_the_weight_fits(monkeypatch, quintic, quartic):
+    # the systems the two weight fits pass it: the binary path's (d+1, r)
+    # points against the moments read backwards (a strided view), and the
+    # spectral path's (known moments, r) evaluations, gathered from real
+    # decompositions; the Gauss-Newton step's are in test_extension
+    from waring.binary import binary_decompose
+    from waring.decompose import decompose
+
+    systems = []
+
+    def recorded(a, b):
+        systems.append((a, b))
+        return lstsq(a, b)
+
+    for name in ("waring.binary", "waring.spectral"):
+        monkeypatch.setattr(sys.modules[name], "lstsq", recorded)
+    for d, r in [(3, 1), (3, 2), (8, 4), (13, 6), (20, 10)]:
+        f, _ = planted_poly(2, d, r, np.random.default_rng([d, r]))
+        binary_decompose(f)
+    binary_decompose(parse_poly("x0^2*x1"))  # rank 3 of degree 3
+    decompose(quintic)
+    decompose(quartic)
+    shapes = {a.shape for a, _ in systems}
+    assert {(4, 1), (4, 2), (4, 3), (21, 10), (21, 4), (15, 6)} <= shapes
+    assert any(not b.flags.c_contiguous for _, b in systems)
+    for a, b in systems:
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        with np.errstate(all="ignore"):
+            got = lstsq(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
