@@ -27,7 +27,19 @@ then runs over y from 0, through the same residual and Jacobian (times Z).
 On the planted quartics in five variables they fix most unknowns (28 of 29
 at rank 10, 30 of 40 at rank 12); where they fix all, x_p alone is tested.
 When this start misses TOL, or there is no relation, the zero start and
-then random ones follow, up to RESTARTS in all, exactly as without it.
+then RESTARTS - 1 random ones follow, exactly as without it.
+
+Where the zero start makes D_0 singular (fails `_inverse`), as it does for
+sparse forms whose moments put zeros on D_0's known cells, the random starts
+are drawn on the moment variety instead of in the unit box.  Each is the
+moments, at the unknown positions, of |B| standard complex Gaussian points
+of the affine chart, weighted by `spectral.solve_weights`' fit to L's known
+moments (`_moment_starts`).  Were that fit exact, D_0 would be
+V^T diag(w) V, V the basis monomials at the points: invertible for distinct
+points and nonzero weights.  Box starts near x = 0 instead mostly plateau.
+A basis whose zero start passes keeps the box starts, bit for bit; drawing
+its starts on the moment variety too would change which start wins where
+the box starts already work.
 
 Each step solves the normal equations J^H J d = -J^H f through the Cholesky
 factor L of J^H J and its inverse, several times cheaper than a least-squares
@@ -69,14 +81,24 @@ running to MAX_ITER.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .core import DualForm, lstsq, monomial_index, numerical_rank, upper_triangle
+from .core import (
+    DualForm,
+    lstsq,
+    monomial_index,
+    monomial_values,
+    monomials_upto,
+    numerical_rank,
+    upper_triangle,
+)
 from .hankel import MonomialBasis, build_hankel, shifted_matrix
+from .spectral import solve_weights
 
 RESTARTS = 8  # Gauss-Newton starts per extension solve: zero, then random
 TOL = 1e-10  # max-abs (scaled) commutator residual a solution must reach
@@ -439,13 +461,32 @@ def _normal_form_start(res: CommutatorResidual, L: DualForm, basis: MonomialBasi
     return _solution(L, res, x_p + z @ y, r) if r <= TOL else None
 
 
+def _moment_starts(L: DualForm, basis: MonomialBasis, unknowns: np.ndarray, seed: int):
+    """RESTARTS - 1 starts on the moment variety, one at a time: for each,
+    |B| standard complex Gaussian points of the affine chart, drawn from
+    default_rng(seed), and the weights `solve_weights` fits to L's known
+    moments; the start is the moments of that weighted sum of evaluations at
+    the graded-lex positions `unknowns`, all of degree at most 2 deg B + 1."""
+    top = 2 * max(map(sum, basis.exponents)) + 1
+    exps = np.array(monomials_upto(L.nvars, top))[unknowns]
+    shape = (RESTARTS - 1, 2, len(basis), L.nvars)
+    z = np.random.default_rng(seed).standard_normal(shape) / math.sqrt(2)
+    for points in z[:, 0] + 1j * z[:, 1]:
+        yield solve_weights(points, L) @ monomial_values(points, exps)
+
+
 def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSolution | None:
     """Find unknown moments making the operators on `basis` commute.
 
     Returns None when no acceptable solution is found (usually meaning the
     basis size is below the true support size, or above it with the unknowns
-    overdetermined into inconsistency).  Every solution returned, also one
-    with no unknowns, has a D_0 that passes `_inverse`.  Its free_count is
+    overdetermined into inconsistency).  The starts, in order, up to the
+    first that reaches TOL: the normal-form start (`_normal_form_start`),
+    when D_0 holds no unknown; then x = 0; then RESTARTS - 1 random starts,
+    uniform in the unit box where D_0 passes `_inverse` at x = 0, and on the
+    moment variety (`_moment_starts`) where it fails, all drawn from
+    default_rng(seed).  Every solution returned, also one with no unknowns,
+    has a D_0 that passes `_inverse`.  Its free_count is
     the number of unknowns the Jacobian leaves free there: the dimension of
     the solution set.  Any point of a positive-dimensional set whose pencil
     is simple gives a decomposition, so no second, more generic point is
@@ -470,10 +511,15 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     found = _normal_form_start(res, L, basis)
     if found is not None:
         return found
-    m = len(res.unknowns)
-    u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, m))
-    starts = [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]
-    for x0 in starts:
+    zero = np.zeros(len(res.unknowns), dtype=complex)
+    with np.errstate(all="ignore"):  # a singular D_0 is a verdict here
+        singular = res._point(zero)[1] is None
+    if singular:
+        starts = _moment_starts(L, basis, res.unknowns, seed)
+    else:
+        u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, len(zero)))
+        starts = u[:, 0] + 1j * u[:, 1]
+    for x0 in itertools.chain([zero], starts):
         x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
         if r <= TOL:
             return _solution(L, res, x, r)

@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from waring.core import grlex_key, lstsq, monomials_upto, parse_poly, to_dual
+from waring.core import (
+    grlex_key,
+    identity_frame,
+    lstsq,
+    monomial_values,
+    monomials_upto,
+    parse_poly,
+    to_dual,
+)
+from waring.decompose import decompose
 from waring.extension import CommutatorResidual, ExtensionSolution, extend_dual
 from waring.extension import (
     CHOLESKY_FLOOR,
@@ -963,19 +972,25 @@ def test_jacobian_index_is_shared_across_forms(quartic):
 # put on the unknowns, solved before Gauss-Newton runs over what they leave
 
 
-def _reference_start_loop(L, basis, seed=0):
-    """`extend_dual`'s starts without the normal-form start: zero, then
-    random ones, each a full-space Gauss-Newton run."""
-    res = CommutatorResidual(L, basis)
-    m = len(res.unknowns)
-    u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, m))
-    for x0 in [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]:
+def _reference_runs(res, L, starts):
+    """Full-space Gauss-Newton runs from each start in turn, up to the first
+    that reaches TOL, as `extend_dual` runs them after the normal-form start."""
+    for x0 in starts:
         x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
         if r <= TOL:
             moments = np.append(L.moments, np.full(res.unknowns[-1] + 1 - len(L.moments), np.nan))
             moments[res.unknowns] = x
             return ExtensionSolution(moments, float(r), _free_columns(res.jacobian(x)))
     return None
+
+
+def _reference_start_loop(L, basis, seed=0):
+    """`extend_dual`'s starts without the normal-form start, where the zero
+    start passes D_0's test: zero, then random ones in the unit box."""
+    res = CommutatorResidual(L, basis)
+    m = len(res.unknowns)
+    u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, m))
+    return _reference_runs(res, L, [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])])
 
 
 @functools.cache
@@ -1091,3 +1106,86 @@ def test_relation_split_is_the_least_squares_solution_and_null_space():
     assert np.allclose(x_p, np.linalg.lstsq(a, b, rcond=None)[0])
     assert np.allclose(a @ z, 0, atol=1e-12 * np.abs(a).max())
     assert np.allclose(z.conj().T @ z, np.eye(5))
+
+
+# ---------------------------------------------------------------------------
+# starts on the moment variety: where the zero start makes D_0 singular, the
+# random starts are the moments of |B| weighted points
+
+
+def _reference_moment_start_loop(L, basis, seed=0):
+    """`extend_dual`'s starts where the zero start fails D_0's test and no
+    normal-form relation exists: zero, then RESTARTS - 1 weighted sums of
+    evaluations at |B| standard complex Gaussian points of the affine chart,
+    each weighted by numpy's least-squares fit to L's known moments and read
+    at the unknown positions."""
+    res = CommutatorResidual(L, basis)
+    exps = monomials_upto(L.nvars, 2 * L.degree + 2)  # past every unknown's degree
+    at_unknowns = np.array([exps[k] for k in res.unknowns])
+    z = np.random.default_rng(seed).standard_normal((RESTARTS - 1, 2, len(basis), L.nvars))
+    starts = [np.zeros(len(res.unknowns), dtype=complex)]
+    for re_, im in z / math.sqrt(2):
+        points = re_ + 1j * im
+        a = monomial_values(points, monomials_upto(L.nvars, L.degree)).T
+        w = np.linalg.lstsq(a, L.moments, rcond=None)[0]
+        starts.append(w @ monomial_values(points, at_unknowns))
+    return _reference_runs(res, L, starts)
+
+
+def _identity_dual(text):
+    return to_dual(identity_frame(parse_poly(text)))
+
+
+# bases whose zero start makes D_0 singular: the maximal cubic's rank-4 bases
+# {1, x1, x2, x1^2} and {1, x1, x2, x1 x2}, whose extensions have no simple
+# pencil, and its rank-5 basis, which extends; the rank-7 basis of
+# x0^2*x1^2*x2; and the sum of cubes, whose D_0 has a known zero column
+SINGULAR_ZERO = {
+    "cubic_x1sq": ("x0^2*x1 + x0*x2^2", CUBIC_BASIS5[:4]),
+    "cubic_x1x2": ("x0^2*x1 + x0*x2^2", CUBIC_BASIS5[:3] + CUBIC_BASIS5[4:]),
+    "cubic_rank5": ("x0^2*x1 + x0*x2^2", CUBIC_BASIS5),
+    "monomial_221": ("x0^2*x1^2*x2", CUBIC_BASIS5 + [(3, 0), (2, 1)]),
+    "sum_of_cubes": ("x0^3 + x1^3 + x2^3", CUBIC_BASIS5[:4]),
+}
+
+
+@pytest.mark.parametrize("name", SINGULAR_ZERO)
+@pytest.mark.parametrize("seed", [0, 3])
+def test_a_singular_zero_start_runs_the_moment_starts_bit_for_bit(name, seed):
+    text, exps = SINGULAR_ZERO[name]
+    L, basis = _identity_dual(text), MonomialBasis(2, exps)
+    res = CommutatorResidual(L, basis)
+    with np.errstate(all="ignore"):
+        assert res._inverse(res.matrices(np.zeros(len(res.unknowns)))[0]) is None
+    assert _normal_form_relations(res, L, basis) is None
+    got, want = extend_dual(L, basis, seed=seed), _reference_moment_start_loop(L, basis, seed)
+    if name == "sum_of_cubes":
+        assert got is want is None
+    else:
+        assert _solution_bytes(got) == _solution_bytes(want)
+
+
+@pytest.mark.parametrize("text, bases", [("x0^2*x1 + x0*x2^2", 20), ("x0^2*x1^2*x2", 4)])
+def test_every_moment_start_passes_the_d0_test(text, bases, monkeypatch):
+    # each singular-zero basis the search walks at seeds 0-3 (five per seed
+    # for the maximal cubic, one for x0^2*x1^2*x2): all RESTARTS - 1 starts
+    # give a D_0 that passes `_inverse`, not only those the search got to
+    module = sys.modules["waring.extension"]
+    walked = []
+
+    def recorded(L, basis, unknowns, seed):
+        walked.append((L, basis, unknowns, seed))
+        return moment_starts(L, basis, unknowns, seed)
+
+    moment_starts = module._moment_starts
+    monkeypatch.setattr(module, "_moment_starts", recorded)
+    for seed in range(4):
+        decompose(parse_poly(text), seed=seed)
+    assert len(walked) == bases
+    for L, basis, unknowns, seed in walked:
+        res = CommutatorResidual(L, basis)
+        starts = list(moment_starts(L, basis, unknowns, seed))
+        assert len(starts) == RESTARTS - 1
+        with np.errstate(all="ignore"):
+            assert all(res._inverse(res.matrices(x0)[0]) is not None for x0 in starts)
+
