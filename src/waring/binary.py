@@ -17,9 +17,9 @@ relative distance tol of the input has at least that rank.  No smaller size
 can then pass the residual test, and skipping those sizes changes no report:
 neither the decomposition nor the error when `max_rank` is below the bound.
 The loop reuses that slice's SVD at its size, so a form of rank d // 2 whose
-catalecticant shows that rank costs one SVD.  When the r = 1 slice may have
-a kernel, the loop starts at 1 with no bound instead, so a single power
-costs only that slice's SVD.
+catalecticant shows that rank costs one SVD.  A bound of 1 starts the loop at
+r = 1, which takes an SVD of its own: a single power of degree 4 or more
+costs two.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    RANK_CUT,
+    DEFAULT_TOL,
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
@@ -51,19 +51,9 @@ def _moments(p: HomogeneousPoly) -> np.ndarray:
 
 
 def _slice(c: np.ndarray, r: int) -> np.ndarray:
-    return c[np.add.outer(np.arange(len(c) - r), np.arange(r + 1))]
-
-
-def _first_slice_lacks_kernel(c: np.ndarray) -> bool:
-    """Whether the r = 1 slice [x y] surely has no numerical kernel, s_2 above
-    RANK_CUT s_1, told without its SVD.  s_1 s_2 is the norm of its 2 x 2
-    minors (Cauchy-Binet), which keeps its relative accuracy as s_2 falls,
-    and s_1^2 + s_2^2 = |x|^2 + |y|^2; their ratio is at most s_2 / s_1, so
-    with a margin of two over RANK_CUT the SVD's rounding cannot turn it.
-    `c` is read over its largest entry, so that no square overflows."""
-    x, y = c[:-1], c[1:]
-    minors = np.linalg.norm(np.outer(x, y) - np.outer(y, x)) / np.sqrt(2)
-    return minors > 2 * RANK_CUT * (np.vdot(x, x).real + np.vdot(y, y).real)
+    """The (d - r + 1) x (r + 1) Hankel matrix c_{i+j}: the catalecticant
+    block r of `hankel._catalecticant_layout`, transposed."""
+    return c[_catalecticant_layout(1, len(c) - 1, r)[0].T]
 
 
 def _start(u: np.ndarray, cap: int, floor: float):
@@ -73,17 +63,16 @@ def _start(u: np.ndarray, cap: int, floor: float):
     largest and `floor` the coefficient noise of the module docstring in
     that scale.
 
-    r = 1 is skipped only when its slice surely has no kernel, so a single
-    power keeps to the one SVD it needs.  Past it, sizes start at the
-    catalecticant bound of the module docstring, read off the slice at r0,
-    the middle one or the last size allowed."""
+    Sizes start at the catalecticant bound of the module docstring, at
+    least 1, read off the slice at r0, the middle one or the last size
+    allowed, when r0 >= 2."""
     d = len(u) - 1
     r0 = min(d // 2, cap)
-    if r0 < 2 or not _first_slice_lacks_kernel(u):
+    if r0 < 2:
         return 1, None, None
     probe = np.linalg.svd(_slice(u, r0))
     gain = _catalecticant_layout(1, d, r0)[1]
-    return max(2, numerical_rank(probe.S, gain * floor)), r0, probe
+    return max(1, numerical_rank(probe.S, gain * floor)), r0, probe
 
 
 def _projective_roots(b: np.ndarray):
@@ -109,8 +98,8 @@ def _projective_roots(b: np.ndarray):
 
 def binary_decompose(
     p: HomogeneousPoly,
-    rng_seed: int = 0,
-    tol: float = 1e-8,
+    seed: int = 0,
+    tol: float = DEFAULT_TOL,
     max_rank: int | None = None,
 ) -> Decomposition:
     """Minimal power-sum decomposition of a nonzero binary form.
@@ -128,7 +117,7 @@ def binary_decompose(
     scale = np.max(np.abs(c))
     if scale == 0:
         raise ValueError("zero form has no decomposition")
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(seed)
     cap = d if max_rank is None else min(d, max_rank)
 
     u = c / scale

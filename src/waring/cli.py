@@ -18,6 +18,7 @@ import sys
 
 from .binary import binary_decompose
 from .core import (
+    DEFAULT_TOL,
     DecompositionError,
     HomogeneousPoly,
     PolyParseError,
@@ -140,7 +141,7 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="file path, inline polynomial, or - for stdin")
-    common.add_argument("--tol", type=float, default=1e-7)
+    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
     common.add_argument("--max-rank", type=int, default=None)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=["text", "json"], default="text")
@@ -207,7 +208,7 @@ def _main(argv) -> int:
             if f.nvars != 2:
                 raise ValueError("sylvester needs a binary form")
             dec = binary_decompose(
-                f, rng_seed=args.seed, tol=args.tol, max_rank=args.max_rank
+                f, seed=args.seed, tol=args.tol, max_rank=args.max_rank
             ).normalized()
             report = decomposition_to_json(dec)
             report["seed"] = args.seed

@@ -25,6 +25,7 @@ from numpy.linalg import _umath_linalg
 Exponent = tuple[int, ...]
 
 RANK_CUT = 1e-8  # `numerical_rank` counts singular values above this fraction of the largest
+DEFAULT_TOL = 1e-7  # the relative residual every entry point and `--tol` default to
 EPS = np.finfo(float).eps  # the unit of `lstsq`'s rank cutoff
 
 
@@ -454,6 +455,11 @@ def numerical_rank(s: np.ndarray, floor: float = 0.0) -> int:
 
     Every rank and nullity in the package is counted by this one rule."""
     return int(np.sum(s > max(RANK_CUT * s[0], floor))) if len(s) else 0
+
+
+def matrix_rank(m: np.ndarray, floor: float = 0.0) -> int:
+    """The `numerical_rank` of the matrix m, from its singular values alone."""
+    return numerical_rank(np.linalg.svd(m, compute_uv=False), floor)
 
 
 def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:

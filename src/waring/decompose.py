@@ -27,6 +27,7 @@ import numpy as np
 
 from .binary import binary_decompose
 from .core import (
+    DEFAULT_TOL,
     Decomposition,
     DecompositionError,
     DualForm,
@@ -137,7 +138,6 @@ class _Frame(NamedTuple):
     a: np.ndarray
     L: DualForm
     test: Callable[[list], bool]
-    minor_rank: int
 
 
 def _basis_candidates(frame: _Frame, walk, r: int):
@@ -146,18 +146,17 @@ def _basis_candidates(frame: _Frame, walk, r: int):
     is pruned, never extended.
 
     `walk` yields the order ideals of size r in `order_ideals` order.  The
-    fully known nonsingular principal minor, sought up to the frame's
-    `minor_rank`, comes first; then the others in walk order, each tested
-    once: the search failed every ideal of degree <= d/2 it read.
+    fully known nonsingular principal minor comes first; then the others in
+    walk order, each tested once: the search failed every ideal of degree
+    <= d/2 it read, and it stops at the first ideal past that degree.
     """
     n, half = frame.L.nvars, frame.L.degree // 2
     walk, read = iter(walk), []  # read: the ideals the search takes from walk
-    if r <= frame.minor_rank:
-        taken = (read.append(ideal) or ideal for ideal in walk)
-        pm = full_rank_principal_minor(taken, frame.test, half)
-        if pm is not None:
-            yield pm, True
-            read.pop()
+    taken = (read.append(ideal) or ideal for ideal in walk)
+    pm = full_rank_principal_minor(taken, frame.test, half)
+    if pm is not None:
+        yield pm, True
+        read.pop()
     for ideal in read:
         yield MonomialBasis(n, ideal), sum(ideal[-1]) > half and frame.test(ideal)
     for ideal in walk:
@@ -200,7 +199,7 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
     family, top = MAX_RANK.get((n, d), (None, math.comb(n + d - 1, d)))
     cap = top if max_rank is None else min(max_rank, top)
     L0 = to_dual(identity_frame(f))
-    frames = [_Frame(np.eye(n), L0, *known_columns_test(L0))]
+    frames = [_Frame(np.eye(n), L0, known_columns_test(L0))]
 
     def candidates(r: int):
         # one walk per rank: the first frame draws it, the second re-reads it
@@ -212,7 +211,7 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
                 # of the Fermat cubic's three points lie on it)
                 a = random_unitary(n, rng)
                 L1 = to_dual(change_coordinates(f, a))
-                frames.append(_Frame(a, L1, *known_columns_test(L1)))
+                frames.append(_Frame(a, L1, known_columns_test(L1)))
             for basis, full in _basis_candidates(frames[i], walk, r):
                 yield frames[i], basis, full
 
@@ -252,7 +251,7 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
 
 
 def decompose(
-    f: HomogeneousPoly, *, tol: float = 1e-7, max_rank: int | None = None, seed: int = 0
+    f: HomogeneousPoly, *, tol: float = DEFAULT_TOL, max_rank: int | None = None, seed: int = 0
 ) -> DecomposeReport:
     """Minimal power-sum decomposition of a nonzero homogeneous polynomial."""
     if f.is_zero:
@@ -279,15 +278,13 @@ def decompose(
             return replace(rep, decomposition=dec)
 
     if f.nvars == 2:
-        dec = binary_decompose(
-            f, rng_seed=seed, tol=tol, max_rank=max_rank
-        ).normalized()
+        dec = binary_decompose(f, seed=seed, tol=tol, max_rank=max_rank).normalized()
         return DecomposeReport(dec, [], 0, 0, seed)
     return _rank_loop(f, tol, max_rank, seed)
 
 
 def rank(
-    f: HomogeneousPoly, *, tol: float = 1e-7, max_rank: int | None = None, seed: int = 0
+    f: HomogeneousPoly, *, tol: float = DEFAULT_TOL, max_rank: int | None = None, seed: int = 0
 ) -> int:
     return decompose(f, tol=tol, max_rank=max_rank, seed=seed).rank
 
@@ -315,7 +312,7 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
 
 
 def classify_ternary_cubic(
-    f: HomogeneousPoly, seed: int = 0, tol: float = 1e-7
+    f: HomogeneousPoly, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> OrbitClass:
     """Projective class of a nonzero cubic in three variables.
 

@@ -91,6 +91,7 @@ from numpy.linalg import _umath_linalg
 from .core import (
     DualForm,
     lstsq,
+    matrix_rank,
     monomial_index,
     monomial_values,
     monomials_upto,
@@ -211,8 +212,8 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
 
 
 def _free_columns(j: np.ndarray) -> int:
-    """The nullity of J: its column count less its `numerical_rank`."""
-    return j.shape[1] - numerical_rank(np.linalg.svd(j, compute_uv=False))
+    """The nullity of J: its column count less its `matrix_rank`."""
+    return j.shape[1] - matrix_rank(j)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from itertools import combinations
 import numpy as np
 
 from .core import (
-    DualForm, Exponent, grlex_key, monomial_index, monomials, monomials_upto,
-    multinomials, numerical_rank,
+    DualForm, Exponent, grlex_key, matrix_rank, monomial_index, monomials,
+    monomials_upto, multinomials,
 )
 
 KOSZUL_MAX_ENTRIES = 4000  # largest Koszul flattening `koszul_rank_bound` tries
@@ -157,19 +157,21 @@ def _noise(L: DualForm, tol: float) -> float:
 
 
 def known_rank_bound(L: DualForm, tol: float) -> int:
-    """Largest numerical rank among the fully known catalecticant blocks.
+    """Largest numerical rank among the fully known catalecticant blocks
+    k = 1 .. d/2, 0 when there are none.
 
     For every split k + (d-k) = d, the matrix H^{B_k, B_(d-k)} over complete
     monomial bases is fully known; its rank is a lower bound on the support
     size of any extension of L, and it is invariant under changes of
     coordinates.  Singular values count as in `koszul_rank_bound`, so the bound
     holds for every form within relative coefficient distance `tol` of L's.
+    Block 0, one row, adds nothing to the caller's max(1, bound).
     """
     noise = _noise(L, tol)
     best = 0
-    for k in range(L.degree // 2 + 1):  # block d-k is block k transposed
+    for k in range(1, L.degree // 2 + 1):  # block d-k is block k transposed
         index, gain = _catalecticant_layout(L.nvars, L.degree, k)
-        best = max(best, _rank(L.moments[index], gain * noise))
+        best = max(best, matrix_rank(L.moments[index], gain * noise))
     return best
 
 
@@ -189,11 +191,6 @@ def _gain(counts: np.ndarray, nvars: int, degree: int) -> float:
     """Moment k of a form is its coefficient over mults[k]; filling counts[k]
     entries of a matrix M, it gives ||M(e)||_2 <= ||M(e)||_F <= gain * ||e||."""
     return float(np.sqrt(np.max(counts / multinomials(nvars, degree) ** 2)))
-
-
-def _rank(m: np.ndarray, floor: float = 0.0) -> int:
-    """The `numerical_rank` of the matrix m."""
-    return numerical_rank(np.linalg.svd(m, compute_uv=False), floor)
 
 
 @functools.cache
@@ -284,7 +281,7 @@ def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | N
     best, where = 0, None
     for delta, p in koszul_shapes(L.nvars, L.degree):
         gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]
-        count = _rank(koszul_flattening(L, delta, p), gain * noise)
+        count = matrix_rank(koszul_flattening(L, delta, p), gain * noise)
         bound = -(-count // math.comb(L.nvars, p))
         if bound > best:
             best, where = bound, (delta, p)
@@ -355,36 +352,34 @@ def order_ideals(nvars: int, size: int, top: int):
 
 
 def known_columns_test(L: DualForm):
-    """(test, bound) for order ideals B of degree <= max(1, d - 1), d =
-    L.degree: test(B) tells whether the fully known columns of H^{B,B} have
-    full numerical rank, and `bound`, the numerical rank of H^{B,B} over all
-    monomials of degree <= d/2, bounds every fully known principal minor's.
+    """The test, for order ideals B of degree <= max(1, d - 1), d = L.degree,
+    of whether the fully known columns of H^{B,B} have full numerical rank.
 
     Column b is fully known when deg b + deg B <= d; up to degree d/2 all
     are.  No extension changes those columns, so when they are rank-deficient
     D_0 = H^{B,B} is singular for every extension and B holds no flat one.
-    Both slice H, the Hankel matrix of the monomials of degree <= max(1, d - 1)
-    against those of degree <= d/2 (0 at unknown cells), built once; rows and
-    columns are graded-lex positions, so `bound` reads its leading block.
+    The test slices H, the Hankel matrix of the monomials of degree <=
+    max(1, d - 1) against those of degree <= d/2 (0 at unknown cells), built
+    once; rows and columns are graded-lex positions.
     """
     n, d = L.nvars, L.degree
     rows = monomials_upto(n, max(1, d - 1))
-    half = math.comb(n + d // 2, n)  # the monomials of degree <= d/2
-    h = build_hankel(L, rows, rows[:half]).values
+    h = build_hankel(L, rows, rows[: math.comb(n + d // 2, n)]).values
 
     def test(ideal) -> bool:
         # a member's row, and its column if it has one, is its position; the
         # columns of degree <= d less the ideal's top degree come first
         at = monomial_index(ideal)
         known = at[at < math.comb(n + d - sum(ideal[-1]), n)]
-        return _rank(h[np.ix_(at, known)]) == len(known)
+        return matrix_rank(h[np.ix_(at, known)]) == len(known)
 
-    return test, _rank(h[:half])
+    return test
 
 
 def full_rank_principal_minor(ideals, test, top: int) -> MonomialBasis | None:
     """The first of `ideals` (in `order_ideals` order) that passes `test`
-    while their degree is <= top, as a basis; None when none does.
+    while their degree is <= top, as a basis; None when none does.  It
+    reads `ideals` only up to the first of degree > top.
 
     With L's `known_columns_test` and top = L.degree // 2, the basis B has
     H^{B,B} fully known (all pairwise sums stay within the truncation) and of

@@ -166,7 +166,7 @@ def planted_poly(nvars: int, degree: int, r: int, rng, sep: float = 0.3):
 
 def identity_frame_of(L: DualForm) -> _Frame:
     """The rank loop's state for the identity frame of the dual form L."""
-    return _Frame(np.eye(L.nvars + 1), L, *known_columns_test(L))
+    return _Frame(np.eye(L.nvars + 1), L, known_columns_test(L))
 
 
 def rank_walk(L: DualForm, size: int):
@@ -183,10 +183,7 @@ def walked_bases(L: DualForm, size: int) -> list[MonomialBasis]:
 def principal_minor(L: DualForm, size: int) -> MonomialBasis | None:
     """The fully known nonsingular principal minor of `size` the rank loop
     tries first in L's frame, or None."""
-    test, bound = known_columns_test(L)
-    if size > bound:
-        return None
-    return full_rank_principal_minor(rank_walk(L, size), test, L.degree // 2)
+    return full_rank_principal_minor(rank_walk(L, size), known_columns_test(L), L.degree // 2)
 
 
 def kernel_generators(L: DualForm, basis: MonomialBasis) -> list[dict[Exponent, complex]]:

@@ -146,7 +146,7 @@ def test_criterion_5_binary_path():
         wts = rng.standard_normal(r) + 1j * rng.standard_normal(r)
         f = expand_power_sum(list(zip(wts, dirs)), 2, d)
 
-        dec = binary_decompose(f, rng_seed=trial)
+        dec = binary_decompose(f, seed=trial, tol=1e-8)
         rebuilt = expand_power_sum(dec, 2, d)
         if dec.rank == r and poly_sub(rebuilt, f).coeff_norm() < 1e-8 * f.coeff_norm():
             decompose_ok += 1

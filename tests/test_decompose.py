@@ -2,6 +2,7 @@ import contextlib
 import json
 import re
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from waring.core import (
     decomposition_from_json,
     essential_vars,
     expand_power_sum,
+    monomials_upto,
+    numerical_rank,
     parse_poly,
     random_unitary,
     relative_error,
@@ -22,6 +25,7 @@ from waring.core import (
 from waring.binary import binary_decompose
 from waring.decompose import (
     OrbitClass,
+    _Frame,
     _relative_err,
     classify_ternary_cubic,
     decompose,
@@ -29,12 +33,13 @@ from waring.decompose import (
     verify,
 )
 from waring.hankel import (
-    IDEALS_PER_RANK, known_columns_test, known_rank_bound, koszul_rank_bound, order_ideals,
+    IDEALS_PER_RANK, MonomialBasis, build_hankel, full_rank_principal_minor, known_columns_test,
+    known_rank_bound, koszul_rank_bound, order_ideals,
 )
 
 from conftest import (
-    FIXTURES, QUINTIC_SUPPORT, identity_frame_of, load_json_poly, load_text_poly,
-    planted_poly, poly_sub, principal_minor,
+    FIXTURES, QUINTIC_SUPPORT, WALK_SHAPES, identity_frame_of, load_json_poly, load_text_poly,
+    planted_poly, poly_sub, principal_minor, rank_walk,
 )
 
 
@@ -278,7 +283,7 @@ def test_each_rank_is_walked_once_per_frame(monkeypatch):
     built, walks, tested = [], [], []
 
     def columns(L):
-        test, bound = known_columns_test(L)
+        test = known_columns_test(L)
         built.append(L)
         frame = len(built)
 
@@ -286,7 +291,7 @@ def test_each_rank_is_walked_once_per_frame(monkeypatch):
             tested.append((frame, tuple(ideal)))
             return test(ideal)
 
-        return counted, bound
+        return counted
 
     def ideals(nvars, size, top):
         walks.append([size, 0])
@@ -302,6 +307,91 @@ def test_each_rank_is_walked_once_per_frame(monkeypatch):
     assert [size for size, _ in walks] == [7, 8, 9]
     assert all(0 < drawn <= IDEALS_PER_RANK for _, drawn in walks)
     assert len(tested) == len(set(tested))
+
+
+def _gated_candidates(frame, walk, r):
+    """`_basis_candidates` as it was with its minor-rank gate: the
+    principal-minor search ran only when r was at most the numerical rank of
+    H over every monomial of degree <= d/2, one more SVD per frame; past
+    it, every ideal was tested in walk order."""
+    n, half = frame.L.nvars, frame.L.degree // 2
+    full = monomials_upto(n, half)
+    h = build_hankel(frame.L, full, full).value_matrix()
+    minor_rank = numerical_rank(np.linalg.svd(h, compute_uv=False))
+    walk, read = iter(walk), []
+    if r <= minor_rank:
+        taken = (read.append(ideal) or ideal for ideal in walk)
+        pm = full_rank_principal_minor(taken, frame.test, half)
+        if pm is not None:
+            yield pm, True
+            read.pop()
+    for ideal in read:
+        yield MonomialBasis(n, ideal), sum(ideal[-1]) > half and frame.test(ideal)
+    for ideal in walk:
+        yield MonomialBasis(n, ideal), frame.test(ideal)
+
+
+def _gate_inputs(group):
+    if group == "fixtures":
+        yield from (load_text_poly(p.name) for p in sorted(FIXTURES.glob("*.txt")))
+        yield from (load_json_poly(p.name) for p in sorted(FIXTURES.glob("*.json"))
+                    if not p.name.endswith("_decomposition.json"))
+    elif group == "monomials":
+        for text in ["x0*x1*x2*x3", "x0^2*x1^2*x2^2", "x0^2*x1*x2", "x0*x1*x2", "x0^2*x1^2*x2"]:
+            yield parse_poly(text)
+    else:
+        for shape in WALK_SHAPES:
+            yield planted_poly(*shape, np.random.default_rng(shape[2]))[0]
+
+
+@pytest.mark.parametrize("group", ["fixtures", "monomials", "bench_shapes"])
+def test_the_principal_minor_search_needs_no_gate(group, monkeypatch):
+    # at every rank the search visits, in both frames, the candidates come
+    # out as the gated generator gave them, bases and verdicts alike, with
+    # no more known-columns tests: where r is past the minor rank no ideal
+    # of degree <= d/2 passes, and the search stops at the first past it.
+    # A search that never draws its second frame is checked in one random
+    # unitary change
+    module = sys.modules["waring.decompose"]
+    loops = []  # per rank loop: its form, the ranks and the frames it visits
+
+    def rank_loop(f, *args):
+        loops.append((f, set(), []))
+        return run_loop(f, *args)
+
+    def recording(frame, walk, r):
+        loops[-1][1].add(r)
+        if not any(frame is seen for seen in loops[-1][2]):
+            loops[-1][2].append(frame)
+        return candidates(frame, walk, r)
+
+    run_loop, candidates = module._rank_loop, module._basis_candidates
+    monkeypatch.setattr(module, "_rank_loop", rank_loop)
+    monkeypatch.setattr(module, "_basis_candidates", recording)
+    for f in _gate_inputs(group):
+        decompose(f, seed=0)
+    monkeypatch.undo()
+    assert loops
+    for f, ranks, frames in loops:
+        if len(frames) == 1:
+            a = random_unitary(f.nvars, np.random.default_rng(0))
+            L = to_dual(change_coordinates(f, a))
+            frames.append(_Frame(a, L, known_columns_test(L)))
+        for frame, r in product(frames, sorted(ranks)):
+            runs = []
+            for generator in (candidates, _gated_candidates):
+                tested = []
+
+                def counted(ideal):
+                    tested.append(ideal)
+                    return frame.test(ideal)
+
+                got = [(b.exponents, full) for b, full in
+                       generator(frame._replace(test=counted), rank_walk(frame.L, r), r)]
+                runs.append((got, len(tested)))
+            (got, calls), (want, want_calls) = runs
+            assert got == want, (f.coeffs, r)
+            assert calls <= want_calls, (f.coeffs, r)
 
 
 def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):

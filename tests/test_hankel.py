@@ -12,6 +12,7 @@ from waring.core import (
     change_coordinates,
     monomial_index,
     monomials_upto,
+    multinomials,
     numerical_rank,
     parse_poly,
     to_dual,
@@ -22,6 +23,7 @@ from waring.hankel import (
     KOSZUL_MAX_ENTRIES,
     MonomialBasis,
     build_hankel,
+    _catalecticant_layout,
     _koszul_layout,
     full_rank_principal_minor,
     known_columns_test,
@@ -35,10 +37,13 @@ from waring.hankel import (
 
 from conftest import (
     EXACTNESS_CASES,
+    FIXTURES,
     dict_hankel,
     exactness_case,
     identity_frame_of,
     kernel_generators,
+    load_json_poly,
+    load_text_poly,
     object_hankel,
     object_unknowns,
     object_value_matrix,
@@ -134,6 +139,41 @@ def test_known_rank_bound_detects_planted_rank():
         assert known_rank_bound(to_dual(f), TOL) == r
 
 
+def _bound_with_block_zero(L, tol):
+    """`known_rank_bound` as it was when it also read the one-row block
+    k = 0, every block's singular values against the same noise floor."""
+    noise = tol * np.linalg.norm(L.moments * multinomials(L.nvars, L.degree))
+    best = 0
+    for k in range(L.degree // 2 + 1):
+        index, gain = _catalecticant_layout(L.nvars, L.degree, k)
+        s = np.linalg.svd(L.moments[index], compute_uv=False)
+        best = max(best, numerical_rank(s, gain * noise))
+    return best
+
+
+def test_block_zero_adds_nothing_to_the_rank_bound():
+    # block 0 has rank at most 1, which the rank loop's max(1, bound)
+    # already gives: on the fixtures, the CI loop's monomials, pure powers
+    # of degree 1-6 and planted forms under noise, at tolerances up to 1e-1
+    forms = [load_text_poly(p.name) for p in sorted(FIXTURES.glob("*.txt"))]
+    forms += [load_json_poly(p.name) for p in sorted(FIXTURES.glob("*.json"))
+              if not p.name.endswith("_decomposition.json")]
+    forms += [parse_poly(t) for t in
+              ["x0*x1*x2*x3", "x0^2*x1^2*x2^2", "x0^2*x1*x2", "x0*x1*x2", "x0^2*x1^2*x2"]]
+    forms += [power_of_linear_form(np.arange(1.0, n + 1) * 1j ** np.arange(n), d)
+              for n in (2, 3, 4) for d in range(1, 7)]
+    rng = np.random.default_rng(5)
+    for n, d, r in [(2, 6, 1), (2, 7, 3), (3, 2, 2), (3, 4, 1), (3, 5, 4), (4, 3, 3)]:
+        f, _ = planted_poly(n, d, r, rng)
+        e = rng.standard_normal(len(f.coeffs)) * 1e-9 * f.coeff_norm()
+        forms.append(HomogeneousPoly(n, d, {m: c + x for (m, c), x in zip(f.coeffs.items(), e)}))
+    for f in forms:
+        L = to_dual(f)
+        for tol in (1e-12, 1e-7, 1e-4, 1e-1):
+            got, want = known_rank_bound(L, tol), _bound_with_block_zero(L, tol)
+            assert max(1, got) == max(1, want), (f.coeffs, tol)
+
+
 @pytest.mark.parametrize("nvars, size, top", [
     (2, 4, 3), (2, 6, 5), (3, 5, 3), (3, 8, 3), (3, 10, 3), (4, 6, 2),
 ])
@@ -169,20 +209,10 @@ def test_known_columns_prune_a_singular_basis():
     # diag(1, 0, 0) for every extension; {1, x1, x1^2} has the known columns
     # 1 and x1 of full rank
     L = to_dual(parse_poly("x0^3 + x1^3 + x2^3"))
-    test, _ = known_columns_test(L)
+    test = known_columns_test(L)
     assert not test([(0, 0), (1, 0), (0, 1)])
     assert test([(0, 0), (1, 0), (2, 0)])
     assert principal_minor(L, 3) is None
-
-
-@pytest.mark.parametrize("text", ["x0^3 + x1^3 + x2^3", "x0^2*x1*x2", "x0^5 + x1^5 + x2^5 + x3^5"])
-def test_known_columns_bound_is_the_full_principal_block_rank(text):
-    # the bound reads the leading block of the known-columns matrix: the
-    # Hankel matrix of every monomial of degree <= d/2 against itself
-    L = to_dual(parse_poly(text))
-    full = monomials_upto(L.nvars, L.degree // 2)
-    h = build_hankel(L, full, full).value_matrix()
-    assert known_columns_test(L)[1] == numerical_rank(np.linalg.svd(h, compute_uv=False))
 
 
 def test_principal_minor_quintic(quintic):
@@ -217,7 +247,6 @@ def test_principal_minor_walk_is_bounded():
     # frame tests each of them once, its principal-minor search included
     L = to_dual(parse_poly("x0^2*x1*x2*x3*x4"))
     frame = identity_frame_of(L)
-    assert frame.minor_rank >= 14
     tested = []
 
     def counted(ideal):
