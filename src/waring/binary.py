@@ -76,11 +76,11 @@ def _start(u: np.ndarray, cap: int, floor: float):
 
 
 def _projective_roots(b: np.ndarray):
-    """Roots of sum_k b_k alpha^k beta^(r-k) as points (alpha, beta).
+    """The r roots of sum_k b_k alpha^k beta^(r-k) as unit (alpha, beta).
 
     Leading coefficients at most 1e-10 of the largest vanish; each is a root
-    at infinity, direction (1, 0).  More than one of those means a repeated
-    root and the caller must retry: None is returned then.
+    at infinity, direction (1, 0).  Two of those are a repeated root, which
+    the caller's distinctness test rejects: their pairwise sine is exactly 0.
     """
     r = len(b) - 1
     top = np.max(np.abs(b))
@@ -88,9 +88,7 @@ def _projective_roots(b: np.ndarray):
     while k >= 0 and abs(b[k]) <= 1e-10 * top:
         k -= 1
     at_infinity = r - k
-    if at_infinity > 1:
-        return None
-    finite = np.roots(b[k::-1]) if k >= 1 else np.array([])
+    finite = np.roots(b[k::-1])  # exactly k roots, none for k = 0
     pts = [np.array([z, 1.0 + 0j]) for z in finite]
     pts += [np.array([1.0 + 0j, 0j])] * at_infinity
     return [p / np.linalg.norm(p) for p in pts]
@@ -137,7 +135,7 @@ def binary_decompose(
             kernel.append(null @ (mu / np.linalg.norm(mu)))
         for b in kernel:
             pts = _projective_roots(b)
-            if pts is None or len(pts) != r or np.any(pairwise_sines(pts) <= 1e-8):
+            if np.any(pairwise_sines(pts) <= 1e-8):
                 continue
             # c_i = sum_j w_j alpha_j^i beta_j^(d-i)
             a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T

@@ -7,18 +7,20 @@ evaluates those equations numerically with one inverse of D_0 per point,
 which the residual and the Jacobian at that point share.  That inverse is
 also the one test of D_0: it passes when |D_0|_F |D_0^{-1}|_F < 1e10, a bound
 on its condition number that no rescaling of the moments moves, and a point
-where it fails has a NaN residual.  The Jacobian is built from
-one rank-1 term per cell an unknown occupies; the index of those terms
-depends only on the pattern of unknown cells, so it is built once per
-pattern (`_jacobian_terms`).  `extend_dual` solves the equations with a
-damped Gauss-Newton iteration, one start after the other, and keeps the
-first point that reaches TOL, also on a positive-dimensional solution set.
+where it fails has a NaN residual.  `extend_dual` takes it once per basis,
+at x = 0, before any start; every choice below reads that one verdict.  The
+Jacobian is built from one rank-1 term per cell an unknown occupies; the
+index of those terms depends only on the pattern of unknown cells, so it is
+built once per pattern (`_jacobian_terms`).  `extend_dual` solves the
+equations with a damped Gauss-Newton iteration, one start after the other,
+and keeps the first point that reaches TOL, also on a positive-dimensional
+solution set.
 
-The first start, when D_0 holds no unknown cell, is the normal-form start.
-A border monomial u = x_k b' whose column H^{B,u} is fully known then has a
-known normal form lam_u = D_0^{-1} H^{B,u}, and by the flat extension
-theorem (Laurent-Mourrain 2009) every commuting extension has
-L(u v) = sum_b lam_ub L(b v).  `_normal_form_relations` keeps the instances
+The first start, when D_0 holds no unknown cell and passes its test, is the
+normal-form start.  A border monomial u = x_k b' whose column H^{B,u} is
+fully known then has a known normal form lam_u = D_0^{-1} H^{B,u}, and by
+the flat extension theorem (Laurent-Mourrain 2009) every commuting extension
+has L(u v) = sum_b lam_ub L(b v).  `_normal_form_relations` keeps the instances
 of that identity whose positions are all cells of D_0..D_n: each then
 follows from the commutator equations, whose solutions define such an
 extension.  They are linear in the unknowns, and one SVD splits their
@@ -211,11 +213,6 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     return x, fn
 
 
-def _free_columns(j: np.ndarray) -> int:
-    """The nullity of J: its column count less its `matrix_rank`."""
-    return j.shape[1] - matrix_rank(j)
-
-
 # ---------------------------------------------------------------------------
 # commutation equations
 
@@ -376,11 +373,13 @@ def _jacobian_terms(n: int, s: int, m: int, cells: bytes) -> np.ndarray:
     return terms
 
 
-def _normal_form_relations(res: CommutatorResidual, L: DualForm, basis: MonomialBasis):
+def _normal_form_relations(res: CommutatorResidual, L: DualForm, basis: MonomialBasis,
+                           n_mat: np.ndarray | None):
     """(A, b): the relations A x = b that the known normal forms put on the
     unknowns x of `res`, or None when there is none.
 
-    There is one only when D_0 holds no unknown cell.  Column b' of D_k is
+    There is one only when D_0 holds no unknown cell and `n_mat`, its inverse
+    as `extend_dual` took it at x = 0, is not None.  Column b' of D_k is
     H^{B,u} for the monomial u = x_k b'.  When u is a border monomial (not in
     B) and its column is fully known, its normal form is lam_u = D_0^{-1}
     H^{B,u}, and every commuting extension has L(u v) = sum_b lam_ub L(b v).
@@ -393,7 +392,7 @@ def _normal_form_relations(res: CommutatorResidual, L: DualForm, basis: Monomial
     for planted forms, v over every cell of D_0..D_n gave the same null
     space."""
     at, known = res.at, len(L.moments)
-    if not res.unknowns.size or at[0].max() >= known:
+    if n_mat is None or not res.unknowns.size or at[0].max() >= known:
         return None
     # the border columns x_k b' of D_1..D_n, one per monomial (row 0 of a
     # column holds the position of its monomial), and the fully known ones
@@ -403,10 +402,6 @@ def _normal_form_relations(res: CommutatorResidual, L: DualForm, basis: Monomial
     k, c = np.divmod(first[~inside[heads]], at.shape[2])
     full = at[1 + k, :, c].max(axis=1) < known
     if not full.any():
-        return None
-    with np.errstate(all="ignore"):  # a singular D_0 is a verdict here
-        n_mat = CommutatorResidual._inverse(res.const[0])
-    if n_mat is None:
         return None
     border = np.array(basis.exponents, dtype=np.intp)[c] + np.eye(L.nvars, dtype=np.intp)[k]
     u = border[full]
@@ -439,17 +434,20 @@ def _relation_split(a: np.ndarray, b: np.ndarray):
 
 
 def _solution(L: DualForm, res: CommutatorResidual, x: np.ndarray, r: float) -> ExtensionSolution:
-    """The extension at the unknowns x, of max-abs residual r."""
+    """The extension at the unknowns x, of max-abs residual r; its free_count
+    is the nullity of the Jacobian at x."""
     moments = np.append(L.moments, np.full(res.unknowns[-1] + 1 - len(L.moments), np.nan))
     moments[res.unknowns] = x
-    return ExtensionSolution(moments, float(r), _free_columns(res.jacobian(x)))
+    j = res.jacobian(x)
+    return ExtensionSolution(moments, float(r), j.shape[1] - matrix_rank(j))
 
 
-def _normal_form_start(res: CommutatorResidual, L: DualForm, basis: MonomialBasis):
+def _normal_form_start(res: CommutatorResidual, L: DualForm, basis: MonomialBasis,
+                       n_mat: np.ndarray | None):
     """The solution reached from the relations' particular solution x_p by
     Gauss-Newton over y in x = x_p + Z y, or None: there is no relation, or
     the run misses TOL.  With Z empty, x_p alone is tested."""
-    relations = _normal_form_relations(res, L, basis)
+    relations = _normal_form_relations(res, L, basis, n_mat)
     if relations is None:
         return None
     x_p, z = _relation_split(*relations)
@@ -481,12 +479,12 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
 
     Returns None when no acceptable solution is found (usually meaning the
     basis size is below the true support size, or above it with the unknowns
-    overdetermined into inconsistency).  The starts, in order, up to the
-    first that reaches TOL: the normal-form start (`_normal_form_start`),
-    when D_0 holds no unknown; then x = 0; then RESTARTS - 1 random starts,
-    uniform in the unit box where D_0 passes `_inverse` at x = 0, and on the
-    moment variety (`_moment_starts`) where it fails, all drawn from
-    default_rng(seed).  Every solution returned, also one with no unknowns,
+    overdetermined into inconsistency).  D_0 is tested once, by `_inverse`
+    at x = 0.  The starts, in order, up to the first that reaches TOL: the
+    normal-form start (`_normal_form_start`), when D_0 holds no unknown and
+    passes; then x = 0; then RESTARTS - 1 random starts, uniform in the unit
+    box where D_0 passes at x = 0, and on the moment variety
+    (`_moment_starts`) where it fails, all drawn from default_rng(seed).  Every solution returned, also one with no unknowns,
     has a D_0 that passes `_inverse`.  Its free_count is
     the number of unknowns the Jacobian leaves free there: the dimension of
     the solution set.  Any point of a positive-dimensional set whose pencil
@@ -494,13 +492,13 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     sought.
     """
     res = CommutatorResidual(L, basis)
+    zero = np.zeros(len(res.unknowns), dtype=complex)
+    with np.errstate(all="ignore"):  # a singular D_0 is a verdict here
+        n_mat = res._point(zero)[1]
     if not res.unknowns.size:
-        x = np.zeros(0, dtype=complex)
-        with np.errstate(all="ignore"):  # a singular D_0 is a verdict here
-            singular = res._point(x)[1] is None
-        if singular:  # s = 1 has no equation to carry the NaN
+        if n_mat is None:  # s = 1 has no equation to carry the NaN
             return None
-        rmax = float(np.max(np.abs(res.residual(x)), initial=0.0))
+        rmax = float(np.max(np.abs(res.residual(zero)), initial=0.0))
         if not rmax <= TOL:
             return None
         return ExtensionSolution(L.moments, rmax, 0)
@@ -509,13 +507,10 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
         # should have taken the binary route instead
         return None
 
-    found = _normal_form_start(res, L, basis)
+    found = _normal_form_start(res, L, basis, n_mat)
     if found is not None:
         return found
-    zero = np.zeros(len(res.unknowns), dtype=complex)
-    with np.errstate(all="ignore"):  # a singular D_0 is a verdict here
-        singular = res._point(zero)[1] is None
-    if singular:
+    if n_mat is None:
         starts = _moment_starts(L, basis, res.unknowns, seed)
     else:
         u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, len(zero)))

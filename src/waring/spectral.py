@@ -4,9 +4,9 @@ Once the extension step has produced numeric matrices D_0 (nonsingular) and
 D_i for each variable, the evaluation points of the underlying functional are
 read off generalized eigenvectors v of a pencil (D_t, D_0), and the weights
 come from one over-determined linear solve against the known moments.  The
-pencil is read through D_0's singular value decomposition D_0 = U S V^H: its
-eigenvectors are V times those of the standard eigenproblem S^{-1} U^H D_t V,
-which is the multiplication operator D_0^{-1} D_t written in the basis V.
+pencil is read through one singular value decomposition D_0 = U S V^H for
+every t: its eigenvectors are V times those of the standard eigenproblem
+S^{-1} U^H D_t V, the multiplication operator D_0^{-1} D_t in the basis V.
 
 Every coordinate is read by one rule.  For an evaluation functional at zeta,
 Lambda(x_i b) = zeta_i Lambda(b), so the first row of D_i = H^{B, x_i B} times
@@ -38,21 +38,21 @@ class ExtractionError(RuntimeError):
     """
 
 
-def generalized_eigen(d1: np.ndarray, d0: np.ndarray):
-    """Eigenvalues w and eigenvectors v, of unit norm, of the pencil (d1, d0):
-    d1 v = w d0 v.
+def generalized_eigen(d1: np.ndarray, svd):
+    """Eigenvalues w and eigenvectors v, of unit norm, of the pencil (d1, d0),
+    d1 v = w d0 v, from d0's `svd` = `np.linalg.svd(d0)` = (U, S, V^H).
 
-    With d0 = U S V^H, v = V y for each eigenpair (w, y) of S^{-1} U^H d1 V.
-    Dividing by the singular values rather than solving with d0 keeps the
-    accuracy of the QZ algorithm on an ill-conditioned d0.  A d0 too near
-    singular for that division to stay finite has no such operator: its w are
-    then infinite and its v NaN, which the caller's finite test rejects."""
-    u, sigma, vh = np.linalg.svd(d0)
+    v = V y for each eigenpair (w, y) of S^{-1} U^H d1 V.  Dividing by the
+    singular values rather than solving with d0 keeps the accuracy of the QZ
+    algorithm on an ill-conditioned d0.  A d0 too near singular for that
+    division to stay finite has no such operator: its w are then infinite
+    and its v NaN, which the caller's finite test rejects."""
+    u, sigma, vh = svd
     v = vh.conj().T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         op = (u.conj().T @ d1 @ v) / sigma[:, None]
     if not np.isfinite(op).all():
-        return np.full(len(d0), np.inf + 0j), np.full_like(v, np.nan)
+        return np.full(len(sigma), np.inf + 0j), np.full_like(v, np.nan)
     w, y = np.linalg.eig(op)
     return w, v @ y
 
@@ -112,7 +112,8 @@ def pencil_support(
     """Support points, (r, n), from the first of two pencils with simple
     eigenvalues and evaluation-vector eigenvectors: the plain x_1 pencil
     (D_1, D_0), then (sum_i t_i D_i, D_0) for t drawn on the complex unit
-    sphere, only when the first fails.  Returns None when both fail.
+    sphere, only when the first fails; both read one SVD of D_0.  Returns
+    None when both fail.
     """
     def pencils():
         yield shifts[0]
@@ -124,8 +125,9 @@ def pencil_support(
     # D_0, then the first row of each D_i: times an eigenvector, the basis
     # monomials and the coordinates of its point, all at one scale
     rows = np.vstack([d0, *(s[:1] for s in shifts)])
+    svd = np.linalg.svd(d0)
     for dt in pencils():
-        w, v = generalized_eigen(dt, d0)
+        w, v = generalized_eigen(dt, svd)
         if not np.all(np.isfinite(w)) or not eigenvalues_simple(w):
             continue
         u = rows @ v

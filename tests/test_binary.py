@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +141,31 @@ def test_direction_at_infinity():
     dec = binary_decompose(f)
     assert dec.rank == 2
     assert any(abs(m[1]) < 1e-10 for _, m in dec.terms)
+
+
+def test_a_repeated_root_at_infinity_is_returned_and_refused(monkeypatch):
+    # two vanishing leading coefficients: all r = 4 roots come back, (1, 0)
+    # twice, and their pairwise sine is exactly 0
+    pts = _projective_roots(np.array([1.0, -3.0, 2.0, 0.0, 0.0]))
+    assert len(pts) == 4
+    assert sum(np.array_equal(p, [1, 0]) for p in pts) == 2
+    assert np.min(pairwise_sines(pts)) == 0
+    # x0^5*x1 has rank 6: every candidate below it holds (1, 0) at least
+    # twice, and the loop passes over each
+    module = sys.modules["waring.binary"]
+    seen = []
+
+    def recorded(b):
+        seen.append(roots(b))
+        return seen[-1]
+
+    roots = module._projective_roots
+    monkeypatch.setattr(module, "_projective_roots", recorded)
+    dec = binary_decompose(parse_poly("x0^5*x1"))
+    assert dec.rank == 6
+    below = [p for p in seen if len(p) < 6]
+    assert below and all(sum(q[1] == 0 for q in p) >= 2 for p in below)
+    assert np.min(pairwise_sines([m for _, m in dec.terms])) > 1e-8
 
 
 

@@ -1,6 +1,7 @@
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from waring.core import (
     grlex_key,
     identity_frame,
     lstsq,
+    matrix_rank,
     monomial_values,
     monomials_upto,
     parse_poly,
@@ -23,12 +25,12 @@ from waring.extension import (
     RESTARTS,
     TERMS_CACHE,
     TOL,
-    _free_columns,
     _gauss_newton,
     _jacobian_terms,
     _normal_form_relations,
     _normal_step,
     _relation_split,
+    _solution,
 )
 from waring.hankel import (
     MonomialBasis,
@@ -176,12 +178,14 @@ def test_extension_gives_up_after_the_probe_starts(monkeypatch):
     assert min(runs) > 1e-4
 
 
-def test_free_columns_is_the_nullity():
+def test_free_columns_is_the_nullity(quartic):
     # J = A B with A 30x4 and B 4x9 has rank 4, so 5 of its 9 columns are free
     rng = np.random.default_rng(8)
     a = rng.standard_normal((30, 4)) + 1j * rng.standard_normal((30, 4))
     b = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
-    assert _free_columns(a @ b) == 5
+    L = to_dual(quartic)
+    res = SimpleNamespace(unknowns=len(L.moments) + np.arange(9), jacobian=lambda x: a @ b)
+    assert _solution(L, res, np.zeros(9, dtype=complex), 0.0).free_count == 5
 
 
 def test_cubic_system_counts(maximal_cubic):
@@ -508,7 +512,7 @@ def _cubic_rank4_start(maximal_cubic):
 def test_rank_deficient_jacobian_takes_the_fallback(maximal_cubic):
     res, x = _cubic_rank4_start(maximal_cubic)
     j = res.jacobian(x)
-    assert _free_columns(j) == 2
+    assert j.shape[1] - matrix_rank(j) == 2
     with np.errstate(all="ignore"):  # as _gauss_newton holds it
         assert _normal_step(j, res.residual(x)) is None
 
@@ -861,7 +865,7 @@ def test_lstsq_step_is_numpys_bit_for_bit(maximal_cubic):
         x = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
         cases.append((res.jacobian(x), res.residual(x)))
     assert {j.shape for j, _ in cases} == {(6, 5)}
-    assert {_free_columns(j) for j, _ in cases} == {2}
+    assert {j.shape[1] - matrix_rank(j) for j, _ in cases} == {2}
     tall = rng.standard_normal((60, 8)) + 1j * rng.standard_normal((60, 8))
     cases.append((tall, rng.standard_normal(60) + 1j * rng.standard_normal(60)))
     for j, f in cases:
@@ -980,7 +984,8 @@ def _reference_runs(res, L, starts):
         if r <= TOL:
             moments = np.append(L.moments, np.full(res.unknowns[-1] + 1 - len(L.moments), np.nan))
             moments[res.unknowns] = x
-            return ExtensionSolution(moments, float(r), _free_columns(res.jacobian(x)))
+            j = res.jacobian(x)
+            return ExtensionSolution(moments, float(r), j.shape[1] - matrix_rank(j))
     return None
 
 
@@ -1002,6 +1007,12 @@ def _planted_minor(nvars, degree, rank, seed=None):
     return L, principal_minor(L, rank)
 
 
+def _zero_inverse(res):
+    """D_0^{-1} at x = 0, or None, as `extend_dual` takes it."""
+    with np.errstate(all="ignore"):
+        return res._inverse(res.matrices(np.zeros(len(res.unknowns), dtype=complex))[0])
+
+
 def _solution_bytes(sol):
     return sol.moments.tobytes(), sol.residual, sol.free_count
 
@@ -1016,7 +1027,7 @@ def test_relations_hold_at_the_full_space_solution(shape):
     # random starts reach does
     L, basis = _planted_minor(*shape)
     res = CommutatorResidual(L, basis)
-    a, b = _normal_form_relations(res, L, basis)
+    a, b = _normal_form_relations(res, L, basis, _zero_inverse(res))
     x_p, z = _relation_split(a, b)
     assert (len(res.unknowns), z.shape[1]) == RELATION_SHAPES[shape]
     x = _reference_start_loop(L, basis).moments[res.unknowns]
@@ -1055,10 +1066,30 @@ def test_relations_that_fix_every_unknown_need_no_gauss_newton(monkeypatch):
     monkeypatch.setattr(module, "_gauss_newton", lambda *args: runs.append(args))
     L, basis = _planted_minor(5, 4, 9)
     res = CommutatorResidual(L, basis)
-    assert _relation_split(*_normal_form_relations(res, L, basis))[1].shape == (20, 0)
+    relations = _normal_form_relations(res, L, basis, _zero_inverse(res))
+    assert _relation_split(*relations)[1].shape == (20, 0)
     sol = extend_dual(L, basis)
     assert runs == []
     assert sol.residual <= TOL and sol.free_count == 0
+
+
+def test_relations_take_d0_inverse_from_the_caller(monkeypatch):
+    # planted (5, 4, 9): D_0 is fully known and has relations, which read
+    # the inverse they are handed; handed None, there are none
+    L, basis = _planted_minor(5, 4, 9)
+    res = CommutatorResidual(L, basis)
+    assert res.at[0].max() < len(L.moments)
+    n_mat = _zero_inverse(res)
+    inverses = []
+    monkeypatch.setattr(CommutatorResidual, "_inverse",
+                        staticmethod(lambda d0: inverses.append(d0)))
+    assert _normal_form_relations(res, L, basis, None) is None
+    a, b = _normal_form_relations(res, L, basis, n_mat)
+    assert inverses == []
+    monkeypatch.undo()
+    x_p, z = _relation_split(a, b)
+    assert z.shape == (20, 0)
+    assert np.max(np.abs(res.residual(x_p))) <= TOL
 
 
 @pytest.mark.parametrize("name, planted", [
@@ -1075,9 +1106,49 @@ def test_a_basis_without_relations_runs_the_start_loop_bit_for_bit(name, planted
         L, basis = _planted_minor(*planted)
     res = CommutatorResidual(L, basis)
     assert res.unknowns.size
-    assert _normal_form_relations(res, L, basis) is None
+    assert _normal_form_relations(res, L, basis, _zero_inverse(res)) is None
     got = extend_dual(L, basis)
     assert _solution_bytes(got) == _solution_bytes(_reference_start_loop(L, basis))
+
+
+def test_a_missed_normal_form_start_and_the_zero_start_share_one_d0_test(monkeypatch):
+    # planted (5, 4, 13) at rng [3, 13]: on the basis decompose extends, the
+    # relations leave 21 of 48 unknowns free, their run misses TOL and the
+    # zero start then reaches it.  One test of D_0, at x = 0, comes before
+    # the first run: the relations take no inverse of their own
+    walked = []
+
+    def recorded(L, basis, seed):
+        walked.append((L, basis, seed))
+        return extend_dual(L, basis, seed)
+
+    monkeypatch.setattr(sys.modules["waring.decompose"], "extend_dual", recorded)
+    f, _ = planted_poly(5, 4, 13, np.random.default_rng([3, 13]))
+    rep = decompose(f)
+    assert (rep.rank, rep.retries, rep.free_count) == (13, 0, 0)
+    assert rep.residual < 1e-8
+    monkeypatch.undo()
+    (L, basis, seed), = walked
+    module = sys.modules["waring.extension"]
+    events = []
+
+    def inverse(d0):
+        events.append("inverse")
+        return invert(d0)
+
+    def counted(fun, jac, x0, tol, max_iter):
+        events.append(len(x0))
+        x, r = gauss_newton(fun, jac, x0, tol, max_iter)
+        runs.append((len(x0), r <= tol))
+        return x, r
+
+    invert, gauss_newton = CommutatorResidual._inverse, module._gauss_newton
+    runs = []
+    monkeypatch.setattr(CommutatorResidual, "_inverse", staticmethod(inverse))
+    monkeypatch.setattr(module, "_gauss_newton", counted)
+    assert extend_dual(L, basis, seed).residual <= TOL
+    assert runs == [(21, False), (48, True)]
+    assert events[:2] == ["inverse", 21]
 
 
 def test_a_failed_normal_form_start_falls_through_to_the_start_loop(monkeypatch):
@@ -1157,7 +1228,7 @@ def test_a_singular_zero_start_runs_the_moment_starts_bit_for_bit(name, seed):
     res = CommutatorResidual(L, basis)
     with np.errstate(all="ignore"):
         assert res._inverse(res.matrices(np.zeros(len(res.unknowns)))[0]) is None
-    assert _normal_form_relations(res, L, basis) is None
+    assert _normal_form_relations(res, L, basis, _zero_inverse(res)) is None
     got, want = extend_dual(L, basis, seed=seed), _reference_moment_start_loop(L, basis, seed)
     if name == "sum_of_cubes":
         assert got is want is None

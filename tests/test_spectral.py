@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from waring.core import Decomposition, expand_power_sum, to_dual
+from waring.core import Decomposition, expand_power_sum, identity_frame, to_dual
 from waring.decompose import _support_ok
+from waring.extension import extend_dual
 from waring.hankel import (
     MonomialBasis,
     build_hankel,
@@ -44,7 +45,7 @@ def _scaled_columns(v, d0, shifts):
 
 def test_pencil_eigenvalues_are_coordinates(quintic):
     L, b, d0, d1, d2 = _quintic_setup(quintic)
-    w, _ = generalized_eigen(d1, d0)
+    w, _ = generalized_eigen(d1, np.linalg.svd(d0))
     assert eigenvalues_simple(w)
     assert sorted(np.round(w.real).astype(int)) == [-12, -2, 2, 12]
     assert np.max(np.abs(w.imag)) < 1e-8
@@ -53,7 +54,7 @@ def test_pencil_eigenvalues_are_coordinates(quintic):
 def test_eigenvectors_are_evaluation_vectors(quintic):
     # columns normalized at the constant slot read off (1, z1, z2, z1^2)
     L, b, d0, d1, d2 = _quintic_setup(quintic)
-    _, v = generalized_eigen(d1, d0)
+    _, v = generalized_eigen(d1, np.linalg.svd(d0))
     u = _scaled_columns(v, d0, [])
     want = {(-12, -3, 144), (12, -13, 144), (-2, 3, 4), (2, 3, 4)}
     got = set()
@@ -66,7 +67,7 @@ def test_eigenvectors_are_evaluation_vectors(quintic):
 
 def test_extract_points_and_weights(quintic):
     L, b, d0, d1, d2 = _quintic_setup(quintic)
-    _, v = generalized_eigen(d1, d0)
+    _, v = generalized_eigen(d1, np.linalg.svd(d0))
     ps = extract_points(_scaled_columns(v, d0, [d1, d2]), b)
     assert ps.shape == (4, 2)
     pts = sorted(tuple(np.round(p.real).astype(int)) for p in ps)
@@ -84,7 +85,7 @@ def test_row_rule_equals_the_basis_entry(quintic):
     # the same numbers
     L, b, d0, d1, d2 = _quintic_setup(quintic)
     ps = pencil_support(d0, [d1, d2], b, np.random.default_rng(0))
-    _, v = generalized_eigen(d1, d0)
+    _, v = generalized_eigen(d1, np.linalg.svd(d0))
     u = _scaled_columns(v, d0, [])
     entries = u[[b.index[(1, 0)], b.index[(0, 1)]]].T
     np.testing.assert_allclose(ps, entries, rtol=1e-14, atol=0)
@@ -169,7 +170,7 @@ def test_single_point_support():
     b = MonomialBasis(1, [(0,)])
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     d1 = shifted_matrix(L, b, 0).value_matrix()
-    _, v = generalized_eigen(d1, d0)
+    _, v = generalized_eigen(d1, np.linalg.svd(d0))
     ps = extract_points(_scaled_columns(v, d0, [d1]), b)
     assert ps[0][0] == pytest.approx(5.0, abs=1e-10)
     wt = solve_weights(ps, L)
@@ -234,9 +235,9 @@ def test_colliding_points_cost_one_pencil(monkeypatch, maximal_cubic):
     module = sys.modules["waring.spectral"]
     calls = []
 
-    def counted(d1, d0):
+    def counted(d1, svd):
         calls.append(d1)
-        return eigen(d1, d0)
+        return eigen(d1, svd)
 
     eigen = module.generalized_eigen
     monkeypatch.setattr(module, "generalized_eigen", counted)
@@ -263,6 +264,33 @@ def test_colliding_points_cost_one_pencil(monkeypatch, maximal_cubic):
     assert len(calls) == 2
 
 
+def test_both_pencils_read_one_svd(monkeypatch, maximal_cubic):
+    # the maximal cubic's rank-4 extension on {1, x1, x2, x1^2} in the
+    # identity frame: both pencils fail, and D_0 is factored once for both
+    L = to_dual(identity_frame(maximal_cubic))
+    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0)])
+    ext = extend_dual(L, b, seed=1)
+    d0 = build_hankel(L, b.exponents, b.exponents).value_matrix(ext.moments)
+    shifts = [shifted_matrix(L, b, v).value_matrix(ext.moments) for v in range(2)]
+    module = sys.modules["waring.spectral"]
+    pencils, svds = [], []
+
+    def counted(d1, svd):
+        pencils.append(d1)
+        return eigen(d1, svd)
+
+    def counted_svd(a, *args, **kwargs):
+        svds.append(a)
+        return svd(a, *args, **kwargs)
+
+    eigen, svd = module.generalized_eigen, np.linalg.svd
+    monkeypatch.setattr(module, "generalized_eigen", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    assert pencil_support(d0, shifts, b, np.random.default_rng(0)) is None
+    assert len(pencils) == 2
+    assert len(svds) == 1 and svds[0] is d0
+
+
 def _matched(w: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """w reordered so that entry k is the one nearest ref[k], one to one."""
     nearest = np.abs(w[:, None] - ref).argmin(axis=0)
@@ -283,7 +311,7 @@ def test_svd_pencil_matches_qz(s):
     for _ in range(10):
         d0, x, lam = gaussian(s, s), gaussian(s, s), gaussian(s)
         d1 = d0 @ x @ np.diag(lam) @ np.linalg.inv(x)
-        w, v = generalized_eigen(d1, d0)
+        w, v = generalized_eigen(d1, np.linalg.svd(d0))
         ref = scipy.linalg.eig(d1, d0, right=False)
         assert np.all(np.abs(_matched(w, ref) - ref) <= 1e-10 * np.abs(ref))
         np.testing.assert_allclose(np.linalg.norm(v, axis=0), 1.0)
@@ -300,7 +328,7 @@ def test_svd_pencil_is_as_accurate_as_qz_on_an_ill_conditioned_d0():
     cond = np.linalg.cond(d0)
     assert 7e9 < cond < 8e9
     truth = np.array([p[0] for p in COLLIDING_POINTS], dtype=complex)
-    w = _matched(generalized_eigen(shifts[0], d0)[0], truth)
+    w = _matched(generalized_eigen(shifts[0], np.linalg.svd(d0))[0], truth)
     ref = _matched(scipy.linalg.eig(shifts[0], d0, right=False), truth)
     assert np.abs(w - ref).max() < cond * 1e-15
     assert np.abs(w - truth).max() <= np.abs(ref - truth).max()
@@ -316,6 +344,6 @@ def test_singular_d0_has_no_support_and_raises_no_warning(quintic):
     d0[-1], d0[:, -1] = 0, 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w, _ = generalized_eigen(d1, d0)
+        w, _ = generalized_eigen(d1, np.linalg.svd(d0))
         assert not np.isfinite(w).any()
         assert pencil_support(d0, [d1, d2], b, np.random.default_rng(0)) is None
