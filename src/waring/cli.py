@@ -141,19 +141,21 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="file path, inline polynomial, or - for stdin")
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    common.add_argument("--max-rank", type=int, default=None)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=["text", "json"], default="text")
+    solve = argparse.ArgumentParser(add_help=False, parents=[common])
+    solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    solve.add_argument("--seed", type=int, default=0)
+    search = argparse.ArgumentParser(add_help=False, parents=[solve])
+    search.add_argument("--max-rank", type=int, default=None)
     ap = argparse.ArgumentParser(
         prog="waring",
         description="decompose homogeneous polynomials into sums of powers of linear forms",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    sub.add_parser("decompose", help="minimal power-sum decomposition", parents=[common])
-    sub.add_parser("rank", help="symmetric rank only", parents=[common])
-    sub.add_parser("classify", help="orbit class of a ternary cubic", parents=[common])
-    sub.add_parser("sylvester", help="binary decomposition directly", parents=[common])
+    sub.add_parser("decompose", help="minimal power-sum decomposition", parents=[search])
+    sub.add_parser("rank", help="symmetric rank only", parents=[search])
+    sub.add_parser("classify", help="orbit class of a ternary cubic", parents=[solve])
+    sub.add_parser("sylvester", help="binary decomposition directly", parents=[search])
     pv = sub.add_parser(
         "verify", help="check a decomposition against a polynomial", parents=[common]
     )
@@ -175,11 +177,11 @@ def _main(argv) -> int:
     fmt = args.format
 
     try:
-        if not (math.isfinite(args.tol) and args.tol > 0):
+        if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
             raise ValueError("--tol must be finite and positive")
-        if args.max_rank is not None and args.max_rank < 1:
+        if getattr(args, "max_rank", None) is not None and args.max_rank < 1:
             raise ValueError("--max-rank must be at least 1")
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise ValueError("--seed must be at least 0")
         f = parse_input(_read_source(args.input))
     except (PolyParseError, ValueError, OverflowError, OSError) as exc:

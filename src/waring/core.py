@@ -281,10 +281,12 @@ class Decomposition:
     def normalized(self) -> "Decomposition":
         """Scale each form so its first non-negligible coordinate is 1."""
         out = []
-        for w, k in self.terms:
+        for i, (w, k) in enumerate(self.terms, start=1):
             k = np.asarray(k, dtype=complex)
-            big = np.max(np.abs(k))
-            pivot = next(v for v in k if abs(v) > 1e-8 * big)
+            big = np.max(np.abs(k))  # NaN or inf leaves no coordinate above it
+            pivot = next((v for v in k if abs(v) > 1e-8 * big), None)
+            if pivot is None:
+                raise ValueError(f"form of term {i} is zero or not finite")
             out.append((complex(w) * pivot**self.degree, k / pivot))
         return Decomposition(self.degree, out, self.residual)
 

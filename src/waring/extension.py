@@ -433,9 +433,14 @@ def _relation_split(a: np.ndarray, b: np.ndarray):
     return x_p, vh[k:].conj().T
 
 
-def _solution(L: DualForm, res: CommutatorResidual, x: np.ndarray, r: float) -> ExtensionSolution:
-    """The extension at the unknowns x, of max-abs residual r; its free_count
-    is the nullity of the Jacobian at x."""
+def _solution(L: DualForm, res: CommutatorResidual, x: np.ndarray, r: float):
+    """The extension at the unknowns x, of max-abs residual r, or None unless
+    r <= TOL: the one test that accepts a point.  Its free_count is the
+    nullity of the Jacobian at x; with no unknowns its moments are L.moments."""
+    if not r <= TOL:
+        return None
+    if not res.unknowns.size:
+        return ExtensionSolution(L.moments, float(r), 0)
     moments = np.append(L.moments, np.full(res.unknowns[-1] + 1 - len(L.moments), np.nan))
     moments[res.unknowns] = x
     j = res.jacobian(x)
@@ -452,12 +457,11 @@ def _normal_form_start(res: CommutatorResidual, L: DualForm, basis: MonomialBasi
         return None
     x_p, z = _relation_split(*relations)
     if not z.shape[1]:
-        r = float(np.max(np.abs(res.residual(x_p))))
-        return _solution(L, res, x_p, r) if r <= TOL else None
+        return _solution(L, res, x_p, float(np.max(np.abs(res.residual(x_p)))))
     y, r = _gauss_newton(lambda y: res.residual(x_p + z @ y),
                          lambda y: res.jacobian(x_p + z @ y) @ z,
                          np.zeros(z.shape[1], dtype=complex), TOL, MAX_ITER)
-    return _solution(L, res, x_p + z @ y, r) if r <= TOL else None
+    return _solution(L, res, x_p + z @ y, r)
 
 
 def _moment_starts(L: DualForm, basis: MonomialBasis, unknowns: np.ndarray, seed: int):
@@ -484,12 +488,12 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     normal-form start (`_normal_form_start`), when D_0 holds no unknown and
     passes; then x = 0; then RESTARTS - 1 random starts, uniform in the unit
     box where D_0 passes at x = 0, and on the moment variety
-    (`_moment_starts`) where it fails, all drawn from default_rng(seed).  Every solution returned, also one with no unknowns,
-    has a D_0 that passes `_inverse`.  Its free_count is
-    the number of unknowns the Jacobian leaves free there: the dimension of
-    the solution set.  Any point of a positive-dimensional set whose pencil
-    is simple gives a decomposition, so no second, more generic point is
-    sought.
+    (`_moment_starts`) where it fails, all drawn from default_rng(seed).
+    `_solution` accepts a point, also one with no unknowns, when r <= TOL,
+    which a D_0 that fails `_inverse` never reaches.  Its free_count is the
+    number of unknowns the Jacobian leaves free there: the dimension of the
+    solution set.  Any point of a positive-dimensional set whose pencil is
+    simple gives a decomposition, so no second, more generic point is sought.
     """
     res = CommutatorResidual(L, basis)
     zero = np.zeros(len(res.unknowns), dtype=complex)
@@ -498,10 +502,7 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     if not res.unknowns.size:
         if n_mat is None:  # s = 1 has no equation to carry the NaN
             return None
-        rmax = float(np.max(np.abs(res.residual(zero)), initial=0.0))
-        if not rmax <= TOL:
-            return None
-        return ExtensionSolution(L.moments, rmax, 0)
+        return _solution(L, res, zero, float(np.max(np.abs(res.residual(zero)), initial=0.0)))
     if res.nequations() == 0:
         # a single affine variable never constrains anything here; the caller
         # should have taken the binary route instead
@@ -516,7 +517,7 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
         u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, len(zero)))
         starts = u[:, 0] + 1j * u[:, 1]
     for x0 in itertools.chain([zero], starts):
-        x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
-        if r <= TOL:
-            return _solution(L, res, x, r)
+        found = _solution(L, res, *_gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER))
+        if found is not None:
+            return found
     return None

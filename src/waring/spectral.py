@@ -13,12 +13,11 @@ Lambda(x_i b) = zeta_i Lambda(b), so the first row of D_i = H^{B, x_i B} times
 v over the first row of D_0 times v is zeta_i, whether or not x_i is in B;
 D_0 v at that scale is the basis monomials at zeta, which checks the point.
 
-`pencil_support` tries a second pencil only for what a new pencil can
-change: eigenvalues that are not finite or not simple, and eigenvectors that
-are not evaluation vectors.  Once a pencil is simple its eigenvectors are
-those of every multiplication operator, so the points do not depend on which
-pencil gave them; whether they are far enough apart is decided once, by the
-caller.
+Each stage refuses by returning None.  `pencil_support` tries a second
+pencil only for what a new pencil can change: a refusal, or eigenvalues that
+are not simple.  Once a pencil is simple its eigenvectors are those of every
+multiplication operator, so the points do not depend on which pencil gave
+them; whether they are far enough apart is decided once, by the caller.
 """
 
 from __future__ import annotations
@@ -29,30 +28,20 @@ from .core import DualForm, lstsq, monomial_values, monomials_upto, upper_triang
 from .hankel import MonomialBasis
 
 
-class ExtractionError(RuntimeError):
-    """Eigenvector coordinates do not behave like monomial evaluations.
-
-    This is the degenerate-case signal (multiple points collapsing, or a
-    functional that is not a plain combination of evaluations); callers
-    usually retry with a different pencil, basis or size.
-    """
-
-
 def generalized_eigen(d1: np.ndarray, svd):
     """Eigenvalues w and eigenvectors v, of unit norm, of the pencil (d1, d0),
-    d1 v = w d0 v, from d0's `svd` = `np.linalg.svd(d0)` = (U, S, V^H).
+    d1 v = w d0 v, from d0's `svd` = `np.linalg.svd(d0)` = (U, S, V^H), or
+    None where d0 is too near singular for the division below to stay finite.
 
     v = V y for each eigenpair (w, y) of S^{-1} U^H d1 V.  Dividing by the
     singular values rather than solving with d0 keeps the accuracy of the QZ
-    algorithm on an ill-conditioned d0.  A d0 too near singular for that
-    division to stay finite has no such operator: its w are then infinite
-    and its v NaN, which the caller's finite test rejects."""
+    algorithm on an ill-conditioned d0."""
     u, sigma, vh = svd
     v = vh.conj().T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         op = (u.conj().T @ d1 @ v) / sigma[:, None]
     if not np.isfinite(op).all():
-        return np.full(len(sigma), np.inf + 0j), np.full_like(v, np.nan)
+        return None
     w, y = np.linalg.eig(op)
     return w, v @ y
 
@@ -64,30 +53,22 @@ def eigenvalues_simple(w: np.ndarray) -> bool:
     return not np.any(np.abs(w[i] - w[j]) <= 1e-8 * scale)
 
 
-def extract_points(u: np.ndarray, basis: MonomialBasis) -> np.ndarray:
-    """One point per column of `u`: an (r, n) array, row j from column j.
+@np.errstate(all="ignore")
+def extract_points(u: np.ndarray, basis: MonomialBasis) -> np.ndarray | None:
+    """One point per column of `u`, an (r, n) array with row j from column j,
+    or None when a column is not an evaluation vector.
 
-    A column is the s = len(basis) basis monomials at its point, then the
-    point's n coordinates, scaled so that entry 0, the monomial 1, is 1.  A
-    column whose entry 0 is not 1, or whose first s entries are not the
-    monomials at its point, raises ExtractionError; the first such column
-    decides the message.
+    A column, at any scale, is the s = len(basis) basis monomials at its
+    point, then the point's n coordinates.  Divided by its entry 0, the
+    monomial 1, its first s entries must be the monomials at its point to
+    1e-6 relative: entry 0 must be 1, which a zero entry 0 fails.
     """
     s = len(basis)
-    pinned = np.abs(u[0] - 1) <= 1e-6  # NaN, from a zero constant entry, fails
-    k = u.shape[1] if pinned.all() else int(np.argmin(pinned))
-    # row j of `got` and `pred` is column j, column p basis monomial p
-    points = np.ascontiguousarray(u[s:, :k].T)
+    u = u / u[0]
+    points = np.ascontiguousarray(u[s:].T)
     pred = monomial_values(points, basis.exponents)
-    got = u[:s, :k].T
-    bad = np.argwhere(np.abs(got - pred) > 1e-6 * np.maximum(1.0, np.abs(pred)))
-    if len(bad):
-        j, p = bad[0]
-        exp, seen, want = basis.exponents[p], got[j, p], pred[j, p]
-        raise ExtractionError(f"coordinate of {exp} is {seen:.6g}, expected {want:.6g}")
-    if k < u.shape[1]:
-        raise ExtractionError("eigenvector has no usable constant coordinate")
-    return points
+    ok = np.abs(u[:s].T - pred) <= 1e-6 * np.maximum(1.0, np.abs(pred))
+    return points if ok.all() else None
 
 
 def solve_weights(points: np.ndarray, L: DualForm) -> np.ndarray:
@@ -127,14 +108,10 @@ def pencil_support(
     rows = np.vstack([d0, *(s[:1] for s in shifts)])
     svd = np.linalg.svd(d0)
     for dt in pencils():
-        w, v = generalized_eigen(dt, svd)
-        if not np.all(np.isfinite(w)) or not eigenvalues_simple(w):
+        eig = generalized_eigen(dt, svd)
+        if eig is None or not eigenvalues_simple(eig[0]):
             continue
-        u = rows @ v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = u / u[0]  # a zero constant entry leaves NaN, which fails the pin
-        try:
-            return extract_points(u, basis)
-        except ExtractionError:
-            continue
+        points = extract_points(rows @ eig[1], basis)
+        if points is not None:
+            return points
     return None

@@ -321,6 +321,28 @@ def test_usage_errors_exit_1(capsys, flag):
     assert "usage:" in err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("verify", "--tol"), ("verify", "--max-rank"), ("verify", "--seed"),
+    ("classify", "--max-rank"),
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, command, flag):
+    # verify reads no tolerance, rank cap or seed, and classify no rank cap:
+    # argparse refuses each as it does an unknown flag.  The three commands
+    # that search for a rank keep all three flags
+    maximal = str(FIXTURES / "cubic_maximal.txt")
+    extra = ["--decomposition", str(FIXTURES / "cubic_maximal_decomposition.json")]
+    argv = [command, maximal, *(extra if command == "verify" else []), flag, "3"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {flag} 3" in err
+    for command, source in (("decompose", maximal), ("rank", maximal),
+                            ("sylvester", "x0^3 + x1^3")):
+        code, out, _ = run(capsys, command, source, "--tol", "1e-7", "--max-rank", "5",
+                           "--seed", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["seed"] == 1
+
+
 def test_help_exits_0(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0

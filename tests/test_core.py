@@ -385,6 +385,14 @@ def test_decomposition_normalized():
     assert poly_sub(f, g).coeff_norm() < 1e-12 * f.coeff_norm()
 
 
+@pytest.mark.parametrize("form", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
+def test_normalizing_a_zero_or_non_finite_form_names_the_term(form):
+    # no coordinate of such a form can be the pivot; the error says which term
+    dec = Decomposition(2, [(1.0, np.array([1.0, 2.0])), (1.0, np.array(form))])
+    with pytest.raises(ValueError, match="^form of term 2 is zero or not finite$"):
+        dec.normalized()
+
+
 @pytest.mark.parametrize(
     "text", ["x0^3 + x1^3 + 1e999*x2^3", "(1,1e999)*x0^2 + x1^2",
              "1e308*x0^2 + 1e308*x0^2 + x1^2",

@@ -1,3 +1,4 @@
+import copy
 import sys
 import warnings
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from waring.core import Decomposition, expand_power_sum, identity_frame, to_dual
-from waring.decompose import _support_ok
+from waring.cli import parse_input
+from waring.core import (
+    Decomposition, expand_power_sum, identity_frame, monomial_values, to_dual,
+)
+from waring.decompose import _support_ok, decompose
 from waring.extension import extend_dual
 from waring.hankel import (
     MonomialBasis,
@@ -14,7 +18,6 @@ from waring.hankel import (
     shifted_matrix,
 )
 from waring.spectral import (
-    ExtractionError,
     eigenvalues_simple,
     extract_points,
     generalized_eigen,
@@ -23,7 +26,8 @@ from waring.spectral import (
 )
 
 from conftest import (
-    QUINTIC_SUPPORT, dual_from_support, moment_residual, poly_sub, principal_minor,
+    FIXTURES, QUINTIC_SUPPORT, dual_from_support, moment_residual, poly_sub,
+    principal_minor,
 )
 
 
@@ -36,10 +40,15 @@ def _quintic_setup(quintic):
     return L, b, d0, d1, d2
 
 
+def _columns(v, d0, shifts):
+    """D_0 v above the first row of each D_i v: what `pencil_support` hands
+    to `extract_points`."""
+    return np.vstack([d0, *(s[:1] for s in shifts)]) @ v
+
+
 def _scaled_columns(v, d0, shifts):
-    """D_0 v above the first row of each D_i v, each column scaled by its
-    constant entry: what `pencil_support` hands to `extract_points`."""
-    u = np.vstack([d0, *(s[:1] for s in shifts)]) @ v
+    """`_columns`, each column scaled by its constant entry."""
+    u = _columns(v, d0, shifts)
     return u / u[0]
 
 
@@ -68,7 +77,7 @@ def test_eigenvectors_are_evaluation_vectors(quintic):
 def test_extract_points_and_weights(quintic):
     L, b, d0, d1, d2 = _quintic_setup(quintic)
     _, v = generalized_eigen(d1, np.linalg.svd(d0))
-    ps = extract_points(_scaled_columns(v, d0, [d1, d2]), b)
+    ps = extract_points(_columns(v, d0, [d1, d2]), b)
     assert ps.shape == (4, 2)
     pts = sorted(tuple(np.round(p.real).astype(int)) for p in ps)
     assert pts == [(-12, -3), (-2, 3), (2, 3), (12, -13)]
@@ -121,13 +130,50 @@ def test_rayleigh_fallback_recovers_missing_coordinate():
     assert moment_residual(solve_weights(ps, L), ps, L) < 1e-8
 
 
+# the columns of (1, a, b, a^2, ab) over (a, b) for a basis in two variables:
+# column 0 is the evaluation vector at (2, 3), column 1 fails at ab, column 2
+# at a^2, and column 3 is the vector at (2, 2) with its constant entry halved
+JUNK_BASIS = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])
+JUNK = np.array(
+    [[1, 1, 1, 0.5], [2, 1, 1, 1], [3, 1, 2, 1], [4, 1, 9, 1], [6, 7, 2, 1]],
+    dtype=complex,
+)
+JUNK = np.vstack([JUNK, JUNK[1:3]])
+
+
 def test_extract_points_rejects_junk():
     bad = np.array(
         [[1.0, 1.0], [2.0, 2.0], [3.0, 9.0], [5.0, 7.0]], dtype=complex
     )
     b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0)])
-    with pytest.raises(ExtractionError):
-        extract_points(np.vstack([bad, bad[1:3]]), b)
+    assert extract_points(np.vstack([bad, bad[1:3]]), b) is None
+
+
+def test_extract_points_refuses_a_column_failing_any_coordinate():
+    # one column that is not an evaluation vector refuses them all, wherever
+    # it stands
+    np.testing.assert_array_equal(extract_points(JUNK[:, :1], JUNK_BASIS), [[2, 3]])
+    for cols in ([0, 1], [0, 2], [0, 3], [3, 0], [0, 1, 2, 3], [0, 3, 1, 2]):
+        assert extract_points(JUNK[:, cols], JUNK_BASIS) is None
+
+
+def test_extract_points_reads_a_column_at_any_scale():
+    # the evaluation vectors at (2, 3) and (-0.5, 0.25), exact in binary: one
+    # column times 3 - 2i gives the same points, bit for bit
+    want = np.array([[2, 3], [-0.5, 0.25]], dtype=complex)
+    u = np.vstack([monomial_values(want, JUNK_BASIS.exponents).T, want.T])
+    assert extract_points(u, JUNK_BASIS).tobytes() == want.tobytes()
+    u[:, 1] *= 3 - 2j
+    assert extract_points(u, JUNK_BASIS).tobytes() == want.tobytes()
+
+
+def test_a_zero_constant_entry_is_refused_without_a_warning():
+    u = np.vstack([monomial_values([[2, 3], [1, 1]], JUNK_BASIS.exponents).T,
+                   [[2, 1], [3, 1]]]).astype(complex)
+    u[0, 1] = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert extract_points(u, JUNK_BASIS) is None
 
 
 def test_eigenvalues_simple_flags_collision():
@@ -171,7 +217,7 @@ def test_single_point_support():
     d0 = build_hankel(L, b.exponents, b.exponents).value_matrix()
     d1 = shifted_matrix(L, b, 0).value_matrix()
     _, v = generalized_eigen(d1, np.linalg.svd(d0))
-    ps = extract_points(_scaled_columns(v, d0, [d1]), b)
+    ps = extract_points(_columns(v, d0, [d1]), b)
     assert ps[0][0] == pytest.approx(5.0, abs=1e-10)
     wt = solve_weights(ps, L)
     assert wt[0] == pytest.approx(1.0, abs=1e-10)
@@ -191,24 +237,6 @@ def test_pencil_support_rejects_nilpotent_operators(maximal_cubic):
     assert np.linalg.norm(m1 @ m2 - m2 @ m1) < 1e-12
     ps = pencil_support(d0, [d1, d2], b, np.random.default_rng(3))
     assert ps is None
-
-
-def test_extract_points_reports_the_first_failing_coordinate():
-    # column 0 is the evaluation vector (1, a, b, a^2, ab) at (a, b) = (2, 3),
-    # followed by the point; column 1 fails at ab, column 2 at a^2, column 3
-    # has no usable constant coordinate: the first failure in column order is
-    # the one reported
-    b = MonomialBasis(2, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1)])
-    u = np.array(
-        [[1, 1, 1, 0.5], [2, 1, 1, 1], [3, 1, 2, 1], [4, 1, 9, 1], [6, 7, 2, 1]],
-        dtype=complex,
-    )
-    want = r"^coordinate of \(1, 1\) is 7\+0j, expected 1\+0j$"
-    u = np.vstack([u, u[1:3]])
-    with pytest.raises(ExtractionError, match=want):
-        extract_points(u, b)
-    with pytest.raises(ExtractionError, match="no usable constant coordinate"):
-        extract_points(u[:, [0, 3, 1, 2]], b)
 
 
 COLLIDING_POINTS = [(2.0, 5.0), (2.0003, 5.0), (-1.0, 1e4)]
@@ -336,14 +364,116 @@ def test_svd_pencil_is_as_accurate_as_qz_on_an_ill_conditioned_d0():
 
 def test_singular_d0_has_no_support_and_raises_no_warning(quintic):
     # D_0 with its last row and column zeroed, as when a basis monomial's
-    # moments all vanish, has an exact zero singular value: the SVD route's
-    # division gives infinite eigenvalues without a warning, and both pencils
-    # are refused
+    # moments all vanish, has an exact zero singular value: the SVD route
+    # refuses it without a warning, and so both pencils are refused
     L, b, d0, d1, d2 = _quintic_setup(quintic)
     d0 = d0.copy()
     d0[-1], d0[:, -1] = 0, 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w, _ = generalized_eigen(d1, np.linalg.svd(d0))
-        assert not np.isfinite(w).any()
+        assert generalized_eigen(d1, np.linalg.svd(d0)) is None
         assert pencil_support(d0, [d1, d2], b, np.random.default_rng(0)) is None
+
+
+class _ReferenceRefusal(RuntimeError):
+    """A column that is not an evaluation vector, in `_reference_points`."""
+
+
+def _reference_eigen(d1, svd):
+    """`generalized_eigen` as it was written with sentinel arrays: infinite
+    eigenvalues and NaN eigenvectors where D_0 is too near singular."""
+    u, sigma, vh = svd
+    v = vh.conj().T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        op = (u.conj().T @ d1 @ v) / sigma[:, None]
+    if not np.isfinite(op).all():
+        return np.full(len(sigma), np.inf + 0j), np.full_like(v, np.nan)
+    w, y = np.linalg.eig(op)
+    return w, v @ y
+
+
+def _reference_points(u, basis):
+    """`extract_points` as it was written with an exception: the columns come
+    scaled by their constant entry, which must be 1 to 1e-6 apart from the
+    monomial test; the first failing column raises."""
+    s = len(basis)
+    pinned = np.abs(u[0] - 1) <= 1e-6
+    k = u.shape[1] if pinned.all() else int(np.argmin(pinned))
+    points = np.ascontiguousarray(u[s:, :k].T)
+    pred = monomial_values(points, basis.exponents)
+    got = u[:s, :k].T
+    bad = np.argwhere(np.abs(got - pred) > 1e-6 * np.maximum(1.0, np.abs(pred)))
+    if len(bad):
+        j, p = bad[0]
+        raise _ReferenceRefusal(f"coordinate of {basis.exponents[p]} is {got[j, p]:.6g}")
+    if k < u.shape[1]:
+        raise _ReferenceRefusal("eigenvector has no usable constant coordinate")
+    return points
+
+
+def _reference_pencil_support(d0, shifts, basis, rng):
+    """(points or None, number of refusals): `pencil_support`'s two pencils
+    read through the sentinel arrays, the caller's own scaling and a caught
+    exception."""
+    n = len(shifts)
+    rows = np.vstack([d0, *(s[:1] for s in shifts)])
+    svd = np.linalg.svd(d0)
+    refused = 0
+    for k in range(2):
+        if k == 0:
+            dt = shifts[0]
+        else:
+            t = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            t /= np.linalg.norm(t)
+            dt = sum(ti * s for ti, s in zip(t, shifts))
+        w, v = _reference_eigen(dt, svd)
+        if not np.all(np.isfinite(w)) or not eigenvalues_simple(w):
+            continue
+        u = rows @ v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = u / u[0]
+        try:
+            return _reference_points(u, basis), refused
+        except _ReferenceRefusal:
+            refused += 1
+    return None, refused
+
+
+# every fixture polynomial of three or more variables, at seed 0, then five
+# searches in which some eigenvector is not an evaluation vector
+PENCIL_SEARCHES = [
+    *((p.name, 0, False) for p in sorted(FIXTURES.iterdir())
+      if not p.name.startswith("binary_") and not p.name.endswith("_decomposition.json")),
+    ("x0^2*x1^2*x2^2", 0, True),
+    ("x0^2*x1*x2", 0, True),
+    ("cubic_maximal.txt", 1, True),
+    ("(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2", 0, True),
+    ("(0,1)*x0^4 + x1^4 + x2^4 - 100000000*x0*x1*x2^2", 0, True),
+]
+
+
+@pytest.mark.parametrize("source, seed, refuses", PENCIL_SEARCHES)
+def test_pencil_support_matches_the_raising_reference(monkeypatch, source, seed, refuses):
+    # on every (D_0, shifts, basis) a search reaches, the points, or None,
+    # are the reference's bit for bit, and both draw the same random pencil
+    module = sys.modules["waring.decompose"]
+    real, calls, refusals = module.pencil_support, [], []
+
+    def compared(d0, shifts, basis, rng):
+        ref_rng = copy.deepcopy(rng)
+        want, refused = _reference_pencil_support(d0, shifts, basis, ref_rng)
+        got = real(d0, shifts, basis, rng)
+        calls.append(got is None)
+        refusals.append(refused)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return got
+
+    monkeypatch.setattr(module, "pencil_support", compared)
+    path = FIXTURES / source
+    decompose(parse_input(path.read_text() if path.exists() else source), seed=seed)
+    assert not calls or not calls[-1]  # a search that reads a pencil ends on points
+    assert (sum(refusals) > 0) is refuses
