@@ -3,10 +3,12 @@
 For two variables the whole machinery collapses to one classical step
 (Sylvester): slice the moment sequence into a Hankel matrix, pick a
 square-free polynomial in its kernel, and read the decomposition directions
-off its projective roots.  The Hankel data are the dual form's moments read
-from x1's end: c_i, the moment of x1^(d-i), is the coefficient of
-x0^i x1^(d-i) over binom(d, i).  This is both the fast path of the general
-driver and an independent check on it.
+off its projective roots.  The terms are kept only through `core.accept`, the
+support gate and fit test of the rank search: distinct roots alone are not
+enough, their pairwise sines must reach MIN_SEPARATION.  The Hankel data are
+the dual form's moments read from x1's end: c_i, the moment of x1^(d-i), is
+the coefficient of x0^i x1^(d-i) over binom(d, i).  This is both the fast
+path of the general driver and an independent check on it.
 
 The sizes start at Sylvester's bound: the numerical rank of the middle
 slice r = d // 2, the catalecticant (or of the slice at `max_rank` when that
@@ -31,13 +33,11 @@ from .core import (
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
+    accept,
     check_coeff_range,
-    expand_power_sum,
     lstsq,
     monomial_values,
     numerical_rank,
-    pairwise_sines,
-    relative_error,
     to_dual,
 )
 from .hankel import _catalecticant_layout
@@ -80,7 +80,8 @@ def _projective_roots(b: np.ndarray):
 
     Leading coefficients at most 1e-10 of the largest vanish; each is a root
     at infinity, direction (1, 0).  Two of those are a repeated root, which
-    the caller's distinctness test rejects: their pairwise sine is exactly 0.
+    `accept`'s support gate refuses: their pairwise sine is exactly 0, below
+    MIN_SEPARATION.
     """
     r = len(b) - 1
     top = np.max(np.abs(b))
@@ -103,11 +104,11 @@ def binary_decompose(
     """Minimal power-sum decomposition of a nonzero binary form.
 
     Tries sizes r upward from the catalecticant bound (see the module
-    docstring); at each size takes at most two kernel candidates, and accepts
-    the first with r distinct projective roots whose weights, fitted to the
-    moments, reproduce the coefficients to relative residual `tol`.  Raises
-    DecompositionError when no size up to d, or up to `max_rank` when that is
-    smaller, does.
+    docstring); at each size takes at most two kernel candidates, fits
+    weights on each one's r projective roots to the moments, and returns the
+    first whose terms pass `accept`, the support gate and fit test of every
+    route.  Raises DecompositionError when no size up to d, or up to
+    `max_rank` when that is smaller, does.
     """
     check_coeff_range(p)
     c = _moments(p)
@@ -135,14 +136,12 @@ def binary_decompose(
             kernel.append(null @ (mu / np.linalg.norm(mu)))
         for b in kernel:
             pts = _projective_roots(b)
-            if np.any(pairwise_sines(pts) <= 1e-8):
-                continue
             # c_i = sum_j w_j alpha_j^i beta_j^(d-i)
             a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
             with np.errstate(all="ignore"):
                 w = lstsq(a, c)
             terms = list(zip(w, pts))
-            res = relative_error(expand_power_sum(terms, 2, d), p)
-            if res <= tol:
+            res = accept(p, terms, tol)
+            if res is not None:
                 return Decomposition(d, terms, res)
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")

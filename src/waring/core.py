@@ -27,6 +27,12 @@ Exponent = tuple[int, ...]
 RANK_CUT = 1e-8  # `numerical_rank` counts singular values above this fraction of the largest
 DEFAULT_TOL = 1e-7  # the relative residual every entry point and `--tol` default to
 EPS = np.finfo(float).eps  # the unit of `lstsq`'s rank cutoff
+# the support gate of `accept`: genuine simple-point decompositions keep their
+# forms apart and their term masses comparable to the polynomial itself; a
+# borderline form approximated from below shows near-coincident points with
+# huge cancelling weights instead
+MIN_SEPARATION = 1e-4
+MASS_RATIO_CAP = 1e4
 
 
 class PolyParseError(ValueError):
@@ -131,12 +137,10 @@ def _multinomials(nvars: int, degree: int) -> tuple[int, ...]:
 def multinomials(nvars: int, degree: int) -> np.ndarray:
     """The multinomial coefficient of (degree - |e|, *e) for e in
     `monomials_upto(nvars, degree)`: a form's coefficient over its moment
-    (see `to_dual`).  Each is C(degree, |e|) times the multinomial of e,
-    an exact integer rounded once to a float."""
-    out = np.array(
-        [math.comb(degree, k) * m for k in range(degree + 1) for m in _multinomials(nvars, k)],
-        dtype=float,
-    )
+    (see `to_dual`).  Those are the exponents of `monomials(nvars + 1,
+    degree)` in that order, so each is an exact `_multinomials` integer
+    rounded once to a float."""
+    out = np.array(_multinomials(nvars + 1, degree), dtype=float)
     out.flags.writeable = False
     return out
 
@@ -523,6 +527,27 @@ def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
     values = weights @ monomial_values([k for _, k in terms], exps)
     values *= multinomials(nvars - 1, degree)
     return HomogeneousPoly._trusted(nvars, degree, dict(zip(exps, values.tolist())))
+
+
+def accept(f: HomogeneousPoly, terms, tol: float) -> float | None:
+    """The relative coefficient residual of the power sum of `terms` against
+    f, or None unless the terms pass the support gate and the residual is at
+    most tol: the one test every route applies to the terms it returns.
+
+    The gate refuses numerically degenerate supports: two forms whose
+    pairwise sine is below MIN_SEPARATION, or a term whose mass |w| ||k||^d
+    is above MASS_RATIO_CAP times f's coefficient norm.  Both are unitary
+    invariants, so the verdict does not depend on the frame that found the
+    terms.  A NaN fails every test."""
+    forms = np.array([k for _, k in terms], dtype=complex)
+    masses = np.abs([w for w, _ in terms]) * np.linalg.norm(forms, axis=1) ** f.degree
+    if not (
+        np.all(masses <= MASS_RATIO_CAP * f.coeff_norm())
+        and np.all(pairwise_sines(forms) >= MIN_SEPARATION)
+    ):
+        return None
+    res = relative_error(expand_power_sum(terms, f.nvars, f.degree), f)
+    return res if res <= tol else None
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ known principal minor first.  A basis whose fully known Hankel columns are
 rank-deficient is pruned without an extension; it counts as a retry, like a
 failed attempt.  An attempt is one pass: each basis is extended, its pencil
 read and its weights fitted once; the terms, pulled back to the input's
-coordinates, are gated there and accepted only when their re-expanded power
-sum matches the input coefficients to the requested tolerance.  The search
+coordinates, are judged there by `core.accept`, the support gate and fit test
+that Sylvester's route and the variable reduction apply too.  The search
 never goes above a proven maximum rank: MAX_RANK for the shapes it lists, the
 dimension C(n+d-1, d) of the space of forms otherwise.
 """
@@ -33,6 +33,7 @@ from .core import (
     DualForm,
     Exponent,
     HomogeneousPoly,
+    accept,
     change_coordinates,
     check_coeff_range,
     coeff_difference,
@@ -42,7 +43,6 @@ from .core import (
     ordered_norm,
     pairwise_sines,
     random_unitary,
-    relative_error,
     to_dual,
 )
 from .extension import extend_dual
@@ -60,12 +60,6 @@ from .hankel import (
 from .spectral import pencil_support, solve_weights
 
 
-# support-quality gate: genuine simple-point decompositions keep their
-# forms apart and their term masses comparable to the polynomial itself;
-# a borderline form approximated from below shows near-coincident points
-# with huge cancelling weights instead
-MIN_SEPARATION = 1e-4
-MASS_RATIO_CAP = 1e4
 # (nvars, degree): (name, proven maximum rank); ternary cubics by their orbit
 # classification, ternary quartics by Kleppe (1999)
 MAX_RANK = {(3, 3): ("ternary cubics", 5), (3, 4): ("ternary quartics", 7)}
@@ -117,20 +111,6 @@ class VerifyReport:
     collisions: int
 
 
-def _relative_err(f: HomogeneousPoly, terms) -> float:
-    return relative_error(expand_power_sum(terms, f.nvars, f.degree), f)
-
-
-def _support_ok(f: HomogeneousPoly, terms) -> bool:
-    """Reject numerically degenerate supports of the input f.  The
-    separation and each term's mass |w| ||k||^d are unitary invariants, so
-    the verdict does not depend on the frame that found the terms."""
-    cap = MASS_RATIO_CAP * f.coeff_norm()
-    if any(abs(w) * np.linalg.norm(k) ** f.degree > cap for w, k in terms):
-        return False
-    return not np.any(pairwise_sines([k for _, k in terms]) < MIN_SEPARATION)
-
-
 class _Frame(NamedTuple):
     """A coordinate frame x = A y and what its walks read, each built once:
     f's dual form L in the frame, and L's `known_columns_test`."""
@@ -165,12 +145,8 @@ def _basis_candidates(frame: _Frame, walk, r: int):
 
 def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: int, rng):
     """One basis in the frame (A, L): extension, eigenstructure and weights;
-    then the terms are pulled back to the input's coordinates, gated and
-    fitted there.
-
-    The coefficient residual of the terms against f is the one fit test; a
-    NaN residual (from NaN weights, say) fails.  Returns (terms, residual,
-    free_count), or None."""
+    then the terms are pulled back to the input's coordinates and judged
+    there by `accept`.  Returns (terms, residual, free_count), or None."""
     a, L = frame.a, frame.L
     ext = extend_dual(L, basis, seed=seed)
     if ext is None:
@@ -185,12 +161,8 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
     w = solve_weights(points, L)
     forms = np.hstack([np.ones((len(points), 1), dtype=complex), points])
     terms = [(wi, np.conj(a) @ m) for wi, m in zip(w, forms)]
-    if not _support_ok(f, terms):
-        return None
-    res = _relative_err(f, terms)
-    if not res <= tol:
-        return None
-    return terms, res, ext.free_count
+    res = accept(f, terms, tol)
+    return None if res is None else (terms, res, ext.free_count)
 
 
 def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) -> DecomposeReport:
@@ -268,12 +240,12 @@ def decompose(
 
     count, q = essential_vars(f)
     if count < f.nvars:
-        # the form in fewer variables, unless its terms, mapped back, miss f
-        # by more than tol: then the variables it dropped were not noise
+        # the form in fewer variables, unless its terms, mapped back, fail
+        # `accept` against f: then the variables it dropped were not noise
         rep = decompose(change_coordinates(f, q), tol=tol, max_rank=max_rank, seed=seed)
         terms = [(w, np.conj(q) @ k) for w, k in rep.decomposition.terms]
-        res = _relative_err(f, terms)
-        if res <= tol:
+        res = accept(f, terms, tol)
+        if res is not None:
             dec = Decomposition(f.degree, terms, res).normalized()
             return replace(rep, decomposition=dec)
 

@@ -177,7 +177,7 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
     """
     x = np.asarray(x0, dtype=complex)
     f = fun(x)
-    fn = float(abs(f).max()) if f.size else 0.0
+    fn = float(abs(f).max())
     if not math.isfinite(fn):
         return x, np.inf
     history = [fn]
@@ -198,7 +198,7 @@ def _gauss_newton(fun, jac, x0, tol, max_iter):
         for _ in range(25):
             xn = x + t * step
             f2 = fun(xn)
-            f2n = float(abs(f2).max()) if f2.size else 0.0
+            f2n = float(abs(f2).max())
             if math.isfinite(f2n) and (f2n < fn * (1 - 1e-4 * t) or f2n <= tol):
                 x, f, fn = xn, f2, f2n
                 break

@@ -9,20 +9,24 @@ from waring.binary import (
     _start,
     binary_decompose,
 )
+from waring.cli import main
 from waring.core import (
     DEFAULT_TOL,
+    MIN_SEPARATION,
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
+    accept,
+    decomposition_from_json,
     decomposition_to_json,
     expand_power_sum,
     monomial_values,
     numerical_rank,
     pairwise_sines,
     parse_poly,
-    relative_error,
     to_dual,
 )
+from waring.decompose import decompose
 
 from conftest import hankel_slice, planted_poly, poly_add, poly_sub
 
@@ -168,6 +172,28 @@ def test_a_repeated_root_at_infinity_is_returned_and_refused(monkeypatch):
     assert np.min(pairwise_sines([m for _, m in dec.terms])) > 1e-8
 
 
+# a sparse degree-14 form whose first rank-8 kernel candidate has distinct
+# roots, two of them at pairwise sine 3.75e-5 with weights near +-3190, and
+# fits to 2.4e-10: the support gate refuses it, as the rank search would
+SPARSE_14 = (
+    "(1.0396783363797986,-0.16837381365592605)*x0^14"
+    " + (1.0457653397686908,-0.4033181157583828)*x0^11*x1^3"
+    " + (0.29608848970633106,-0.9599856992825272)*x0^9*x1^5"
+    " + (-0.0923057128105607,-1.674066531870293)*x0*x1^13"
+    " + (1.5378444110734248,-0.018340150271273437)*x1^14"
+)
+
+
+def test_every_binary_route_returns_only_gated_terms(capsys):
+    f = parse_poly(SPARSE_14)
+    assert main(["sylvester", SPARSE_14, "--format", "json"]) == 0
+    cli = decomposition_from_json(json.loads(capsys.readouterr().out))
+    for dec in (decompose(f).decomposition, binary_decompose(f), cli):
+        assert dec.rank == 8
+        assert dec.residual <= 1e-7
+        assert np.min(pairwise_sines([m for _, m in dec.terms])) >= MIN_SEPARATION
+
+
 
 # ---------------------------------------------------------------------------
 # the start at the catalecticant bound, against the loop from r = 1
@@ -193,13 +219,11 @@ def _reference_loop(p, seed=0, tol=DEFAULT_TOL, max_rank=None):
             kernel.append(null @ (mu / np.linalg.norm(mu)))
         for b in kernel:
             pts = _projective_roots(b)
-            if pts is None or len(pts) != r or np.any(pairwise_sines(pts) <= 1e-8):
-                continue
             a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
             w, *_ = np.linalg.lstsq(a, c, rcond=None)
             terms = list(zip(w, pts))
-            res = relative_error(expand_power_sum(terms, 2, d), p)
-            if res <= tol:
+            res = accept(p, terms, tol)
+            if res is not None:
                 return Decomposition(d, terms, res)
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")
 

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import re
 import sys
 from itertools import product
@@ -8,15 +9,19 @@ import numpy as np
 import pytest
 
 from waring.core import (
+    MASS_RATIO_CAP,
+    MIN_SEPARATION,
     Decomposition,
     DecompositionError,
     HomogeneousPoly,
+    accept,
     change_coordinates,
     decomposition_from_json,
     essential_vars,
     expand_power_sum,
     monomials_upto,
     numerical_rank,
+    pairwise_sines,
     parse_poly,
     random_unitary,
     relative_error,
@@ -26,7 +31,6 @@ from waring.binary import binary_decompose
 from waring.decompose import (
     OrbitClass,
     _Frame,
-    _relative_err,
     classify_ternary_cubic,
     decompose,
     rank,
@@ -394,6 +398,72 @@ def test_the_principal_minor_search_needs_no_gate(group, monkeypatch):
             assert calls <= want_calls, (f.coeffs, r)
 
 
+def _support_ok(f, terms) -> bool:
+    """The support gate as the rank search applied it before `accept`."""
+    cap = MASS_RATIO_CAP * f.coeff_norm()
+    if any(abs(w) * np.linalg.norm(k) ** f.degree > cap for w, k in terms):
+        return False
+    return not np.any(pairwise_sines([k for _, k in terms]) < MIN_SEPARATION)
+
+
+def _relative_err(f, terms) -> float:
+    """The fit test's residual as the rank search computed it before `accept`."""
+    return relative_error(expand_power_sum(terms, f.nvars, f.degree), f)
+
+
+def _reference_verdict(f, terms, tol):
+    """Why the parent rule turned the terms down ("gate" or "fit"), or the
+    residual's hex when it took them."""
+    if not _support_ok(f, terms):
+        return "gate"
+    res = _relative_err(f, terms)
+    return res.hex() if res <= tol else "fit"
+
+
+@pytest.mark.parametrize("group", ["fixtures", "monomials", "bench_shapes", "binary_shapes"])
+def test_accept_is_the_gate_and_the_fit_test_bit_for_bit(group, monkeypatch):
+    # every term list the searches hand `accept` on these inputs, rank loop,
+    # Sylvester and variable reduction alike, gets the reference's verdict
+    # and, when taken, its residual to the last bit
+    seen = []
+
+    def recording(f, terms, tol):
+        seen.append((f, terms, tol, accept(f, terms, tol)))
+        return seen[-1][-1]
+
+    for name in ("waring.decompose", "waring.binary"):
+        monkeypatch.setattr(sys.modules[name], "accept", recording)
+    if group == "binary_shapes":
+        forms = (planted_poly(2, d, d // 2, np.random.default_rng(d))[0] for d in range(3, 21))
+    else:
+        forms = _gate_inputs(group)
+    for f in forms:
+        decompose(f, seed=0)
+    verdicts = []
+    for f, terms, tol, got in seen:
+        want = _reference_verdict(f, terms, tol)
+        assert (got is None and want in ("gate", "fit")) or got.hex() == want, f.coeffs
+        verdicts.append(want if got is None else "taken")
+    assert "taken" in verdicts
+    if group in ("fixtures", "monomials"):
+        assert {"gate", "fit"} <= set(verdicts)
+
+
+def test_accept_refuses_nan_and_heavy_terms_and_takes_an_exact_term():
+    f = parse_poly("x0^3 + 2*x0*x1^2")
+    k = np.array([1.0, 2.0 - 1j])
+    g = expand_power_sum([(1.5, k)], 2, 3)
+    # a NaN weight or form fails the mass test, before any pairwise sine
+    assert accept(f, [(np.nan, k)], math.inf) is None
+    assert accept(f, [(1.5, np.array([1.0, np.nan]))], math.inf) is None
+    # forms far apart, one of mass |w| ||k||^3 at the cap, then just above it
+    cap = MASS_RATIO_CAP * f.coeff_norm()
+    for w, taken in ((cap, True), (cap * (1 + 1e-12), False)):
+        terms = [(1.0, np.array([1.0, 0.0])), (w, np.array([0.0, 1.0]))]
+        assert (accept(f, terms, math.inf) is not None) == taken
+    assert accept(g, [(1.5, k)], 0.0) == 0.0
+
+
 def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
     # a planted (4, 5, 11): catalecticant bound 10, Koszul bound 11, so one
     # rank-10 attempt fails and the search moves straight to rank 11
@@ -690,7 +760,8 @@ def test_verify_and_the_fit_test_are_the_subtraction_bit_for_bit():
         residual, worst = _subtraction_verify(f, dec)
         vr = verify(f, dec)
         assert (vr.residual.hex(), vr.max_coeff_err.hex()) == (residual.hex(), worst.hex())
-        assert _relative_err(f, dec.terms).hex() == residual.hex()
+        g = expand_power_sum(dec.terms, f.nvars, f.degree)
+        assert relative_error(g, f).hex() == residual.hex()
 
 
 @pytest.mark.parametrize("sine, want", [(3e-9, 1), (2e-8, 0)])

@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 import warnings
 
@@ -8,9 +9,9 @@ import scipy.linalg
 
 from waring.cli import parse_input
 from waring.core import (
-    Decomposition, expand_power_sum, identity_frame, monomial_values, to_dual,
+    Decomposition, accept, expand_power_sum, identity_frame, monomial_values, to_dual,
 )
-from waring.decompose import _support_ok, decompose
+from waring.decompose import decompose
 from waring.extension import extend_dual
 from waring.hankel import (
     MonomialBasis,
@@ -279,7 +280,7 @@ def test_colliding_points_cost_one_pencil(monkeypatch, maximal_cubic):
     assert moment_residual(weights, got, L) < 1e-8
     g = expand_power_sum([(w, np.array([1.0, *p])) for w, p in zip(wts, pts)], 3, 4)
     terms = [(w, np.concatenate([[1.0], p])) for w, p in zip(weights, got)]
-    assert not _support_ok(g, terms)
+    assert accept(g, terms, math.inf) is None
 
     # the maximal cubic's size-3 basis: nilpotent operators, so every pencil
     # has eigenvalue 0 three times and fails
