@@ -11,8 +11,8 @@ failed attempt.  An attempt is one pass: each basis is extended, its pencil
 read and its weights fitted once; the terms, pulled back to the input's
 coordinates, are judged there by `core.accept`, the support gate and fit test
 that Sylvester's route and the variable reduction apply too.  The search
-never goes above a proven maximum rank: MAX_RANK for the shapes it lists, the
-dimension C(n+d-1, d) of the space of forms otherwise.
+never goes above a proven maximum rank: MAX_RANK for the shapes it lists,
+twice the generic rank otherwise.
 """
 
 from __future__ import annotations
@@ -60,9 +60,14 @@ from .hankel import (
 from .spectral import pencil_support, solve_weights
 
 
-# (nvars, degree): (name, proven maximum rank); ternary cubics by their orbit
-# classification, ternary quartics by Kleppe (1999)
-MAX_RANK = {(3, 3): ("ternary cubics", 5), (3, 4): ("ternary quartics", 7)}
+# (nvars, degree): (the failure message's name for it, proven maximum rank);
+# ternary cubics by their orbit classification, ternary quartics by Kleppe
+# (1999)
+MAX_RANK = {(3, 3): ("the maximum for ternary cubics", 5),
+            (3, 4): ("the maximum for ternary quartics", 7)}
+# (nvars, degree), degree >= 3, whose generic rank is one above
+# ceil(C(n+d-1, d) / n) (Alexander-Hirschowitz 1995)
+DEFECTIVE = {(3, 4), (4, 4), (5, 4), (5, 3)}
 
 
 @dataclass
@@ -168,7 +173,10 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
 def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) -> DecomposeReport:
     n, d = f.nvars, f.degree
     rng = np.random.default_rng(seed)
-    family, top = MAX_RANK.get((n, d), (None, math.comb(n + d - 1, d)))
+    # every rank is at most twice the generic rank g (Blekherman-Teitler,
+    # Math. Ann. 2015); at n >= 3, 2g is at most C(n+d-1, d)
+    g = n if d == 2 else -(-math.comb(n + d - 1, d) // n) + ((n, d) in DEFECTIVE)
+    named, top = MAX_RANK.get((n, d), ("twice the generic rank, by Blekherman-Teitler", 2 * g))
     cap = top if max_rank is None else min(max_rank, top)
     L0 = to_dual(identity_frame(f))
     frames = [_Frame(np.eye(n), L0, known_columns_test(L0))]
@@ -216,7 +224,7 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
         raise DecompositionError(
             f"the rank is at least {lower} by the {source} bound, above the cap {cap}"
         )
-    why = f" (the maximum for {family})" if family is not None and cap == top else ""
+    why = f" ({named})" if cap == top else ""
     raise DecompositionError(
         f"no decomposition of rank <= {cap}{why} found at tolerance {tol}"
     )

@@ -31,17 +31,13 @@ at rank 10, 30 of 40 at rank 12); where they fix all, x_p alone is tested.
 When this start misses TOL, or there is no relation, the zero start and
 then RESTARTS - 1 random ones follow, exactly as without it.
 
-Where the zero start makes D_0 singular (fails `_inverse`), as it does for
-sparse forms whose moments put zeros on D_0's known cells, the random starts
-are drawn on the moment variety instead of in the unit box.  Each is the
-moments, at the unknown positions, of |B| standard complex Gaussian points
-of the affine chart, weighted by `spectral.solve_weights`' fit to L's known
-moments (`_moment_starts`).  Were that fit exact, D_0 would be
+The RESTARTS - 1 random starts are drawn on the moment variety.  Each is
+the moments, at the unknown positions, of |B| standard complex Gaussian
+points of the affine chart, weighted by `spectral.solve_weights`' fit to L's
+known moments (`_moment_starts`).  Were that fit exact, D_0 would be
 V^T diag(w) V, V the basis monomials at the points: invertible for distinct
-points and nonzero weights.  Box starts near x = 0 instead mostly plateau.
-A basis whose zero start passes keeps the box starts, bit for bit; drawing
-its starts on the moment variety too would change which start wins where
-the box starts already work.
+points and nonzero weights, also where the zero start makes D_0 singular, as
+it does for sparse forms whose moments put zeros on D_0's known cells.
 
 Each step solves the normal equations J^H J d = -J^H f through the Cholesky
 factor L of J^H J and its inverse, several times cheaper than a least-squares
@@ -486,14 +482,13 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     overdetermined into inconsistency).  D_0 is tested once, by `_inverse`
     at x = 0.  The starts, in order, up to the first that reaches TOL: the
     normal-form start (`_normal_form_start`), when D_0 holds no unknown and
-    passes; then x = 0; then RESTARTS - 1 random starts, uniform in the unit
-    box where D_0 passes at x = 0, and on the moment variety
-    (`_moment_starts`) where it fails, all drawn from default_rng(seed).
-    `_solution` accepts a point, also one with no unknowns, when r <= TOL,
-    which a D_0 that fails `_inverse` never reaches.  Its free_count is the
-    number of unknowns the Jacobian leaves free there: the dimension of the
-    solution set.  Any point of a positive-dimensional set whose pencil is
-    simple gives a decomposition, so no second, more generic point is sought.
+    passes; then x = 0; then RESTARTS - 1 random starts on the moment variety
+    (`_moment_starts`), drawn from default_rng(seed).  `_solution` accepts a
+    point, also one with no unknowns, when r <= TOL, which a D_0 that fails
+    `_inverse` never reaches.  Its free_count is the number of unknowns the
+    Jacobian leaves free there: the dimension of the solution set.  Any point
+    of a positive-dimensional set whose pencil is simple gives a
+    decomposition, so no second, more generic point is sought.
     """
     res = CommutatorResidual(L, basis)
     zero = np.zeros(len(res.unknowns), dtype=complex)
@@ -511,12 +506,7 @@ def extend_dual(L: DualForm, basis: MonomialBasis, seed: int = 0) -> ExtensionSo
     found = _normal_form_start(res, L, basis, n_mat)
     if found is not None:
         return found
-    if n_mat is None:
-        starts = _moment_starts(L, basis, res.unknowns, seed)
-    else:
-        u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, len(zero)))
-        starts = u[:, 0] + 1j * u[:, 1]
-    for x0 in itertools.chain([zero], starts):
+    for x0 in itertools.chain([zero], _moment_starts(L, basis, res.unknowns, seed)):
         found = _solution(L, res, *_gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER))
         if found is not None:
             return found

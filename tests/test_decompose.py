@@ -214,9 +214,16 @@ def test_binary_path_honours_tol(tol):
         # moment variety reaches terms that fit within tol
         ("x0^2*x1^2*x2", 7, 23, 3,
          [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [3, 0], [2, 1]]),
+        # two quartics with terms spread over 1e6 and 1e8, whose extensions
+        # have free moments and come from starts on the moment variety
+        ("(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2", 6, 0, 3,
+         [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
+        ("(0,1)*x0^4 + x1^4 + x2^4 - 100000000*x0*x1*x2^2", 6, 20, 3,
+         [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
     ],
     ids=["quintic", "quartic", "maximal_cubic", "generic_cubic", "fermat", "two_cubes",
-         "square_line", "cube", "monomial_222", "monomial_1111", "monomial_221"],
+         "square_line", "cube", "monomial_222", "monomial_1111", "monomial_221",
+         "quartic_c1e6", "quartic_c1e8"],
 )
 def test_fixture_search_path_is_pinned(fixture, rank_, retries, free_count, basis):
     # the rank, the failed attempts on the way up, the free moments and the
@@ -564,20 +571,31 @@ def test_ill_conditioned_quartic_reaches_rank_six():
         assert verify(f, rep.decomposition).residual <= 1.01e-7
 
 
-@pytest.mark.parametrize("text", ["x0^2*x1*x2", "x0*x1*x2^2"])
+# the proven maximum rank of each form's shape: 7 for ternary quartics,
+# otherwise twice the generic rank, 14 for ternary quintics and 20 for
+# quaternary quartics
+PROVEN_MAXIMUM = {
+    "x0^2*x1*x2": (7, "the maximum for ternary quartics"),
+    "x0*x1*x2^2": (7, "the maximum for ternary quartics"),
+    "x0^2*x1^2*x2": (14, "twice the generic rank, by Blekherman-Teitler"),
+    "x0*x1*x2*x3": (20, "twice the generic rank, by Blekherman-Teitler"),
+}
+
+
+@pytest.mark.parametrize("text", PROVEN_MAXIMUM)
 def test_search_stops_at_the_proven_maximum(monkeypatch, text):
-    # past 7, the maximum for ternary quartics, any rank found would be
-    # wrong, so a search whose every attempt fails ends there
+    # past its proven maximum any rank found would be wrong, so a search
+    # whose every attempt fails ends there
+    top, named = PROVEN_MAXIMUM[text]
     monkeypatch.setattr(sys.modules["waring.decompose"], "_attempt", lambda *args: None)
     f = parse_poly(text)
     with pytest.raises(DecompositionError, match=re.escape(
-            "no decomposition of rank <= 7 (the maximum for ternary quartics) "
-            "found at tolerance 1e-07")):
+            f"no decomposition of rank <= {top} ({named}) found at tolerance 1e-07")):
         decompose(f)
     # a lower max_rank still wins, and names no maximum
     with pytest.raises(DecompositionError, match=re.escape(
-            "no decomposition of rank <= 6 found at tolerance 1e-07")):
-        decompose(f, max_rank=6)
+            f"no decomposition of rank <= {top - 1} found at tolerance 1e-07")):
+        decompose(f, max_rank=top - 1)
 
 
 # x^a with a_0 = min a_i has rank prod_{i >= 1} (a_i + 1)

@@ -27,6 +27,7 @@ from waring.extension import (
     TOL,
     _gauss_newton,
     _jacobian_terms,
+    _moment_starts,
     _normal_form_relations,
     _normal_step,
     _relation_split,
@@ -827,11 +828,12 @@ def _gauss_newton_case(name, request):
     ("quartic", True), ("planted_5_4_12", False)])
 def test_gauss_newton_iterates_are_bit_identical_to_the_per_call_formulation(
         name, fallback, request, monkeypatch):
-    # every start extend_dual makes: the same end point, residual and number
-    # of evaluations.  The maximal cubic's rank-4 bases below its rank 5
-    # reach the least-squares fallback on rank-deficient Jacobians and end at
-    # the plateau exit, as does the quartic's basis, whose solution set has
-    # three free unknowns; the planted basis keeps to the Cholesky step
+    # every start of extend_dual's loop, zero and on the moment variety: the
+    # same end point, residual and number of evaluations.  The maximal
+    # cubic's rank-4 bases below its rank 5 reach the least-squares fallback
+    # on rank-deficient Jacobians, as does the quartic's basis, whose
+    # solution set has three free unknowns; the planted basis keeps to the
+    # Cholesky step
     module = sys.modules["waring.extension"]
     lstsq_steps = []
 
@@ -842,9 +844,8 @@ def test_gauss_newton_iterates_are_bit_identical_to_the_per_call_formulation(
     least_squares = module.lstsq
     monkeypatch.setattr(module, "lstsq", counted)
     L, basis = _gauss_newton_case(name, request)
-    m = len(CommutatorResidual(L, basis).unknowns)
-    u = np.random.default_rng(0).uniform(-1, 1, (RESTARTS - 1, 2, m))
-    for x0 in [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])]:
+    unknowns = CommutatorResidual(L, basis).unknowns
+    for x0 in [np.zeros(len(unknowns), dtype=complex), *_moment_starts(L, basis, unknowns, 0)]:
         x, r, *counts = _counted_run(_gauss_newton, CommutatorResidual(L, basis), x0)
         want_x, want_r, *want_counts = _counted_run(
             _reference_gauss_newton, _ReferenceResidual(L, basis), x0)
@@ -976,9 +977,23 @@ def test_jacobian_index_is_shared_across_forms(quartic):
 # put on the unknowns, solved before Gauss-Newton runs over what they leave
 
 
-def _reference_runs(res, L, starts):
-    """Full-space Gauss-Newton runs from each start in turn, up to the first
-    that reaches TOL, as `extend_dual` runs them after the normal-form start."""
+def _reference_start_loop(L, basis, seed=0):
+    """`extend_dual`'s starts after the normal-form start, as full-space
+    Gauss-Newton runs up to the first that reaches TOL: zero, then
+    RESTARTS - 1 weighted sums of evaluations at |B| standard complex
+    Gaussian points of the affine chart, each weighted by numpy's
+    least-squares fit to L's known moments and read at the unknown
+    positions."""
+    res = CommutatorResidual(L, basis)
+    exps = monomials_upto(L.nvars, 2 * L.degree + 2)  # past every unknown's degree
+    at_unknowns = np.array([exps[k] for k in res.unknowns])
+    z = np.random.default_rng(seed).standard_normal((RESTARTS - 1, 2, len(basis), L.nvars))
+    starts = [np.zeros(len(res.unknowns), dtype=complex)]
+    for re_, im in z / math.sqrt(2):
+        points = re_ + 1j * im
+        a = monomial_values(points, monomials_upto(L.nvars, L.degree)).T
+        w = np.linalg.lstsq(a, L.moments, rcond=None)[0]
+        starts.append(w @ monomial_values(points, at_unknowns))
     for x0 in starts:
         x, r = _gauss_newton(res.residual, res.jacobian, x0, TOL, MAX_ITER)
         if r <= TOL:
@@ -987,15 +1002,6 @@ def _reference_runs(res, L, starts):
             j = res.jacobian(x)
             return ExtensionSolution(moments, float(r), j.shape[1] - matrix_rank(j))
     return None
-
-
-def _reference_start_loop(L, basis, seed=0):
-    """`extend_dual`'s starts without the normal-form start, where the zero
-    start passes D_0's test: zero, then random ones in the unit box."""
-    res = CommutatorResidual(L, basis)
-    m = len(res.unknowns)
-    u = np.random.default_rng(seed).uniform(-1, 1, (RESTARTS - 1, 2, m))
-    return _reference_runs(res, L, [np.zeros(m, dtype=complex), *(u[:, 0] + 1j * u[:, 1])])
 
 
 @functools.cache
@@ -1180,27 +1186,9 @@ def test_relation_split_is_the_least_squares_solution_and_null_space():
 
 
 # ---------------------------------------------------------------------------
-# starts on the moment variety: where the zero start makes D_0 singular, the
-# random starts are the moments of |B| weighted points
-
-
-def _reference_moment_start_loop(L, basis, seed=0):
-    """`extend_dual`'s starts where the zero start fails D_0's test and no
-    normal-form relation exists: zero, then RESTARTS - 1 weighted sums of
-    evaluations at |B| standard complex Gaussian points of the affine chart,
-    each weighted by numpy's least-squares fit to L's known moments and read
-    at the unknown positions."""
-    res = CommutatorResidual(L, basis)
-    exps = monomials_upto(L.nvars, 2 * L.degree + 2)  # past every unknown's degree
-    at_unknowns = np.array([exps[k] for k in res.unknowns])
-    z = np.random.default_rng(seed).standard_normal((RESTARTS - 1, 2, len(basis), L.nvars))
-    starts = [np.zeros(len(res.unknowns), dtype=complex)]
-    for re_, im in z / math.sqrt(2):
-        points = re_ + 1j * im
-        a = monomial_values(points, monomials_upto(L.nvars, L.degree)).T
-        w = np.linalg.lstsq(a, L.moments, rcond=None)[0]
-        starts.append(w @ monomial_values(points, at_unknowns))
-    return _reference_runs(res, L, starts)
+# starts on the moment variety: every random start is the moments of |B|
+# weighted points, and on bases whose zero start makes D_0 singular only
+# these starts can reach an extension
 
 
 def _identity_dual(text):
@@ -1229,18 +1217,18 @@ def test_a_singular_zero_start_runs_the_moment_starts_bit_for_bit(name, seed):
     with np.errstate(all="ignore"):
         assert res._inverse(res.matrices(np.zeros(len(res.unknowns)))[0]) is None
     assert _normal_form_relations(res, L, basis, _zero_inverse(res)) is None
-    got, want = extend_dual(L, basis, seed=seed), _reference_moment_start_loop(L, basis, seed)
+    got, want = extend_dual(L, basis, seed=seed), _reference_start_loop(L, basis, seed)
     if name == "sum_of_cubes":
         assert got is want is None
     else:
         assert _solution_bytes(got) == _solution_bytes(want)
 
 
-@pytest.mark.parametrize("text, bases", [("x0^2*x1 + x0*x2^2", 20), ("x0^2*x1^2*x2", 4)])
+@pytest.mark.parametrize("text, bases", [("x0^2*x1 + x0*x2^2", 44), ("x0^2*x1^2*x2", 40)])
 def test_every_moment_start_passes_the_d0_test(text, bases, monkeypatch):
-    # each singular-zero basis the search walks at seeds 0-3 (five per seed
-    # for the maximal cubic, one for x0^2*x1^2*x2): all RESTARTS - 1 starts
-    # give a D_0 that passes `_inverse`, not only those the search got to
+    # each basis the search walks at seeds 0-3 past the normal-form start,
+    # whether or not its zero start makes D_0 singular: all RESTARTS - 1
+    # starts give a D_0 that passes `_inverse`, not only those the search got to
     module = sys.modules["waring.extension"]
     walked = []
 
@@ -1260,3 +1248,29 @@ def test_every_moment_start_passes_the_d0_test(text, bases, monkeypatch):
         with np.errstate(all="ignore"):
             assert all(res._inverse(res.matrices(x0)[0]) is not None for x0 in starts)
 
+
+
+def test_a_passing_zero_start_draws_its_random_starts_on_the_moment_variety(monkeypatch):
+    # the quartic with terms spread over 1e6, at seed 0: D_0 passes its test
+    # at x = 0 on the basis behind the report, and the extension there comes
+    # from a start drawn on the moment variety, not from the zero start
+    ext_module, dec_module = sys.modules["waring.extension"], sys.modules["waring.decompose"]
+    attempts = []
+
+    def counted(*args):
+        for x0 in moment_starts(*args):
+            attempts[-1][1] += 1
+            yield x0
+
+    def recorded(L, basis, seed):
+        attempts.append([(L, basis), 0])
+        return extend(L, basis, seed)
+
+    moment_starts, extend = ext_module._moment_starts, dec_module.extend_dual
+    monkeypatch.setattr(ext_module, "_moment_starts", counted)
+    monkeypatch.setattr(dec_module, "extend_dual", recorded)
+    rep = decompose(parse_poly("(0,1)*x0^4 + x1^4 + x2^4 - 1000000*x0*x1*x2^2"), seed=0)
+    (L, basis), draws = attempts[-1]
+    assert basis.exponents == [tuple(e) for e in rep.basis]
+    assert _zero_inverse(CommutatorResidual(L, basis)) is not None
+    assert draws > 0
