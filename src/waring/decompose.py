@@ -1,18 +1,21 @@
 """Rank-loop driver: reduce variables, extend the dual, solve, verify.
 
 The search tries ranks from a lower bound upward: the catalecticant bound,
-raised after the first failed attempt to the Koszul flattening bound when that
-is higher.  At each rank it works through two coordinate frames (the identity,
-then one random unitary change), both reading one walk of the monomial bases
-that are order ideals (sets holding every divisor of each member), the fully
-known principal minor first.  A basis whose fully known Hankel columns are
-rank-deficient is pruned without an extension; it counts as a retry, like a
-failed attempt.  An attempt is one pass: each basis is extended, its pencil
-read and its weights fitted once; the terms, pulled back to the input's
-coordinates, are judged there by `core.accept`, the support gate and fit test
-that Sylvester's route and the variable reduction apply too.  The search
-never goes above a proven maximum rank: MAX_RANK for the shapes it lists,
-twice the generic rank otherwise.
+raised to the Koszul flattening bound when that is higher.  The flattenings
+are read once: before the first attempt when the catalecticant bound sits at
+its ceiling, the size of the middle block, and otherwise after the first
+failed attempt.  At each rank it works through two coordinate frames (the
+identity, then one random unitary change), both reading one walk of the
+monomial bases that are order ideals (sets holding every divisor of each
+member), the fully known principal minor first.  A basis whose fully known
+Hankel columns are rank-deficient is pruned without an extension; it counts
+as a retry, like a failed attempt, and a rank that a bound rules out counts
+as none.  An attempt is one pass: each basis is extended, its pencil read and
+its weights fitted once; the terms, pulled back to the input's coordinates,
+are judged there by `core.accept`, the support gate and fit test that
+Sylvester's route and the variable reduction apply too.  The search never
+goes above a proven maximum rank: MAX_RANK for the shapes it lists, twice the
+generic rank otherwise.
 """
 
 from __future__ import annotations
@@ -197,6 +200,20 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
 
     lower = max(1, known_rank_bound(L0, tol))
     source = "catalecticant"
+
+    def raise_to_koszul():
+        # the flattenings that can raise the bound past `lower`, read once
+        nonlocal lower, source
+        bound, shape = koszul_rank_bound(L0, tol, lower)
+        if bound > lower:
+            lower, source = bound, "koszul({},{})".format(*shape)
+
+    # at its ceiling, the size of the middle block, the catalecticant can say
+    # no more, so the flattenings are read before the first attempt; below it
+    # only inputs that need a second attempt pay for them
+    koszul_first = lower == math.comb(n - 1 + d // 2, d // 2)
+    if koszul_first:
+        raise_to_koszul()
     retries = 0
     r = lower
     while r <= cap:
@@ -210,12 +227,8 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
                     dec, list(basis.exponents), free, retries, seed, lower, source
                 )
             retries += 1
-            if retries == 1:
-                # the flattenings may rule out more ranks; only inputs that
-                # need a second attempt pay for them
-                bound, shape = koszul_rank_bound(L0, tol)
-                if bound > lower:
-                    lower, source = bound, "koszul({},{})".format(*shape)
+            if retries == 1 and not koszul_first:
+                raise_to_koszul()
                 if lower > r:
                     after = lower
                     break

@@ -165,11 +165,16 @@ def known_rank_bound(L: DualForm, tol: float) -> int:
     size of any extension of L, and it is invariant under changes of
     coordinates.  Singular values count as in `koszul_rank_bound`, so the bound
     holds for every form within relative coefficient distance `tol` of L's.
-    Block 0, one row, adds nothing to the caller's max(1, bound).
+    Blocks are read from k = d/2 down, and the reading stops at the first
+    whose C(n+k, k) rows (n = L.nvars) cannot beat the bound in hand: no
+    block below it can either.  Block 0, one row, adds nothing to the
+    caller's max(1, bound).
     """
     noise = _noise(L, tol)
     best = 0
-    for k in range(1, L.degree // 2 + 1):  # block d-k is block k transposed
+    for k in range(L.degree // 2, 0, -1):  # block d-k is block k transposed
+        if math.comb(L.nvars + k, k) <= best:
+            break
         index, gain = _catalecticant_layout(L.nvars, L.degree, k)
         best = max(best, matrix_rank(L.moments[index], gain * noise))
     return best
@@ -241,6 +246,14 @@ def koszul_flattening(L: DualForm, delta: int, p: int) -> np.ndarray:
     return out
 
 
+def _koszul_size(nvars: int, degree: int, delta: int, p: int) -> tuple[int, int]:
+    """(rows, cols) of K_{delta,p} (see `_koszul_layout`)."""
+    big = nvars + 1
+    rows = math.comb(big + degree - delta - 2, big - 1) * math.comb(big, p + 1)
+    cols = math.comb(big + delta - 1, big - 1) * math.comb(big, p)
+    return rows, cols
+
+
 def koszul_shapes(nvars: int, degree: int) -> list[tuple[int, int]]:
     """Every (delta, p), 1 <= p <= max(1, N-2), whose K_{delta,p} has at most
     KOSZUL_MAX_ENTRIES entries (N = nvars + 1), one of each transposed pair.
@@ -254,35 +267,42 @@ def koszul_shapes(nvars: int, degree: int) -> list[tuple[int, int]]:
         for p in range(1, max(1, big - 2) + 1):
             if (degree - 1 - delta, big - 1 - p) < (delta, p):
                 continue
-            rows = math.comb(big + degree - delta - 2, big - 1) * math.comb(big, p + 1)
-            cols = math.comb(big + delta - 1, big - 1) * math.comb(big, p)
-            if rows * cols <= KOSZUL_MAX_ENTRIES:
+            if math.prod(_koszul_size(nvars, degree, delta, p)) <= KOSZUL_MAX_ENTRIES:
                 out.append((delta, p))
     return out
 
 
-def koszul_rank_bound(L: DualForm, tol: float) -> tuple[int, tuple[int, int] | None]:
+def koszul_rank_bound(
+    L: DualForm, tol: float, floor: int = 0
+) -> tuple[int, tuple[int, int] | None]:
     """Largest rank lower bound from the Koszul flattenings of L, and its (delta, p).
 
     A power l^d gives K_{delta,p} of rank C(N-1, p) (N = L.nvars + 1), and
     K is linear in the form, so a form of rank r has rank K <= r C(N-1, p):
     ceil(rank K / C(N-1, p)) bounds the rank from below, like the
     catalecticant, but often past it (Landsberg-Ottaviani 2013;
-    Oeding-Ottaviani 2013).  Every shape of `koszul_shapes` is tried.
+    Oeding-Ottaviani 2013).  The shapes of `koszul_shapes` are read in order,
+    and one is built and decomposed only when its ceiling, ceil(min(rows,
+    cols) / C(N-1, p)), is above both `floor` and the best bound so far; any
+    other could not raise the bound past either.  Whenever the bound is above
+    `floor`, it and its shape are those that reading every shape gives.
 
     Singular values count by `numerical_rank`, above the noise that `tol`
     allows, so the bound holds for every form g within relative coefficient
     distance `tol` of L's form f: K(f - g) has spectral norm at most
     gain * tol * ||f|| (see `_koszul_layout`), and by Weyl's
     inequality K(g) has at least as many singular values as K(f) has above
-    that.  Returns (0, None) when every flattening is zero.
+    that.  Returns (0, None) when no flattening built is nonzero.
     """
     noise = _noise(L, tol)
     best, where = 0, None
     for delta, p in koszul_shapes(L.nvars, L.degree):
+        per_power = math.comb(L.nvars, p)
+        if -(-min(_koszul_size(L.nvars, L.degree, delta, p)) // per_power) <= max(floor, best):
+            continue
         gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]
         count = matrix_rank(koszul_flattening(L, delta, p), gain * noise)
-        bound = -(-count // math.comb(L.nvars, p))
+        bound = -(-count // per_power)
         if bound > best:
             best, where = bound, (delta, p)
     return best, where

@@ -191,11 +191,16 @@ def test_binary_path_honours_tol(tol):
     "fixture, rank_, retries, free_count, basis",
     [
         ("ternary_quintic_rank4.txt", 4, 0, 0, [[0, 0], [1, 0], [0, 1], [2, 0]]),
+        # catalecticant bound 6 at its ceiling C(4, 2), Koszul bound 7: the
+        # search starts at rank 7
+        ("ternary_quintic_rank7.json", 7, 0, 0,
+         [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2], [3, 0]]),
         ("ternary_quartic_rank6.txt", 6, 0, 3,
          [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
         ("cubic_maximal.txt", 5, 12, 5, [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1]]),
-        # one failed rank-3 attempt, then the Koszul bound skips to rank 4
-        ("cubic_generic_rank4.json", 4, 2, 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
+        # the catalecticant bound 3 sits at its ceiling, so the Koszul bound
+        # is read first and the search starts at rank 4, where one basis fails
+        ("cubic_generic_rank4.json", 4, 1, 2, [[0, 0], [1, 0], [0, 1], [1, 1]]),
         # in the identity frame {1, x1, x2} is pruned (two of the three points
         # lie at x0 = 0) and two ideals of degree 2 fail; pruned ideals count
         # as retries
@@ -221,9 +226,9 @@ def test_binary_path_honours_tol(tol):
         ("(0,1)*x0^4 + x1^4 + x2^4 - 100000000*x0*x1*x2^2", 6, 20, 3,
          [[0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]]),
     ],
-    ids=["quintic", "quartic", "maximal_cubic", "generic_cubic", "fermat", "two_cubes",
-         "square_line", "cube", "monomial_222", "monomial_1111", "monomial_221",
-         "quartic_c1e6", "quartic_c1e8"],
+    ids=["quintic", "quintic_rank7", "quartic", "maximal_cubic", "generic_cubic", "fermat",
+         "two_cubes", "square_line", "cube", "monomial_222", "monomial_1111",
+         "monomial_221", "quartic_c1e6", "quartic_c1e8"],
 )
 def test_fixture_search_path_is_pinned(fixture, rank_, retries, free_count, basis):
     # the rank, the failed attempts on the way up, the free moments and the
@@ -472,8 +477,67 @@ def test_accept_refuses_nan_and_heavy_terms_and_takes_an_exact_term():
 
 
 def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
-    # a planted (4, 5, 11): catalecticant bound 10, Koszul bound 11, so one
-    # rank-10 attempt fails and the search moves straight to rank 11
+    # a planted (4, 5, 11): catalecticant bound 10, at its ceiling C(5, 2),
+    # and Koszul bound 11, so the flattenings are read before any attempt and
+    # the search starts at rank 11 with no rank-10 attempt
+    module = sys.modules["waring.decompose"]
+    events = []
+
+    def counted(f, frame, basis, tol, seed, rng):
+        events.append(len(basis))
+        return attempt(f, frame, basis, tol, seed, rng)
+
+    def bound(L, tol, floor):
+        events.append("koszul")
+        return koszul(L, tol, floor)
+
+    attempt, koszul = module._attempt, module.koszul_rank_bound
+    monkeypatch.setattr(module, "_attempt", counted)
+    monkeypatch.setattr(module, "koszul_rank_bound", bound)
+    f, _ = planted_poly(4, 5, 11, np.random.default_rng(3))
+    rep = decompose(f)
+    assert (rep.rank, rep.retries) == (11, 0)
+    assert events == ["koszul", 11]
+    assert (rep.lower_bound, rep.lower_bound_source) == (11, "koszul(2,1)")
+
+
+def test_koszul_bound_is_read_first_only_at_the_catalecticant_ceiling(monkeypatch, quintic):
+    module, hankel = sys.modules["waring.decompose"], sys.modules["waring.hankel"]
+    events = []
+
+    def attempt(*args):
+        events.append("attempt")
+        return real_attempt(*args)
+
+    def bound(L, tol, floor):
+        events.append("koszul")
+        return real_bound(L, tol, floor)
+
+    def flattening(L, delta, p):
+        events.append("flattening")
+        return real_flattening(L, delta, p)
+
+    real_attempt, real_bound = module._attempt, module.koszul_rank_bound
+    real_flattening = hankel.koszul_flattening
+    monkeypatch.setattr(module, "_attempt", attempt)
+    monkeypatch.setattr(module, "koszul_rank_bound", bound)
+    monkeypatch.setattr(hankel, "koszul_flattening", flattening)
+    # the quintic fixture: bound 4 below its ceiling 6, and its first
+    # attempt succeeds, so the flattenings are never read
+    rep = decompose(quintic)
+    assert events == ["attempt"] and (rep.rank, rep.retries) == (4, 0)
+    # a planted (3, 6, 10) sits at its ceiling C(5, 3) = 10, but no
+    # flattening's ceiling passes 10, so none is built
+    events.clear()
+    f, _ = planted_poly(3, 6, 10, np.random.default_rng(10))
+    rep = decompose(f)
+    assert events == ["koszul", "attempt"]
+    assert (rep.rank, rep.retries, rep.lower_bound_source) == (10, 0, "catalecticant")
+
+
+def test_a_cap_between_the_two_bounds_fails_before_any_attempt(monkeypatch):
+    # a planted (4, 5, 11) at max_rank 10: the catalecticant bound allows
+    # rank 10, the Koszul bound, read first at the ceiling, does not
     module = sys.modules["waring.decompose"]
     sizes = []
 
@@ -484,10 +548,10 @@ def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
     attempt = module._attempt
     monkeypatch.setattr(module, "_attempt", counted)
     f, _ = planted_poly(4, 5, 11, np.random.default_rng(3))
-    rep = decompose(f)
-    assert rep.rank == 11
-    assert sizes.count(10) == 1
-    assert (rep.lower_bound, rep.lower_bound_source) == (11, "koszul(2,1)")
+    with pytest.raises(DecompositionError,
+                       match=r"at least 11 by the koszul\(2,1\) bound, above the cap 10"):
+        decompose(f, max_rank=10)
+    assert sizes == []
 
 
 def test_attempt_rejects_nan_weights(monkeypatch, quintic):
@@ -516,8 +580,10 @@ def _with_noise(f, size, rng):
 
 def test_koszul_bound_leaves_room_for_the_noise_tol_allows(monkeypatch):
     # a planted (4, 5, 11) plus noise of 3e-8 of its norm: the planted terms
-    # fit within tol 1e-7, so the search must try rank 11.  Counted at a
-    # fixed cut, without the noise that tol allows, the noise reads as rank 12
+    # fit within tol 1e-7, so the search must try rank 11, and the Koszul
+    # bound, read before the first attempt, rules out only rank 10.  Counted
+    # at a fixed cut, without the noise that tol allows, the noise reads as
+    # rank 12
     rng = np.random.default_rng([0, 4, 5, 11])
     f, _ = planted_poly(4, 5, 11, rng)
     g = _with_noise(f, 3e-8, rng)
@@ -533,7 +599,7 @@ def test_koszul_bound_leaves_room_for_the_noise_tol_allows(monkeypatch):
     monkeypatch.setattr(module, "_attempt", failed)
     with pytest.raises(DecompositionError, match="no decomposition of rank <= 11"):
         decompose(g, max_rank=11)
-    assert sizes.count(10) == 1 and 11 in sizes
+    assert 10 not in sizes and 11 in sizes
 
 
 @pytest.mark.parametrize("draw", [0, 1, 5])

@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -38,6 +39,7 @@ from waring.hankel import (
 from conftest import (
     EXACTNESS_CASES,
     FIXTURES,
+    WALK_SHAPES,
     dict_hankel,
     exactness_case,
     identity_frame_of,
@@ -597,6 +599,75 @@ def test_koszul_bound_never_exceeds_a_known_rank():
             assert koszul_rank_bound(to_dual(f), TOL)[0] <= r, (n, d, r, seed)
             count += 1
     assert count >= 300
+
+
+def _forms_for_the_bound_readings():
+    """The fixtures, the monomials of known rank and the planted shapes of
+    the benchmark's workloads."""
+    forms = [load_text_poly(p.name) for p in sorted(FIXTURES.glob("*.txt"))]
+    forms += [load_json_poly(p.name) for p in sorted(FIXTURES.glob("*.json"))
+              if not p.name.endswith("_decomposition.json")]
+    forms += [parse_poly(text) for text, _ in KNOWN_RANKS]
+    return forms + [planted_poly(n, d, r, np.random.default_rng(r))[0]
+                    for n, d, r in WALK_SHAPES]
+
+
+def test_koszul_bound_builds_only_the_flattenings_that_can_raise_it(monkeypatch):
+    # every flattening read by hand: one is built only when its ceiling,
+    # ceil(min(rows, cols) / C(n, p)), is above the floor and the best bound
+    # before it, and above the floor the bound and its shape are those of
+    # reading every flattening
+    module = sys.modules["waring.hankel"]
+    built = []
+
+    def counted(L, delta, p):
+        built.append((delta, p))
+        return flattening(L, delta, p)
+
+    flattening = module.koszul_flattening
+    monkeypatch.setattr(module, "koszul_flattening", counted)
+    reads = 0
+    for f in _forms_for_the_bound_readings():
+        L = to_dual(f)
+        noise = TOL * np.linalg.norm(L.moments * multinomials(L.nvars, L.degree))
+        shapes = koszul_shapes(L.nvars, L.degree)
+        bounds, ceilings = [], []
+        for delta, p in shapes:
+            k = flattening(L, delta, p)
+            gain = _koszul_layout(L.nvars, L.degree, delta, p)[-1]
+            count = numerical_rank(np.linalg.svd(k, compute_uv=False), gain * noise)
+            bounds.append(-(-count // math.comb(L.nvars, p)))
+            ceilings.append(-(-min(k.shape) // math.comb(L.nvars, p)))
+        top = max(bounds, default=0)
+        for floor in range(top + 2):
+            built.clear()
+            got = koszul_rank_bound(L, TOL, floor)
+            best, want = 0, []
+            for shape, bound, ceiling in zip(shapes, bounds, ceilings):
+                if ceiling > max(floor, best):
+                    want.append(shape)
+                    best = max(best, bound)
+            assert built == want, (f.coeffs, floor)
+            if top > floor:
+                assert got == (top, shapes[bounds.index(top)]), (f.coeffs, floor)
+            else:
+                assert got[0] <= floor
+            reads += 1
+    assert reads >= 150
+
+
+def test_known_rank_bound_is_the_largest_block_rank():
+    # read from k = d/2 down and stopped where a block's rows cannot beat
+    # the bound in hand, it still finds the rank of every block k = 1 .. d/2
+    for f in _forms_for_the_bound_readings():
+        L = to_dual(f)
+        noise = TOL * np.linalg.norm(L.moments * multinomials(L.nvars, L.degree))
+        want = 0
+        for k in range(1, L.degree // 2 + 1):
+            index, gain = _catalecticant_layout(L.nvars, L.degree, k)
+            s = np.linalg.svd(L.moments[index], compute_uv=False)
+            want = max(want, numerical_rank(s, gain * noise))
+        assert known_rank_bound(L, TOL) == want, f.coeffs
 
 
 def _random_change(n, rng, max_cond=1e3):
