@@ -479,38 +479,27 @@ def lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.lstsq(a, b[:, None], cut, signature="DDd->Ddid")[0][:, 0]
 
 
-@functools.cache
-def _partials_layout(nvars: int, degree: int):
-    """(rows, cols, monos, mults, shape) of the first partials of a form:
-    the partial in x_rows[k] holds mults[k] times the coefficient of
-    monomial monos[k] of `monomials(nvars, degree)` at column cols[k], the
-    index of the quotient in `monomials(nvars, degree - 1)`; read only."""
-    exps = np.array(monomials(nvars, degree), dtype=np.intp).reshape(-1, nvars)
-    monos, rows = np.nonzero(exps)
-    mults = exps[monos, rows]
-    quotients = exps[monos]
-    quotients[np.arange(len(monos)), rows] -= 1
-    cols = monomial_index(quotients[:, 1:])
-    for a in (rows, cols, monos, mults):
-        a.flags.writeable = False
-    return rows, cols, monos, mults, (nvars, math.comb(nvars + degree - 2, degree - 1))
-
-
 def essential_vars(f: HomogeneousPoly):
     """Number of variables really present in f, and a change realizing it.
 
     The count is the `numerical_rank` of the matrix of first partial
-    derivatives (one row per variable, columns indexed by degree d-1
-    monomials).  The change is the (n, count) matrix q = conj(U)[:, :count]
-    of that matrix's thin SVD, whose columns are orthonormal:
-    `change_coordinates(f, q)` is f in `count` variables.
+    derivatives: one row per variable, one column per quotient x^e / x_i
+    with c x^e a term of f and e_i > 0, in graded-lex order.  The other
+    degree d-1 monomials would only add zero columns.  The change is the
+    (n, count) matrix q = conj(U)[:, :count] of that matrix's thin SVD, whose
+    columns are orthonormal: `change_coordinates(f, q)` is f in `count`
+    variables.
     """
     if f.is_zero:
         raise ValueError("zero polynomial has no essential variables")
-    n = f.nvars
-    rows, cols, monos, mults, shape = _partials_layout(n, f.degree)
-    p = np.zeros(shape, dtype=complex)
-    p[rows, cols] += mults * _coeff_vector(f)[monos]  # no cell is hit twice
+    exps = np.array(list(f.coeffs), dtype=np.intp)
+    monos, rows = np.nonzero(exps)
+    quotients = exps[monos]
+    quotients[np.arange(len(monos)), rows] -= 1
+    keys, cols = np.unique(monomial_index(quotients[:, 1:]), return_inverse=True)
+    p = np.zeros((f.nvars, len(keys)), dtype=complex)
+    coeffs = np.array(list(f.coeffs.values()), dtype=complex)
+    p[rows, cols] += exps[monos, rows] * coeffs[monos]  # no cell is hit twice
     u, s, _ = np.linalg.svd(p, full_matrices=False)
     count = numerical_rank(s)
     # the directions conj(U[:, j]), j >= count, are in the left null space
@@ -519,13 +508,26 @@ def essential_vars(f: HomogeneousPoly):
 
 
 def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
-    """Expand sum_i w_i (k_i . x)^d by the multinomial theorem."""
+    """Expand sum_i w_i (k_i . x)^d by the multinomial theorem, over the
+    monomials of the variables some k_i uses: a monomial in any other
+    variable has coefficient 0."""
     if isinstance(terms, Decomposition):
         terms = terms.terms
-    exps = monomials(nvars, degree)  # x0 dropped, these are monomials_upto(nvars - 1, degree)
+    forms = np.array([k for _, k in terms], dtype=complex).reshape(len(terms), nvars)
+    used = np.flatnonzero(forms.any(axis=0))
+    if not used.size:
+        return HomogeneousPoly._trusted(nvars, degree, {})
+    # x0 dropped, these are monomials_upto(len(used) - 1, degree)
+    exps = monomials(len(used), degree)
     weights = np.array([w for w, _ in terms], dtype=complex)
-    values = weights @ monomial_values([k for _, k in terms], exps)
-    values *= multinomials(nvars - 1, degree)
+    # `take` returns C order where forms[:, used] would not: with every
+    # variable used, the product below sums exactly as over the forms themselves
+    values = weights @ monomial_values(forms.take(used, axis=1), exps)
+    values *= multinomials(len(used) - 1, degree)
+    if len(used) < nvars:
+        lifted = np.zeros((len(exps), nvars), dtype=int)
+        lifted[:, used] = exps
+        exps = list(map(tuple, lifted.tolist()))
     return HomogeneousPoly._trusted(nvars, degree, dict(zip(exps, values.tolist())))
 
 

@@ -62,12 +62,6 @@ class MonomialBasis:
     def __iter__(self):
         return iter(self.exponents)
 
-    def __contains__(self, exp):
-        return tuple(exp) in self.index
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialBasis) and self.exponents == other.exponents
-
     def shifted(self, var: int) -> list[Exponent]:
         """Exponents of x_var * B, in the order of B."""
         return [

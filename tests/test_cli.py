@@ -194,12 +194,23 @@ def test_huge_tensor_shape_is_rejected_before_listing(nvars, degree, message):
     assert f"tensor array has 1 entries, {message}" in proc.stderr
 
 
-def test_variable_reduction_fits_in_2gb():
-    # a rank-1 form in 21 variables: the reduction to one variable reads only
-    # the partials' left singular vectors, never a 10626 x 10626 V
-    proc = _run_in_2gb("rank", "x20^5")
+def test_variable_reduction_fits_in_2gb(tmp_path):
+    # rank-1 forms in 21 and 31 variables: the reduction to one variable reads
+    # only the partials' left singular vectors, never a 10626 x 10626 V, and
+    # the partials and the fit come from the form's one term, never from the
+    # 1.9 million monomials of degree 6 in 31 variables
+    for source in ("x20^5", "x30^6"):
+        proc = _run_in_2gb("rank", source)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+    proc = _run_in_2gb("decompose", "x30^6", "--format", "json")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n"
+    path = tmp_path / "dec.json"
+    path.write_text(proc.stdout)
+    proc = _run_in_2gb("verify", "x30^6", "--decomposition", str(path), "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(proc.stdout)
+    assert rep["residual"] == 0.0 and rep["collisions"] == 0
 
 
 def _run_in_2gb(*argv):

@@ -16,6 +16,7 @@ from waring.core import (
     essential_vars,
     expand_power_sum,
     format_poly,
+    grlex_key,
     identity_frame,
     lstsq,
     monomial_values,
@@ -480,6 +481,35 @@ def test_expand_power_sum_matches_the_term_loop(nvars, degree, rank):
     np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
+def test_expand_power_sum_skips_the_variables_no_form_uses(monkeypatch):
+    rng = np.random.default_rng(41)
+    for nvars, degree, unused in [(3, 4, [1]), (5, 3, [0, 3]), (4, 5, [0, 1, 2]), (6, 2, [5])]:
+        _, terms = planted_poly(nvars, degree, 3, rng)
+        terms = [(w, np.where(np.isin(np.arange(nvars), unused), 0, k)) for w, k in terms]
+        got = expand_power_sum(terms, nvars, degree)
+        ref = loop_expand_power_sum(terms, nvars, degree)
+        exps = monomials(nvars, degree)
+        a = np.array([got.coeff(e) for e in exps])
+        b = np.array([ref.coeff(e) for e in exps])
+        assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+        assert not any(e[i] for e in got.coeffs for i in unused)
+    zero = [(1.5, np.zeros(3)), (2j, np.zeros(3))]
+    assert expand_power_sum(zero, 3, 4).is_zero
+
+    asked = []
+
+    def recorded(nvars, degree):
+        asked.append(nvars)
+        return monomials(nvars, degree)
+
+    monkeypatch.setattr(sys.modules["waring.core"], "monomials", recorded)
+    k = np.zeros(31)
+    k[30] = 2.0
+    g = expand_power_sum([(3.0, k)], 31, 6)
+    assert g.coeffs == {(0,) * 30 + (6,): 3.0 * 2.0**6}
+    assert 31 not in asked
+
+
 def test_evaluate_at_many_points():
     f, _ = planted_poly(3, 4, 3, np.random.default_rng(2))
     rng = np.random.default_rng(3)
@@ -624,17 +654,21 @@ def test_identity_frame_is_the_identity_change_bit_for_bit():
     assert g.coeffs[(1, 1, 1)].real.hex() == "0x0.0p+0"
 
 
+def _quotient(exp, i):
+    return exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+
+
 def _loop_essential_vars(f):
-    """The partials matrix filled term by term, as `essential_vars` did."""
+    """The partials matrix filled term by term, one column per quotient
+    x^e / x_i of a term of f, in graded-lex order."""
     n = f.nvars
-    at = {e: i for i, e in enumerate(monomials_upto(n - 1, f.degree - 1))}
+    quotients = {_quotient(exp, i) for exp in f.coeffs for i in range(n) if exp[i]}
+    at = {e: j for j, e in enumerate(sorted(quotients, key=grlex_key))}
     p = np.zeros((n, len(at)), dtype=complex)
     for exp, c in f.coeffs.items():
         for i in range(n):
             if exp[i]:
-                de = list(exp)
-                de[i] -= 1
-                p[i, at[tuple(de[1:])]] += exp[i] * c
+                p[i, at[_quotient(exp, i)]] += exp[i] * c
     u, s, _ = np.linalg.svd(p, full_matrices=False)
     count = numerical_rank(s)
     return count, np.conj(u[:, :count])
