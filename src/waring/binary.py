@@ -35,6 +35,7 @@ from .core import (
     HomogeneousPoly,
     accept,
     check_coeff_range,
+    exponent_array,
     lstsq,
     monomial_values,
     numerical_rank,
@@ -75,24 +76,37 @@ def _start(u: np.ndarray, cap: int, floor: float):
     return max(1, numerical_rank(probe.S, gain * floor)), r0, probe
 
 
-def _projective_roots(b: np.ndarray):
-    """The r roots of sum_k b_k alpha^k beta^(r-k) as unit (alpha, beta).
+def _projective_roots(b: np.ndarray) -> np.ndarray:
+    """The r roots of sum_k b_k alpha^k beta^(r-k) as the unit rows
+    (alpha, beta) of an (r, 2) array.
 
     Leading coefficients at most 1e-10 of the largest vanish; each is a root
     at infinity, direction (1, 0).  Two of those are a repeated root, which
     `accept`'s support gate refuses: their pairwise sine is exactly 0, below
-    MIN_SEPARATION.
+    MIN_SEPARATION.  The finite roots are `np.roots` of what is left, bit for
+    bit: the eigenvalues of its companion matrix, then a root 0 for each
+    vanishing trailing coefficient.  Each row is divided by the norm
+    `np.linalg.norm` gives it, whose squares sum in the same order.
     """
     r = len(b) - 1
     top = np.max(np.abs(b))
     k = r
     while k >= 0 and abs(b[k]) <= 1e-10 * top:
         k -= 1
-    at_infinity = r - k
-    finite = np.roots(b[k::-1])  # exactly k roots, none for k = 0
-    pts = [np.array([z, 1.0 + 0j]) for z in finite]
-    pts += [np.array([1.0 + 0j, 0j])] * at_infinity
-    return [p / np.linalg.norm(p) for p in pts]
+    zeros = 0  # b_0 .. b_(zeros-1) are exactly 0: alpha^zeros divides, roots alpha = 0
+    while zeros < k and b[zeros] == 0:
+        zeros += 1
+    pts = np.zeros((r, 2), dtype=complex)
+    pts[:k, 1] = 1.0
+    pts[k:, 0] = 1.0  # at infinity
+    if k - zeros:
+        p = b[zeros : k + 1][::-1]
+        companion = np.eye(k - zeros, k=-1, dtype=complex)
+        companion[0, :] = -p[1:] / p[0]
+        pts[: k - zeros, 0] = np.linalg.eigvals(companion)
+    norms = np.sqrt((pts.real[:, 0] ** 2 + pts.real[:, 1] ** 2)
+                    + (pts.imag[:, 0] ** 2 + pts.imag[:, 1] ** 2))
+    return pts / norms[:, None]
 
 
 def binary_decompose(
@@ -116,8 +130,10 @@ def binary_decompose(
     scale = np.max(np.abs(c))
     if scale == 0:
         raise ValueError("zero form has no decomposition")
-    rng = np.random.default_rng(seed)
+    rng = None  # drawn from only for a kernel of more than one dimension
     cap = d if max_rank is None else min(d, max_rank)
+    # c_i = sum_j w_j alpha_j^i beta_j^(d-i): exponents (i, d - i), i = 0..d
+    exps = exponent_array(2, d)[::-1]
 
     u = c / scale
     start, r0, probe = _start(u, cap, tol * p.coeff_norm() / scale)
@@ -132,12 +148,12 @@ def binary_decompose(
         # one dimension adds one random combination
         kernel = [null[:, -1]]
         if null.shape[1] > 1:
+            rng = np.random.default_rng(seed) if rng is None else rng
             mu = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
             kernel.append(null @ (mu / np.linalg.norm(mu)))
         for b in kernel:
             pts = _projective_roots(b)
-            # c_i = sum_j w_j alpha_j^i beta_j^(d-i)
-            a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
+            a = monomial_values(pts, exps).T
             with np.errstate(all="ignore"):
                 w = lstsq(a, c)
             terms = list(zip(w, pts))

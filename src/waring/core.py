@@ -145,6 +145,15 @@ def multinomials(nvars: int, degree: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def exponent_array(nvars: int, degree: int) -> np.ndarray:
+    """`monomials(nvars, degree)` as an (m, nvars) integer array, built once
+    per shape; read only, since every caller shares it."""
+    out = np.array(_monomials(nvars, degree), dtype=int).reshape(-1, nvars)
+    out.flags.writeable = False
+    return out
+
+
 def monomial_values(points, exps) -> np.ndarray:
     """The (m, k) array of z^alpha for the m rows z of `points` and the k rows
     alpha of `exps` (0^0 = 1): one broadcast power, then a product along the
@@ -170,7 +179,7 @@ class HomogeneousPoly:
             raise ValueError("negative degree")
         clean = {}
         for exp, c in coeffs.items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(map(int, exp))
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has wrong length for nvars={nvars}")
             if min(exp) < 0:
@@ -252,12 +261,6 @@ def coeff_difference(g: HomogeneousPoly, f: HomogeneousPoly) -> list[complex]:
     return [c for c in out if c != 0]
 
 
-def relative_error(g: HomogeneousPoly, f: HomogeneousPoly) -> float:
-    """The coefficient norm of g - f over f's, summed in `coeff_difference`
-    order."""
-    return ordered_norm(coeff_difference(g, f)) / f.coeff_norm()
-
-
 def random_unitary(nvars: int, rng: np.random.Generator) -> np.ndarray:
     """A random unitary matrix: the Q of a complex Gaussian matrix's QR
     factorization, each column's phase fixed by R's diagonal."""
@@ -283,15 +286,24 @@ class Decomposition:
         return len(self.terms[0][1]) if self.terms else 0
 
     def normalized(self) -> "Decomposition":
-        """Scale each form so its first non-negligible coordinate is 1."""
-        out = []
-        for i, (w, k) in enumerate(self.terms, start=1):
-            k = np.asarray(k, dtype=complex)
-            big = np.max(np.abs(k))  # NaN or inf leaves no coordinate above it
-            pivot = next((v for v in k if abs(v) > 1e-8 * big), None)
-            if pivot is None:
-                raise ValueError(f"form of term {i} is zero or not finite")
-            out.append((complex(w) * pivot**self.degree, k / pivot))
+        """Scale each form so its first non-negligible coordinate is 1: the
+        first whose modulus is above 1e-8 of the form's largest."""
+        if not self.terms:
+            return Decomposition(self.degree, [], self.residual)
+        k = np.array([k for _, k in self.terms], dtype=complex)
+        big = np.abs(k).max(axis=1)  # NaN or inf leaves no coordinate above it
+        # `hypot` is the modulus a complex scalar's `abs` takes, which the
+        # vectorized `np.abs` above can miss by an ulp
+        above = np.hypot(k.real, k.imag) > 1e-8 * big[:, None]
+        found = above.any(axis=1)
+        if not found.all():
+            raise ValueError(f"form of term {np.argmin(found) + 1} is zero or not finite")
+        pivots = k[np.arange(len(k)), above.argmax(axis=1)]
+        forms = k / pivots[:, None]
+        out = [
+            (complex(w) * pivot**self.degree, form)
+            for (w, _), pivot, form in zip(self.terms, pivots, forms)
+        ]
         return Decomposition(self.degree, out, self.residual)
 
 
@@ -441,18 +453,27 @@ def upper_triangle(size: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def pairwise_sines(forms) -> np.ndarray:
-    """Sine of the angle between the lines of each pair of forms, i < j.
+def row_norms(u: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of the complex (m, n) array u:
+    `np.linalg.norm(u, axis=1)` bit for bit, by its own formula, without the
+    wrapper."""
+    return np.sqrt(np.add.reduce((u.conj() * u).real, axis=1))
+
+
+def pairwise_sines(forms, norms=None) -> np.ndarray:
+    """Sine of the angle between the lines of each pair of forms, i < j;
+    `norms`, when given, are the forms' `row_norms`.
 
     For unit forms u, v it is ||v - <u,v> u||.  Unlike sqrt(1 - |<u,v>|^2),
     which loses everything below sqrt(machine epsilon) ~ 1e-8, this stays
     accurate down to about machine epsilon.
     """
     u = np.array(forms, dtype=complex)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    u /= (row_norms(u) if norms is None else norms)[:, None]
     i, j = upper_triangle(len(u))
-    inner = np.sum(u[i].conj() * u[j], axis=1)
-    return np.linalg.norm(u[j] - inner[:, None] * u[i], axis=1)
+    ui, uj = u[i], u[j]
+    inner = np.add.reduce(ui.conj() * uj, axis=1)
+    return row_norms(uj - inner[:, None] * ui)
 
 
 def numerical_rank(s: np.ndarray, floor: float = 0.0) -> int:
@@ -507,48 +528,65 @@ def essential_vars(f: HomogeneousPoly):
     return count, np.conj(u[:, :count])
 
 
+def _power_sum(weights: np.ndarray, forms: np.ndarray, degree: int):
+    """(exps, values): the coefficients of sum_i w_i (k_i . x)^d, the k_i the
+    rows of `forms`, by the multinomial theorem over the monomials of the
+    variables some k_i uses, and their exponents in all the variables.  A
+    monomial in any other variable has coefficient 0 and is not listed."""
+    used = np.flatnonzero(forms.any(axis=0))
+    if not used.size:
+        return [], []
+    # `take` returns C order where forms[:, used] would not: with every
+    # variable used, the product below sums exactly as over the forms themselves
+    values = weights @ monomial_values(
+        forms.take(used, axis=1), exponent_array(len(used), degree)
+    )
+    values *= multinomials(len(used) - 1, degree)
+    exps = monomials(len(used), degree)
+    if len(used) < forms.shape[1]:
+        lifted = np.zeros((len(exps), forms.shape[1]), dtype=int)
+        lifted[:, used] = exps
+        exps = list(map(tuple, lifted.tolist()))
+    return exps, values.tolist()
+
+
 def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
-    """Expand sum_i w_i (k_i . x)^d by the multinomial theorem, over the
-    monomials of the variables some k_i uses: a monomial in any other
-    variable has coefficient 0."""
+    """Expand sum_i w_i (k_i . x)^d by the multinomial theorem (`_power_sum`)."""
     if isinstance(terms, Decomposition):
         terms = terms.terms
     forms = np.array([k for _, k in terms], dtype=complex).reshape(len(terms), nvars)
-    used = np.flatnonzero(forms.any(axis=0))
-    if not used.size:
-        return HomogeneousPoly._trusted(nvars, degree, {})
-    # x0 dropped, these are monomials_upto(len(used) - 1, degree)
-    exps = monomials(len(used), degree)
     weights = np.array([w for w, _ in terms], dtype=complex)
-    # `take` returns C order where forms[:, used] would not: with every
-    # variable used, the product below sums exactly as over the forms themselves
-    values = weights @ monomial_values(forms.take(used, axis=1), exps)
-    values *= multinomials(len(used) - 1, degree)
-    if len(used) < nvars:
-        lifted = np.zeros((len(exps), nvars), dtype=int)
-        lifted[:, used] = exps
-        exps = list(map(tuple, lifted.tolist()))
-    return HomogeneousPoly._trusted(nvars, degree, dict(zip(exps, values.tolist())))
+    return HomogeneousPoly._trusted(nvars, degree, dict(zip(*_power_sum(weights, forms, degree))))
 
 
 def accept(f: HomogeneousPoly, terms, tol: float) -> float | None:
     """The relative coefficient residual of the power sum of `terms` against
     f, or None unless the terms pass the support gate and the residual is at
-    most tol: the one test every route applies to the terms it returns.
+    most tol: the one test every route applies to the terms it returns.  The
+    residual is the coefficient norm of g - f over f's, g the power sum,
+    with the squares summed in `coeff_difference` order.
 
     The gate refuses numerically degenerate supports: two forms whose
     pairwise sine is below MIN_SEPARATION, or a term whose mass |w| ||k||^d
     is above MASS_RATIO_CAP times f's coefficient norm.  Both are unitary
     invariants, so the verdict does not depend on the frame that found the
     terms.  A NaN fails every test."""
+    weights = [w for w, _ in terms]
     forms = np.array([k for _, k in terms], dtype=complex)
-    masses = np.abs([w for w, _ in terms]) * np.linalg.norm(forms, axis=1) ** f.degree
+    norms = row_norms(forms)
+    f_norm = f.coeff_norm()
     if not (
-        np.all(masses <= MASS_RATIO_CAP * f.coeff_norm())
-        and np.all(pairwise_sines(forms) >= MIN_SEPARATION)
+        np.all(np.abs(weights) * norms**f.degree <= MASS_RATIO_CAP * f_norm)
+        and np.all(pairwise_sines(forms, norms) >= MIN_SEPARATION)
     ):
         return None
-    res = relative_error(expand_power_sum(terms, f.nvars, f.degree), f)
+    # `coeff_difference` with no form built for g: g's nonzero coefficients,
+    # then f's where g has none; a signed zero apart, the same differences
+    g = dict(zip(*_power_sum(np.array(weights, dtype=complex), forms, f.degree)))
+    fc = f.coeffs
+    diff = [c - fc.get(e, 0) for e, c in g.items() if c != 0]
+    diff += [c for e, c in fc.items() if not g.get(e)]
+    res = ordered_norm(diff) / f_norm
     return res if res <= tol else None
 
 
@@ -751,10 +789,12 @@ def poly_from_json(obj: dict) -> HomogeneousPoly:
         d = json_value(obj["degree"], int, "degree")
         coeffs: dict[Exponent, complex] = {}
         for i, t in enumerate(json_value(obj["terms"], list, "terms"), start=1):
-            exp = tuple(
-                json_value(e, int, "exponent entry of term {}", i)
-                for e in json_value(t["exp"], list, "exponent of term {}", i)
-            )
+            exp = t["exp"]
+            if type(exp) is not list or not all(type(e) is int for e in exp):
+                # `json_value` words the error for the first field at fault
+                for e in json_value(exp, list, "exponent of term {}", i):
+                    json_value(e, int, "exponent entry of term {}", i)
+            exp = tuple(exp)
             c = json_value(t["c"], complex, "coefficient of term {}", i)
             coeffs[exp] = coeffs.get(exp, 0) + c
     except (KeyError, TypeError, ValueError) as exc:

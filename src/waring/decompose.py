@@ -87,6 +87,9 @@ class DecomposeReport:
     # forms, one variable)
     lower_bound: int | None = None
     lower_bound_source: str | None = None
+    # the number of variables the input really uses, read once by
+    # `essential_vars` (1 for a form in one variable)
+    essential: int | None = None
 
     @property
     def rank(self) -> int:
@@ -247,6 +250,13 @@ def decompose(
     f: HomogeneousPoly, *, tol: float = DEFAULT_TOL, max_rank: int | None = None, seed: int = 0
 ) -> DecomposeReport:
     """Minimal power-sum decomposition of a nonzero homogeneous polynomial."""
+    return _decompose(f, tol, max_rank, seed)
+
+
+def _decompose(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int,
+               essential: int | None = None) -> DecomposeReport:
+    """`decompose`, where `essential` is f's `essential_vars` count when the
+    caller has read it already: f is then not read again."""
     if f.is_zero:
         raise ValueError("cannot decompose the zero polynomial")
     if f.degree < 1:
@@ -257,13 +267,14 @@ def decompose(
             raise DecompositionError(f"rank 1 exceeds max_rank {max_rank}")
         c = f.coeff((f.degree,))
         dec = Decomposition(f.degree, [(c, np.ones(1, dtype=complex))], 0.0)
-        return DecomposeReport(dec, [], 0, 0, seed)
+        return DecomposeReport(dec, [], 0, 0, seed, essential=1)
 
-    count, q = essential_vars(f)
+    count, q = essential_vars(f) if essential is None else (essential, None)
     if count < f.nvars:
-        # the form in fewer variables, unless its terms, mapped back, fail
-        # `accept` against f: then the variables it dropped were not noise
-        rep = decompose(change_coordinates(f, q), tol=tol, max_rank=max_rank, seed=seed)
+        # the form in fewer variables, which uses all `count` of them, unless
+        # its terms, mapped back, fail `accept` against f: then the variables
+        # it dropped were not noise
+        rep = _decompose(change_coordinates(f, q), tol, max_rank, seed, count)
         terms = [(w, np.conj(q) @ k) for w, k in rep.decomposition.terms]
         res = accept(f, terms, tol)
         if res is not None:
@@ -272,8 +283,10 @@ def decompose(
 
     if f.nvars == 2:
         dec = binary_decompose(f, seed=seed, tol=tol, max_rank=max_rank).normalized()
-        return DecomposeReport(dec, [], 0, 0, seed)
-    return _rank_loop(f, tol, max_rank, seed)
+        return DecomposeReport(dec, [], 0, 0, seed, essential=count)
+    rep = _rank_loop(f, tol, max_rank, seed)
+    rep.essential = count
+    return rep
 
 
 def rank(
@@ -310,14 +323,13 @@ def classify_ternary_cubic(
     """Projective class of a nonzero cubic in three variables.
 
     The rank decides the class, except at rank 3, where the `essential_vars`
-    count does: a cubic with a repeated linear factor is l^2 m or l^3 in
-    suitable coordinates, so it uses at most two variables.
+    count that `decompose` read does: a cubic with a repeated linear factor
+    is l^2 m or l^3 in suitable coordinates, so it uses at most two variables.
     """
     if f.nvars != 3 or f.degree != 3:
         raise ValueError("classification needs a ternary cubic")
-    r = decompose(f, seed=seed, tol=tol).rank
-    if r == 3:
-        essential = essential_vars(f)[0]
-        return OrbitClass.FERMAT if essential == 3 else OrbitClass.SQUARE_TIMES_LINE
+    rep = decompose(f, seed=seed, tol=tol)
+    if rep.rank == 3:
+        return OrbitClass.FERMAT if rep.essential == 3 else OrbitClass.SQUARE_TIMES_LINE
     # the search never goes above 5, the maximum for ternary cubics
-    return next(c for c in OrbitClass if c.rank == r)
+    return next(c for c in OrbitClass if c.rank == rep.rank)

@@ -13,12 +13,14 @@ from waring.core import (
     DualForm,
     Exponent,
     HomogeneousPoly,
+    coeff_difference,
     expand_power_sum,
     grlex_key,
     monomial_index,
     monomial_values,
     monomials,
     monomials_upto,
+    ordered_norm,
     parse_poly,
     poly_from_json,
     to_dual,
@@ -107,6 +109,12 @@ def poly_add(f: HomogeneousPoly, g: HomogeneousPoly) -> HomogeneousPoly:
 def poly_sub(f: HomogeneousPoly, g: HomogeneousPoly) -> HomogeneousPoly:
     """f - g, as f + (-1) g."""
     return poly_add(f, g.scale(-1))
+
+
+def relative_error(g: HomogeneousPoly, f: HomogeneousPoly) -> float:
+    """The coefficient norm of g - f over f's, summed in `coeff_difference`
+    order: the residual `accept` returns for a power sum g."""
+    return ordered_norm(coeff_difference(g, f)) / f.coeff_norm()
 
 
 def hankel_slice(p: HomogeneousPoly, r: int) -> np.ndarray:

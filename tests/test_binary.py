@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from waring.binary import (
+    _moments,
     _projective_roots,
+    _slice,
     _start,
     binary_decompose,
 )
@@ -17,9 +19,11 @@ from waring.core import (
     DecompositionError,
     HomogeneousPoly,
     accept,
+    check_coeff_range,
     decomposition_from_json,
     decomposition_to_json,
     expand_power_sum,
+    lstsq,
     monomial_values,
     numerical_rank,
     pairwise_sines,
@@ -382,3 +386,139 @@ def test_the_start_is_sound_under_noise_up_to_tol(tol):
                 scale = np.max(np.abs(c))
                 start, _, _ = _start(c / scale, d, tol * g.coeff_norm() / scale)
                 assert start <= r, (d, r, start)
+
+
+# ---------------------------------------------------------------------------
+# the roots in one array and the rng drawn only when a kernel needs it,
+# against the per-root formulation
+
+
+def _reference_projective_roots(b):
+    """`_projective_roots` as it was: `np.roots`, then one array and one
+    `np.linalg.norm` per root."""
+    r = len(b) - 1
+    top = np.max(np.abs(b))
+    k = r
+    while k >= 0 and abs(b[k]) <= 1e-10 * top:
+        k -= 1
+    at_infinity = r - k
+    finite = np.roots(b[k::-1])  # exactly k roots, none for k = 0
+    pts = [np.array([z, 1.0 + 0j]) for z in finite]
+    pts += [np.array([1.0 + 0j, 0j])] * at_infinity
+    return [p / np.linalg.norm(p) for p in pts]
+
+
+def _reference_binary_decompose(p, seed=0, tol=DEFAULT_TOL, max_rank=None):
+    """`binary_decompose` as it was: its rng made up front, the exponents
+    listed per candidate and the roots from `_reference_projective_roots`."""
+    check_coeff_range(p)
+    c = _moments(p)
+    d = p.degree
+    scale = np.max(np.abs(c))
+    rng = np.random.default_rng(seed)
+    cap = d if max_rank is None else min(d, max_rank)
+    u = c / scale
+    start, r0, probe = _start(u, cap, tol * p.coeff_norm() / scale)
+    for r in range(start, cap + 1):
+        _, s, vh = probe if r == r0 else np.linalg.svd(_slice(u, r))
+        null = vh[numerical_rank(s):].conj().T
+        if null.shape[1] == 0:
+            continue
+        kernel = [null[:, -1]]
+        if null.shape[1] > 1:
+            mu = rng.standard_normal(null.shape[1]) + 1j * rng.standard_normal(null.shape[1])
+            kernel.append(null @ (mu / np.linalg.norm(mu)))
+        for b in kernel:
+            pts = _reference_projective_roots(b)
+            a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
+            with np.errstate(all="ignore"):
+                w = lstsq(a, c)
+            terms = list(zip(w, pts))
+            res = accept(p, terms, tol)
+            if res is not None:
+                return Decomposition(d, terms, res)
+    raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")
+
+
+def _bits(dec):
+    return dec.rank, dec.residual.hex(), np.array([[w, *k] for w, k in dec.terms]).tobytes()
+
+
+# kernels with roots the loop meets less often: a repeated root at infinity,
+# a vanishing trailing coefficient (a root 0), only roots 0, a root 0 beside
+# two at infinity, and a leading coefficient either side of the 1e-10 cut
+HAND_KERNELS = [
+    [1.0, -3.0, 2.0, 0.0, 0.0],
+    [0.0, 1.0, -2 + 1j, 3.0],
+    [0.0, 0.0, 1.0],
+    [0.0, 2.0, 0.0, 0.0],
+    [1.0, 1j, 0.99e-10],
+    [1.0, 1j, 1.01e-10],
+]
+
+
+def test_roots_are_the_per_root_formulation_bit_for_bit(monkeypatch):
+    # every kernel candidate the loop hands `_projective_roots` on planted
+    # forms of degree 2-20 at each rank up to d // 2 and on x0^a x1^b of
+    # degree 2-12, the kernels above and random ones: the same roots, in
+    # the same order, to the last bit
+    module = sys.modules["waring.binary"]
+    kernels = []
+
+    def recorded(b):
+        kernels.append(b.copy())
+        return roots(b)
+
+    roots = module._projective_roots
+    monkeypatch.setattr(module, "_projective_roots", recorded)
+    for d in range(2, 21):
+        for r in range(1, d // 2 + 1):
+            binary_decompose(planted_poly(2, d, r, np.random.default_rng([d, r]))[0])
+    for a in range(13):
+        for b in range(max(0, 2 - a), 13 - a):
+            binary_decompose(HomogeneousPoly(2, a + b, {(a, b): 1.0}))
+    assert any(k[-1] == 0 for k in kernels) and any(k[0] == 0 for k in kernels)
+    rng = np.random.default_rng(5)
+    kernels += [np.array(k, dtype=complex) for k in HAND_KERNELS]
+    kernels += [rng.standard_normal(n) + 1j * rng.standard_normal(n) for n in range(2, 22)]
+    for b in kernels:
+        got = _projective_roots(b)
+        want = np.array(_reference_projective_roots(b), dtype=complex).reshape(-1, 2)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), b
+
+
+@pytest.fixture
+def rng_calls(monkeypatch):
+    """A list that gets one entry per `np.random.default_rng` call."""
+    calls = []
+    make = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    return calls
+
+
+@pytest.mark.parametrize("text,rank", [("x0^3*x1^2", 4), ("x0^7*x1", 8)])
+def test_a_kernel_combination_draws_as_before(text, rank, rng_calls):
+    # the two binary reports CI's byte-identity loop takes from the random
+    # kernel combination: the rng is made where it is first drawn from, and
+    # its draws, so the terms, are the same to the last bit
+    f = parse_poly(text)
+    got = binary_decompose(f)
+    assert rng_calls == [(0,)]
+    assert got.rank == rank
+    assert _bits(got) == _bits(_reference_binary_decompose(f))
+
+
+def test_one_dimensional_kernels_make_no_rng(rng_calls):
+    # planted forms of rank d // 2, the benchmark's: one kernel vector each
+    for d in range(3, 21):
+        f = _unit_planted(np.random.default_rng([7, d]), d, d // 2)
+        rng_calls.clear()
+        got = binary_decompose(f)
+        assert got.rank == d // 2
+        assert rng_calls == []
+        assert _bits(got) == _bits(_reference_binary_decompose(f))

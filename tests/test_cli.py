@@ -11,9 +11,9 @@ import pytest
 
 from waring import cli
 from waring.cli import main, parse_input
-from waring.core import expand_power_sum, poly_from_json, relative_error
+from waring.core import expand_power_sum, poly_from_json
 
-from conftest import FIXTURES, planted_poly, poly_to_json
+from conftest import FIXTURES, planted_poly, poly_to_json, relative_error
 
 QUINTIC = str(FIXTURES / "ternary_quintic_rank4.txt")
 

@@ -1,13 +1,16 @@
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
 
+from waring.binary import binary_decompose
 from waring.core import (
     Decomposition,
     HomogeneousPoly,
     PolyParseError,
+    accept,
     apolar,
     change_coordinates,
     coeff_difference,
@@ -18,6 +21,7 @@ from waring.core import (
     format_poly,
     grlex_key,
     identity_frame,
+    json_value,
     lstsq,
     monomial_values,
     monomials,
@@ -27,13 +31,13 @@ from waring.core import (
     parse_poly,
     poly_from_json,
     random_unitary,
-    relative_error,
     to_dual,
     upper_triangle,
 )
 
 from conftest import (
     EXACTNESS_FIXTURES,
+    FIXTURES,
     QUINTIC_SUPPORT,
     coeff_bits,
     evaluate,
@@ -48,6 +52,7 @@ from conftest import (
     poly_sub,
     poly_to_json,
     power_of_linear_form,
+    relative_error,
 )
 
 
@@ -386,6 +391,73 @@ def test_decomposition_normalized():
     assert poly_sub(f, g).coeff_norm() < 1e-12 * f.coeff_norm()
 
 
+def _reference_normalized(dec):
+    """`Decomposition.normalized` as it was: one form at a time, the pivot
+    found by a scalar scan."""
+    out = []
+    for i, (w, k) in enumerate(dec.terms, start=1):
+        k = np.asarray(k, dtype=complex)
+        big = np.max(np.abs(k))
+        pivot = next((v for v in k if abs(v) > 1e-8 * big), None)
+        if pivot is None:
+            raise ValueError(f"form of term {i} is zero or not finite")
+        out.append((complex(w) * pivot**dec.degree, k / pivot))
+    return Decomposition(dec.degree, out, dec.residual)
+
+
+def _outcome(fn, *args):
+    """What `fn(*args)` gives, to the last bit, or the error it raises."""
+    try:
+        got = fn(*args)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(got, Decomposition):
+        forms = np.array([[w, *k] for w, k in got.terms], dtype=complex)
+        return got.degree, got.residual, forms.shape, forms.tobytes()
+    return got.nvars, got.degree, coeff_bits(got)
+
+
+def _cut_forms(rng, count):
+    """Forms (a, b), b real, where 1e-8 b rounds to one ulp under |a|, to
+    |a| or to one ulp over it, whichever a b reaches: a is the pivot only in
+    the first case.  The modulus `abs` gives a complex scalar decides, which
+    the vectorized `np.abs` misses by an ulp now and then."""
+    out = []
+    for _ in range(count):
+        a = complex(*rng.standard_normal(2))
+        for cut in (np.nextafter(abs(a), 0), abs(a), np.nextafter(abs(a), 1)):
+            near = cut / 1e-8
+            for b in (np.nextafter(near, 0), near, np.nextafter(near, np.inf)):
+                if 1e-8 * b == cut:
+                    out.append(np.array([a, b]))
+                    break
+    return out
+
+
+def test_normalized_is_the_per_term_formulation_bit_for_bit():
+    # planted terms in 2-5 variables, Sylvester's forms with roots at
+    # infinity, forms led by zeros or by coordinates under the cut, first
+    # coordinates one ulp either side of the cut, no terms at all, and forms
+    # with no pivot: the same weights and forms to the last bit, or the same
+    # error
+    rng = np.random.default_rng(17)
+    cases = [planted_poly(n, d, r, rng)[1] for n, d, r in
+             [(2, 7, 3), (2, 20, 10), (3, 4, 5), (4, 3, 4), (5, 3, 5)]]
+    cases.append(binary_decompose(parse_poly("x0^5*x1")).terms)
+    cases.append([(2.0 - 1j, np.array(k, dtype=complex)) for k in
+                  ([0, 0, 1 + 1j], [1e-9, 1, 0], [0, 1e-9j, -3], [1, 1e-7, 0])])
+    cut = _cut_forms(rng, 40)
+    assert len(cut) > 40
+    cases.append([(complex(*rng.standard_normal(2)), k) for k in cut])
+    cases.append([])
+    cases += [[(1.0, np.array([1.0, 2.0])), (1.0, np.array(k))]
+              for k in ([0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0])]
+    for terms in cases:
+        for degree in (3, 8):
+            dec = Decomposition(degree, terms, 0.25)
+            assert _outcome(Decomposition.normalized, dec) == _outcome(_reference_normalized, dec)
+
+
 @pytest.mark.parametrize("form", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0]])
 def test_normalizing_a_zero_or_non_finite_form_names_the_term(form):
     # no coordinate of such a form can be the pivot; the error says which term
@@ -413,6 +485,70 @@ def test_poly_json_rejects_non_finite_coefficients(bad):
            "terms": [{"exp": [2, 0], "c": [1.0, 0.0]}, {"exp": [0, 2], "c": bad}]}
     with pytest.raises(ValueError, match="coefficients must be finite"):
         poly_from_json(obj)
+
+
+def _reference_poly_from_json(obj):
+    """`poly_from_json` as it was: every exponent entry read by `json_value`."""
+    try:
+        n = json_value(obj["nvars"], int, "nvars")
+        d = json_value(obj["degree"], int, "degree")
+        coeffs = {}
+        for i, t in enumerate(json_value(obj["terms"], list, "terms"), start=1):
+            exp = tuple(
+                json_value(e, int, "exponent entry of term {}", i)
+                for e in json_value(t["exp"], list, "exponent of term {}", i)
+            )
+            c = json_value(t["c"], complex, "coefficient of term {}", i)
+            coeffs[exp] = coeffs.get(exp, 0) + c
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad polynomial JSON: {exc}")
+    return HomogeneousPoly(n, d, coeffs)
+
+
+def _malformed_polys():
+    """A valid binary cubic, then that object with each field in turn made
+    wrong: missing, of another JSON type, or out of range; the term at fault
+    is the second."""
+    good = {"nvars": 2, "degree": 3,
+            "terms": [{"exp": [3, 0], "c": [1.0, 0.0]}, {"exp": [1, 2], "c": [0.5, -2]}]}
+    yield good
+    wrong = [2.0, True, "2", None, [2], {"n": 2}]
+    for key in ("nvars", "degree", "terms"):
+        yield {k: v for k, v in good.items() if k != key}
+        for v in wrong + [0, -1, []]:
+            yield {**good, key: v}
+
+    def with_second(term):
+        return {**good, "terms": [good["terms"][0], term]}
+
+    second = good["terms"][1]
+    for term in ([1, 2], "t", 5, None, {}, {"exp": [1, 2]}, {"c": [0.5, -2]}):
+        yield with_second(term)
+    for exp in wrong + [3, [], [3], [1, 1, 1], [4, -1], [2, 0], [1.0, 2], [1, 2.0],
+                        [True, 2], [1, "2"], [None, 2], [[1], 2], [1, {"e": 2}]]:
+        yield with_second({**second, "exp": exp})
+        yield with_second({"exp": exp})  # the exponent is read before "c"
+    for c in wrong + [1, [1.0], [1.0, 2.0, 3.0], [True, 0], ["1", 0], [None, 0], [0, [1]],
+                      [float("nan"), 0], [1, float("inf")], [0, 0], [-0.5, 2]]:
+        yield with_second({**second, "c": c})
+    # the same exponent twice: the coefficients add, to zero in the second
+    yield {**good, "terms": [*good["terms"], {"exp": [1, 2], "c": [1, 0]}]}
+    yield {**good, "terms": [*good["terms"], {"exp": [1, 2], "c": [-0.5, 2]}]}
+    yield []
+
+
+def test_poly_from_json_checks_and_words_every_field_as_before():
+    # each malformed field gives the same error text; each valid object the
+    # same form to the last bit, the fixtures too
+    objs = list(_malformed_polys())
+    objs += [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))
+             if not p.name.endswith("_decomposition.json")]
+    seen = set()
+    for obj in objs:
+        got = _outcome(poly_from_json, obj)
+        assert got == _outcome(_reference_poly_from_json, obj), obj
+        seen.add(got[0])
+    assert {"ValueError", 2, 3, 5} <= seen
 
 
 def test_decomposition_json_rejects_non_finite_entries():
@@ -563,7 +699,10 @@ def _validated_sub(g, f):
 def _cancelling_cases():
     """(f, terms) whose power sum cancels coefficients exactly: x0*x1 of
     (x0 + x1)^2 + (x0 - x1)^2, and so every coefficient of x0^2 + x1^2 but
-    f's own x0*x1; then a ternary cubic whose x1^3 cancels."""
+    f's own x0*x1; then a ternary cubic whose x1^3 cancels; then x0^2 + x1^2
+    in three variables against a form with an x2^2, outside the power sum's
+    monomials, whose coefficients make the order of the squares show in the
+    residual's last bit."""
     one = np.array([1.0, 1.0]), np.array([1.0, -1.0])
     cubic = [(1.0, np.array([1.0, 1.0, 0.5])), (-1.0, np.array([2.0, 1.0, 0.5])),
              (2.0 + 1j, np.array([1.0, 0.0, 1.0]))]
@@ -571,6 +710,8 @@ def _cancelling_cases():
         (parse_poly("x0^2 + 3*x0*x1 + x1^2"), [(0.5, one[0]), (0.5, one[1])]),
         (parse_poly("x0^2 + x1^2"), [(0.5, one[0]), (0.5, one[1])]),
         (parse_poly("2*x0^3 - x0*x1^2 + (0,1)*x2^3"), cubic),
+        (parse_poly("1.1*x0^2 + 0.1*x0*x1 + 0.9*x1^2 + 5*x2^2"),
+         [(0.5, np.append(one[0], 0.0)), (0.5, np.append(one[1], 0.0))]),
     ]
 
 
@@ -618,6 +759,8 @@ def test_relative_error_is_the_subtraction_bit_for_bit():
         want = poly_sub(g, f).coeff_norm() / f.coeff_norm()
         assert relative_error(g, f).hex() == want.hex()
         assert want.hex() == (old.coeff_norm() / f.coeff_norm()).hex()
+        # `accept` sums the same squares in the same order, with no g built
+        assert accept(f, terms, math.inf).hex() == want.hex()
 
 
 def test_exact_cancellation_keeps_the_subtraction_order():

@@ -24,7 +24,6 @@ from waring.core import (
     pairwise_sines,
     parse_poly,
     random_unitary,
-    relative_error,
     to_dual,
 )
 from waring.binary import binary_decompose
@@ -43,7 +42,7 @@ from waring.hankel import (
 
 from conftest import (
     FIXTURES, QUINTIC_SUPPORT, WALK_SHAPES, identity_frame_of, load_json_poly, load_text_poly,
-    planted_poly, poly_sub, principal_minor, rank_walk,
+    planted_poly, poly_sub, principal_minor, rank_walk, relative_error,
 )
 
 
@@ -896,6 +895,31 @@ def test_classify_canonical_cubics(text, want):
         got = classify_ternary_cubic(f, seed=seed)
         assert got is want, seed
         assert got.rank == want.rank
+
+
+def test_each_form_reads_its_essential_variables_once(monkeypatch):
+    # the square-times-line cubic uses two variables: `decompose` reads that
+    # once and hands the count to its call on the reduced form, and
+    # `classify` takes the count `decompose` read to tell it from Fermat's
+    module = sys.modules["waring.decompose"]
+    calls = []
+
+    def counted(f):
+        calls.append(f.nvars)
+        return read(f)
+
+    read = module.essential_vars
+    monkeypatch.setattr(module, "essential_vars", counted)
+    f = load_json_poly("cubic_square_line.json")
+    rep = decompose(f)
+    assert calls == [3]
+    assert (rep.rank, rep.essential) == (3, 2)
+    calls.clear()
+    assert classify_ternary_cubic(f) is OrbitClass.SQUARE_TIMES_LINE
+    assert calls == [3]
+    calls.clear()
+    assert classify_ternary_cubic(parse_poly("x0^3 + x1^3 + x2^3")) is OrbitClass.FERMAT
+    assert calls == [3]
 
 
 def test_classify_rejects_wrong_shape():
