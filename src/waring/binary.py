@@ -34,7 +34,7 @@ from .core import (
     DecompositionError,
     HomogeneousPoly,
     accept,
-    check_coeff_range,
+    check_request,
     exponent_array,
     lstsq,
     monomial_values,
@@ -120,23 +120,22 @@ def binary_decompose(
     Tries sizes r upward from the catalecticant bound (see the module
     docstring); at each size takes at most two kernel candidates, fits
     weights on each one's r projective roots to the moments, and returns the
-    first whose terms pass `accept`, the support gate and fit test of every
-    route.  Raises DecompositionError when no size up to d, or up to
-    `max_rank` when that is smaller, does.
+    decomposition of the first whose terms pass `accept`, the support gate
+    and fit test of every route.  Raises ValueError on a request
+    `core.check_request` refuses and DecompositionError when no size up to
+    d, or up to `max_rank` when that is smaller, passes.
     """
-    check_coeff_range(p)
+    norm = check_request(p, tol, max_rank, seed)
     c = _moments(p)
     d = p.degree
     scale = np.max(np.abs(c))
-    if scale == 0:
-        raise ValueError("zero form has no decomposition")
     rng = None  # drawn from only for a kernel of more than one dimension
     cap = d if max_rank is None else min(d, max_rank)
     # c_i = sum_j w_j alpha_j^i beta_j^(d-i): exponents (i, d - i), i = 0..d
     exps = exponent_array(2, d)[::-1]
 
     u = c / scale
-    start, r0, probe = _start(u, cap, tol * p.coeff_norm() / scale)
+    start, r0, probe = _start(u, cap, tol * norm / scale)
     for r in range(start, cap + 1):
         _, s, vh = probe if r == r0 else np.linalg.svd(_slice(u, r))
         null = vh[numerical_rank(s):].conj().T
@@ -156,8 +155,7 @@ def binary_decompose(
             a = monomial_values(pts, exps).T
             with np.errstate(all="ignore"):
                 w = lstsq(a, c)
-            terms = list(zip(w, pts))
-            res = accept(p, terms, tol)
-            if res is not None:
-                return Decomposition(d, terms, res)
+            dec = accept(p, list(zip(w, pts)), tol)
+            if dec is not None:
+                return dec
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")

@@ -16,6 +16,7 @@ import cmath
 import functools
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -235,30 +236,45 @@ def ordered_norm(values) -> float:
     return math.sqrt(sum(abs(c) ** 2 for c in values))
 
 
-def check_coeff_range(f: HomogeneousPoly) -> None:
-    """ValueError unless f is zero or its coefficient norm is a nonzero
-    double: |c|^2 passes the largest double for |c| above about 1.3e154, and
-    every |c|^2 rounds to 0 for all |c| below about 2e-162."""
+def check_request(f: HomogeneousPoly, tol: float = DEFAULT_TOL,
+                  max_rank: int | None = None, seed: int = 0) -> float:
+    """f's coefficient norm once the request passes the checks every entry
+    point makes before any search, ValueError otherwise: f nonzero, of degree
+    at least 1, its norm a nonzero double (|c|^2 passes the largest double
+    for |c| above about 1.3e154, and rounds to 0 for every |c| below about
+    2e-162); tol a finite real above 0; max_rank None or an integer of at
+    least 1; seed an integer of at least 0."""
+    if f.is_zero:
+        raise ValueError("cannot decompose the zero polynomial")
+    if f.degree < 1:
+        raise ValueError("degree must be at least 1")
     try:
         norm = f.coeff_norm()
     except OverflowError:  # raised by float ** 2 past the largest double
         norm = math.inf
-    if f.coeffs and not 0 < norm < math.inf:
+    if not 0 < norm < math.inf:
         raise ValueError(
             "coefficients out of double range: every |c| must be below about "
             "1.3e154 and some above about 2e-162, so that their norm is a nonzero double"
         )
+    if not (isinstance(tol, numbers.Real) and math.isfinite(tol) and tol > 0):
+        raise ValueError("tol (--tol) must be a finite real above 0")
+    if max_rank is not None and not (isinstance(max_rank, numbers.Integral) and max_rank >= 1):
+        raise ValueError("max_rank (--max-rank) must be an integer of at least 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError("seed (--seed) must be an integer of at least 0")
+    return norm
 
 
-def coeff_difference(g: HomogeneousPoly, f: HomogeneousPoly) -> list[complex]:
-    """The nonzero coefficients of g - f, up to signed zeros: g's monomials,
-    then those of f alone.  No intermediate form is built."""
-    if (g.nvars, g.degree) != (f.nvars, f.degree):
-        raise ValueError("mismatched polynomials")
-    fc, gc = f.coeffs, g.coeffs
-    out = [c - fc.get(e, 0) for e, c in gc.items()]
-    out += [-c for e, c in fc.items() if e not in gc]
-    return [c for c in out if c != 0]
+def fit_difference(g: dict, f: HomogeneousPoly) -> list[complex]:
+    """The coefficients of g - f, g given by its coefficient dictionary, up to
+    their signs and a zero for each monomial where the two agree: g's nonzero
+    coefficients less f's, then f's where g has none.  `accept` and `verify`
+    read their residuals off this list, summed in this order."""
+    fc = f.coeffs
+    diff = [c - fc.get(e, 0) for e, c in g.items() if c != 0]
+    diff += [c for e, c in fc.items() if not g.get(e)]
+    return diff
 
 
 def random_unitary(nvars: int, rng: np.random.Generator) -> np.ndarray:
@@ -559,12 +575,13 @@ def expand_power_sum(terms, nvars: int, degree: int) -> HomogeneousPoly:
     return HomogeneousPoly._trusted(nvars, degree, dict(zip(*_power_sum(weights, forms, degree))))
 
 
-def accept(f: HomogeneousPoly, terms, tol: float) -> float | None:
-    """The relative coefficient residual of the power sum of `terms` against
-    f, or None unless the terms pass the support gate and the residual is at
-    most tol: the one test every route applies to the terms it returns.  The
+def accept(f: HomogeneousPoly, terms, tol: float) -> Decomposition | None:
+    """The decomposition of f by `terms`, normalized, with its relative
+    coefficient residual; or None unless the terms pass the support gate and
+    the residual is at most tol: the one test every route applies to the
+    terms it returns, and the one place they become its result.  The
     residual is the coefficient norm of g - f over f's, g the power sum,
-    with the squares summed in `coeff_difference` order.
+    summed in `fit_difference` order with no form built for g.
 
     The gate refuses numerically degenerate supports: two forms whose
     pairwise sine is below MIN_SEPARATION, or a term whose mass |w| ||k||^d
@@ -580,14 +597,9 @@ def accept(f: HomogeneousPoly, terms, tol: float) -> float | None:
         and np.all(pairwise_sines(forms, norms) >= MIN_SEPARATION)
     ):
         return None
-    # `coeff_difference` with no form built for g: g's nonzero coefficients,
-    # then f's where g has none; a signed zero apart, the same differences
     g = dict(zip(*_power_sum(np.array(weights, dtype=complex), forms, f.degree)))
-    fc = f.coeffs
-    diff = [c - fc.get(e, 0) for e, c in g.items() if c != 0]
-    diff += [c for e, c in fc.items() if not g.get(e)]
-    res = ordered_norm(diff) / f_norm
-    return res if res <= tol else None
+    res = ordered_norm(fit_difference(g, f)) / f_norm
+    return Decomposition(f.degree, terms, res).normalized() if res <= tol else None
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,10 @@ from .core import (
     HomogeneousPoly,
     accept,
     change_coordinates,
-    check_coeff_range,
-    coeff_difference,
+    check_request,
     essential_vars,
     expand_power_sum,
+    fit_difference,
     identity_frame,
     ordered_norm,
     pairwise_sines,
@@ -157,7 +157,8 @@ def _basis_candidates(frame: _Frame, walk, r: int):
 def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: int, rng):
     """One basis in the frame (A, L): extension, eigenstructure and weights;
     then the terms are pulled back to the input's coordinates and judged
-    there by `accept`.  Returns (terms, residual, free_count), or None."""
+    there by `accept`.  Returns (the accepted decomposition, free_count), or
+    None."""
     a, L = frame.a, frame.L
     ext = extend_dual(L, basis, seed=seed)
     if ext is None:
@@ -171,9 +172,8 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
         return None
     w = solve_weights(points, L)
     forms = np.hstack([np.ones((len(points), 1), dtype=complex), points])
-    terms = [(wi, np.conj(a) @ m) for wi, m in zip(w, forms)]
-    res = accept(f, terms, tol)
-    return None if res is None else (terms, res, ext.free_count)
+    dec = accept(f, [(wi, np.conj(a) @ m) for wi, m in zip(w, forms)], tol)
+    return None if dec is None else (dec, ext.free_count)
 
 
 def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) -> DecomposeReport:
@@ -224,8 +224,7 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
         for fr, basis, full in candidates(r):
             got = _attempt(f, fr, basis, tol, seed, rng) if full else None
             if got is not None:
-                terms, res, free = got
-                dec = Decomposition(d, terms, res).normalized()
+                dec, free = got
                 return DecomposeReport(
                     dec, list(basis.exponents), free, retries, seed, lower, source
                 )
@@ -249,24 +248,21 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
 def decompose(
     f: HomogeneousPoly, *, tol: float = DEFAULT_TOL, max_rank: int | None = None, seed: int = 0
 ) -> DecomposeReport:
-    """Minimal power-sum decomposition of a nonzero homogeneous polynomial."""
+    """Minimal power-sum decomposition of a nonzero homogeneous polynomial.
+
+    Raises ValueError, before any search, on a request `core.check_request`
+    refuses."""
+    check_request(f, tol, max_rank, seed)
     return _decompose(f, tol, max_rank, seed)
 
 
 def _decompose(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int,
                essential: int | None = None) -> DecomposeReport:
-    """`decompose`, where `essential` is f's `essential_vars` count when the
+    """`decompose` of a request it has checked, or of a form the package
+    computed from one; `essential` is f's `essential_vars` count when the
     caller has read it already: f is then not read again."""
-    if f.is_zero:
-        raise ValueError("cannot decompose the zero polynomial")
-    if f.degree < 1:
-        raise ValueError("degree must be at least 1")
-    check_coeff_range(f)
     if f.nvars == 1:
-        if max_rank is not None and max_rank < 1:
-            raise DecompositionError(f"rank 1 exceeds max_rank {max_rank}")
-        c = f.coeff((f.degree,))
-        dec = Decomposition(f.degree, [(c, np.ones(1, dtype=complex))], 0.0)
+        dec = accept(f, [(f.coeff((f.degree,)), np.ones(1, dtype=complex))], tol)
         return DecomposeReport(dec, [], 0, 0, seed, essential=1)
 
     count, q = essential_vars(f) if essential is None else (essential, None)
@@ -275,14 +271,12 @@ def _decompose(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int,
         # its terms, mapped back, fail `accept` against f: then the variables
         # it dropped were not noise
         rep = _decompose(change_coordinates(f, q), tol, max_rank, seed, count)
-        terms = [(w, np.conj(q) @ k) for w, k in rep.decomposition.terms]
-        res = accept(f, terms, tol)
-        if res is not None:
-            dec = Decomposition(f.degree, terms, res).normalized()
+        dec = accept(f, [(w, np.conj(q) @ k) for w, k in rep.decomposition.terms], tol)
+        if dec is not None:
             return replace(rep, decomposition=dec)
 
     if f.nvars == 2:
-        dec = binary_decompose(f, seed=seed, tol=tol, max_rank=max_rank).normalized()
+        dec = binary_decompose(f, seed=seed, tol=tol, max_rank=max_rank)
         return DecomposeReport(dec, [], 0, 0, seed, essential=count)
     rep = _rank_loop(f, tol, max_rank, seed)
     rep.essential = count
@@ -299,7 +293,7 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
     """Residuals of a claimed decomposition, plus proportional-form collisions."""
     if f.is_zero:
         raise ValueError("cannot verify against the zero polynomial")
-    check_coeff_range(f)
+    f_norm = check_request(f)
     if not dec.terms:
         raise ValueError("empty decomposition")
     if dec.degree != f.degree:
@@ -309,8 +303,8 @@ def verify(f: HomogeneousPoly, dec: Decomposition) -> VerifyReport:
             raise ValueError(f"form of term {i} has {len(k)} entries, expected {f.nvars}")
         if not np.any(k):
             raise ValueError(f"form of term {i} is zero")
-    diff = coeff_difference(expand_power_sum(dec.terms, f.nvars, f.degree), f)
-    residual = ordered_norm(diff) / f.coeff_norm()
+    diff = fit_difference(expand_power_sum(dec.terms, f.nvars, f.degree).coeffs, f)
+    residual = ordered_norm(diff) / f_norm
     biggest = max(abs(c) for c in f.coeffs.values())
     max_err = max((abs(c) for c in diff), default=0.0) / biggest
     collisions = int(np.sum(pairwise_sines([k for _, k in dec.terms]) <= 1e-8))

@@ -13,7 +13,6 @@ from waring.core import (
     DualForm,
     Exponent,
     HomogeneousPoly,
-    coeff_difference,
     expand_power_sum,
     grlex_key,
     monomial_index,
@@ -109,6 +108,19 @@ def poly_add(f: HomogeneousPoly, g: HomogeneousPoly) -> HomogeneousPoly:
 def poly_sub(f: HomogeneousPoly, g: HomogeneousPoly) -> HomogeneousPoly:
     """f - g, as f + (-1) g."""
     return poly_add(f, g.scale(-1))
+
+
+def coeff_difference(g: HomogeneousPoly, f: HomogeneousPoly) -> list[complex]:
+    """The nonzero coefficients of g - f, up to signed zeros: g's monomials,
+    then those of f alone.  No intermediate form is built.  The reference
+    for `core.fit_difference`, which keeps a zero wherever g and f agree and
+    the sign of f's coefficients where g has none."""
+    if (g.nvars, g.degree) != (f.nvars, f.degree):
+        raise ValueError("mismatched polynomials")
+    fc, gc = f.coeffs, g.coeffs
+    out = [c - fc.get(e, 0) for e, c in gc.items()]
+    out += [-c for e, c in fc.items() if e not in gc]
+    return [c for c in out if c != 0]
 
 
 def relative_error(g: HomogeneousPoly, f: HomogeneousPoly) -> float:

@@ -15,11 +15,10 @@ from waring.cli import main
 from waring.core import (
     DEFAULT_TOL,
     MIN_SEPARATION,
-    Decomposition,
     DecompositionError,
     HomogeneousPoly,
     accept,
-    check_coeff_range,
+    check_request,
     decomposition_from_json,
     decomposition_to_json,
     expand_power_sum,
@@ -225,10 +224,9 @@ def _reference_loop(p, seed=0, tol=DEFAULT_TOL, max_rank=None):
             pts = _projective_roots(b)
             a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
             w, *_ = np.linalg.lstsq(a, c, rcond=None)
-            terms = list(zip(w, pts))
-            res = accept(p, terms, tol)
-            if res is not None:
-                return Decomposition(d, terms, res)
+            dec = accept(p, list(zip(w, pts)), tol)
+            if dec is not None:
+                return dec
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")
 
 
@@ -411,14 +409,14 @@ def _reference_projective_roots(b):
 def _reference_binary_decompose(p, seed=0, tol=DEFAULT_TOL, max_rank=None):
     """`binary_decompose` as it was: its rng made up front, the exponents
     listed per candidate and the roots from `_reference_projective_roots`."""
-    check_coeff_range(p)
+    norm = check_request(p, tol, max_rank, seed)
     c = _moments(p)
     d = p.degree
     scale = np.max(np.abs(c))
     rng = np.random.default_rng(seed)
     cap = d if max_rank is None else min(d, max_rank)
     u = c / scale
-    start, r0, probe = _start(u, cap, tol * p.coeff_norm() / scale)
+    start, r0, probe = _start(u, cap, tol * norm / scale)
     for r in range(start, cap + 1):
         _, s, vh = probe if r == r0 else np.linalg.svd(_slice(u, r))
         null = vh[numerical_rank(s):].conj().T
@@ -433,10 +431,9 @@ def _reference_binary_decompose(p, seed=0, tol=DEFAULT_TOL, max_rank=None):
             a = monomial_values(pts, [(i, d - i) for i in range(d + 1)]).T
             with np.errstate(all="ignore"):
                 w = lstsq(a, c)
-            terms = list(zip(w, pts))
-            res = accept(p, terms, tol)
-            if res is not None:
-                return Decomposition(d, terms, res)
+            dec = accept(p, list(zip(w, pts)), tol)
+            if dec is not None:
+                return dec
     raise DecompositionError(f"no distinct-root kernel combination found up to r = {cap}")
 
 

@@ -391,9 +391,26 @@ def test_negative_seed_is_named_in_text(capsys):
     # numpy's own message ("expected non-negative integer") names no flag
     code, out, err = run(capsys, "decompose", "x0^3 + x1^3 + x2^3", "--seed", "-5")
     assert (code, out) == (1, "")
-    assert err == "error: --seed must be at least 0\n"
+    assert err == "error: seed (--seed) must be an integer of at least 0\n"
     code, out, _ = run(capsys, "rank", "x0^3 + x1^3 + x2^3", "--seed", "0")
     assert (code, out) == (0, "3\n")
+
+
+@pytest.mark.parametrize(
+    "source",
+    ['{"nvars": 2, "degree": 3, "terms": []}',
+     '{"nvars": 2, "degree": 0, "terms": [{"exp": [0, 0], "c": [1, 0]}]}'],
+    ids=["zero", "degree 0"],
+)
+def test_decompose_and_sylvester_refuse_a_malformed_binary_form_alike(capsys, source):
+    # one entrance: the same exit code, error code and message from both
+    got = [run(capsys, command, source, "--format", "json")
+           for command in ("decompose", "sylvester")]
+    assert got[0] == got[1]
+    code, out, err = got[0]
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "invalid-input"
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["rank", "decompose", "sylvester"])

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from waring.binary import binary_decompose
+from waring.binary import _projective_roots
 from waring.core import (
     Decomposition,
     HomogeneousPoly,
@@ -13,7 +13,6 @@ from waring.core import (
     accept,
     apolar,
     change_coordinates,
-    coeff_difference,
     decomposition_from_json,
     decomposition_to_json,
     essential_vars,
@@ -40,6 +39,7 @@ from conftest import (
     FIXTURES,
     QUINTIC_SUPPORT,
     coeff_bits,
+    coeff_difference,
     evaluate,
     load_json_poly,
     load_text_poly,
@@ -443,7 +443,10 @@ def test_normalized_is_the_per_term_formulation_bit_for_bit():
     rng = np.random.default_rng(17)
     cases = [planted_poly(n, d, r, rng)[1] for n, d, r in
              [(2, 7, 3), (2, 20, 10), (3, 4, 5), (4, 3, 4), (5, 3, 5)]]
-    cases.append(binary_decompose(parse_poly("x0^5*x1")).terms)
+    # Sylvester's unit rows as `accept` receives them: two finite roots and
+    # two at infinity
+    roots = _projective_roots(np.array([2.0, -1.0, 3.0, 0.0, 0.0]))
+    cases.append([(1.0 - 2j, k) for k in roots])
     cases.append([(2.0 - 1j, np.array(k, dtype=complex)) for k in
                   ([0, 0, 1 + 1j], [1e-9, 1, 0], [0, 1e-9j, -3], [1, 1e-7, 0])])
     cut = _cut_forms(rng, 40)
@@ -760,7 +763,7 @@ def test_relative_error_is_the_subtraction_bit_for_bit():
         assert relative_error(g, f).hex() == want.hex()
         assert want.hex() == (old.coeff_norm() / f.coeff_norm()).hex()
         # `accept` sums the same squares in the same order, with no g built
-        assert accept(f, terms, math.inf).hex() == want.hex()
+        assert accept(f, terms, math.inf).residual.hex() == want.hex()
 
 
 def test_exact_cancellation_keeps_the_subtraction_order():

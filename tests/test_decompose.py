@@ -1,8 +1,11 @@
 import contextlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import time
 from itertools import product
 
 import numpy as np
@@ -21,6 +24,7 @@ from waring.core import (
     expand_power_sum,
     monomials_upto,
     numerical_rank,
+    ordered_norm,
     pairwise_sines,
     parse_poly,
     random_unitary,
@@ -41,8 +45,8 @@ from waring.hankel import (
 )
 
 from conftest import (
-    FIXTURES, QUINTIC_SUPPORT, WALK_SHAPES, identity_frame_of, load_json_poly, load_text_poly,
-    planted_poly, poly_sub, principal_minor, rank_walk, relative_error,
+    FIXTURES, QUINTIC_SUPPORT, WALK_SHAPES, coeff_difference, identity_frame_of, load_json_poly,
+    load_text_poly, planted_poly, poly_sub, principal_minor, rank_walk, relative_error,
 )
 
 
@@ -92,6 +96,59 @@ def test_decompose_rejects_zero():
         decompose(HomogeneousPoly(2, 3, {}))
 
 
+# every option value `core.check_request` refuses, one keyword at a time
+BAD_OPTIONS = ([("tol", t) for t in (math.nan, math.inf, 0.0, -1e-7)]
+               + [("max_rank", m) for m in (0, -3, 2.5)]
+               + [("seed", s) for s in (-1, 1.5)])
+
+
+@pytest.mark.parametrize("name, value", BAD_OPTIONS)
+def test_every_entry_point_refuses_bad_options_before_any_search(name, value, monkeypatch):
+    # the request is checked at the entrance: no search starts, and the
+    # message names the keyword and its flag.  Unchecked, the Fermat cubic
+    # at tol = inf is classified a Cube
+    def searched(*args, **kwargs):
+        raise AssertionError("a search started")
+
+    monkeypatch.setattr(sys.modules["waring.decompose"], "_decompose", searched)
+    monkeypatch.setattr(sys.modules["waring.binary"], "_moments", searched)
+    binary, cubic = parse_poly("x0^3 + x1^3"), parse_poly("x0^3 + x1^3 + x2^3")
+    calls = [lambda: decompose(cubic, **{name: value}),
+             lambda: decompose(binary, **{name: value}),
+             lambda: binary_decompose(binary, **{name: value})]
+    if name != "max_rank":  # classify takes no rank cap
+        calls.append(lambda: classify_ternary_cubic(cubic, **{name: value}))
+    flag = "--" + name.replace("_", "-")
+    for call in calls:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^{name} \\({flag}\\) must be "):
+            call()
+        assert time.perf_counter() - start < 1
+
+
+# decompose the Fermat quartic in four variables at tol = nan and print the
+# error; unchecked, that search runs for minutes
+NAN_TOL_QUARTIC = """
+from waring.core import parse_poly
+from waring.decompose import decompose
+try:
+    decompose(parse_poly("x0^4 + x1^4 + x2^4 + x3^4"), tol=float("nan"))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_a_nan_tol_fails_fast_in_a_subprocess():
+    # in a subprocess with a timeout, so that a search that hangs cannot
+    # hang the suite
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", NAN_TOL_QUARTIC],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "tol (--tol) must be a finite real above 0\n"
+
+
 def test_single_variable():
     rep = decompose(parse_poly("7*x0^3", nvars=1))
     assert rep.rank == 1
@@ -112,7 +169,8 @@ def test_max_rank_cap(maximal_cubic):
 )
 def test_max_rank_cap_on_every_path(text, nvars, rank_found):
     f = parse_poly(text, nvars=nvars) if nvars else parse_poly(text)
-    with pytest.raises(DecompositionError):
+    # below rank 1 the cap is 0, which no search gets: the request is refused
+    with pytest.raises(DecompositionError if rank_found > 1 else ValueError):
         decompose(f, max_rank=rank_found - 1)
     assert decompose(f, max_rank=rank_found).rank == rank_found
 
@@ -453,7 +511,7 @@ def test_accept_is_the_gate_and_the_fit_test_bit_for_bit(group, monkeypatch):
     verdicts = []
     for f, terms, tol, got in seen:
         want = _reference_verdict(f, terms, tol)
-        assert (got is None and want in ("gate", "fit")) or got.hex() == want, f.coeffs
+        assert (got is None and want in ("gate", "fit")) or got.residual.hex() == want, f.coeffs
         verdicts.append(want if got is None else "taken")
     assert "taken" in verdicts
     if group in ("fixtures", "monomials"):
@@ -472,7 +530,7 @@ def test_accept_refuses_nan_and_heavy_terms_and_takes_an_exact_term():
     for w, taken in ((cap, True), (cap * (1 + 1e-12), False)):
         terms = [(1.0, np.array([1.0, 0.0])), (w, np.array([0.0, 1.0]))]
         assert (accept(f, terms, math.inf) is not None) == taken
-    assert accept(g, [(1.5, k)], 0.0) == 0.0
+    assert accept(g, [(1.5, k)], 0.0).residual == 0.0
 
 
 def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
@@ -825,6 +883,16 @@ def _subtraction_verify(f, dec):
     return diff.coeff_norm() / f.coeff_norm(), worst / biggest
 
 
+def _coeff_difference_verify(f, dec):
+    """verify's residual and largest coefficient error through
+    `coeff_difference`, as it read them before it shared `accept`'s
+    difference."""
+    diff = coeff_difference(expand_power_sum(dec.terms, f.nvars, f.degree), f)
+    biggest = max(abs(c) for c in f.coeffs.values())
+    worst = max((abs(c) for c in diff), default=0.0)
+    return ordered_norm(diff) / f.coeff_norm(), worst / biggest
+
+
 def test_verify_and_the_fit_test_are_the_subtraction_bit_for_bit():
     cases = []
     for poly, name in (("cubic_maximal.txt", "cubic_maximal_decomposition.json"),
@@ -836,12 +904,29 @@ def test_verify_and_the_fit_test_are_the_subtraction_bit_for_bit():
         cases.append((f, decompose(f).decomposition))
     f, terms = planted_poly(4, 3, 4, np.random.default_rng(43))
     cases.append((f, Decomposition(3, terms)))
+    # planted term lists, exact and moved by noise
+    rng = np.random.default_rng(44)
+    for n, d, r in [(2, 7, 3), (3, 4, 5), (5, 3, 6), (2, 20, 10)]:
+        f, terms = planted_poly(n, d, r, rng)
+        noisy = [(w * (1 + 1e-6 * rng.standard_normal()), k) for w, k in terms]
+        cases += [(f, Decomposition(d, terms)), (f, Decomposition(d, noisy))]
+        # forms that leave the last variable unused, against an f near their
+        # power sum elsewhere: f's small terms in that variable lie outside
+        # the power sum's monomials, and the order of the sum shows
+        flat = [(w, np.concatenate([k[:-1], [0]])) for w, k in terms]
+        near = {e: c * (1 + 1e-6 * rng.standard_normal())
+                for e, c in expand_power_sum(flat, n, d).coeffs.items()}
+        near.update({e: 1e-6 * c for e, c in f.coeffs.items() if e[-1]})
+        cases.append((HomogeneousPoly(n, d, near), Decomposition(d, flat)))
     # the x0*x1 term of (x0 + x1)^2 + (x0 - x1)^2 cancels exactly
     cases.append((parse_poly("x0^2 + 3*x0*x1 + x1^2"),
                   Decomposition(2, [(0.5, np.array([1.0, 1.0])), (0.5, np.array([1.0, -1.0]))])))
+    cases.append((parse_poly("x0^3", nvars=1), Decomposition(3, [(1.0, np.array([1.0]))])))
     for f, dec in cases:
         residual, worst = _subtraction_verify(f, dec)
         vr = verify(f, dec)
+        assert (vr.residual.hex(), vr.max_coeff_err.hex()) == (residual.hex(), worst.hex())
+        residual, worst = _coeff_difference_verify(f, dec)
         assert (vr.residual.hex(), vr.max_coeff_err.hex()) == (residual.hex(), worst.hex())
         g = expand_power_sum(dec.terms, f.nvars, f.degree)
         assert relative_error(g, f).hex() == residual.hex()
