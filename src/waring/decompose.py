@@ -176,6 +176,13 @@ def _attempt(f: HomogeneousPoly, frame, basis: MonomialBasis, tol: float, seed: 
     return None if dec is None else (dec, ext.free_count)
 
 
+def _raise_to_koszul(L0: DualForm, tol: float, lower: int, source: str) -> tuple[int, str]:
+    """(lower, source) raised to the Koszul flattening bound when that is
+    higher; only the flattenings that can raise it past `lower` are read."""
+    bound, shape = koszul_rank_bound(L0, tol, lower)
+    return (bound, "koszul({},{})".format(*shape)) if bound > lower else (lower, source)
+
+
 def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) -> DecomposeReport:
     n, d = f.nvars, f.degree
     rng = np.random.default_rng(seed)
@@ -203,24 +210,15 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
 
     lower = max(1, known_rank_bound(L0, tol))
     source = "catalecticant"
-
-    def raise_to_koszul():
-        # the flattenings that can raise the bound past `lower`, read once
-        nonlocal lower, source
-        bound, shape = koszul_rank_bound(L0, tol, lower)
-        if bound > lower:
-            lower, source = bound, "koszul({},{})".format(*shape)
-
     # at its ceiling, the size of the middle block, the catalecticant can say
     # no more, so the flattenings are read before the first attempt; below it
     # only inputs that need a second attempt pay for them
     koszul_first = lower == math.comb(n - 1 + d // 2, d // 2)
     if koszul_first:
-        raise_to_koszul()
+        lower, source = _raise_to_koszul(L0, tol, lower, source)
     retries = 0
     r = lower
     while r <= cap:
-        after = r + 1
         for fr, basis, full in candidates(r):
             got = _attempt(f, fr, basis, tol, seed, rng) if full else None
             if got is not None:
@@ -230,11 +228,10 @@ def _rank_loop(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) 
                 )
             retries += 1
             if retries == 1 and not koszul_first:
-                raise_to_koszul()
+                lower, source = _raise_to_koszul(L0, tol, lower, source)
                 if lower > r:
-                    after = lower
                     break
-        r = after
+        r = max(r + 1, lower)
     if lower > cap:
         raise DecompositionError(
             f"the rank is at least {lower} by the {source} bound, above the cap {cap}"
@@ -250,37 +247,38 @@ def decompose(
 ) -> DecomposeReport:
     """Minimal power-sum decomposition of a nonzero homogeneous polynomial.
 
-    Raises ValueError, before any search, on a request `core.check_request`
-    refuses."""
+    One pass: the request is checked, raising ValueError before any search
+    on one `core.check_request` refuses; f's essential variables are read
+    once, unless f is in one variable; a form that uses fewer variables than
+    it is written in is decomposed in those by `_route`, and its terms,
+    mapped back, are judged against f by `accept`.  When they fail, the
+    variables dropped were not noise, and f itself goes to `_route`.
+    """
     check_request(f, tol, max_rank, seed)
-    return _decompose(f, tol, max_rank, seed)
-
-
-def _decompose(f: HomogeneousPoly, tol: float, max_rank: int | None, seed: int,
-               essential: int | None = None) -> DecomposeReport:
-    """`decompose` of a request it has checked, or of a form the package
-    computed from one; `essential` is f's `essential_vars` count when the
-    caller has read it already: f is then not read again."""
-    if f.nvars == 1:
-        dec = accept(f, [(f.coeff((f.degree,)), np.ones(1, dtype=complex))], tol)
-        return DecomposeReport(dec, [], 0, 0, seed, essential=1)
-
-    count, q = essential_vars(f) if essential is None else (essential, None)
+    # binary forms are read too: a near-power reduces to one variable and
+    # rank 1 within tol, where Sylvester's kernel, counted with a fixed cut
+    # and not with tol, can say rank 2 or more
+    count, q = essential_vars(f) if f.nvars > 1 else (1, None)
+    dec = None
     if count < f.nvars:
-        # the form in fewer variables, which uses all `count` of them, unless
-        # its terms, mapped back, fail `accept` against f: then the variables
-        # it dropped were not noise
-        rep = _decompose(change_coordinates(f, q), tol, max_rank, seed, count)
+        rep = _route(change_coordinates(f, q), tol, max_rank, seed)
         dec = accept(f, [(w, np.conj(q) @ k) for w, k in rep.decomposition.terms], tol)
-        if dec is not None:
-            return replace(rep, decomposition=dec)
+    if dec is None:
+        rep = _route(f, tol, max_rank, seed)
+        dec = rep.decomposition
+    return replace(rep, decomposition=dec, essential=count)
 
-    if f.nvars == 2:
-        dec = binary_decompose(f, seed=seed, tol=tol, max_rank=max_rank)
-        return DecomposeReport(dec, [], 0, 0, seed, essential=count)
-    rep = _rank_loop(f, tol, max_rank, seed)
-    rep.essential = count
-    return rep
+
+def _route(g: HomogeneousPoly, tol: float, max_rank: int | None, seed: int) -> DecomposeReport:
+    """The search for g by its variable count: one term, Sylvester's
+    algorithm for binary forms, or the rank loop."""
+    if g.nvars > 2:
+        return _rank_loop(g, tol, max_rank, seed)
+    if g.nvars == 2:
+        dec = binary_decompose(g, seed=seed, tol=tol, max_rank=max_rank)
+    else:
+        dec = accept(g, [(g.coeff((g.degree,)), np.ones(1, dtype=complex))], tol)
+    return DecomposeReport(dec, [], 0, 0, seed)
 
 
 def rank(

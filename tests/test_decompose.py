@@ -110,7 +110,8 @@ def test_every_entry_point_refuses_bad_options_before_any_search(name, value, mo
     def searched(*args, **kwargs):
         raise AssertionError("a search started")
 
-    monkeypatch.setattr(sys.modules["waring.decompose"], "_decompose", searched)
+    monkeypatch.setattr(sys.modules["waring.decompose"], "essential_vars", searched)
+    monkeypatch.setattr(sys.modules["waring.decompose"], "_route", searched)
     monkeypatch.setattr(sys.modules["waring.binary"], "_moments", searched)
     binary, cubic = parse_poly("x0^3 + x1^3"), parse_poly("x0^3 + x1^3 + x2^3")
     calls = [lambda: decompose(cubic, **{name: value}),
@@ -533,6 +534,19 @@ def test_accept_refuses_nan_and_heavy_terms_and_takes_an_exact_term():
     assert accept(g, [(1.5, k)], 0.0).residual == 0.0
 
 
+@pytest.mark.parametrize("text, seed", [("x0^2*x1*x2", 4), ("x0^2*x1*x2", 5), ("x0*x1*x2^2", 4)])
+def test_the_mass_cap_keeps_heavy_terms_out_of_a_rank_six_quartic(text, seed):
+    # the mass half of the gate decides these searches: with no cap the rank
+    # is still 6, but through terms of mass 1e6 ||f|| and more that cancel
+    # to a residual of 1.6e-9 to 1.7e-8
+    f = parse_poly(text)
+    rep = decompose(f, seed=seed)
+    assert rep.rank == 6
+    assert rep.residual <= 1e-9
+    for w, k in rep.decomposition.terms:
+        assert abs(w) * np.linalg.norm(k) ** f.degree <= f.coeff_norm()
+
+
 def test_koszul_bound_skips_the_ranks_it_rules_out(monkeypatch):
     # a planted (4, 5, 11): catalecticant bound 10, at its ceiling C(5, 2),
     # and Koszul bound 11, so the flattenings are read before any attempt and
@@ -843,6 +857,41 @@ def test_reduced_form_is_held_to_tol():
         assert decompose(g, tol=1e-12).residual <= 1e-12
 
 
+# (x0 + (0.6+0.8i)*x1)^4 with noise of about 1e-8 on its coefficients' real
+# parts: rank 1 within tol, where `waring sylvester` says rank 2
+NEAR_POWER = (
+    "1.000000050576*x0^4 + (2.399999936668,3.2)*x0^3*x1"
+    " + (-1.6799999896390008,5.76)*x0^2*x1^2 + (-3.74400001407,1.4079999999999995)*x0*x1^3"
+    " + (-0.843200011217,-0.5376000000000003)*x1^4"
+)
+
+
+def _near_power(d: int, noise: float, rng) -> HomogeneousPoly:
+    """A random linear form's d-th power plus a random complex perturbation
+    of `noise` times its coefficient norm."""
+    k = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    c = np.array([math.comb(d, i) * k[0] ** (d - i) * k[1] ** i for i in range(d + 1)])
+    z = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    c += noise * np.linalg.norm(c) * z / np.linalg.norm(z)
+    return HomogeneousPoly(2, d, {(d - i, i): ci for i, ci in enumerate(c)})
+
+
+def test_a_binary_near_power_reduces_to_rank_one_within_tol():
+    # the essential-variable read is what finds rank 1 here: Sylvester's
+    # kernel is counted with a fixed cut, not with tol, and says rank 2 or
+    # more on these forms, so binary forms are read like any other
+    f = parse_poly(NEAR_POWER)
+    assert binary_decompose(f).rank == 2
+    rep = decompose(f)
+    assert (rep.rank, rep.essential) == (1, 1)
+    assert rep.residual <= 1e-7
+    rng = np.random.default_rng(44)
+    for d in (4, 8, 12):
+        for _ in range(8):
+            rep = decompose(_near_power(d, 1e-8, rng), tol=1e-7)
+            assert rep.rank == 1 and rep.residual <= 1e-7, d
+
+
 def test_round_trip_spot_checks():
     rng = np.random.default_rng(11)
     for nv, d, r in [(3, 4, 5), (3, 5, 6), (4, 3, 4), (3, 3, 3)]:
@@ -984,7 +1033,7 @@ def test_classify_canonical_cubics(text, want):
 
 def test_each_form_reads_its_essential_variables_once(monkeypatch):
     # the square-times-line cubic uses two variables: `decompose` reads that
-    # once and hands the count to its call on the reduced form, and
+    # once and routes the reduced form without reading it again, and
     # `classify` takes the count `decompose` read to tell it from Fermat's
     module = sys.modules["waring.decompose"]
     calls = []
